@@ -5,8 +5,12 @@
 //! set of ground atoms over those terms (Section 3). Both are interned here
 //! into dense ids so that interpretations are bitsets ([`crate::bitset`])
 //! and rule bodies are flat id arrays.
+//!
+//! Both intern tables are copy-on-write ([`crate::cow::InternTable`]):
+//! cloning a base is a handful of reference-count bumps, and interning
+//! into a clone copies a few segments, not the base.
 
-use crate::fx::FxHashMap;
+use crate::cow::{fx_hash, InternTable};
 use crate::symbol::{Symbol, SymbolStore};
 use std::fmt;
 
@@ -45,12 +49,12 @@ impl AtomId {
 
 /// Intern table for the Herbrand universe (ground terms) and Herbrand base
 /// (ground atoms) actually materialized by grounding.
+///
+/// `Clone` is a copy-on-write snapshot; see the module docs.
 #[derive(Default, Clone)]
 pub struct HerbrandBase {
-    terms: Vec<GroundTerm>,
-    term_map: FxHashMap<GroundTerm, ConstId>,
-    atoms: Vec<(Symbol, Box<[ConstId]>)>,
-    atom_map: FxHashMap<(Symbol, Box<[ConstId]>), AtomId>,
+    terms: InternTable<GroundTerm>,
+    atoms: InternTable<(Symbol, Box<[ConstId]>)>,
 }
 
 impl HerbrandBase {
@@ -66,38 +70,35 @@ impl HerbrandBase {
 
     /// Intern a ground term.
     pub fn intern_term(&mut self, term: GroundTerm) -> ConstId {
-        if let Some(&id) = self.term_map.get(&term) {
-            return id;
-        }
-        let id = ConstId(u32::try_from(self.terms.len()).expect("too many ground terms"));
-        self.terms.push(term.clone());
-        self.term_map.insert(term, id);
-        id
+        let hash = fx_hash(&term);
+        let id = match self.terms.find(hash, |t| *t == term) {
+            Some(id) => id,
+            None => self.terms.insert_new(hash, term),
+        };
+        ConstId(id)
     }
 
-    /// Intern a ground atom `pred(args…)`.
+    /// Intern a ground atom `pred(args…)`. Allocates only when the atom
+    /// is new.
     pub fn intern_atom(&mut self, pred: Symbol, args: &[ConstId]) -> AtomId {
-        let key = (pred, args.to_vec().into_boxed_slice());
-        if let Some(&id) = self.atom_map.get(&key) {
-            return id;
-        }
-        let id = AtomId(u32::try_from(self.atoms.len()).expect("too many ground atoms"));
-        self.atoms.push(key.clone());
-        self.atom_map.insert(key, id);
-        id
+        let hash = fx_hash(&(pred, args));
+        let id = match self.atoms.find(hash, |(p, a)| *p == pred && **a == *args) {
+            Some(id) => id,
+            None => self.atoms.insert_new(hash, (pred, args.into())),
+        };
+        AtomId(id)
     }
 
-    /// Look up an atom without interning.
+    /// Look up an atom without interning. Never allocates.
     pub fn find_atom(&self, pred: Symbol, args: &[ConstId]) -> Option<AtomId> {
-        // Avoid allocating for the common probe path by linear check through
-        // the map with a temporary key only when needed.
-        let key = (pred, args.to_vec().into_boxed_slice());
-        self.atom_map.get(&key).copied()
+        self.atoms
+            .find(fx_hash(&(pred, args)), |(p, a)| *p == pred && **a == *args)
+            .map(AtomId)
     }
 
     /// Look up a ground term without interning.
     pub fn find_term(&self, term: &GroundTerm) -> Option<ConstId> {
-        self.term_map.get(term).copied()
+        self.terms.find(fx_hash(term), |t| t == term).map(ConstId)
     }
 
     /// Number of interned atoms (the size of the materialized Herbrand base).
@@ -112,13 +113,27 @@ impl HerbrandBase {
 
     /// Predicate and arguments of an atom.
     pub fn atom(&self, id: AtomId) -> (Symbol, &[ConstId]) {
-        let (p, args) = &self.atoms[id.index()];
+        let (p, args) = self.atoms.key(id.0);
         (*p, args)
     }
 
     /// Structure of a ground term.
     pub fn term(&self, id: ConstId) -> &GroundTerm {
-        &self.terms[id.index()]
+        self.terms.key(id.0)
+    }
+
+    /// A copy sharing no storage with `self`.
+    pub(crate) fn deep_clone(&self) -> Self {
+        HerbrandBase {
+            terms: self.terms.deep_clone(),
+            atoms: self.atoms.deep_clone(),
+        }
+    }
+
+    /// Does `self` share all its storage with `other` (is one an
+    /// unmutated clone of the other)?
+    pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {
+        self.terms.shares_storage_with(&other.terms) && self.atoms.shares_storage_with(&other.atoms)
     }
 
     /// Render a ground term.
@@ -230,6 +245,91 @@ mod tests {
         assert!(hb.find_atom(p, &[ca]).is_none());
         let id = hb.intern_atom(p, &[ca]);
         assert_eq!(hb.find_atom(p, &[ca]), Some(id));
+    }
+
+    /// Random interning of constants, function terms and atoms with
+    /// snapshots taken along the way: every snapshot keeps resolving
+    /// exactly what was interned before it, and its counts stay frozen.
+    #[test]
+    fn snapshots_resolve_exactly_their_prefix() {
+        let mut syms = SymbolStore::new();
+        let p = syms.intern("p");
+        let f = syms.intern("f");
+        let consts: Vec<Symbol> = (0..64).map(|i| syms.intern(&format!("c{i}"))).collect();
+        let mut hb = HerbrandBase::new();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut atoms: Vec<(Symbol, Vec<ConstId>)> = Vec::new();
+        let mut snaps: Vec<HerbrandBase> = Vec::new();
+        for step in 0..6000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let c = hb.intern_const(consts[(rng % 64) as usize]);
+            let arg = if rng.is_multiple_of(3) {
+                hb.intern_term(GroundTerm::App(f, vec![c].into_boxed_slice()))
+            } else {
+                c
+            };
+            let args = vec![arg, ConstId((rng >> 20) as u32 % hb.term_count() as u32)];
+            if hb.find_atom(p, &args).is_none() {
+                atoms.push((p, args.clone()));
+            }
+            let id = hb.intern_atom(p, &args);
+            assert_eq!(hb.atom(id), (p, &args[..]));
+            if step % 500 == 499 {
+                snaps.push(hb.clone());
+            }
+        }
+        assert!(hb.atom_count() > 2 * crate::cow::SEG_LEN);
+        for snap in &snaps {
+            let n = snap.atom_count();
+            for (i, (pred, args)) in atoms.iter().enumerate() {
+                let got = snap.find_atom(*pred, args);
+                assert_eq!(got, (i < n).then_some(AtomId(i as u32)));
+            }
+            for t in 0..hb.term_count() as u32 {
+                let term = hb.term(ConstId(t));
+                let expect = (t < snap.term_count() as u32).then_some(ConstId(t));
+                assert_eq!(snap.find_term(term), expect);
+            }
+        }
+        let frozen: Vec<(usize, usize)> = snaps
+            .iter()
+            .map(|s| (s.atom_count(), s.term_count()))
+            .collect();
+        hb.intern_atom(p, &[]);
+        let after: Vec<(usize, usize)> = snaps
+            .iter()
+            .map(|s| (s.atom_count(), s.term_count()))
+            .collect();
+        assert_eq!(frozen, after);
+    }
+
+    /// Interning one atom into a clone of a 10⁵-atom base leaves all but
+    /// a constant number of segments shared with the clone.
+    #[test]
+    fn interning_after_a_clone_copies_a_constant_number_of_segments() {
+        let mut syms = SymbolStore::new();
+        let p = syms.intern("p");
+        let mut hb = HerbrandBase::new();
+        for i in 0..100_000u32 {
+            let c = hb.intern_const(Symbol::from_index(i as usize));
+            hb.intern_atom(p, &[c]);
+        }
+        let snapshot = hb.clone();
+        assert!(hb.shares_storage_with(&snapshot));
+        let fresh = hb.intern_const(Symbol::from_index(100_000));
+        let atom = hb.intern_atom(p, &[fresh]);
+        let (shared_t, total_t) = hb.terms.segment_sharing(&snapshot.terms);
+        let (shared_a, total_a) = hb.atoms.segment_sharing(&snapshot.atoms);
+        assert!(total_t + total_a > 600, "a large base");
+        assert!(
+            (total_t - shared_t) + (total_a - shared_a) <= 4,
+            "one key and one slot segment per table may be copied"
+        );
+        assert_eq!(snapshot.find_atom(p, &[fresh]), None);
+        assert_eq!(snapshot.atom_count(), 100_000);
+        assert_eq!(hb.find_atom(p, &[fresh]), Some(atom));
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //! The invariants are those of a plain `Vec` chunked greedily: every
 //! segment is full ([`SEG_LEN`] elements) except possibly the last, and
 //! the last is non-empty unless the vector is.
+//!
+//! [`InternTable`] builds the append-only intern tables of the Herbrand
+//! base and the symbol store on two `CowVec`s, so interning after a
+//! snapshot copies a segment, not the table.
 
+use crate::fx::FxHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Log₂ of the segment length.
@@ -102,7 +108,11 @@ impl<T: Clone> CowVec<T> {
     pub fn push(&mut self, value: T) {
         let segs = Arc::make_mut(&mut self.segs);
         if self.len == segs.len() << SEG_SHIFT {
-            segs.push(Arc::new(Vec::with_capacity(SEG_LEN)));
+            // The first segment grows on demand (to exactly `SEG_LEN`):
+            // many vectors stay tiny, such as the symbol store a parser
+            // builds per request. Later ones are allocated whole.
+            let cap = if segs.is_empty() { 0 } else { SEG_LEN };
+            segs.push(Arc::new(Vec::with_capacity(cap)));
         }
         let last = segs.last_mut().expect("segment just ensured");
         Arc::make_mut(last).push(value);
@@ -150,12 +160,194 @@ impl<T: Clone> CowVec<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.segs.iter().flat_map(|s| s.iter())
     }
+
+    /// A copy sharing no storage with `self`: every segment is cloned.
+    pub fn deep_clone(&self) -> Self {
+        Self::from_vec(self.iter().cloned().collect())
+    }
+
+    /// Do `self` and `other` hold the same segment directory, i.e. is
+    /// one an unmutated clone of the other?
+    pub fn shares_storage_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.segs, &other.segs)
+    }
+
+    /// Number of segments `self` and `other` share by pointer.
+    #[cfg(test)]
+    pub(crate) fn shared_segments(&self, other: &Self) -> usize {
+        self.segs
+            .iter()
+            .zip(other.segs.iter())
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+
+    /// Number of segments.
+    #[cfg(test)]
+    pub(crate) fn segment_count(&self) -> usize {
+        self.segs.len()
+    }
 }
 
 impl<T: Clone + std::fmt::Debug> std::fmt::Debug for CowVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
+}
+
+/// The [`FxHasher`] hash of `value`. An [`InternTable`] expects every
+/// hash it is handed to be this function of the key (a borrowed probe
+/// form must hash like the owned key: `&str` like `Box<str>`,
+/// `(Symbol, &[ConstId])` like `(Symbol, Box<[ConstId]>)`).
+pub fn fx_hash<Q: Hash + ?Sized>(value: &Q) -> u64 {
+    let mut h = FxHasher::default();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// An [`InternTable`] of at most this many keys has no index, and
+/// lookups scan the keys: the wire codec parses each request into a
+/// fresh, tiny symbol store, which should cost no more than the names.
+const SCAN_MAX: usize = 8;
+
+/// An append-only intern table with copy-on-write storage: keys get
+/// dense `u32` ids in insertion order.
+///
+/// Keys live once, in a [`CowVec`] indexed by id. The lookup index is an
+/// open-addressed, linearly probed slot array (`0` = empty, otherwise
+/// `id + 1`), also a `CowVec`, whose home slot is taken from the high
+/// bits of the key's [`fx_hash`]; probes compare keys through the key
+/// table, so no key is stored twice. The index doubles (a full rebuild)
+/// when an insert would take its load past ½; tables of at most
+/// `SCAN_MAX` keys have none.
+///
+/// Cloning is two reference-count bumps. Inserting into a clone copies
+/// the last key segment, the one slot segment written, and the two
+/// segment directories — unless the insert doubles the index, which
+/// rebuilds the index (never the keys).
+#[derive(Clone)]
+pub struct InternTable<K> {
+    keys: CowVec<K>,
+    slots: CowVec<u32>,
+}
+
+impl<K> Default for InternTable<K> {
+    fn default() -> Self {
+        InternTable {
+            keys: CowVec::default(),
+            slots: CowVec::default(),
+        }
+    }
+}
+
+impl<K: Clone + Hash> InternTable<K> {
+    /// Number of interned keys.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True iff nothing is interned.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The key with id `id`.
+    ///
+    /// # Panics
+    /// Panics if `id >= len`.
+    #[inline]
+    pub fn key(&self, id: u32) -> &K {
+        self.keys.get(id as usize)
+    }
+
+    /// Iterate over the keys in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &K> {
+        self.keys.iter()
+    }
+
+    /// The id of the key that `is` accepts, if interned; `hash` must be
+    /// the [`fx_hash`] of that key. Never allocates.
+    pub fn find(&self, hash: u64, mut is: impl FnMut(&K) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return self.keys.iter().position(is).map(|i| i as u32);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = home_slot(hash, self.slots.len());
+        loop {
+            match *self.slots.get(i) {
+                0 => return None,
+                s if is(self.keys.get(s as usize - 1)) => return Some(s - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Intern a key known to be absent (the caller has just missed on
+    /// [`InternTable::find`]) and return its new id; `hash` must be its
+    /// [`fx_hash`].
+    pub fn insert_new(&mut self, hash: u64, key: K) -> u32 {
+        debug_assert_eq!(hash, fx_hash(&key), "hash is not the key's fx_hash");
+        let len = self.keys.len() + 1;
+        let slot_val = u32::try_from(len).expect("intern table overflow");
+        if len > SCAN_MAX {
+            if 2 * len > self.slots.len() {
+                self.rebuild_index((2 * len).next_power_of_two());
+            }
+            let mask = self.slots.len() - 1;
+            let mut i = home_slot(hash, self.slots.len());
+            while *self.slots.get(i) != 0 {
+                i = (i + 1) & mask;
+            }
+            *self.slots.get_mut(i) = slot_val;
+        }
+        self.keys.push(key);
+        slot_val - 1
+    }
+
+    /// Replace the index by one of `n` slots (a power of two) holding
+    /// every key.
+    fn rebuild_index(&mut self, n: usize) {
+        let mask = n - 1;
+        let mut slots = vec![0u32; n];
+        for (id, key) in self.keys.iter().enumerate() {
+            let mut i = home_slot(fx_hash(key), n);
+            while slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            slots[i] = id as u32 + 1;
+        }
+        self.slots = CowVec::from_vec(slots);
+    }
+
+    /// A copy sharing no storage with `self`.
+    pub fn deep_clone(&self) -> Self {
+        InternTable {
+            keys: self.keys.deep_clone(),
+            slots: self.slots.deep_clone(),
+        }
+    }
+
+    /// Do `self` and `other` share all their storage — is one an
+    /// unmutated clone of the other?
+    pub fn shares_storage_with(&self, other: &Self) -> bool {
+        self.keys.shares_storage_with(&other.keys) && self.slots.shares_storage_with(&other.slots)
+    }
+
+    /// Segments shared by pointer with `other`, and segments in `self`.
+    #[cfg(test)]
+    pub(crate) fn segment_sharing(&self, other: &Self) -> (usize, usize) {
+        (
+            self.keys.shared_segments(&other.keys) + self.slots.shared_segments(&other.slots),
+            self.keys.segment_count() + self.slots.segment_count(),
+        )
+    }
+}
+
+/// The home slot of `hash` in an index of `n` slots (a power of two):
+/// its high bits, which the multiply in [`FxHasher`] mixes best.
+#[inline]
+fn home_slot(hash: u64, n: usize) -> usize {
+    (hash >> (64 - n.trailing_zeros())) as usize
 }
 
 #[cfg(test)]
@@ -245,6 +437,70 @@ mod tests {
         assert_eq!(v.len(), SEG_LEN - 1);
         v.push(77);
         assert_eq!(*v.get(SEG_LEN - 1), 77);
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn find_str(t: &InternTable<Box<str>>, key: &str) -> Option<u32> {
+        t.find(fx_hash(key), |k| **k == *key)
+    }
+
+    /// Seeded random intern/find sequences against a reference map, with
+    /// clones taken at random points and on every segment boundary and
+    /// index doubling: each clone must resolve exactly the keys interned
+    /// before it, with its length frozen.
+    #[test]
+    fn intern_table_matches_a_reference_map_across_clones() {
+        for seed in 1..=3u64 {
+            let mut rng = seed;
+            let mut table: InternTable<Box<str>> = InternTable::default();
+            let mut reference: std::collections::HashMap<String, u32> = Default::default();
+            let mut order: Vec<String> = Vec::new();
+            let mut clones: Vec<(InternTable<Box<str>>, usize)> = Vec::new();
+            for _ in 0..12_000 {
+                let r = splitmix(&mut rng);
+                let key = format!("k{}", r % 5000);
+                assert_eq!(find_str(&table, &key), reference.get(&key).copied());
+                if r.is_multiple_of(4) {
+                    continue; // a probe only
+                }
+                let before = table.len();
+                let id = match find_str(&table, &key) {
+                    Some(id) => id,
+                    None => table.insert_new(fx_hash(key.as_str()), key.as_str().into()),
+                };
+                let expect = *reference.entry(key.clone()).or_insert_with(|| {
+                    order.push(key.clone());
+                    before as u32
+                });
+                assert_eq!(id, expect);
+                assert_eq!(table.len(), reference.len());
+                let n = table.len();
+                let boundary = n % SEG_LEN <= 1 || (n - 1).is_power_of_two() || n.is_power_of_two();
+                if table.len() > before && (boundary || r % 256 == 1) {
+                    clones.push((table.clone(), n));
+                }
+            }
+            assert!(table.len() > 3 * SEG_LEN, "crosses several key segments");
+            for (clone, n) in &clones {
+                assert_eq!(clone.len(), *n, "a clone's length is frozen");
+                for (i, key) in order.iter().enumerate() {
+                    let got = find_str(clone, key);
+                    if i < *n {
+                        assert_eq!(got, Some(i as u32));
+                        assert_eq!(&**clone.key(i as u32), key.as_str());
+                    } else {
+                        assert_eq!(got, None, "key interned after the clone");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,21 +9,24 @@
 //!
 //! ## Copy-on-write snapshots
 //!
-//! All storage is segmented behind [`Arc`]s ([`crate::cow::CowVec`] for
-//! the rules and occurrence indices, whole-structure `Arc`s for the
-//! Herbrand base and symbol store): **cloning a `GroundProgram` is a
-//! handful of reference-count bumps**, however large the program. A clone
-//! is an immutable snapshot — mutating either side afterwards copies only
-//! the segments actually touched (`Arc::make_mut`), so a mutate →
-//! snapshot → solve loop pays `O(delta)` per cycle, not `O(program)`.
-//! [`GroundProgram::deep_clone`] forces a full copy when genuine
-//! structural independence is wanted. The interning entry points
-//! ([`GroundProgram::intern_symbol`], [`GroundProgram::intern_const`],
-//! [`GroundProgram::intern_term`], [`GroundProgram::intern_atom_ids`],
-//! [`GroundProgram::import_atom`] / [`GroundProgram::import_rule`]) are
-//! read-first: re-interning something already present never copies a
-//! shared base, which keeps steady-state update loops allocation-free on
-//! the shared segments.
+//! All storage is segmented behind `Arc`s: [`crate::cow::CowVec`] holds
+//! the rules and occurrence indices, and [`crate::cow::InternTable`]
+//! (two `CowVec`s each) holds the Herbrand base's terms and atoms and the
+//! symbol store's names. **Cloning a `GroundProgram` is a handful of
+//! reference-count bumps**, however large the program. A clone is an
+//! immutable snapshot — mutating either side afterwards copies only the
+//! segments actually touched (`Arc::make_mut`), so a mutate → snapshot →
+//! solve loop pays `O(delta)` per cycle, not `O(program)`. That holds
+//! for a delta that interns new atoms too: it copies the last key
+//! segment, one index segment and the segment directories of each table
+//! it grows, not the base. [`GroundProgram::deep_clone`] forces a full
+//! copy when genuine structural independence is wanted. The interning
+//! entry points ([`GroundProgram::intern_symbol`],
+//! [`GroundProgram::intern_const`], [`GroundProgram::intern_term`],
+//! [`GroundProgram::intern_atom_ids`], [`GroundProgram::import_atom`] /
+//! [`GroundProgram::import_rule`]) probe before they write: re-interning
+//! something already present never copies a shared segment, which keeps
+//! steady-state update loops allocation-free on the shared storage.
 
 use crate::ast::{Program, Term};
 use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
@@ -31,7 +34,6 @@ use crate::bitset::AtomSet;
 use crate::cow::CowVec;
 use crate::symbol::{Symbol, SymbolStore};
 use std::fmt;
-use std::sync::Arc;
 
 /// Index of a rule within a [`GroundProgram`].
 pub type RuleId = u32;
@@ -80,8 +82,8 @@ impl GroundRule {
 #[derive(Clone)]
 pub struct GroundProgram {
     rules: CowVec<GroundRule>,
-    base: Arc<HerbrandBase>,
-    symbols: Arc<SymbolStore>,
+    base: HerbrandBase,
+    symbols: SymbolStore,
     head_index: CowVec<Vec<RuleId>>,
     pos_index: CowVec<Vec<RuleId>>,
     neg_index: CowVec<Vec<RuleId>>,
@@ -189,12 +191,9 @@ impl GroundProgram {
     /// grow the occurrence indices to cover it. New atoms start with no
     /// rules — false in every semantics — until rules are pushed.
     /// Read-first: an already-interned atom is resolved without touching
-    /// (and so without copying) a shared base.
+    /// (and so without copying) shared storage.
     pub fn intern_atom_ids(&mut self, pred: Symbol, args: &[ConstId]) -> AtomId {
-        if let Some(id) = self.base.find_atom(pred, args) {
-            return id;
-        }
-        let id = Arc::make_mut(&mut self.base).intern_atom(pred, args);
+        let id = self.base.intern_atom(pred, args);
         let n = self.base.atom_count();
         self.head_index.grow_with(n, Vec::new);
         self.pos_index.grow_with(n, Vec::new);
@@ -203,12 +202,9 @@ impl GroundProgram {
     }
 
     /// Intern a symbol name, read-first (a known name never copies a
-    /// shared symbol store).
+    /// shared segment).
     pub fn intern_symbol(&mut self, name: &str) -> Symbol {
-        match self.symbols.get(name) {
-            Some(sym) => sym,
-            None => Arc::make_mut(&mut self.symbols).intern(name),
-        }
+        self.symbols.intern(name)
     }
 
     /// Intern a constant term, read-first.
@@ -219,17 +215,13 @@ impl GroundProgram {
     /// Intern a ground term (over this program's symbols and term ids),
     /// read-first.
     pub fn intern_term(&mut self, term: GroundTerm) -> ConstId {
-        match self.base.find_term(&term) {
-            Some(id) => id,
-            None => Arc::make_mut(&mut self.base).intern_term(term),
-        }
+        self.base.intern_term(term)
     }
 
     /// Copy a term interned in another base (over the **same** symbol
     /// space) into this program's base, read-first. Replaces the old
     /// free-function `reintern_term` pattern on the warm update paths,
-    /// where the term almost always exists already and a shared base must
-    /// not be copied just to look it up.
+    /// where the term almost always exists already.
     pub fn reintern_term(&mut self, t: ConstId, from: &HerbrandBase) -> ConstId {
         match from.term(t).clone() {
             GroundTerm::Const(c) => self.intern_const(c),
@@ -257,27 +249,27 @@ impl GroundProgram {
     /// before [`GroundProgram::intern_atom_ids`]. Callers must not intern
     /// atoms through this handle directly — atom growth has to go through
     /// `intern_atom_ids` so the occurrence indices stay sized to the base.
-    /// **Forces copy-on-write** when the base is shared with a snapshot,
-    /// even if nothing ends up mutated; prefer the read-first interning
-    /// methods above on warm paths.
+    /// Interning through it copies only the segments it writes.
     pub fn base_mut(&mut self) -> &mut HerbrandBase {
-        Arc::make_mut(&mut self.base)
+        &mut self.base
     }
 
     /// Mutable access to the symbol store (to intern predicate or constant
-    /// names arriving after initial grounding). **Forces copy-on-write**
-    /// when shared; prefer [`GroundProgram::intern_symbol`] on warm paths.
+    /// names arriving after initial grounding); prefer
+    /// [`GroundProgram::intern_symbol`] on warm paths.
     pub fn symbols_mut(&mut self) -> &mut SymbolStore {
-        Arc::make_mut(&mut self.symbols)
+        &mut self.symbols
     }
 
-    /// Do `self` and `other` still share their Herbrand base storage?
-    /// True between a program and its snapshot until one of them interns
-    /// a genuinely new symbol/term/atom — the observable guarantee of the
-    /// copy-on-write layout, asserted by tests and relied on by
+    /// Do `self` and `other` still share all their Herbrand base and
+    /// symbol storage? True between a program and its snapshot until one
+    /// of them interns a genuinely new symbol/term/atom (which un-shares
+    /// a few segments, never the whole base) — the observable guarantee
+    /// of the copy-on-write layout, asserted by tests and relied on by
     /// [`GroundProgram::restrict_heads`].
     pub fn shares_base_with(&self, other: &GroundProgram) -> bool {
-        Arc::ptr_eq(&self.base, &other.base) && Arc::ptr_eq(&self.symbols, &other.symbols)
+        self.base.shares_storage_with(&other.base)
+            && self.symbols.shares_storage_with(&other.symbols)
     }
 
     /// A structurally independent copy: every segment is cloned eagerly,
@@ -287,12 +279,12 @@ impl GroundProgram {
     /// `serve_throughput` bench compares CoW snapshots against.
     pub fn deep_clone(&self) -> GroundProgram {
         GroundProgram {
-            rules: CowVec::from_vec(self.rules.iter().cloned().collect()),
-            base: Arc::new((*self.base).clone()),
-            symbols: Arc::new((*self.symbols).clone()),
-            head_index: CowVec::from_vec(self.head_index.iter().cloned().collect()),
-            pos_index: CowVec::from_vec(self.pos_index.iter().cloned().collect()),
-            neg_index: CowVec::from_vec(self.neg_index.iter().cloned().collect()),
+            rules: self.rules.deep_clone(),
+            base: self.base.deep_clone(),
+            symbols: self.symbols.deep_clone(),
+            head_index: self.head_index.deep_clone(),
+            pos_index: self.pos_index.deep_clone(),
+            neg_index: self.neg_index.deep_clone(),
         }
     }
 
@@ -398,8 +390,8 @@ impl GroundProgram {
     /// `keep` lose all their rules and become false in every semantics —
     /// which is exactly what query-directed relevance restriction wants
     /// (see `afp-core::relevance`). The base and symbol store are shared
-    /// with `self` (`Arc` clones), so restriction costs only the kept
-    /// rules and their indices.
+    /// with `self` (copy-on-write clones), so restriction costs only the
+    /// kept rules and their indices.
     pub fn restrict_heads(&self, keep: &crate::bitset::AtomSet) -> GroundProgram {
         let rules: Vec<GroundRule> = self
             .rules
@@ -423,8 +415,8 @@ impl GroundProgram {
         }
         GroundProgram {
             rules: CowVec::from_vec(rules),
-            base: Arc::clone(&self.base),
-            symbols: Arc::clone(&self.symbols),
+            base: self.base.clone(),
+            symbols: self.symbols.clone(),
             head_index: CowVec::from_vec(head_index),
             pos_index: CowVec::from_vec(pos_index),
             neg_index: CowVec::from_vec(neg_index),
@@ -562,8 +554,8 @@ impl GroundProgramBuilder {
         }
         GroundProgram {
             rules: CowVec::from_vec(self.rules),
-            base: Arc::new(self.base),
-            symbols: Arc::new(self.symbols),
+            base: self.base,
+            symbols: self.symbols,
             head_index: CowVec::from_vec(head_index),
             pos_index: CowVec::from_vec(pos_index),
             neg_index: CowVec::from_vec(neg_index),
@@ -581,7 +573,7 @@ impl GroundProgramBuilder {
 pub fn ground_program_from_ast(program: &Program) -> Result<GroundProgram, String> {
     let mut b = GroundProgramBuilder::with_symbols(program.symbols.clone());
     for rule in &program.rules {
-        let head = intern_ground_atom(&mut b, rule)?;
+        let head = intern_atom_checked(&mut b, &rule.head, rule, &program.symbols)?;
         let mut pos = Vec::new();
         let mut neg = Vec::new();
         for lit in &rule.body {
@@ -595,14 +587,6 @@ pub fn ground_program_from_ast(program: &Program) -> Result<GroundProgram, Strin
         b.rule(head, pos, neg);
     }
     Ok(b.finish())
-}
-
-fn intern_ground_atom(
-    b: &mut GroundProgramBuilder,
-    rule: &crate::ast::Rule,
-) -> Result<AtomId, String> {
-    let symbols = b.symbols.clone();
-    intern_atom_checked(b, &rule.head.clone(), rule, &symbols)
 }
 
 fn intern_atom_checked(

@@ -4,8 +4,12 @@
 //! variable names — is interned once into a [`SymbolStore`] and referred to by
 //! a 4-byte [`Symbol`] thereafter. All comparisons on hot paths are integer
 //! comparisons; the store is only consulted again for display.
+//!
+//! The store is a copy-on-write [`InternTable`]: cloning it is a handful
+//! of reference-count bumps, and interning into a clone copies a few
+//! segments, not the store.
 
-use crate::fx::FxHashMap;
+use crate::cow::{fx_hash, InternTable};
 use std::fmt;
 
 /// An interned string. Cheap to copy and compare; resolve through the
@@ -37,8 +41,7 @@ impl fmt::Debug for Symbol {
 /// An append-only intern table mapping strings to [`Symbol`]s.
 #[derive(Default, Clone)]
 pub struct SymbolStore {
-    names: Vec<Box<str>>,
-    map: FxHashMap<Box<str>, Symbol>,
+    names: InternTable<Box<str>>,
 }
 
 impl SymbolStore {
@@ -50,19 +53,17 @@ impl SymbolStore {
     /// Intern `name`, returning its symbol. Re-interning an existing name
     /// returns the same symbol.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(name) {
-            return sym;
-        }
-        let sym = Symbol(u32::try_from(self.names.len()).expect("too many symbols"));
-        let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.map.insert(boxed, sym);
-        sym
+        let hash = fx_hash(name);
+        let id = match self.names.find(hash, |n| **n == *name) {
+            Some(id) => id,
+            None => self.names.insert_new(hash, name.into()),
+        };
+        Symbol(id)
     }
 
     /// Look up a name without interning it.
     pub fn get(&self, name: &str) -> Option<Symbol> {
-        self.map.get(name).copied()
+        self.names.find(fx_hash(name), |n| **n == *name).map(Symbol)
     }
 
     /// Resolve a symbol back to its string.
@@ -70,7 +71,7 @@ impl SymbolStore {
     /// # Panics
     /// Panics if `sym` did not come from this store.
     pub fn name(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
+        self.names.key(sym.0)
     }
 
     /// Number of interned symbols.
@@ -89,6 +90,19 @@ impl SymbolStore {
             .iter()
             .enumerate()
             .map(|(i, n)| (Symbol(i as u32), n.as_ref()))
+    }
+
+    /// A copy sharing no storage with `self`.
+    pub(crate) fn deep_clone(&self) -> Self {
+        SymbolStore {
+            names: self.names.deep_clone(),
+        }
+    }
+
+    /// Does `self` share all its storage with `other` (is one an
+    /// unmutated clone of the other)?
+    pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {
+        self.names.shares_storage_with(&other.names)
     }
 
     /// Intern a name that is guaranteed fresh (used by transformations that
@@ -168,6 +182,28 @@ mod tests {
         store.intern("c");
         let names: Vec<&str> = store.iter().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn clones_are_isolated_snapshots() {
+        let mut store = SymbolStore::new();
+        for i in 0..5000 {
+            store.intern(&format!("s{i}"));
+        }
+        let snapshot = store.clone();
+        assert!(store.shares_storage_with(&snapshot));
+        assert_eq!(store.intern("s42"), snapshot.get("s42").unwrap());
+        assert!(
+            store.shares_storage_with(&snapshot),
+            "a known name writes nothing"
+        );
+        let fresh = store.intern("brand_new");
+        assert!(!store.shares_storage_with(&snapshot));
+        assert_eq!(snapshot.get("brand_new"), None);
+        assert_eq!(snapshot.len(), 5000);
+        assert_eq!(store.name(fresh), "brand_new");
+        let (shared, total) = store.names.segment_sharing(&snapshot.names);
+        assert!(total - shared <= 2);
     }
 
     #[test]

@@ -37,12 +37,20 @@
 //! persistent workers — made sound by the dispatch protocol, which
 //! retires the job pointer and waits for every participating worker to
 //! leave before the state is dropped.
+//!
+//! **A panicking task fails its run; it never wedges the pool.** Each
+//! worker runs its share of a job under `catch_unwind`: the first panic
+//! is parked in the run state and aborts the run, every worker leaves
+//! (so `active` always drops back to zero), and the dispatcher re-raises
+//! the panic on the calling thread. The pool stays usable afterwards.
 
 use afp_datalog::depgraph::TaskGraph;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 
@@ -280,6 +288,8 @@ impl Scheduler for Wavefront {
             sleepers: AtomicUsize::new(0),
             idle: Mutex::new(()),
             idle_cv: Condvar::new(),
+            aborted: AtomicBool::new(false),
+            panic: Mutex::new(None),
         };
         // Seed worker 0's deque with every source task.
         {
@@ -311,13 +321,18 @@ impl Scheduler for Wavefront {
             ctl.epoch += 1;
             self.shared.work_cv.notify_all();
         }
-        run_worker(&state, 0);
+        run_worker_guarded(&state, 0);
         {
             let mut ctl = self.shared.ctl.lock().unwrap();
             ctl.job = None;
             while ctl.active != 0 {
                 ctl = self.shared.done_cv.wait(ctl).unwrap();
             }
+        }
+        // Every worker has left: re-raise a task's panic here, on the
+        // thread that asked for the run.
+        if let Some(payload) = lock(&state.panic).take() {
+            panic::resume_unwind(payload);
         }
 
         SchedRun {
@@ -386,6 +401,8 @@ fn worker_main(shared: &PoolShared, ix: usize) {
         // SAFETY: `job.data` points at the dispatcher's `RunState`,
         // which outlives this call — the dispatcher cannot return until
         // `active` (incremented above, under the lock) drops to zero.
+        // The job body catches its own panics (`run_worker_guarded`), so
+        // control always gets back here to leave the job.
         unsafe { (job.run)(job.data, ix) };
         let mut ctl = shared.ctl.lock().unwrap();
         ctl.active -= 1;
@@ -423,13 +440,35 @@ struct RunState<'a> {
     sleepers: AtomicUsize,
     idle: Mutex<()>,
     idle_cv: Condvar,
+    /// Set when a worker panicked: every worker stops taking tasks.
+    aborted: AtomicBool,
+    /// The first panic payload, re-raised by the dispatcher.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// Lock a mutex even if a panicking worker poisoned it: the run is being
+/// aborted, and the panic itself is reported through `RunState::panic`.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 unsafe fn run_worker_erased(data: *const (), worker: usize) {
     // SAFETY: see the dispatch protocol in `Wavefront::run` — `data` is
     // a live `RunState` for the whole duration of this call.
     let state = unsafe { &*(data as *const RunState) };
-    run_worker(state, worker);
+    run_worker_guarded(state, worker);
+}
+
+/// [`run_worker`] under `catch_unwind`: a panic (a task's, or the
+/// scheduler's own) is parked for the dispatcher, and the run is aborted
+/// so no other worker waits for tasks that will never finish.
+fn run_worker_guarded(state: &RunState, w: usize) {
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| run_worker(state, w))) {
+        lock(&state.panic).get_or_insert(payload);
+        state.aborted.store(true, SeqCst);
+        let _guard = lock(&state.idle);
+        state.idle_cv.notify_all();
+    }
 }
 
 fn run_worker(state: &RunState, w: usize) {
@@ -445,17 +484,23 @@ fn run_worker(state: &RunState, w: usize) {
             Some(ti) => Some(ti),
             None => pop_task(state, w, &mut rng, &mut steal_ns),
         };
+        if state.aborted.load(SeqCst) {
+            break;
+        }
         let Some(ti) = ti else {
             if state.remaining.load(SeqCst) == 0 {
                 break;
             }
             // Nothing ready anywhere, but tasks are still running on
-            // other workers: park until a push or termination.
+            // other workers: park until a push, termination or abort.
             let parked = Instant::now();
             state.sleepers.fetch_add(1, SeqCst);
             {
-                let mut guard = state.idle.lock().unwrap();
-                while state.remaining.load(SeqCst) != 0 && state.queued.load(SeqCst) == 0 {
+                let mut guard = lock(&state.idle);
+                while state.remaining.load(SeqCst) != 0
+                    && state.queued.load(SeqCst) == 0
+                    && !state.aborted.load(SeqCst)
+                {
                     guard = state.idle_cv.wait(guard).unwrap();
                 }
                 drop(guard);
@@ -471,32 +516,32 @@ fn run_worker(state: &RunState, w: usize) {
         // Release dependents. The first released task is kept in hand
         // (the common chain case pays no queue traffic); the rest go to
         // this worker's deque, visible to thieves. Chaos mode queues
-        // everything so the seeded pops scramble the order fully.
-        let mut released = 0usize;
+        // everything so the seeded pops scramble the order fully. A task
+        // is counted in `ready_now` and `queued` *before* it is
+        // published: a thief may pop it, and un-count it, the moment it
+        // sits in a deque.
+        let mut peak = 0usize;
         for &d in state.graph.dependents(ti as usize) {
             if state.indeg[d as usize].fetch_sub(1, SeqCst) == 1 {
-                released += 1;
+                peak = peak.max(state.ready_now.fetch_add(1, SeqCst) + 1);
                 if in_hand.is_none() && rng.is_none() {
                     in_hand = Some(d);
                 } else {
-                    let mut q = state.queues[w].lock().unwrap();
-                    q.push_back(d);
-                    drop(q);
                     state.queued.fetch_add(1, SeqCst);
+                    lock(&state.queues[w]).push_back(d);
                     if state.sleepers.load(SeqCst) > 0 {
-                        let _guard = state.idle.lock().unwrap();
+                        let _guard = lock(&state.idle);
                         state.idle_cv.notify_all();
                     }
                 }
             }
         }
-        if released > 0 {
-            let now = state.ready_now.fetch_add(released, SeqCst) + released;
-            state.max_ready.fetch_max(now, SeqCst);
+        if peak > 0 {
+            state.max_ready.fetch_max(peak, SeqCst);
         }
         if state.remaining.fetch_sub(1, SeqCst) == 1 {
             // Last task: wake every parked worker so the run can end.
-            let _guard = state.idle.lock().unwrap();
+            let _guard = lock(&state.idle);
             state.idle_cv.notify_all();
         }
     }
@@ -689,6 +734,39 @@ mod tests {
         let run = check_schedule(&sched, WIDE);
         assert!(run.parallel);
         assert!(run.busy_ns > 0, "workers report evaluation time");
+    }
+
+    /// A panicking task fails its run with the task's own panic, on the
+    /// calling thread, whichever worker ran it — and the pool keeps
+    /// serving later runs.
+    #[test]
+    fn a_panicking_task_fails_the_run_without_wedging_the_pool() {
+        let g = parse_ground(WIDE);
+        let cond = Condensation::of(&g);
+        let all: Vec<u32> = (0..cond.len() as u32).collect();
+        let graph = cond.task_graph(&g, &all);
+        for chaos in [None, Some(3)] {
+            let sched = Wavefront::with_options(
+                3,
+                WavefrontOptions {
+                    min_par_tasks: 0,
+                    chaos,
+                },
+            );
+            for victim in 0..cond.len() as u32 {
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    sched.run(&graph, &|comp, _w| {
+                        if comp == victim {
+                            panic!("task {comp} failed");
+                        }
+                    })
+                }));
+                let payload = result.expect_err("the task's panic reaches the caller");
+                let msg = payload.downcast_ref::<String>().expect("panic message");
+                assert_eq!(*msg, format!("task {victim} failed"));
+                check_schedule(&sched, WIDE);
+            }
+        }
     }
 
     #[test]

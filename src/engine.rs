@@ -1408,7 +1408,9 @@ fn apply_rule_to_ast(
     }
 }
 
-/// Intern an AST atom (expressed against `from`) into a ground program.
+/// Intern an AST atom (expressed against `from`) into a ground program,
+/// read-first: an atom whose names are all known copies no shared
+/// storage.
 fn intern_ast_atom(
     ground: &mut GroundProgram,
     atom: &afp_datalog::ast::Atom,
@@ -1421,18 +1423,16 @@ fn intern_ast_atom(
     ) -> afp_datalog::atoms::ConstId {
         match t {
             afp_datalog::ast::Term::Const(c) => {
-                let sym = ground.symbols_mut().intern(from.name(*c));
-                ground.base_mut().intern_const(sym)
+                let sym = ground.intern_symbol(from.name(*c));
+                ground.intern_const(sym)
             }
             afp_datalog::ast::Term::App(f, args) => {
                 let ids: Vec<_> = args.iter().map(|a| intern_term(a, ground, from)).collect();
-                let sym = ground.symbols_mut().intern(from.name(*f));
-                ground
-                    .base_mut()
-                    .intern_term(afp_datalog::atoms::GroundTerm::App(
-                        sym,
-                        ids.into_boxed_slice(),
-                    ))
+                let sym = ground.intern_symbol(from.name(*f));
+                ground.intern_term(afp_datalog::atoms::GroundTerm::App(
+                    sym,
+                    ids.into_boxed_slice(),
+                ))
             }
             afp_datalog::ast::Term::Var(_) => unreachable!("caller checked groundness"),
         }
@@ -1442,7 +1442,7 @@ fn intern_ast_atom(
         .iter()
         .map(|t| intern_term(t, ground, from))
         .collect();
-    let pred = ground.symbols_mut().intern(from.name(atom.pred));
+    let pred = ground.intern_symbol(from.name(atom.pred));
     ground.intern_atom_ids(pred, &args)
 }
 

@@ -198,6 +198,31 @@ fn ground_program_sessions_update_in_place() {
     assert_eq!(model.truth("p", &[]), Truth::True);
 }
 
+/// Re-asserting facts whose names are all known, on a `load_ground`
+/// session after a snapshot, copies no Herbrand base or symbol storage:
+/// the session's program still shares it with the snapshot. Only an
+/// atom never seen before un-shares it, and the snapshot never sees it.
+#[test]
+fn known_facts_on_ground_sessions_copy_no_base_storage() {
+    let ground = afp::datalog::parse_ground("p(a) :- e(a, b), not q. e(a, b). q :- f(c).");
+    let mut session = Engine::default().load_ground(ground);
+    let snapshot = session.solve().unwrap();
+    assert!(session.ground().shares_base_with(snapshot.ground()));
+
+    session.assert_facts("e(a, b).").unwrap(); // already a fact
+    session.assert_facts("f(c).").unwrap(); // known atom, new fact rule
+    assert!(
+        session.ground().shares_base_with(snapshot.ground()),
+        "known names and atoms must not copy shared base storage"
+    );
+    assert_eq!(session.solve().unwrap().truth("q", &[]), Truth::True);
+
+    session.assert_facts("f(d).").unwrap(); // a new constant and atom
+    assert!(!session.ground().shares_base_with(snapshot.ground()));
+    assert!(snapshot.ground().find_atom_by_name("f", &["d"]).is_none());
+    assert_eq!(snapshot.truth("f", &["d"]), Truth::False);
+}
+
 /// Non-fact input to the update API is a typed error.
 #[test]
 fn updates_reject_rules_and_non_ground_facts() {

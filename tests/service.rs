@@ -351,6 +351,52 @@ fn pinned_snapshots_are_immutable_under_writes() {
     assert_eq!(digest(pinned.model()), baseline);
 }
 
+/// Snapshot isolation across the version cache: every write interns
+/// atoms over a never-seen constant, and more writes than the cache
+/// holds push the early versions out of it. Each pinned version still
+/// answers exactly its own cold model and reports `False` for every atom
+/// interned after it, however much of the base the later writes share.
+#[test]
+fn pinned_versions_do_not_see_atoms_interned_after_them() {
+    const WRITES: usize = 12; // more than the 8-deep version cache
+    let service = Engine::default().serve(&base_src()).unwrap();
+    let mut pins = vec![service.snapshot()];
+    let mut facts: Vec<String> = Vec::new();
+    for i in 0..WRITES {
+        let fact = format!("move(fresh{i}, n{}).", i % 3);
+        let version = service.assert_facts(&fact).unwrap();
+        assert_eq!(version, i as u64 + 1);
+        facts.push(fact);
+        pins.push(service.snapshot());
+    }
+    assert!(
+        service.at_version(0).is_err(),
+        "version 0 left the version cache"
+    );
+    for (v, pin) in pins.iter().enumerate() {
+        assert_eq!(pin.version(), v as u64);
+        let cold = Engine::default()
+            .solve(&format!("{}{}\n", base_src(), facts[..v].join(" ")))
+            .unwrap();
+        assert_eq!(digest(pin.model()), digest(&cold), "version {v}");
+        for i in 0..WRITES {
+            let fresh = format!("fresh{i}");
+            let target = format!("n{}", i % 3);
+            let (edge, win) = (
+                pin.truth("move", &[&fresh, &target]),
+                pin.truth("win", &[&fresh]),
+            );
+            if i < v {
+                assert_eq!(edge, Truth::True, "version {v} holds write {i}");
+                assert_eq!(win, cold.truth("win", &[&fresh]), "version {v}");
+            } else {
+                assert_eq!(edge, Truth::False, "version {v} predates write {i}");
+                assert_eq!(win, Truth::False, "version {v} predates write {i}");
+            }
+        }
+    }
+}
+
 /// Warm-path accounting across the service: repeated reads of an
 /// unchanged version are served from the session memo (pointer copies),
 /// and a failed delta neither publishes nor disturbs the memo.
