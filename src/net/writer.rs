@@ -406,9 +406,9 @@ fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
                     }
                     QueueState::Aborting => {
                         for item in q.items.drain(..) {
-                            item.pending.slot.fill(Err(Error::ServiceStopped));
                             shared.aborted.fetch_add(1, Ordering::Relaxed);
                             service.note_rejection();
+                            item.pending.slot.fill(Err(Error::ServiceStopped));
                         }
                         q.state = QueueState::Stopped;
                         return;
@@ -420,15 +420,17 @@ fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
         };
 
         // Expire submissions whose deadline passed while queued: they
-        // cost nothing beyond the queue slot they held.
+        // cost nothing beyond the queue slot they held. Counters move
+        // before the slot is filled, so a waiter released by the fill
+        // already sees its outcome in the stats.
         let now = Instant::now();
         let mut live: Vec<Queued> = Vec::with_capacity(batch.len());
         for item in batch {
             match item.deadline {
                 Some(d) if d <= now => {
-                    item.pending.slot.fill(Err(Error::SubmitTimeout));
                     shared.timed_out.fetch_add(1, Ordering::Relaxed);
                     service.note_rejection();
+                    item.pending.slot.fill(Err(Error::SubmitTimeout));
                 }
                 _ => live.push(item),
             }
@@ -483,9 +485,9 @@ fn writer_loop(service: &Service, shared: &Arc<AsyncShared>) {
             // that has unwound mid-delta must not keep applying.
             let mut q = lock(&shared.queue);
             for item in q.items.drain(..) {
-                item.pending.slot.fill(Err(Error::WriterAborted));
                 shared.aborted.fetch_add(1, Ordering::Relaxed);
                 service.note_rejection();
+                item.pending.slot.fill(Err(Error::WriterAborted));
             }
             q.state = QueueState::Stopped;
             return;
