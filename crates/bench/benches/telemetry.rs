@@ -6,12 +6,12 @@
 //!   `assert_facts`, i.e. two full write cycles) with telemetry
 //!   disabled, enabled (the default: histograms + recent-cycle ring),
 //!   and enabled with a live `--trace` stream to a file. Disabled must
-//!   be indistinguishable from the pre-telemetry baseline
-//!   (BENCH_par.json `warm_cone/threads_1`); enabled and tracing are
-//!   the budget for always-on observability.
+//!   be indistinguishable from the same toggle on a bare `Session`
+//!   (a warm re-solve of one knot's forward cone); enabled and tracing
+//!   are the budget for always-on observability.
 //! * `record/*` — the primitives in isolation: one `record_cycle`
 //!   against a disabled handle (a single branch) and an enabled one
-//!   (8 histogram records + 4 counters + the ring push).
+//!   (8 histogram records + the cycle counter + the ring push).
 //!
 //! On the 1-core CI runner these are indicative medians from the
 //! criterion shim, not statistics — see vendor/README.md.
@@ -63,9 +63,6 @@ fn record(c: &mut Criterion) {
         repair_ns: 2_000,
         condense_ns: 4_000,
         solve_ns: 120_000,
-        busy_ns: 110_000,
-        steal_ns: 0,
-        sleep_ns: 0,
         journal_append_ns: 0,
         fsync_ns: 0,
         publish_ns: 3_000,

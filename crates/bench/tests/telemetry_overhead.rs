@@ -1,11 +1,12 @@
 //! CI smoke: telemetry must be free when disabled and near-free when
 //! enabled.
 //!
-//! Measures the service's toggle write cycle (the BENCH_par.json
-//! `warm_cone` shape, through `Service` so the telemetry seam is on
-//! the path) with telemetry disabled and enabled, in interleaved
-//! rounds so clock drift and CI-runner noise hit both sides equally,
-//! and asserts the medians agree within a generous 2× bound. The
+//! Measures the service's toggle write cycle (retract and re-assert one
+//! knot's fact, so each cycle warm-re-solves that knot's forward cone;
+//! through `Service` so the telemetry seam is on the path) with
+//! telemetry disabled and enabled, in interleaved rounds so clock drift
+//! and CI-runner noise hit both sides equally, and asserts the medians
+//! agree within a generous 2× bound. The
 //! honest numbers live in BENCH_telemetry.json; this test only guards
 //! gross regressions (telemetry accidentally doing per-cycle
 //! allocation, locking, or I/O on the disabled path).

@@ -781,99 +781,6 @@ impl Condensation {
         }
     }
 
-    /// Build the inter-component dependency structure a task-DAG
-    /// scheduler needs, restricted to the components in `scheduled`
-    /// (component ids, **ascending**): per scheduled component, its
-    /// indegree (number of *distinct* scheduled components its rules
-    /// read) and its CSR reverse-edge list (the scheduled components
-    /// that depend on it), plus the critical-path depth of the DAG.
-    ///
-    /// Dependencies on components outside `scheduled` are dropped — the
-    /// caller settles those before scheduling (a warm re-solve copies
-    /// them from the previous model), so they gate nothing. Cost is
-    /// `O(Σ rules of scheduled components)`: the structure is rebuilt
-    /// per solve from exactly the components that solve evaluates, so a
-    /// warm repair's task graph stays delta-bounded by construction —
-    /// there is deliberately **no** persistent cross-solve edge cache
-    /// for [`Condensation::apply_delta`] to splice, because a window
-    /// split renumbers suffix components and would force non-local
-    /// rewrites of every stored edge into the window, defeating the
-    /// bound the repair exists to keep.
-    pub fn task_graph(&self, prog: &GroundProgram, scheduled: &[u32]) -> TaskGraph {
-        debug_assert!(scheduled.windows(2).all(|w| w[0] < w[1]));
-        let k = self.len();
-        let t = scheduled.len();
-        let mut task_of = vec![u32::MAX; k];
-        for (i, &c) in scheduled.iter().enumerate() {
-            task_of[c as usize] = i as u32;
-        }
-        // Distinct predecessor lists, deduplicated with a stamp array:
-        // `stamp[pc] == ti` means component `pc` is already recorded as
-        // a predecessor of task `ti`.
-        let mut stamp = vec![u32::MAX; k];
-        let mut preds: Vec<u32> = Vec::new();
-        let mut pred_offsets = vec![0u32; t + 1];
-        for (ti, &c) in scheduled.iter().enumerate() {
-            for &rid in self.rules(c as usize) {
-                let r = prog.rule(rid);
-                for &q in r.pos.iter().chain(r.neg.iter()) {
-                    let pc = self.comp_of[q.index()];
-                    if pc == c || stamp[pc as usize] == ti as u32 {
-                        continue;
-                    }
-                    stamp[pc as usize] = ti as u32;
-                    let pt = task_of[pc as usize];
-                    if pt != u32::MAX {
-                        preds.push(pt);
-                    }
-                }
-            }
-            pred_offsets[ti + 1] = preds.len() as u32;
-        }
-        // Indegrees, and the reverse edges as a counting sort of the
-        // pred lists by predecessor.
-        let mut indegree = vec![0u32; t];
-        let mut dep_offsets = vec![0u32; t + 1];
-        for ti in 0..t {
-            indegree[ti] = pred_offsets[ti + 1] - pred_offsets[ti];
-        }
-        for &pt in &preds {
-            dep_offsets[pt as usize + 1] += 1;
-        }
-        for i in 0..t {
-            dep_offsets[i + 1] += dep_offsets[i];
-        }
-        let mut cursor = dep_offsets.clone();
-        let mut dependents = vec![0u32; preds.len()];
-        for ti in 0..t {
-            for &pt in &preds[pred_offsets[ti] as usize..pred_offsets[ti + 1] as usize] {
-                dependents[cursor[pt as usize] as usize] = ti as u32;
-                cursor[pt as usize] += 1;
-            }
-        }
-        // Critical path: predecessors always have a smaller task index
-        // (`scheduled` ascends and component ids are topological), so
-        // one forward pass suffices.
-        let mut depth = 0usize;
-        let mut level = vec![0u32; t];
-        for ti in 0..t {
-            let mut l = 1u32;
-            for &pt in &preds[pred_offsets[ti] as usize..pred_offsets[ti + 1] as usize] {
-                debug_assert!((pt as usize) < ti);
-                l = l.max(level[pt as usize] + 1);
-            }
-            level[ti] = l;
-            depth = depth.max(l as usize);
-        }
-        TaskGraph {
-            tasks: scheduled.to_vec(),
-            dep_offsets,
-            dependents,
-            indegree,
-            depth,
-        }
-    }
-
     /// Do `self` and `other` describe the same condensation? The SCC
     /// *partition* of a graph is unique but component ids are an arbitrary
     /// topological labeling, so this compares the atom partition and the
@@ -953,66 +860,6 @@ impl Condensation {
         }
         let largest = (0..k).map(|c| self.atoms(c).len()).max().unwrap_or(0);
         self.largest == largest
-    }
-}
-
-/// The task-DAG view of a (subset of a) [`Condensation`]: the structure
-/// an indegree-driven wavefront scheduler consumes. Built by
-/// [`Condensation::task_graph`] over exactly the components one solve
-/// evaluates; tasks are indexed `0..len()` in ascending component-id
-/// order, so predecessors always have smaller task indices and running
-/// tasks in index order is a valid sequential schedule.
-#[derive(Debug, Clone, Default)]
-pub struct TaskGraph {
-    /// Task index → component id (ascending).
-    tasks: Vec<u32>,
-    /// Task index → range into `dependents` (CSR fences).
-    dep_offsets: Vec<u32>,
-    /// Reverse edges: for each task, the tasks that read it (and so
-    /// become ready only after it settles).
-    dependents: Vec<u32>,
-    /// Task index → number of distinct scheduled components it reads.
-    indegree: Vec<u32>,
-    /// Critical-path length in dependency levels (0 for an empty graph):
-    /// the number of wavefronts an idealized width-unbounded schedule
-    /// needs, and the lower bound no thread count can beat.
-    depth: usize,
-}
-
-impl TaskGraph {
-    /// Number of scheduled tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Component id of task `ti`.
-    pub fn component(&self, ti: usize) -> u32 {
-        self.tasks[ti]
-    }
-
-    /// Number of distinct scheduled components task `ti` reads.
-    pub fn indegree(&self, ti: usize) -> u32 {
-        self.indegree[ti]
-    }
-
-    /// The tasks that depend on task `ti`.
-    pub fn dependents(&self, ti: usize) -> &[u32] {
-        &self.dependents[self.dep_offsets[ti] as usize..self.dep_offsets[ti + 1] as usize]
-    }
-
-    /// Dependency edges in the scheduled DAG.
-    pub fn edge_count(&self) -> usize {
-        self.dependents.len()
-    }
-
-    /// Critical-path length in dependency levels.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 }
 
@@ -1359,53 +1206,6 @@ mod tests {
         );
         assert_repaired(&c, &g);
         assert_eq!(c.atoms(c.component_of(ta.0) as usize), &[ta.0]);
-    }
-
-    #[test]
-    fn task_graph_over_full_condensation() {
-        use crate::program::parse_ground;
-        // {p,q} ← r ← s, plus t isolated: a 3-deep chain and a free task.
-        let g = parse_ground("p :- not q. q :- not p. r :- p. r :- q. s :- not r. t.");
-        let c = Condensation::of(&g);
-        let all: Vec<u32> = (0..c.len() as u32).collect();
-        let tg = c.task_graph(&g, &all);
-        assert_eq!(tg.len(), 4);
-        assert_eq!(tg.depth(), 3, "knot → r → s is the critical path");
-        let task_of_comp = |comp: u32| (0..tg.len()).find(|&ti| tg.component(ti) == comp).unwrap();
-        let knot = task_of_comp(c.component_of(g.find_atom_by_name("p", &[]).unwrap().0));
-        let r = task_of_comp(c.component_of(g.find_atom_by_name("r", &[]).unwrap().0));
-        let s = task_of_comp(c.component_of(g.find_atom_by_name("s", &[]).unwrap().0));
-        let t = task_of_comp(c.component_of(g.find_atom_by_name("t", &[]).unwrap().0));
-        assert_eq!(tg.indegree(knot), 0);
-        assert_eq!(tg.indegree(r), 1, "r reads the knot once, deduplicated");
-        assert_eq!(tg.indegree(s), 1);
-        assert_eq!(tg.indegree(t), 0);
-        assert_eq!(tg.dependents(knot), &[r as u32]);
-        assert_eq!(tg.dependents(r), &[s as u32]);
-        assert!(tg.dependents(s).is_empty() && tg.dependents(t).is_empty());
-        assert_eq!(tg.edge_count(), 2);
-    }
-
-    #[test]
-    fn task_graph_restricted_drops_settled_dependencies() {
-        use crate::program::parse_ground;
-        let g = parse_ground("a. b :- a. c :- b. d :- c.");
-        let c = Condensation::of(&g);
-        let comp = |name: &str| c.component_of(g.find_atom_by_name(name, &[]).unwrap().0);
-        // Schedule only {c, d}: c's dependency on b leaves the schedule,
-        // so c starts ready and d gates on c alone.
-        let mut sched = vec![comp("c"), comp("d")];
-        sched.sort_unstable();
-        let tg = c.task_graph(&g, &sched);
-        assert_eq!(tg.len(), 2);
-        assert_eq!(tg.depth(), 2);
-        assert_eq!(tg.indegree(0), 0, "the settled b is not a gate");
-        assert_eq!(tg.indegree(1), 1);
-        assert_eq!(tg.dependents(0), &[1]);
-        // Empty schedule: empty graph.
-        let tg = c.task_graph(&g, &[]);
-        assert!(tg.is_empty());
-        assert_eq!(tg.depth(), 0);
     }
 
     #[test]

@@ -404,11 +404,12 @@ impl IncrementalGrounder {
         self.need_dom
     }
 
-    /// Translate an atom expressed against a foreign [`SymbolStore`] into
-    /// this grounder's symbol space (mapping by name, interning as
-    /// needed). The grounder's store starts as a clone of the source
-    /// program's but the two diverge as soon as either side interns new
-    /// names, so assert/retract go through this translation.
+    /// Translate an atom expressed against a foreign
+    /// [`SymbolStore`](crate::SymbolStore) into this grounder's symbol
+    /// space (mapping by name, interning as needed). The grounder's store
+    /// starts as a clone of the source program's but the two diverge as
+    /// soon as either side interns new names, so assert/retract go
+    /// through this translation.
     pub fn import_atom(&mut self, atom: &Atom, from: &crate::symbol::SymbolStore) -> Atom {
         // Read-first: known names never force a copy of a symbol store
         // shared with a live program snapshot.

@@ -25,7 +25,6 @@ pub mod fitting;
 pub mod inflationary;
 pub mod modular;
 pub mod residual;
-pub mod schedule;
 pub mod stable;
 pub mod stratified;
 pub mod unfounded;
@@ -34,11 +33,8 @@ pub mod wfs;
 pub use explain::{Explainer, Reason, Witness};
 pub use fitting::{fitting_model, FittingResult};
 pub use inflationary::{inflationary_fixpoint, InflationaryResult, NaiveOutcome};
-pub use modular::{
-    modular_wfs, modular_wfs_scheduled, modular_wfs_update, modular_wfs_with, ModularResult,
-};
+pub use modular::{modular_wfs, modular_wfs_update, modular_wfs_with, ModularResult};
 pub use residual::{lift_residual_model, residual_program};
-pub use schedule::{SchedRun, Scheduler, Sequential, Wavefront, WavefrontOptions};
 pub use stable::{
     brute_force_stable, cautious_consequences, enumerate_stable, is_stable, stable_models,
     EnumerateOptions, EnumerateResult,

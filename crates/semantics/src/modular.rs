@@ -54,27 +54,17 @@
 //! rule brought into the program) fail the `a < old_n` universe check
 //! and are always evaluated.
 //!
-//! Evaluation is structured as a **task DAG** rather than a loop: every
-//! component reads settled lower components through a shared immutable
-//! [`TruthBoard`] (one atomic slot per atom) and writes verdicts only
-//! into its own component's slots, so evaluating a component is a pure
-//! `Send` task and any [`Scheduler`] that respects the condensation's
-//! dependency edges — including the work-stealing
-//! [`Wavefront`](crate::schedule::Wavefront) pool — produces the same
-//! board. The final [`PartialModel`] is committed by a deterministic
-//! ordered scan of the board, so the model is bit-identical regardless
-//! of thread count or interleaving. [`modular_wfs_update`] is the
-//! sequential entry point; [`modular_wfs_scheduled`] takes the scheduler
-//! explicitly.
+//! Components are evaluated in one loop in ascending component id,
+//! which is a topological order, by a single reusable `ComponentEval`
+//! that reads the settled lower components from the [`PartialModel`]
+//! under construction and writes its own atoms' verdicts straight into
+//! it.
 
-use crate::schedule::{SchedRun, Scheduler, Sequential};
 use afp_core::interp::{PartialModel, Truth};
 use afp_datalog::atoms::AtomId;
 use afp_datalog::bitset::AtomSet;
 use afp_datalog::depgraph::Condensation;
 use afp_datalog::program::GroundProgram;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 
 /// Result of the modular computation.
 #[derive(Debug, Clone)]
@@ -92,8 +82,6 @@ pub struct ModularResult {
     pub reused: usize,
     /// Atoms covered by the reused components.
     pub reused_atoms: usize,
-    /// Scheduler counters for the evaluation (how the task DAG ran).
-    pub sched: SchedRun,
 }
 
 /// Compute the well-founded model component by component, condensing the
@@ -127,44 +115,23 @@ pub fn modular_wfs_update(
     cond: &Condensation,
     previous: Option<(&PartialModel, &AtomSet)>,
 ) -> ModularResult {
-    modular_wfs_scheduled(prog, cond, previous, &Sequential)
-}
-
-/// [`modular_wfs_update`] with an explicit [`Scheduler`]: the components
-/// that survive the reuse prepass become a [task
-/// graph](Condensation::task_graph) and the scheduler runs them — in
-/// ascending order on the calling thread ([`Sequential`]) or as a
-/// parallel wavefront ([`Wavefront`](crate::schedule::Wavefront)). The
-/// resulting model is bit-identical for every scheduler and thread
-/// count: tasks write disjoint board slots and the model is committed by
-/// an ordered scan (see the module docs).
-pub fn modular_wfs_scheduled(
-    prog: &GroundProgram,
-    cond: &Condensation,
-    previous: Option<(&PartialModel, &AtomSet)>,
-    sched: &dyn Scheduler,
-) -> ModularResult {
-    let n = prog.atom_count();
-    let board = TruthBoard::new(n);
-    let mut scheduled: Vec<u32> = Vec::new();
+    let mut model = PartialModel::empty(prog.atom_count());
+    // Allocated on the first evaluated component: a warm solve that
+    // copies every component never pays for the scratch.
+    let mut eval: Option<ComponentEval> = None;
     let mut reused = 0usize;
     let mut reused_atoms = 0usize;
 
-    // Reuse prepass: settle copied components on the board up front;
-    // everything else becomes a task. Copied components need no edges —
-    // they are settled before any task starts, so the task graph only
-    // spans `scheduled` (dependencies on dropped components are already
-    // satisfied).
     for comp in 0..cond.len() {
         let atoms = cond.atoms(comp);
         if let Some((old, affected)) = previous {
             let old_n = old.pos.universe() as u32;
             if atoms.iter().all(|&a| a < old_n && !affected.contains(a)) {
                 for &a in atoms {
-                    match old.truth(a) {
-                        Truth::True => board.set(a, Truth::True),
-                        Truth::False => board.set(a, Truth::False),
-                        Truth::Undefined => {}
+                    if old.pos.contains(a) {
+                        model.pos.insert(a);
+                    } else if old.neg.contains(a) {
+                        model.neg.insert(a);
                     }
                 }
                 reused += 1;
@@ -172,89 +139,17 @@ pub fn modular_wfs_scheduled(
                 continue;
             }
         }
-        scheduled.push(comp as u32);
+        eval.get_or_insert_with(|| ComponentEval::new(prog.atom_count(), prog.rule_count()))
+            .evaluate(prog, cond, comp, &mut model);
     }
-
-    let graph = cond.task_graph(prog, &scheduled);
-    // Per-worker scratch, lazily materialized: worker `w` owns slot `w`
-    // for the duration of each task (the scheduler contract), so the
-    // mutexes are uncontended; a single-worker run allocates exactly one
-    // scratch, same as the pre-scheduler loop.
-    let scratch: Vec<Mutex<Option<ComponentEval>>> =
-        (0..sched.workers()).map(|_| Mutex::new(None)).collect();
-    let run = sched.run(&graph, &|comp, w| {
-        let mut slot = scratch[w].lock().unwrap();
-        let eval = slot.get_or_insert_with(|| ComponentEval::new(n, prog.rule_count()));
-        eval.evaluate(prog, cond, comp as usize, &board);
-    });
 
     ModularResult {
-        model: board.into_model(),
+        model,
         components: cond.len(),
         largest_component: cond.largest(),
-        evaluated: scheduled.len(),
+        evaluated: cond.len() - reused,
         reused,
         reused_atoms,
-        sched: run,
-    }
-}
-
-/// Shared verdict board: one atomic slot per atom of the global program.
-/// Components *read* settled lower components and *write* only their own
-/// atoms' slots, so concurrent tasks never race on a slot; the
-/// acquire/release pairs (together with the scheduler's release-edge
-/// synchronization) make every settled verdict visible to dependents.
-struct TruthBoard {
-    slots: Vec<AtomicU8>,
-}
-
-/// Slot encodings. `UNDEF` is the initial state and is never written.
-const UNDEF: u8 = 0;
-const TRUE: u8 = 1;
-const FALSE: u8 = 2;
-
-impl TruthBoard {
-    fn new(n: usize) -> TruthBoard {
-        let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || AtomicU8::new(UNDEF));
-        TruthBoard { slots }
-    }
-
-    fn truth(&self, a: u32) -> Truth {
-        match self.slots[a as usize].load(Ordering::Acquire) {
-            TRUE => Truth::True,
-            FALSE => Truth::False,
-            _ => Truth::Undefined,
-        }
-    }
-
-    fn set(&self, a: u32, t: Truth) {
-        let v = match t {
-            Truth::True => TRUE,
-            Truth::False => FALSE,
-            Truth::Undefined => UNDEF,
-        };
-        self.slots[a as usize].store(v, Ordering::Release);
-    }
-
-    /// Deterministic ordered commit: scan the slots in atom-id order into
-    /// a [`PartialModel`] — the same model whatever schedule filled the
-    /// board.
-    fn into_model(self) -> PartialModel {
-        let n = self.slots.len();
-        let mut model = PartialModel::empty(n);
-        for (a, slot) in self.slots.into_iter().enumerate() {
-            match slot.into_inner() {
-                TRUE => {
-                    model.pos.insert(a as u32);
-                }
-                FALSE => {
-                    model.neg.insert(a as u32);
-                }
-                _ => {}
-            }
-        }
-        model
     }
 }
 
@@ -313,13 +208,13 @@ impl ComponentEval {
     }
 
     /// Decide the atoms of component `comp`, reading settled lower
-    /// components from `board` and writing only this component's slots.
+    /// components from `model` and writing only this component's atoms.
     fn evaluate(
         &mut self,
         prog: &GroundProgram,
         cond: &Condensation,
         comp: usize,
-        board: &TruthBoard,
+        model: &mut PartialModel,
     ) {
         let atoms = cond.atoms(comp);
         let rule_ids = cond.rules(comp);
@@ -327,7 +222,7 @@ impl ComponentEval {
         // Fast path for singleton components without a self-referencing
         // rule — the overwhelmingly common case. The atom is decided
         // directly from the (already settled) lower components.
-        if atoms.len() == 1 && self.try_singleton(prog, atoms[0], rule_ids, board) {
+        if atoms.len() == 1 && self.try_singleton(prog, atoms[0], rule_ids, model) {
             return;
         }
 
@@ -353,7 +248,7 @@ impl ComponentEval {
                 if cond.component_of(q.0) == cid {
                     lr.pos_in += 1;
                 } else {
-                    match board.truth(q.0) {
+                    match model.truth(q.0) {
                         Truth::True => {}
                         Truth::False => lr.dead = true,
                         Truth::Undefined => lr.ext_undef = true,
@@ -364,7 +259,7 @@ impl ComponentEval {
                 if cond.component_of(q.0) == cid {
                     self.neg_lits.push(self.local_ix[q.index()]);
                 } else {
-                    match board.truth(q.0) {
+                    match model.truth(q.0) {
                         Truth::False => {}
                         Truth::True => lr.dead = true,
                         Truth::Undefined => lr.ext_undef = true,
@@ -398,9 +293,9 @@ impl ComponentEval {
 
         for (i, &a) in atoms.iter().enumerate() {
             if a_plus.contains(i as u32) {
-                board.set(a, Truth::True);
+                model.pos.insert(a);
             } else if a_tilde.contains(i as u32) {
-                board.set(a, Truth::False);
+                model.neg.insert(a);
             }
         }
     }
@@ -460,8 +355,9 @@ impl ComponentEval {
     }
 
     /// Decide a singleton component without a self-referencing rule
-    /// directly from the board: true if some body is all-true, false if
-    /// every body has a false literal, undefined otherwise. Returns
+    /// directly from the settled lower components: true if some body is
+    /// all-true, false if every body has a false literal, undefined
+    /// otherwise. Returns
     /// `false` (not handled) when the atom's rules mention the atom
     /// itself — those go through the general alternating path.
     fn try_singleton(
@@ -469,11 +365,11 @@ impl ComponentEval {
         prog: &GroundProgram,
         atom: u32,
         rule_ids: &[afp_datalog::RuleId],
-        board: &TruthBoard,
+        model: &mut PartialModel,
     ) -> bool {
         let atom = AtomId(atom);
         if rule_ids.is_empty() {
-            board.set(atom.0, Truth::False);
+            model.neg.insert(atom.0);
             return true;
         }
         let self_ref = rule_ids.iter().any(|&rid| {
@@ -488,7 +384,7 @@ impl ComponentEval {
             let r = prog.rule(rid);
             let mut body = Truth::True;
             for &q in r.pos.iter() {
-                match board.truth(q.0) {
+                match model.truth(q.0) {
                     Truth::False => {
                         body = Truth::False;
                         break;
@@ -499,7 +395,7 @@ impl ComponentEval {
             }
             if body != Truth::False {
                 for &q in r.neg.iter() {
-                    match board.truth(q.0) {
+                    match model.truth(q.0) {
                         Truth::True => {
                             body = Truth::False;
                             break;
@@ -511,7 +407,7 @@ impl ComponentEval {
             }
             match body {
                 Truth::True => {
-                    board.set(atom.0, Truth::True);
+                    model.pos.insert(atom.0);
                     return true;
                 }
                 Truth::Undefined => any_undefined = true,
@@ -519,7 +415,7 @@ impl ComponentEval {
             }
         }
         if !any_undefined {
-            board.set(atom.0, Truth::False);
+            model.neg.insert(atom.0);
         }
         true
     }
@@ -694,78 +590,6 @@ mod tests {
             let modular = modular_wfs(&g);
             assert_eq!(global.model, modular.model, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn scheduled_matches_sequential_on_random_programs() {
-        use crate::schedule::{Wavefront, WavefrontOptions};
-        let pool = Wavefront::with_options(
-            4,
-            WavefrontOptions {
-                min_par_tasks: 0,
-                chaos: None,
-            },
-        );
-        for seed in 0..20u64 {
-            let g = random_program(seed);
-            let cond = Condensation::of(&g);
-            let seq = modular_wfs_scheduled(&g, &cond, None, &Sequential);
-            let par = modular_wfs_scheduled(&g, &cond, None, &pool);
-            assert_eq!(seq.model, par.model, "seed {seed}");
-            assert_eq!(seq.evaluated, par.evaluated);
-            assert_eq!(seq.sched.tasks, par.sched.tasks);
-            assert_eq!(seq.sched.wavefronts, par.sched.wavefronts);
-        }
-    }
-
-    #[test]
-    fn scheduled_matches_under_adversarial_completion_orders() {
-        use crate::schedule::{Wavefront, WavefrontOptions};
-        for seed in 0..12u64 {
-            let g = random_program(seed);
-            let cond = Condensation::of(&g);
-            let seq = modular_wfs_scheduled(&g, &cond, None, &Sequential);
-            for chaos in 0..4u64 {
-                let pool = Wavefront::with_options(
-                    3,
-                    WavefrontOptions {
-                        min_par_tasks: 0,
-                        chaos: Some(chaos),
-                    },
-                );
-                let par = modular_wfs_scheduled(&g, &cond, None, &pool);
-                assert_eq!(seq.model, par.model, "seed {seed} chaos {chaos}");
-            }
-        }
-    }
-
-    #[test]
-    fn scheduled_warm_reuse_matches_sequential() {
-        use crate::schedule::{Wavefront, WavefrontOptions};
-        let g = parse_ground(
-            "k1 :- not k2. k2 :- not k1. a. b :- a, not c. c :- a.
-             n1 :- not n2. n2 :- not n1.",
-        );
-        let cond = Condensation::of(&g);
-        let cold = modular_wfs_with(&g, &cond);
-        let mut affected = g.empty_set();
-        for name in ["c", "b"] {
-            affected.insert(g.find_atom_by_name(name, &[]).unwrap().0);
-        }
-        let pool = Wavefront::with_options(
-            2,
-            WavefrontOptions {
-                min_par_tasks: 0,
-                chaos: None,
-            },
-        );
-        let seq = modular_wfs_update(&g, &cond, Some((&cold.model, &affected)));
-        let par = modular_wfs_scheduled(&g, &cond, Some((&cold.model, &affected)), &pool);
-        assert_eq!(seq.model, par.model);
-        assert_eq!(seq.model, cold.model);
-        assert_eq!(seq.reused, par.reused);
-        assert_eq!(seq.evaluated, par.evaluated);
-        assert!(par.sched.tasks == par.evaluated && seq.sched.tasks == seq.evaluated);
     }
 
     /// Tiny deterministic random program generator (xorshift), local to

@@ -9,10 +9,6 @@
 //!   -t                    print the alternating sequence (wfs only)
 //!   -a, --active-domain   range-restrict unsafe rules to the active domain
 //!   -n, --max-models <N>  cap stable-model enumeration
-//!       --threads <N>     solver threads for per-SCC wfs solves (default 1;
-//!                         0 = auto-detect): independent components are
-//!                         evaluated concurrently by a work-stealing wavefront
-//!                         pool — the model is bit-identical for every N
 //!   -j, --json            machine-readable output on stdout
 //!       --assert <TEXT>   apply rules/facts to the loaded session (repeatable)
 //!       --retract <TEXT>  remove rules/facts from the session (repeatable)
@@ -110,7 +106,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE_HINT: &str = "usage: afp [-s wfs|stable|fitting|perfect|ifp] [-q ATOM] [-t] [-a] \
-     [-n N] [--threads N] [-j] [--assert TEXT] [--retract TEXT] [--stats] [--serve] [--listen ADDR] \
+     [-n N] [-j] [--assert TEXT] [--retract TEXT] [--stats] [--serve] [--listen ADDR] \
      [--socket PATH] [--queue-depth N] [--max-conns N] [--submit-timeout-ms N] \
      [--journal DIR] [--fsync always|never|N] [--checkpoint-every N] [--ack-durable] \
      [--changelog-cap N] [--metrics-format json|prom] [--trace FILE] [--slow-cycle-ms N] \
@@ -122,8 +118,6 @@ struct Options {
     trace: bool,
     active_domain: bool,
     max_models: usize,
-    /// Solver threads (`0` = auto-detect at engine build).
-    threads: usize,
     json: bool,
     ground_only: bool,
     stats: bool,
@@ -160,7 +154,6 @@ fn parse_args() -> Options {
         trace: false,
         active_domain: false,
         max_models: usize::MAX,
-        threads: 1,
         json: false,
         ground_only: false,
         stats: false,
@@ -206,15 +199,6 @@ fn parse_args() -> Options {
             "-n" | "--max-models" => {
                 let n = args.next().unwrap_or_else(|| usage());
                 options.max_models = n.parse().unwrap_or_else(|_| usage());
-            }
-            "--threads" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                let n: usize = n.parse().unwrap_or_else(|_| usage());
-                // A four-digit pool is a typo, not a machine.
-                if n > 1024 {
-                    usage();
-                }
-                options.threads = n;
             }
             "-j" | "--json" => options.json = true,
             "--assert" => {
@@ -345,7 +329,6 @@ fn main() -> ExitCode {
             afp::SafetyPolicy::Reject
         })
         .trace(options.trace)
-        .threads(options.threads)
         .build();
 
     if options.serve {

@@ -76,7 +76,6 @@ use afp_datalog::{
     GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome, SafetyPolicy,
     SymbolStore,
 };
-use afp_semantics::{Scheduler, Sequential, Wavefront};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -149,7 +148,7 @@ impl Semantics {
 }
 
 /// Configures and builds an [`Engine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     semantics: Semantics,
     ground: GroundOptions,
@@ -157,28 +156,6 @@ pub struct EngineBuilder {
     relevance: Vec<String>,
     /// Search-node cap for stable-model enumeration (`None` = unlimited).
     stable_search_nodes: Option<usize>,
-    /// Requested solver threads; `0` = auto-detect at [`build`](Self::build).
-    threads: usize,
-    /// Shared wavefront pool, created by `build` when `threads > 1` and
-    /// cloned (an `Arc` bump) into every session of the engine.
-    scheduler: Option<Arc<Wavefront>>,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        EngineBuilder {
-            semantics: Semantics::default(),
-            ground: GroundOptions::default(),
-            record_trace: false,
-            relevance: Vec::new(),
-            stable_search_nodes: None,
-            // Sequential is the explicit default: `0` means auto-detect,
-            // and a derived zero would silently parallelize
-            // `Engine::default()`.
-            threads: 1,
-            scheduler: None,
-        }
-    }
 }
 
 impl EngineBuilder {
@@ -241,28 +218,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Solver threads for SCC-stratified well-founded solves: `1`
-    /// (default) keeps the sequential evaluator; `N > 1` builds a
-    /// persistent [`Wavefront`] worker pool and schedules independent
-    /// components of the condensation concurrently; `0` auto-detects via
-    /// [`std::thread::available_parallelism`]. The solved model is
-    /// **bit-identical for every thread count** — scheduling affects only
-    /// wall-clock (see `afp_semantics::schedule`).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Build the engine. Resolves `threads == 0` to the machine's
-    /// available parallelism and spawns the shared wavefront pool when
-    /// more than one thread is requested.
-    pub fn build(mut self) -> Engine {
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        self.threads = threads;
-        self.scheduler = (threads > 1).then(|| Arc::new(Wavefront::new(threads)));
+    /// Build the engine.
+    pub fn build(self) -> Engine {
         Engine { config: self }
     }
 }
@@ -400,23 +357,6 @@ pub struct SessionStats {
     /// Components whose values were copied verbatim by the last
     /// SCC-stratified solve.
     pub last_components_reused: usize,
-    /// Dependency levels (critical-path length) of the last solve's task
-    /// DAG — the number of wavefronts an idealized parallel schedule
-    /// needs. Identical for every scheduler and thread count.
-    pub last_wavefronts: usize,
-    /// Maximum number of simultaneously ready components the last
-    /// solve's task DAG offered — its available parallelism.
-    pub last_ready_width: usize,
-    /// Components executed by a wavefront worker other than the one that
-    /// released them (work stealing), summed over all solves. Always `0`
-    /// with `threads(1)`.
-    pub stolen_tasks: u64,
-    /// Components evaluated on the multi-worker wavefront path, summed
-    /// over all solves.
-    pub par_components: u64,
-    /// Components evaluated sequentially (the `threads(1)` default, or
-    /// the pool's small-graph inline fallback), summed over all solves.
-    pub seq_components: u64,
     /// Envelope delta rounds run by the grounder — one per *batch* of
     /// asserted facts, however many facts the batch carries.
     pub delta_rounds: u64,
@@ -457,11 +397,6 @@ stat_set!(SessionStats {
     last_components_evaluated,
     last_components_reused,
     last_seed_size,
-    last_wavefronts,
-    last_ready_width,
-    stolen_tasks,
-    par_components,
-    seq_components,
 });
 
 /// A loaded program: interned symbols, ground rules, and (for programs
@@ -524,23 +459,11 @@ impl Session {
 
     /// Drain the phase wall-clock accumulated since the previous call:
     /// grounding and condensation repair charged at mutation time,
-    /// condense/solve (plus the scheduler's busy/steal/sleep split) at
-    /// solve time. The service calls this once per write cycle; callers
-    /// that never drain simply leave the counters growing.
+    /// condense/solve at solve time. The service calls this once per
+    /// write cycle; callers that never drain simply leave the counters
+    /// growing.
     pub fn take_phases(&mut self) -> SessionPhases {
         std::mem::take(&mut self.phases)
-    }
-
-    /// The scheduler SCC-stratified solves run on: the engine's shared
-    /// wavefront pool when built with [`EngineBuilder::threads`] `> 1`,
-    /// the zero-synchronization sequential evaluator otherwise. Warm
-    /// re-solves go through the same scheduler, so a cone re-evaluation
-    /// becomes a parallel sub-wavefront over the affected components.
-    fn scheduler(&self) -> &dyn Scheduler {
-        match &self.config.scheduler {
-            Some(pool) => pool.as_ref(),
-            None => &Sequential,
-        }
     }
 
     /// The retained source program, rendered as re-parseable text — the
@@ -1003,29 +926,13 @@ impl Session {
                     _ => None,
                 };
                 let solve_started = Instant::now();
-                let result = afp_semantics::modular_wfs_scheduled(
-                    solve_on,
-                    &cond,
-                    previous,
-                    self.scheduler(),
-                );
+                let result = afp_semantics::modular_wfs_update(solve_on, &cond, previous);
                 self.phases.solve_ns += solve_started.elapsed().as_nanos() as u64;
-                self.phases.busy_ns += result.sched.busy_ns;
-                self.phases.steal_ns += result.sched.steal_ns;
-                self.phases.sleep_ns += result.sched.sleep_ns;
                 self.stats.scc_solves += 1;
                 self.stats.last_components = result.components;
                 self.stats.last_components_evaluated = result.evaluated;
                 self.stats.last_components_reused = result.reused;
                 self.stats.last_seed_size = result.reused_atoms;
-                self.stats.last_wavefronts = result.sched.wavefronts;
-                self.stats.last_ready_width = result.sched.max_ready_width;
-                self.stats.stolen_tasks += result.sched.stolen_tasks;
-                if result.sched.parallel {
-                    self.stats.par_components += result.sched.tasks as u64;
-                } else {
-                    self.stats.seq_components += result.sched.tasks as u64;
-                }
                 if result.reused > 0 {
                     self.stats.warm_solves += 1;
                 }
@@ -1072,9 +979,7 @@ impl Session {
                     },
                     &seed,
                 );
-                let solve_ns = solve_started.elapsed().as_nanos() as u64;
-                self.phases.solve_ns += solve_ns;
-                self.phases.busy_ns += solve_ns; // single-threaded: all busy
+                self.phases.solve_ns += solve_started.elapsed().as_nanos() as u64;
                 trace = result.trace;
                 let model = Arc::new(result.model);
                 if restricted.is_none() {

@@ -106,6 +106,15 @@ pub fn parse_command(line: &str) -> Result<Request, String> {
     let line = line.trim();
     let (command, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
     let rest = rest.trim();
+    // Commands without operands refuse trailing text: `model wins(a)` is
+    // a mistyped query, not a request for the whole model.
+    let bare = |request: Request| {
+        if rest.is_empty() {
+            Ok(request)
+        } else {
+            Err(format!("usage: {command}"))
+        }
+    };
     match command {
         "query" => match parse_query(rest) {
             Ok(_) => Ok(Request::Query { atom: rest.into() }),
@@ -140,8 +149,8 @@ pub fn parse_command(line: &str) -> Result<Request, String> {
             kind: DeltaKind::RetractFacts,
             text: rest.into(),
         }),
-        "model" => Ok(Request::Model),
-        "version" => Ok(Request::Version),
+        "model" => bare(Request::Model),
+        "version" => bare(Request::Version),
         "log" => {
             let since = if rest.is_empty() {
                 0
@@ -151,11 +160,11 @@ pub fn parse_command(line: &str) -> Result<Request, String> {
             };
             Ok(Request::Changelog { since })
         }
-        "stats" => Ok(Request::Stats),
-        "metrics" => Ok(Request::Metrics),
-        "ping" => Ok(Request::Ping),
-        "checkpoint" => Ok(Request::Checkpoint),
-        "quit" | "exit" => Ok(Request::Quit),
+        "stats" => bare(Request::Stats),
+        "metrics" => bare(Request::Metrics),
+        "ping" => bare(Request::Ping),
+        "checkpoint" => bare(Request::Checkpoint),
+        "quit" | "exit" => bare(Request::Quit),
         other => Err(format!(
             "unknown command {other:?} (query/at/assert/retract/assert-facts/\
              retract-facts/model/version/log/stats/metrics/ping/checkpoint/quit)"
@@ -799,6 +808,23 @@ mod tests {
         assert!(parse_command("bogus")
             .unwrap_err()
             .contains("unknown command"));
+        // Operand-free commands refuse trailing text.
+        for cmd in [
+            "model",
+            "version",
+            "stats",
+            "metrics",
+            "ping",
+            "checkpoint",
+            "quit",
+            "exit",
+        ] {
+            assert_eq!(
+                parse_command(&format!("{cmd} wins(a)")),
+                Err(format!("usage: {cmd}")),
+                "{cmd}"
+            );
+        }
     }
 
     #[test]

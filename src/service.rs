@@ -128,10 +128,6 @@ pub struct AppliedDelta {
 
 /// Tuning knobs for a [`Service`].
 #[derive(Debug, Clone, Copy)]
-/// There is deliberately no solver-thread knob here: the scheduler
-/// belongs to the engine ([`crate::EngineBuilder::threads`]) and reaches
-/// serve mode through the [`Session`] the service wraps, so every write
-/// cycle's warm re-solve runs the engine's configured wavefront pool.
 pub struct ServiceOptions {
     /// How many recent versions [`Service::at_version`] retains. Older
     /// versions fall out of the cache (their pinned snapshots stay valid
@@ -921,9 +917,6 @@ impl Service {
                     repair_ns: phases.repair_ns,
                     condense_ns: phases.condense_ns,
                     solve_ns: phases.solve_ns,
-                    busy_ns: phases.busy_ns,
-                    steal_ns: phases.steal_ns,
-                    sleep_ns: phases.sleep_ns,
                     journal_append_ns,
                     fsync_ns,
                     publish_ns,

@@ -138,13 +138,16 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: [u64; BUCKETS] = std::array::from_fn(|i| self.buckets[i].load(Relaxed));
         let count: u64 = buckets.iter().sum();
+        let max = self.max.load(Relaxed);
+        // A bucket's upper bound can overshoot the largest sample it
+        // holds; no quantile lies above the recorded max.
         HistogramSnapshot {
             count,
             sum: self.sum.load(Relaxed),
-            max: self.max.load(Relaxed),
-            p50: quantile(&buckets, count, 0.50),
-            p90: quantile(&buckets, count, 0.90),
-            p99: quantile(&buckets, count, 0.99),
+            max,
+            p50: quantile(&buckets, count, 0.50).min(max),
+            p90: quantile(&buckets, count, 0.90).min(max),
+            p99: quantile(&buckets, count, 0.99).min(max),
         }
     }
 }
@@ -198,7 +201,7 @@ impl HistogramSnapshot {
 
 /// Every instrument the engine exports, as plain struct fields: hot
 /// paths record through a direct field access (no name lookup), and
-/// the exhaustive destructuring in [`MetricsRegistry::parts`] makes it
+/// the exhaustive destructuring in `MetricsRegistry::parts` makes it
 /// a compile error to add an instrument without exposing it.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
@@ -208,7 +211,7 @@ pub struct MetricsRegistry {
     pub ground_ns: Histogram,
     /// In-place condensation repair after the delta.
     pub repair_ns: Histogram,
-    /// Condensation (re)build plus task-graph construction.
+    /// Condensation (re)build.
     pub condense_ns: Histogram,
     /// Scheduled component evaluation, wall clock.
     pub solve_ns: Histogram,
@@ -226,12 +229,6 @@ pub struct MetricsRegistry {
     pub cycles: Counter,
     /// Cycles at or over the `--slow-cycle-ms` threshold.
     pub slow_cycles: Counter,
-    /// Scheduler worker time actually evaluating components.
-    pub solve_busy_ns: Counter,
-    /// Scheduler worker time scanning sibling deques.
-    pub solve_steal_ns: Counter,
-    /// Scheduler worker time parked waiting for ready tasks.
-    pub solve_sleep_ns: Counter,
     /// Trace events discarded because the bounded buffer was full.
     pub trace_dropped: Counter,
     /// Phase breakdowns currently held in the recent-cycle ring.
@@ -263,9 +260,6 @@ impl MetricsRegistry {
             request_ns,
             cycles,
             slow_cycles,
-            solve_busy_ns,
-            solve_steal_ns,
-            solve_sleep_ns,
             trace_dropped,
             recent_cycles,
             trace_buffered,
@@ -286,9 +280,6 @@ impl MetricsRegistry {
             counters: vec![
                 ("cycles", cycles),
                 ("slow_cycles", slow_cycles),
-                ("solve_busy_ns", solve_busy_ns),
-                ("solve_steal_ns", solve_steal_ns),
-                ("solve_sleep_ns", solve_sleep_ns),
                 ("trace_dropped", trace_dropped),
             ],
             gauges: vec![
@@ -303,10 +294,7 @@ impl MetricsRegistry {
 // Phase breakdowns
 // ---------------------------------------------------------------------------
 
-/// Per-cycle wall-clock split of one write cycle, nanoseconds. The
-/// solve phase additionally carries the scheduler's per-worker time
-/// accounting (busy + steal + sleep summed over workers, so they can
-/// exceed `solve_ns` on multi-worker runs).
+/// Per-cycle wall-clock split of one write cycle, nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Version the cycle published.
@@ -318,9 +306,6 @@ pub struct PhaseBreakdown {
     pub repair_ns: u64,
     pub condense_ns: u64,
     pub solve_ns: u64,
-    pub busy_ns: u64,
-    pub steal_ns: u64,
-    pub sleep_ns: u64,
     pub journal_append_ns: u64,
     pub fsync_ns: u64,
     pub publish_ns: u64,
@@ -336,9 +321,6 @@ impl PhaseBreakdown {
             repair_ns,
             condense_ns,
             solve_ns,
-            busy_ns,
-            steal_ns,
-            sleep_ns,
             journal_append_ns,
             fsync_ns,
             publish_ns,
@@ -347,7 +329,6 @@ impl PhaseBreakdown {
             "{{\"version\":{version},\"width\":{width},\"total_ns\":{total_ns},\
              \"ground_ns\":{ground_ns},\"repair_ns\":{repair_ns},\
              \"condense_ns\":{condense_ns},\"solve_ns\":{solve_ns},\
-             \"busy_ns\":{busy_ns},\"steal_ns\":{steal_ns},\"sleep_ns\":{sleep_ns},\
              \"journal_append_ns\":{journal_append_ns},\"fsync_ns\":{fsync_ns},\
              \"publish_ns\":{publish_ns}}}"
         )
@@ -358,7 +339,7 @@ impl PhaseBreakdown {
         let us = |ns: u64| ns / 1_000;
         format!(
             "version {} width {} total {}us: ground {}us repair {}us condense {}us \
-             solve {}us [busy {}us steal {}us sleep {}us] journal {}us fsync {}us publish {}us",
+             solve {}us journal {}us fsync {}us publish {}us",
             self.version,
             self.width,
             us(self.total_ns),
@@ -366,9 +347,6 @@ impl PhaseBreakdown {
             us(self.repair_ns),
             us(self.condense_ns),
             us(self.solve_ns),
-            us(self.busy_ns),
-            us(self.steal_ns),
-            us(self.sleep_ns),
             us(self.journal_append_ns),
             us(self.fsync_ns),
             us(self.publish_ns),
@@ -378,17 +356,14 @@ impl PhaseBreakdown {
 
 /// Phase time a [`crate::engine::Session`] accumulates between
 /// [`crate::engine::Session::take_phases`] calls: grounding and repair
-/// at mutation time, condense/solve (plus the scheduler's per-worker
-/// split) at solve time. The service drains it once per write cycle.
+/// at mutation time, condense/solve at solve time. The service drains
+/// it once per write cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionPhases {
     pub ground_ns: u64,
     pub repair_ns: u64,
     pub condense_ns: u64,
     pub solve_ns: u64,
-    pub busy_ns: u64,
-    pub steal_ns: u64,
-    pub sleep_ns: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -580,8 +555,8 @@ struct TelemetryInner {
     epoch: Instant,
 }
 
-/// The cloneable recording handle threaded through service, scheduler,
-/// writer, and net tiers. [`Telemetry::disabled`] carries no state and
+/// The cloneable recording handle threaded through the service, writer
+/// and net tiers. [`Telemetry::disabled`] carries no state and
 /// makes every record call a single branch.
 #[derive(Clone)]
 pub struct Telemetry {
@@ -657,8 +632,8 @@ impl Telemetry {
         self.inner.as_ref().map(|i| &i.registry)
     }
 
-    /// Record one completed write cycle: histograms, worker-time
-    /// counters, the recent ring, the trace stream, and the slow-cycle
+    /// Record one completed write cycle: histograms, the cycle
+    /// counter, the recent ring, the trace stream, and the slow-cycle
     /// log line.
     pub fn record_cycle(&self, b: &PhaseBreakdown) {
         let Some(inner) = &self.inner else { return };
@@ -672,9 +647,6 @@ impl Telemetry {
         r.journal_append_ns.record(b.journal_append_ns);
         r.fsync_ns.record(b.fsync_ns);
         r.publish_ns.record(b.publish_ns);
-        r.solve_busy_ns.add(b.busy_ns);
-        r.solve_steal_ns.add(b.steal_ns);
-        r.solve_sleep_ns.add(b.sleep_ns);
         {
             let mut ring = lock(&inner.ring);
             if ring.len() == RING {
@@ -852,13 +824,21 @@ mod tests {
         // lower median), whose bucket [2, 4) reports upper bound 3.
         assert_eq!(s.p50, 3);
         // p90 = the 8th smallest = the 1e6, so it matches p99 below.
-        // p99 = the top value's bucket upper bound, within 2× of 1e6.
+        // p99 = the top value's bucket upper bound clamped to the max,
+        // within 2× of 1e6.
         assert!(s.p99 >= 1_000_000 && s.p99 < 2_097_152, "p99 = {}", s.p99);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99, "quantiles are monotone");
     }
 
     #[test]
     fn histogram_extremes() {
+        // One sample: every quantile is that sample, never the upper
+        // bound of its bucket.
+        let h = Histogram::default();
+        h.record(5);
+        let s = h.snapshot();
+        assert_eq!((s.max, s.p50, s.p90, s.p99), (5, 5, 5, 5));
+
         let h = Histogram::default();
         h.record(0);
         assert_eq!(h.snapshot().p99, 0);

@@ -295,47 +295,28 @@ fn stats_flag_prints_json_counters() {
     assert_eq!(code, Some(1));
     assert!(stdout.contains("% stats {"));
 
-    // The scheduler counters ride along in the same object.
+    // The per-component solve counters ride along in the same object.
     let (stdout, _, code) = run_afp(&["--json", "--stats"], "a. b :- a.");
     assert_eq!(code, Some(0));
     for key in [
-        "\"last_wavefronts\":",
-        "\"last_ready_width\":",
-        "\"stolen_tasks\":0",
-        "\"par_components\":0",
-        "\"seq_components\":",
+        "\"last_components\":",
+        "\"last_components_evaluated\":",
+        "\"last_components_reused\":0",
     ] {
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
 }
 
 #[test]
-fn threads_flag_is_validated_and_model_invariant() {
-    let src = "wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).";
-    // The solved model is bit-identical across thread counts, auto
-    // detection (0) included.
-    let (baseline, _, code) = run_afp(&["--threads", "1"], src);
-    assert_eq!(code, Some(0));
-    for threads in ["2", "4", "0"] {
-        let (stdout, _, code) = run_afp(&["--threads", threads], src);
-        assert_eq!(code, Some(0));
-        assert_eq!(stdout, baseline, "--threads {threads} moved the output");
-    }
-
-    // Validation: non-numeric and absurd values are usage errors.
-    for bad in ["abc", "-3", "1025"] {
-        let (_, stderr, code) = run_afp(&["--threads", bad], "a.");
-        assert_eq!(code, Some(2), "--threads {bad} must be rejected");
-        assert!(stderr.contains("usage:"), "{stderr}");
-    }
-    // Missing operand is a usage error too.
-    let (_, stderr, code) = run_afp(&["--threads"], "a.");
+fn threads_flag_is_a_usage_error() {
+    // Components solve in one sequential loop: there is no solver-thread
+    // knob, so the old flag is an unknown option.
+    let (stdout, stderr, code) = run_afp(&["--threads", "2"], "a.");
     assert_eq!(code, Some(2));
-    assert!(stderr.contains("usage:"));
-
-    // --help documents the flag.
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("usage:"), "{stderr}");
     let (_, stderr, _) = run_afp(&["-h"], "");
-    assert!(stderr.contains("--threads"), "{stderr}");
+    assert!(!stderr.contains("--threads"), "{stderr}");
 }
 
 const SERVE_SRC: &str = "wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).";

@@ -116,23 +116,18 @@ const SESSION_KEYS: &[&str] = &[
     "last_components",
     "last_components_evaluated",
     "last_components_reused",
-    "last_ready_width",
     "last_repair_atoms",
     "last_repair_edges",
     "last_seed_size",
-    "last_wavefronts",
-    "par_components",
     "regrounds",
     "restricted_cond_hits",
     "retracts",
     "rule_asserts",
     "rule_retracts",
     "scc_solves",
-    "seq_components",
     "snapshot_clones",
     "snapshot_reuses",
     "solves",
-    "stolen_tasks",
     "warm_solves",
 ];
 
@@ -182,14 +177,7 @@ const HISTOGRAM_KEYS: &[&str] = &[
     "solve_ns",
 ];
 
-const COUNTER_KEYS: &[&str] = &[
-    "cycles",
-    "slow_cycles",
-    "solve_busy_ns",
-    "solve_sleep_ns",
-    "solve_steal_ns",
-    "trace_dropped",
-];
+const COUNTER_KEYS: &[&str] = &["cycles", "slow_cycles", "trace_dropped"];
 
 const GAUGE_KEYS: &[&str] = &["recent_cycles", "trace_buffered"];
 
