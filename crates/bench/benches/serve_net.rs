@@ -2,14 +2,13 @@
 //! two parts:
 //!
 //! * `write_path_*` — one fact-toggle write cycle per iteration,
-//!   through each tier of the stack: `service_inproc` is the PR 4
-//!   baseline (caller-driven leader election on the submitting
-//!   thread), `async_tier` adds the dedicated writer thread and
-//!   bounded queue (submit + handle.wait()), and `wire_tcp` adds the
-//!   full length-prefixed loopback round trip. The deltas between the
-//!   three are the cost of the queue hop and of the transport. After
-//!   the `async_tier` run the tier's own p50/p99 submit→completion
-//!   latencies (from `NetStats`) are printed for BENCH_net.json.
+//!   through each layer of the stack: `service` is the in-process
+//!   blocking write (submit to the writer thread's queue, then wait on
+//!   the handle), and `wire_tcp` adds the full length-prefixed
+//!   loopback round trip. The delta between the two is the cost of the
+//!   transport. After the `service` run the service's own p50/p99
+//!   submit→completion latencies (from `Service::queue_stats`) are
+//!   printed for BENCH_net.json.
 //!
 //! * `mixed_wire_conns_*` — sustained mixed read/write throughput over
 //!   the wire: `t` client connections each issue a fixed block of
@@ -22,11 +21,10 @@
 //!   parallel speedup; see BENCH_net.json for the recorded context.
 
 use afp::net::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
-use afp::{AsyncOptions, AsyncService, DeltaKind, Engine, NetOptions, NetServer};
+use afp::{Engine, NetOptions, NetServer};
 use afp_bench::gen::{node_name, Graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::thread;
 
 fn win_move_src(g: &Graph) -> String {
@@ -54,7 +52,7 @@ fn write_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("net/write_path_win_move_256");
     group.sample_size(10);
 
-    group.bench_function(BenchmarkId::new("tier", "service_inproc"), |b| {
+    group.bench_function(BenchmarkId::new("tier", "service"), |b| {
         let service = Engine::default().serve(&src).unwrap();
         let mut present = false;
         b.iter(|| {
@@ -65,26 +63,10 @@ fn write_path(c: &mut Criterion) {
                 service.retract_facts(&toggle_on).unwrap()
             };
             std::hint::black_box(v)
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("tier", "async_tier"), |b| {
-        let service = Engine::default().serve(&src).unwrap();
-        let tier = AsyncService::new(service, AsyncOptions::default());
-        let mut present = false;
-        b.iter(|| {
-            present = !present;
-            let kind = if present {
-                DeltaKind::AssertFacts
-            } else {
-                DeltaKind::RetractFacts
-            };
-            let v = tier.submit(kind, &toggle_on).unwrap().wait().unwrap();
-            std::hint::black_box(v)
         });
-        let stats = tier.stats();
+        let stats = service.queue_stats();
         eprintln!(
-            "async_tier submit->completion latency over {} writes: \
+            "service submit->completion latency over {} writes: \
              p50 {} us, p99 {} us (for BENCH_net.json)",
             stats.completed, stats.write_p50_us, stats.write_p99_us
         );
@@ -92,9 +74,8 @@ fn write_path(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("tier", "wire_tcp"), |b| {
         let service = Engine::default().serve(&src).unwrap();
-        let tier = Arc::new(AsyncService::new(service, AsyncOptions::default()));
         let server =
-            NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", NetOptions::default()).unwrap();
+            NetServer::bind_tcp(service.clone(), "127.0.0.1:0", NetOptions::default()).unwrap();
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         let mut present = false;
         b.iter(|| {
@@ -118,9 +99,7 @@ const OPS: usize = 200;
 fn mixed_wire(c: &mut Criterion) {
     let g = Graph::random_regular_out(256, 3, 42);
     let service = Engine::default().serve(&win_move_src(&g)).unwrap();
-    let tier = Arc::new(AsyncService::new(service, AsyncOptions::default()));
-    let server =
-        NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", NetOptions::default()).unwrap();
+    let server = NetServer::bind_tcp(service, "127.0.0.1:0", NetOptions::default()).unwrap();
     let nodes: Vec<String> = (0..256u32).map(node_name).collect();
 
     let mut group = c.benchmark_group("net/mixed_wire_win_move_256");

@@ -18,8 +18,9 @@
 //!                         port 0 picks an ephemeral port, announced on stdout)
 //!       --socket <PATH>   also serve the framed protocol over a unix socket
 //!                         (implies --serve)
-//!       --queue-depth <N> bound the networked write queue (default 64); a full
-//!                         queue rejects submissions with an overloaded error
+//!       --queue-depth <N> bound the one write queue (default 64), stdin and
+//!                         listeners alike; a full queue rejects submissions
+//!                         with an overloaded error
 //!       --max-conns <N>   connection limit per listener (default 32)
 //!       --submit-timeout-ms <N>  deadline for queued submissions (default: none)
 //!       --journal <DIR>   durable serve mode (implies --serve): write-ahead
@@ -55,7 +56,8 @@
 //!
 //! `--serve` runs the program behind [`afp::Service`]: the model is
 //! solved once and published as version 0, then stdin is read as one
-//! command per line against the live service. The grammar (shared with
+//! command per line against the live service, whose one writer thread
+//! applies the writes of every front end. The grammar (shared with
 //! the network transport — see [`afp::net::codec`]):
 //!
 //! ```text
@@ -94,15 +96,13 @@
 //! Exit codes: 0 ok; 1 no stable model (with `-s stable`) or query false;
 //! 2 usage / parse / grounding / transport error.
 
-use afp::net::codec::{self, Request, Response, ServeBackend};
+use afp::net::codec::{self, Request, Response};
 use afp::{
-    AsyncOptions, AsyncService, Engine, Error, FsyncPolicy, Journal, JournalOptions, JournalStats,
-    MetricsFormat, Model, NetOptions, NetServer, NetStats, Semantics, Service, ServiceOptions,
-    SessionStats, Shutdown, Telemetry, TraceSink, Truth,
+    Engine, Error, FsyncPolicy, Journal, JournalOptions, MetricsFormat, Model, NetOptions,
+    NetServer, NetStats, Semantics, Service, ServiceOptions, Shutdown, Telemetry, TraceSink, Truth,
 };
 use std::io::{BufRead, Read};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE_HINT: &str = "usage: afp [-s wfs|stable|fitting|perfect|ifp] [-q ATOM] [-t] [-a] \
@@ -217,14 +217,9 @@ fn parse_args() -> Options {
                 options.socket = Some(args.next().unwrap_or_else(|| usage()));
                 options.serve = true;
             }
-            "--queue-depth" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                options.queue_depth = n.parse().unwrap_or_else(|_| usage());
-            }
-            "--max-conns" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                options.max_conns = n.parse().unwrap_or_else(|_| usage());
-            }
+            // A zero bound would refuse every write (or connection).
+            "--queue-depth" => options.queue_depth = positive(args.next()),
+            "--max-conns" => options.max_conns = positive(args.next()),
             "--submit-timeout-ms" => {
                 let n = args.next().unwrap_or_else(|| usage());
                 options.submit_timeout_ms = Some(n.parse().unwrap_or_else(|_| usage()));
@@ -264,6 +259,14 @@ fn parse_args() -> Options {
         }
     }
     options
+}
+
+/// A flag operand that must be a positive integer; anything else is a
+/// usage error.
+fn positive(arg: Option<String>) -> usize {
+    arg.and_then(|n| n.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| usage())
 }
 
 fn semantics_of(name: &str, max_models: usize) -> Option<Semantics> {
@@ -401,7 +404,10 @@ fn main() -> ExitCode {
         print_result(&model, semantics, &options)
     };
     if options.stats {
-        print_stats(session.stats(), None, None, None, options.json);
+        print_stats(
+            &codec::stats_json(session.stats(), None, None, None),
+            options.json,
+        );
     }
     code
 }
@@ -459,7 +465,11 @@ fn print_result(model: &Model, semantics: Semantics, options: &Options) -> ExitC
 /// and one error shape. Command failures are reported inline and the
 /// loop continues; only transport failures exit nonzero.
 fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
-    let mut service_options = ServiceOptions::default();
+    let mut service_options = ServiceOptions {
+        queue_depth: options.queue_depth,
+        submit_deadline: options.submit_timeout_ms.map(Duration::from_millis),
+        ..ServiceOptions::default()
+    };
     if let Some(cap) = options.changelog_cap {
         service_options.changelog_capacity = cap;
     }
@@ -532,68 +542,45 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
         }
     }
 
-    // The networked tier, when any listener is requested: one dedicated
-    // writer thread and bounded queue shared by every endpoint
-    // (including stdin submissions, so backpressure is uniform).
-    let mut tier: Option<Arc<AsyncService>> = None;
+    // Listeners front the same service as stdin: one writer thread and
+    // one bounded queue, so one admission-control policy governs every
+    // front end.
     let mut servers: Vec<NetServer> = Vec::new();
-    if options.listen.is_some() || options.socket.is_some() {
-        let t = Arc::new(AsyncService::new(
-            service.clone(),
-            AsyncOptions {
-                queue_depth: options.queue_depth,
-                submit_deadline: options.submit_timeout_ms.map(Duration::from_millis),
-            },
-        ));
-        let net_options = NetOptions {
-            max_conns: options.max_conns,
-            ..NetOptions::default()
-        };
-        if let Some(addr) = &options.listen {
-            match NetServer::bind_tcp(Arc::clone(&t), addr.as_str(), net_options) {
-                Ok(server) => {
-                    announce("tcp", server.addr(), options.json);
-                    servers.push(server);
-                }
-                Err(e) => {
-                    eprintln!("afp: cannot listen on {addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        if let Some(path) = &options.socket {
-            match NetServer::bind_unix(Arc::clone(&t), path, net_options) {
-                Ok(server) => {
-                    announce("unix", server.addr(), options.json);
-                    servers.push(server);
-                }
-                Err(e) => {
-                    eprintln!("afp: cannot bind socket {path}: {e}");
-                    for server in &servers {
-                        server.shutdown();
-                    }
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        tier = Some(t);
-    }
-
-    // Writes from stdin take the networked queue when it exists, so one
-    // admission-control policy governs every front end.
-    let backend: &dyn ServeBackend = match &tier {
-        Some(t) => t.as_ref(),
-        None => &service,
+    let net_options = NetOptions {
+        max_conns: options.max_conns,
+        ..NetOptions::default()
     };
+    if let Some(addr) = &options.listen {
+        match NetServer::bind_tcp(service.clone(), addr.as_str(), net_options) {
+            Ok(server) => {
+                announce("tcp", server.addr(), options.json);
+                servers.push(server);
+            }
+            Err(e) => {
+                eprintln!("afp: cannot listen on {addr}: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    if let Some(path) = &options.socket {
+        match NetServer::bind_unix(service.clone(), path, net_options) {
+            Ok(server) => {
+                announce("unix", server.addr(), options.json);
+                servers.push(server);
+            }
+            Err(e) => {
+                eprintln!("afp: cannot bind socket {path}: {e}");
+                for server in &servers {
+                    server.shutdown();
+                }
+                return ExitCode::from(2);
+            }
+        }
+    }
+    // The `net` section appears exactly when listeners are up.
     let full_stats = || {
-        codec::stats_json(
-            &service.session_stats(),
-            Some(&service.stats()),
-            tier.as_ref()
-                .map(|t| merged_net_stats(t, &servers))
-                .as_ref(),
-            service.journal_stats().as_ref(),
-        )
+        let net = (!servers.is_empty()).then(|| merged_net_stats(&service, &servers));
+        codec::service_stats_json(&service, net.as_ref())
     };
 
     let mut transport_failed = false;
@@ -616,7 +603,7 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
             // `stats` is answered here, not in `execute`, so the CLI can
             // fold in connection counters from its listeners.
             Ok(Request::Stats) => Response::Stats { json: full_stats() },
-            Ok(request) => codec::execute(backend, &request),
+            Ok(request) => codec::execute(&service, &request),
             Err(message) => Response::protocol_error(message),
         };
         if options.json {
@@ -631,22 +618,12 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
     for server in &servers {
         server.shutdown();
     }
-    if let Some(t) = &tier {
-        t.shutdown(Shutdown::Drain);
-    }
+    service.shutdown(Shutdown::Drain);
 
     // `--stats` reports the final counters at exit, like one-shot mode
     // (the interactive `stats` command reports them mid-session).
     if options.stats {
-        print_stats(
-            &service.session_stats(),
-            Some(&service.stats()),
-            tier.as_ref()
-                .map(|t| merged_net_stats(t, &servers))
-                .as_ref(),
-            service.journal_stats().as_ref(),
-            options.json,
-        );
+        print_stats(&full_stats(), options.json);
     }
     if transport_failed {
         ExitCode::from(2)
@@ -679,11 +656,11 @@ fn announce_recovery(version: u64, json: bool) {
     }
 }
 
-/// Queue/latency counters from the shared tier plus connection counters
-/// from every listener (tier stats leave connection fields zero, so the
-/// sum never double-counts).
-fn merged_net_stats(tier: &AsyncService, servers: &[NetServer]) -> NetStats {
-    let mut net = tier.stats();
+/// Queue/latency counters from the service plus connection counters
+/// from every listener (queue stats leave connection fields zero, so
+/// the sum never double-counts).
+fn merged_net_stats(service: &Service, servers: &[NetServer]) -> NetStats {
+    let mut net = service.queue_stats();
     for server in servers {
         let s = server.stats();
         net.conns_accepted += s.conns_accepted;
@@ -700,14 +677,7 @@ fn merged_net_stats(tier: &AsyncService, servers: &[NetServer]) -> NetStats {
 /// behind the interactive `stats` command and the wire protocol, so the
 /// shapes cannot drift. Plain (non-`--json`) output prefixes it as a
 /// `%` comment so downstream fact parsers stay happy.
-fn print_stats(
-    session: &SessionStats,
-    service: Option<&afp::ServiceStats>,
-    net: Option<&NetStats>,
-    journal: Option<&JournalStats>,
-    as_json: bool,
-) {
-    let body = codec::stats_json(session, service, net, journal);
+fn print_stats(body: &str, as_json: bool) {
     if as_json {
         println!("{body}");
     } else {

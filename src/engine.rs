@@ -291,9 +291,11 @@ impl Engine {
     }
 
     /// Load `src` and wrap the session in a concurrent serving layer:
-    /// version 0 is solved and published immediately, then any number of
-    /// reader threads pin immutable snapshots while writers submit
-    /// coalesced deltas. See [`crate::service::Service`].
+    /// version 0 is solved and published immediately, and the service's
+    /// writer thread starts. Any number of reader threads then pin
+    /// immutable snapshots while writers submit deltas to its bounded
+    /// queue, where concurrent submissions coalesce into shared write
+    /// cycles. See [`crate::service::Service`].
     pub fn serve(&self, src: &str) -> Result<crate::service::Service, Error> {
         crate::service::Service::new(self.load(src)?)
     }

@@ -119,7 +119,7 @@ impl Default for JournalOptions {
 
 /// Where the fault-injection seam kills the writer; see
 /// [`crate::Service::inject_crash_for_testing`]. Modeled on the
-/// grounder poison seam (PR 3) and the net tier's `hold_writer` (PR 6):
+/// grounder poison seam (PR 3) and the service's `hold_writer`:
 /// hidden, not `cfg(test)`, so the crash-recovery differential suite
 /// can reach it from integration tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -74,10 +74,13 @@ pub use afp_core::{AfpOptions, AfpResult, PartialModel, Strategy};
 pub use afp_datalog::{GroundOptions, GroundProgram, Program, SafetyPolicy};
 pub use engine::{Engine, EngineBuilder, Model, Semantics, Session, SessionStats, WfStrategy};
 pub use journal::{CrashPoint, FsyncPolicy, Journal, JournalOptions, JournalStats};
-pub use net::{
-    AsyncOptions, AsyncService, NetOptions, NetServer, NetStats, Shutdown, SubmitHandle,
+#[doc(hidden)]
+pub use net::{AsyncOptions, AsyncService};
+pub use net::{NetOptions, NetServer, NetStats};
+pub use service::{
+    AppliedDelta, DeltaKind, ModelSnapshot, Service, ServiceOptions, ServiceStats, Shutdown,
+    SubmitHandle,
 };
-pub use service::{AppliedDelta, DeltaKind, ModelSnapshot, Service, ServiceOptions, ServiceStats};
 pub use telemetry::{
     MetricsFormat, MetricsRegistry, PhaseBreakdown, SessionPhases, Telemetry, TraceSink,
 };
@@ -101,11 +104,13 @@ pub enum Error {
     /// non-ground rule on a session without grounder state
     /// ([`Engine::load_ground`] keeps no envelope to instantiate over).
     NotGroundRule(String),
-    /// A [`Service`] write cycle's leader thread panicked before this
-    /// queued delta could be applied. The delta was **not** applied and
-    /// no version containing it was published; resubmitting is safe.
+    /// A [`Service`] write cycle panicked, and this delta was in that
+    /// cycle or queued behind it; the writer thread has stopped. The
+    /// outcome is **unknown**: a cycle that dies after its journal
+    /// append leaves a durable record, and recovery publishes it. Check
+    /// the recovered `version` and `log` before resubmitting.
     WriterAborted,
-    /// The bounded write queue of an [`AsyncService`] was full at
+    /// The bounded write queue of a [`Service`] was full at
     /// submission time. The delta was **not** enqueued; this is the
     /// admission-control verdict, returned immediately (a full queue
     /// never blocks the submitter). Back off and resubmit.
@@ -114,7 +119,7 @@ pub enum Error {
     /// picked it up. The delta was **not** applied; resubmitting is
     /// safe.
     SubmitTimeout,
-    /// The [`AsyncService`] was shut down (or is shutting down) before
+    /// The [`Service`] was shut down (or is shutting down) before
     /// this delta could be applied. Aborted submissions were **not**
     /// applied; resubmitting against a live service is safe.
     ServiceStopped,
@@ -173,8 +178,8 @@ impl fmt::Display for Error {
             Error::WriterAborted => {
                 write!(
                     f,
-                    "service writer aborted before applying this delta (not applied; \
-                     resubmitting is safe)"
+                    "service writer aborted during this delta's cycle (outcome unknown: \
+                     check version and log before resubmitting)"
                 )
             }
             Error::Overloaded => {

@@ -41,8 +41,8 @@ use std::io::{self, Read, Write};
 use crate::service::ModelSnapshot;
 use crate::telemetry::stat_object;
 use crate::{
-    AppliedDelta, AsyncService, DeltaKind, Error, JournalStats, Model, NetStats, Service,
-    ServiceStats, SessionStats, Truth,
+    AppliedDelta, DeltaKind, Error, JournalStats, Model, NetStats, Service, ServiceStats,
+    SessionStats, Truth,
 };
 
 // ---------------------------------------------------------------------
@@ -84,7 +84,7 @@ pub enum Request {
     Stats,
     /// `metrics` — the telemetry tier's exposition: per-phase write-cycle
     /// latency histograms (p50/p90/p99), counters, gauges and the recent
-    /// cycle ring, rendered as JSON or Prometheus text per the backend's
+    /// cycle ring, rendered as JSON or Prometheus text per the service's
     /// configured [`crate::MetricsFormat`].
     Metrics,
     /// `ping` — readiness probe: current version + writer liveness +
@@ -256,7 +256,7 @@ pub enum Response {
     },
     /// Telemetry exposition, already rendered by
     /// [`crate::Telemetry::render`] (JSON object or Prometheus text,
-    /// per the backend's configured format).
+    /// per the service's configured format).
     Metrics {
         /// The rendered exposition, shipped verbatim.
         body: String,
@@ -270,10 +270,10 @@ pub enum Response {
     Pong {
         /// The current version.
         version: u64,
-        /// Whether the write path is accepting work (`false` once an
-        /// async tier's writer thread has stopped).
+        /// Whether the write path is accepting work (`false` once the
+        /// service's writer thread has stopped).
         writer_live: bool,
-        /// Milliseconds since the backend's service was constructed.
+        /// Milliseconds since the service was constructed.
         uptime_ms: u64,
     },
     /// A durability checkpoint was written.
@@ -457,125 +457,18 @@ pub fn model_json(version: u64, model: &Model) -> String {
 // Execution
 // ---------------------------------------------------------------------
 
-/// What a protocol front end needs from the serving stack. Implemented
-/// by [`Service`] (direct, caller-thread write cycles) and
-/// [`AsyncService`] (dedicated writer thread with admission control);
-/// the transport layer wraps the latter to add connection counters.
-pub trait ServeBackend: Sync {
-    /// Pin the current version.
-    fn snapshot(&self) -> ModelSnapshot;
-    /// The current version number.
-    fn version(&self) -> u64;
-    /// Pin a cached earlier version.
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error>;
-    /// Submit one delta and block until its cycle resolves.
-    fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error>;
-    /// Applied deltas with version > `since`.
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error>;
-    /// Readiness probe: the current version, whether the write path is
-    /// accepting work, and uptime in milliseconds. Must not queue
-    /// behind the writer.
-    fn ping(&self) -> (u64, bool, u64);
-    /// Write a durability checkpoint now; [`Error::Journal`] on an
-    /// unjournaled backend.
-    fn checkpoint(&self) -> Result<u64, Error>;
-    /// The full `--stats` JSON object for this backend.
-    fn stats_json(&self) -> String;
-    /// The `metrics` exposition body ([`crate::Telemetry::render`]):
-    /// JSON or Prometheus text per the backend's configured format.
-    fn metrics_text(&self) -> String;
-}
-
-impl ServeBackend for Service {
-    fn snapshot(&self) -> ModelSnapshot {
-        Service::snapshot(self)
-    }
-    fn version(&self) -> u64 {
-        Service::version(self)
-    }
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error> {
-        Service::at_version(self, version)
-    }
-    fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
-        match kind {
-            DeltaKind::AssertFacts => self.assert_facts(text),
-            DeltaKind::RetractFacts => self.retract_facts(text),
-            DeltaKind::AssertRules => self.assert_rules(text),
-            DeltaKind::RetractRules => self.retract_rules(text),
-        }
-    }
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error> {
-        Service::changelog_since(self, since)
-    }
-    fn ping(&self) -> (u64, bool, u64) {
-        // Direct services run write cycles on the submitting thread;
-        // there is no writer to have died independently.
-        (Service::version(self), true, self.uptime_ms())
-    }
-    fn checkpoint(&self) -> Result<u64, Error> {
-        Service::checkpoint(self)
-    }
-    fn stats_json(&self) -> String {
-        stats_json(
-            &self.session_stats(),
-            Some(&self.stats()),
-            None,
-            self.journal_stats().as_ref(),
-        )
-    }
-    fn metrics_text(&self) -> String {
-        self.telemetry().render()
-    }
-}
-
-impl ServeBackend for AsyncService {
-    fn snapshot(&self) -> ModelSnapshot {
-        self.service().snapshot()
-    }
-    fn version(&self) -> u64 {
-        self.service().version()
-    }
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error> {
-        self.service().at_version(version)
-    }
-    fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
-        AsyncService::submit(self, kind, text)?.wait()
-    }
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error> {
-        self.service().changelog_since(since)
-    }
-    fn ping(&self) -> (u64, bool, u64) {
-        (
-            self.service().version(),
-            self.writer_live(),
-            self.service().uptime_ms(),
-        )
-    }
-    fn checkpoint(&self) -> Result<u64, Error> {
-        self.service().checkpoint()
-    }
-    fn stats_json(&self) -> String {
-        stats_json(
-            &self.service().session_stats(),
-            Some(&self.service().stats()),
-            Some(&self.stats()),
-            self.service().journal_stats().as_ref(),
-        )
-    }
-    fn metrics_text(&self) -> String {
-        self.service().telemetry().render()
-    }
-}
-
-/// Run one parsed command against a backend. [`Request::Quit`] is the
+/// Run one parsed command against a service. [`Request::Quit`] is the
 /// caller's to handle (it ends the *session*, not a computation); this
 /// function answers it like `version` so misrouted quits stay harmless.
-pub fn execute(backend: &dyn ServeBackend, request: &Request) -> Response {
+/// [`Request::Stats`] is answered without a `net` section: a front end
+/// that owns connection counters answers `stats` itself through
+/// [`service_stats_json`].
+pub fn execute(service: &Service, request: &Request) -> Response {
     match request {
         Request::Query { atom } => match parse_query(atom) {
             Ok((pred, args)) => {
                 let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                let snapshot = backend.snapshot();
+                let snapshot = service.snapshot();
                 Response::Truth {
                     version: snapshot.version(),
                     query: atom.clone(),
@@ -585,7 +478,7 @@ pub fn execute(backend: &dyn ServeBackend, request: &Request) -> Response {
             Err(msg) => Response::protocol_error(format!("bad query: {msg}")),
         },
         Request::At { version, atom } => match parse_query(atom) {
-            Ok((pred, args)) => match backend.at_version(*version) {
+            Ok((pred, args)) => match service.at_version(*version) {
                 Ok(snapshot) => {
                     let refs: Vec<&str> = args.iter().map(String::as_str).collect();
                     Response::Truth {
@@ -598,40 +491,39 @@ pub fn execute(backend: &dyn ServeBackend, request: &Request) -> Response {
             },
             Err(msg) => Response::protocol_error(format!("bad query: {msg}")),
         },
-        Request::Submit { kind, text } => match backend.submit(*kind, text) {
-            Ok(version) => Response::Applied { version },
-            Err(e) => Response::from_error(&e),
-        },
+        Request::Submit { kind, text } => {
+            match service.submit(*kind, text).and_then(|h| h.wait()) {
+                Ok(version) => Response::Applied { version },
+                Err(e) => Response::from_error(&e),
+            }
+        }
         Request::Model => Response::Model {
-            snapshot: backend.snapshot(),
+            snapshot: service.snapshot(),
         },
         Request::Version => Response::Version {
-            version: backend.version(),
+            version: service.version(),
         },
-        Request::Changelog { since } => match backend.changelog_since(*since) {
+        Request::Changelog { since } => match service.changelog_since(*since) {
             Ok(entries) => Response::Changelog { entries },
             Err(e) => Response::from_error(&e),
         },
         Request::Stats => Response::Stats {
-            json: backend.stats_json(),
+            json: service_stats_json(service, None),
         },
         Request::Metrics => Response::Metrics {
-            body: backend.metrics_text(),
+            body: service.telemetry().render(),
         },
-        Request::Ping => {
-            let (version, writer_live, uptime_ms) = backend.ping();
-            Response::Pong {
-                version,
-                writer_live,
-                uptime_ms,
-            }
-        }
-        Request::Checkpoint => match backend.checkpoint() {
+        Request::Ping => Response::Pong {
+            version: service.version(),
+            writer_live: service.writer_live(),
+            uptime_ms: service.uptime_ms(),
+        },
+        Request::Checkpoint => match service.checkpoint() {
             Ok(version) => Response::Checkpointed { version },
             Err(e) => Response::from_error(&e),
         },
         Request::Quit => Response::Version {
-            version: backend.version(),
+            version: service.version(),
         },
     }
 }
@@ -671,6 +563,18 @@ pub fn stats_json(
         body.push_str(&format!(",\"journal\":{}", stat_object(j)));
     }
     format!("{{{body}}}")
+}
+
+/// [`stats_json`] for a running service: its session, service and
+/// journal counters, plus the `net` section when the caller is a
+/// transport front end that owns connection counters.
+pub fn service_stats_json(service: &Service, net: Option<&NetStats>) -> String {
+    stats_json(
+        &service.session_stats(),
+        Some(&service.stats()),
+        net,
+        service.journal_stats().as_ref(),
+    )
 }
 
 // ---------------------------------------------------------------------

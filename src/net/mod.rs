@@ -1,82 +1,58 @@
-//! `afp::net` — the async, networked service tier.
+//! `afp::net` — the networked front end of a [`crate::Service`].
 //!
-//! [`crate::Service`] (PR 4) gives one process concurrent serving:
-//! lock-free readers over pinned snapshots, and write cycles that
-//! coalesce concurrent submissions. But its write API is *blocking and
-//! caller-driven* — the submitting thread itself is elected cycle
-//! leader and solves on behalf of everyone queued behind it — and the
-//! only front end is a single-client stdin protocol. This module adds
-//! the three layers that turn it into a production service:
+//! The service already owns everything a server needs on the write side:
+//! one dedicated writer thread, a bounded submission queue with
+//! immediate [`crate::Error::Overloaded`] refusals, per-submission
+//! deadlines, and deterministic [`crate::Shutdown`] (see
+//! [`crate::service`]). This module adds the transport in front of it:
 //!
-//! 1. **A dedicated writer thread** ([`AsyncService`], `writer.rs`):
-//!    submissions enqueue onto a bounded queue and return a
-//!    [`SubmitHandle`] immediately — a small futures-free promise that
-//!    can be [`SubmitHandle::wait`]ed, polled
-//!    ([`SubmitHandle::try_result`]) or waited with a timeout. One
-//!    writer thread drains the queue in batches (the whole queue per
-//!    cycle, so coalescing is at least as wide as under caller-driven
-//!    leader election) and runs the existing `Service` write cycle.
-//!    No async runtime is involved; the blocking bridge is a
-//!    mutex/condvar pair per submission.
+//! * **A length-prefixed transport** ([`NetServer`], `server.rs`) over
+//!   TCP and unix sockets, fronting the same command protocol the
+//!   stdin `--serve` mode speaks: each frame is a 4-byte big-endian
+//!   length followed by one UTF-8 command line (requests) or one JSON
+//!   object (responses). One thread per connection reads over pinned
+//!   [`crate::ModelSnapshot`]s lock-free; writes funnel through the
+//!   service's one write queue, so N connections get exactly the
+//!   single-writer/coalescing semantics of in-process callers.
+//!   Connection limits and read/write timeouts bound resource use.
 //!
-//! 2. **Admission control and backpressure**: the queue depth is
-//!    bounded ([`AsyncOptions::queue_depth`]) and a full queue rejects
-//!    with [`crate::Error::Overloaded`] *immediately* — submission
-//!    never blocks on a saturated writer. Per-submission deadlines
-//!    ([`AsyncOptions::submit_deadline`],
-//!    [`AsyncService::submit_with_deadline`]) expire stale queue
-//!    entries with [`crate::Error::SubmitTimeout`] before any work is
-//!    spent on them. [`AsyncService::shutdown`] is deterministic:
-//!    [`Shutdown::Drain`] runs every queued cycle to completion,
-//!    [`Shutdown::Abort`] fails everything still queued with
-//!    [`crate::Error::ServiceStopped`] — either way **every waiter
-//!    receives a terminal result**, extending PR 4's panic-safe
-//!    `WriterAborted` path to planned teardown.
-//!
-//! 3. **A length-prefixed transport** ([`NetServer`], `server.rs`) over
-//!    TCP and unix sockets, fronting the same command protocol the
-//!    stdin `--serve` mode speaks: each frame is a 4-byte big-endian
-//!    length followed by one UTF-8 command line (requests) or one JSON
-//!    object (responses). One thread per connection reads over pinned
-//!    [`crate::ModelSnapshot`]s lock-free; writes funnel through the
-//!    shared [`AsyncService`] queue, so N connections get exactly the
-//!    single-writer/coalescing semantics of the in-process tier.
-//!    Connection limits and read/write timeouts bound resource use.
-//!
-//! The command parsing/serialization both front ends share lives in
-//! [`codec`] — one grammar, one response shape, one error shape, and
-//! one stats serializer ([`codec::stats_json`]) so the `--stats` JSON
-//! and plain outputs cannot drift.
+//! * **The codec** ([`codec`]) both front ends share — one grammar, one
+//!   response shape, one error shape, and one stats serializer
+//!   ([`codec::stats_json`]) so the `--stats` JSON and plain outputs
+//!   cannot drift.
 //!
 //! ```
-//! use afp::{AsyncOptions, AsyncService, DeltaKind, Engine, Shutdown, Truth};
+//! use afp::net::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+//! use afp::{Engine, NetOptions, NetServer};
+//! use std::net::TcpStream;
 //!
 //! let service = Engine::default()
 //!     .serve("wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).")
 //!     .unwrap();
-//! let tier = AsyncService::new(service.clone(), AsyncOptions::default());
+//! let server = NetServer::bind_tcp(service.clone(), "127.0.0.1:0", NetOptions::default()).unwrap();
 //!
-//! // Async submission: enqueue, then wait (or poll) the handle.
-//! let handle = tier.submit(DeltaKind::AssertFacts, "move(c, d).").unwrap();
-//! let version = handle.wait().unwrap();
-//! assert_eq!(version, 1);
-//! assert_eq!(service.snapshot().truth("wins", &["c"]), Truth::True);
+//! // One framed request, one framed JSON response.
+//! let mut conn = TcpStream::connect(server.addr()).unwrap();
+//! write_frame(&mut conn, b"assert-facts move(c, d).").unwrap();
+//! let reply = read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN).unwrap().unwrap();
+//! assert_eq!(reply, b"{\"ok\":true,\"version\":1}");
+//! assert_eq!(service.version(), 1);
 //!
-//! tier.shutdown(Shutdown::Drain);
+//! server.shutdown();
 //! ```
 
 pub mod codec;
 pub mod server;
-pub mod writer;
 
 pub use server::{NetOptions, NetServer};
-pub use writer::{AsyncOptions, AsyncService, Shutdown, SubmitHandle};
 
-/// Counters for the networked tier, merged across the writer queue
-/// ([`AsyncService`]) and the transport ([`NetServer`]); surfaced
-/// through the `stats` protocol command and CLI `--stats` via
-/// [`codec::stats_json`]. Connection fields stay zero for an
-/// [`AsyncService`] used without a transport.
+use crate::Service;
+
+/// Counters for the networked tier, merged across the service's write
+/// queue ([`Service::queue_stats`]) and the transport ([`NetServer`]);
+/// surfaced through the `stats` protocol command and CLI `--stats` via
+/// [`codec::stats_json`]. Connection fields stay zero in
+/// [`Service::queue_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Submissions accepted into the write queue.
@@ -97,7 +73,7 @@ pub struct NetStats {
     /// High-water mark of the queue depth since start.
     pub queue_depth_hwm: u64,
     /// Submissions in the writer thread's most recent cycle batch (the
-    /// per-cycle coalesce width through the net tier).
+    /// per-cycle coalesce width).
     pub last_cycle_width: u64,
     /// Largest cycle batch the writer thread has run.
     pub max_cycle_width: u64,
@@ -137,3 +113,30 @@ crate::telemetry::stat_set!(NetStats {
     frames_in,
     frames_out,
 });
+
+/// Compatibility name for a [`Service`], kept for existing callers. It
+/// adds nothing: every method is the [`Service`]'s, through `Deref`.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct AsyncService(Service);
+
+impl AsyncService {
+    /// Wrap `service`; `options` carries nothing.
+    pub fn new(service: Service, _options: AsyncOptions) -> AsyncService {
+        AsyncService(service)
+    }
+}
+
+impl std::ops::Deref for AsyncService {
+    type Target = Service;
+
+    fn deref(&self) -> &Service {
+        &self.0
+    }
+}
+
+/// Empty options for [`AsyncService::new`]; the queue bounds live in
+/// [`crate::ServiceOptions`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AsyncOptions;

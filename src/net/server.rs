@@ -1,5 +1,5 @@
 //! The length-prefixed transport: TCP and unix-socket front ends over
-//! one shared [`AsyncService`].
+//! one shared [`Service`].
 //!
 //! Wire format: every frame is a 4-byte big-endian payload length
 //! followed by that many bytes of UTF-8. Client→server payloads are
@@ -11,8 +11,8 @@
 //!
 //! Threading model: one OS thread per connection. Read commands run
 //! against pinned [`crate::ModelSnapshot`]s on the connection's own
-//! thread — lock-free, so N readers scale exactly like the in-process
-//! tier. Write commands funnel into the shared [`AsyncService`] queue
+//! thread — lock-free, so N readers scale exactly like in-process
+//! readers. Write commands funnel into the service's one write queue
 //! and block their own connection only; admission-control verdicts
 //! ([`crate::Error::Overloaded`], [`crate::Error::SubmitTimeout`]) come
 //! back as structured error frames. Connections beyond
@@ -28,13 +28,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use super::codec::{
-    self, execute, parse_command, render_json, write_frame, Request, Response, ServeBackend,
-};
-use super::writer::AsyncService;
+use super::codec::{self, execute, parse_command, render_json, write_frame, Request, Response};
 use super::NetStats;
-use crate::service::ModelSnapshot;
-use crate::{AppliedDelta, DeltaKind, Error};
+use crate::Service;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -128,7 +124,7 @@ impl Listener for UnixListener {
 }
 
 struct Inner {
-    tier: Arc<AsyncService>,
+    service: Service,
     options: NetOptions,
     stop: AtomicBool,
     conns_accepted: AtomicU64,
@@ -144,7 +140,7 @@ struct Inner {
 
 impl Inner {
     fn net_stats(&self) -> NetStats {
-        let mut stats = self.tier.stats();
+        let mut stats = self.service.queue_stats();
         stats.conns_accepted = self.conns_accepted.load(Ordering::Relaxed);
         stats.conns_rejected = self.conns_rejected.load(Ordering::Relaxed);
         stats.conns_open = self.conns_open.load(Ordering::Relaxed);
@@ -154,49 +150,10 @@ impl Inner {
     }
 }
 
-impl ServeBackend for Inner {
-    fn snapshot(&self) -> ModelSnapshot {
-        self.tier.service().snapshot()
-    }
-    fn version(&self) -> u64 {
-        self.tier.service().version()
-    }
-    fn at_version(&self, version: u64) -> Result<ModelSnapshot, Error> {
-        self.tier.service().at_version(version)
-    }
-    fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
-        self.tier.submit(kind, text)?.wait()
-    }
-    fn changelog_since(&self, since: u64) -> Result<Vec<AppliedDelta>, Error> {
-        self.tier.service().changelog_since(since)
-    }
-    fn ping(&self) -> (u64, bool, u64) {
-        (
-            self.tier.service().version(),
-            self.tier.writer_live(),
-            self.tier.service().uptime_ms(),
-        )
-    }
-    fn checkpoint(&self) -> Result<u64, Error> {
-        self.tier.service().checkpoint()
-    }
-    fn stats_json(&self) -> String {
-        codec::stats_json(
-            &self.tier.service().session_stats(),
-            Some(&self.tier.service().stats()),
-            Some(&self.net_stats()),
-            self.tier.service().journal_stats().as_ref(),
-        )
-    }
-    fn metrics_text(&self) -> String {
-        self.tier.service().telemetry().render()
-    }
-}
-
 /// One listening socket (TCP or unix) serving the framed protocol over
-/// a shared [`AsyncService`]. Several servers may share one tier — the
-/// CLI binds `--listen` and `--socket` to the same queue — and shutting
-/// a server down never shuts the tier down.
+/// a shared [`Service`]. Several servers may share one service — the
+/// CLI binds `--listen` and `--socket` to the same one — and shutting a
+/// server down never stops the service's writer thread.
 pub struct NetServer {
     inner: Arc<Inner>,
     accept: Mutex<Option<JoinHandle<()>>>,
@@ -209,14 +166,14 @@ impl NetServer {
     /// [`NetServer::addr`] reports what was actually bound) and start
     /// accepting.
     pub fn bind_tcp(
-        tier: Arc<AsyncService>,
+        service: Service,
         addr: impl ToSocketAddrs,
         options: NetOptions,
     ) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?.to_string();
         Ok(NetServer::start(
-            tier,
+            service,
             Box::new(listener),
             options,
             addr,
@@ -240,7 +197,7 @@ impl NetServer {
     /// but concurrent *competing* starts on the same path need an
     /// external lock (e.g. `flock` on a sidecar file) to serialize.
     pub fn bind_unix(
-        tier: Arc<AsyncService>,
+        service: Service,
         path: impl AsRef<Path>,
         options: NetOptions,
     ) -> io::Result<NetServer> {
@@ -262,7 +219,7 @@ impl NetServer {
         let listener = UnixListener::bind(&path)?;
         let addr = path.display().to_string();
         Ok(NetServer::start(
-            tier,
+            service,
             Box::new(listener),
             options,
             addr,
@@ -271,14 +228,14 @@ impl NetServer {
     }
 
     fn start(
-        tier: Arc<AsyncService>,
+        service: Service,
         listener: Box<dyn Listener>,
         options: NetOptions,
         addr: String,
         unix_path: Option<PathBuf>,
     ) -> NetServer {
         let inner = Arc::new(Inner {
-            tier,
+            service,
             options,
             stop: AtomicBool::new(false),
             conns_accepted: AtomicU64::new(0),
@@ -310,15 +267,15 @@ impl NetServer {
         &self.addr
     }
 
-    /// Transport + writer-tier counters, merged.
+    /// Transport + write-queue counters, merged.
     pub fn stats(&self) -> NetStats {
         self.inner.net_stats()
     }
 
     /// Stop accepting, force-close every open connection, and join all
-    /// transport threads. Idempotent. The shared [`AsyncService`] is
-    /// left running — shut it down separately once every server
-    /// fronting it is down.
+    /// transport threads. Idempotent. The shared [`Service`] is left
+    /// running — shut it down separately once every server fronting it
+    /// is down.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = lock(&self.accept).take() {
@@ -417,7 +374,7 @@ fn admit(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
 /// (mid-frame EOF, timeouts, oversized frames, broken pipes) end the
 /// connection.
 fn serve_conn(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
-    let telemetry = inner.tier.service().telemetry();
+    let telemetry = inner.service.telemetry();
     loop {
         if inner.stop.load(Ordering::SeqCst) {
             break;
@@ -433,7 +390,12 @@ fn serve_conn(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
         let line = String::from_utf8_lossy(&payload);
         let response = match parse_command(&line) {
             Ok(Request::Quit) => break,
-            Ok(request) => execute(inner.as_ref(), &request),
+            // `stats` is answered here, not in `execute`: only the
+            // transport knows its connection counters.
+            Ok(Request::Stats) => Response::Stats {
+                json: codec::service_stats_json(&inner.service, Some(&inner.net_stats())),
+            },
+            Ok(request) => execute(&inner.service, &request),
             Err(message) => Response::protocol_error(message),
         };
         if write_frame(&mut *conn, render_json(&response).as_bytes()).is_err() {
@@ -448,15 +410,13 @@ fn serve_conn(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::writer::AsyncOptions;
-    use crate::Engine;
+    use crate::{Engine, Shutdown};
 
     const WIN_MOVE: &str =
         "wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).";
 
-    fn tier() -> Arc<AsyncService> {
-        let service = Engine::default().serve(WIN_MOVE).unwrap();
-        Arc::new(AsyncService::new(service, AsyncOptions::default()))
+    fn service() -> Service {
+        Engine::default().serve(WIN_MOVE).unwrap()
     }
 
     fn send(conn: &mut TcpStream, line: &str) -> String {
@@ -469,9 +429,9 @@ mod tests {
 
     #[test]
     fn tcp_round_trip_speaks_the_serve_protocol() {
-        let tier = tier();
+        let service = service();
         let server =
-            NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", NetOptions::default()).unwrap();
+            NetServer::bind_tcp(service.clone(), "127.0.0.1:0", NetOptions::default()).unwrap();
         let mut conn = TcpStream::connect(server.addr()).unwrap();
 
         assert_eq!(
@@ -510,17 +470,17 @@ mod tests {
         assert_eq!(stats.frames_in, 8);
         assert_eq!(stats.frames_out, 7, "quit is unanswered");
         server.shutdown();
-        tier.shutdown(crate::Shutdown::Drain);
+        service.shutdown(Shutdown::Drain);
     }
 
     #[test]
     fn connection_limit_refuses_loudly() {
-        let tier = tier();
+        let service = service();
         let options = NetOptions {
             max_conns: 1,
             ..NetOptions::default()
         };
-        let server = NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", options).unwrap();
+        let server = NetServer::bind_tcp(service.clone(), "127.0.0.1:0", options).unwrap();
         let mut first = TcpStream::connect(server.addr()).unwrap();
         assert_eq!(send(&mut first, "version"), "{\"version\":0}");
 
@@ -539,15 +499,15 @@ mod tests {
         assert_eq!(stats.conns_accepted, 1);
         assert_eq!(stats.conns_rejected, 1);
         server.shutdown();
-        tier.shutdown(crate::Shutdown::Drain);
+        service.shutdown(Shutdown::Drain);
     }
 
     #[test]
     fn unix_socket_round_trip() {
-        let tier = tier();
+        let service = service();
         let path = std::env::temp_dir().join(format!("afp-net-test-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let server = NetServer::bind_unix(Arc::clone(&tier), &path, NetOptions::default()).unwrap();
+        let server = NetServer::bind_unix(service.clone(), &path, NetOptions::default()).unwrap();
         let mut conn = UnixStream::connect(&path).unwrap();
         write_frame(&mut conn, b"query wins(b)").unwrap();
         let payload = codec::read_frame(&mut conn, codec::DEFAULT_MAX_FRAME_LEN)
@@ -560,7 +520,7 @@ mod tests {
         drop(conn);
         server.shutdown();
         assert!(!path.exists(), "socket file removed on shutdown");
-        tier.shutdown(crate::Shutdown::Drain);
+        service.shutdown(Shutdown::Drain);
     }
 
     #[test]
@@ -572,8 +532,8 @@ mod tests {
         drop(UnixListener::bind(&path).unwrap());
         assert!(path.exists(), "stale socket file left behind");
 
-        let tier = tier();
-        let server = NetServer::bind_unix(Arc::clone(&tier), &path, NetOptions::default())
+        let service = service();
+        let server = NetServer::bind_unix(service.clone(), &path, NetOptions::default())
             .expect("stale socket reclaimed");
         let mut conn = UnixStream::connect(&path).unwrap();
         write_frame(&mut conn, b"ping").unwrap();
@@ -589,24 +549,24 @@ mod tests {
 
         // While that server is alive, a second bind must refuse loudly
         // rather than steal the live socket.
-        let err = NetServer::bind_unix(Arc::clone(&tier), &path, NetOptions::default())
+        let err = NetServer::bind_unix(service.clone(), &path, NetOptions::default())
             .expect_err("live socket must not be reclaimed");
         assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
         assert!(err.to_string().contains("another server is live"), "{err}");
         assert!(path.exists(), "live socket file untouched");
 
         server.shutdown();
-        tier.shutdown(crate::Shutdown::Drain);
+        service.shutdown(Shutdown::Drain);
     }
 
     #[test]
     fn server_shutdown_force_closes_idle_connections() {
-        let tier = tier();
+        let service = service();
         let options = NetOptions {
             read_timeout: None, // idle forever — only shutdown can end it
             ..NetOptions::default()
         };
-        let server = NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", options).unwrap();
+        let server = NetServer::bind_tcp(service.clone(), "127.0.0.1:0", options).unwrap();
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         assert_eq!(send(&mut conn, "version"), "{\"version\":0}");
         // Shutdown must not hang on the idle connection…
@@ -614,6 +574,6 @@ mod tests {
         // …and the client sees EOF or an error, never a hang.
         let after = codec::read_frame(&mut conn, codec::DEFAULT_MAX_FRAME_LEN);
         assert!(matches!(after, Ok(None) | Err(_)));
-        tier.shutdown(crate::Shutdown::Drain);
+        service.shutdown(Shutdown::Drain);
     }
 }

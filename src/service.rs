@@ -1,4 +1,5 @@
-//! Concurrent model serving: one writer, any number of lock-free readers.
+//! Concurrent model serving: one writer thread, any number of lock-free
+//! readers.
 //!
 //! The economics of the well-founded semantics invert the usual
 //! read/write balance: computing the model is the expensive step
@@ -10,9 +11,10 @@
 //!
 //! [`Service`] packages that regime around the engine's existing seams:
 //!
-//! * the single **writer** is the owned [`Session`] — all of PR 2/3's
-//!   warm machinery (batched envelope deltas, per-SCC memoized re-solves)
-//!   applies to every published version;
+//! * the single **writer** is the owned [`Session`], driven by one
+//!   dedicated writer thread that the service spawns when it is built.
+//!   All of the session's warm machinery (batched envelope deltas,
+//!   per-SCC memoized re-solves) applies to every published version;
 //! * each published version is a [`ModelSnapshot`]: an epoch-stamped
 //!   `Arc<Model>` over the session's copy-on-write `GroundProgram`
 //!   snapshot. **Reads take no lock**: pinning the current version is one
@@ -21,14 +23,21 @@
 //!   immutable data — truth probes, iteration, even whole
 //!   relevance-restricted subqueries ([`ModelSnapshot::subquery`]) run on
 //!   reader threads without touching the writer;
-//! * concurrent delta submissions **coalesce**: while one write cycle is
-//!   in flight, every delta submitted behind it queues up and is applied
-//!   as a single batched warm update in the next cycle (adjacent
-//!   same-kind deltas merge into one batch call, i.e. one envelope-delta
-//!   round, riding `assert_batch`/`assert_rules`). Under write
-//!   contention the solve cost is paid per *cycle*, not per submission —
-//!   [`ServiceStats::write_cycles`] vs [`ServiceStats::submissions`]
-//!   shows the ratio;
+//! * writes are **submissions** to a bounded queue
+//!   ([`ServiceOptions::queue_depth`]). [`Service::submit`] returns a
+//!   [`SubmitHandle`] at once — a futures-free promise that can be
+//!   waited, polled or waited with a timeout — and the blocking
+//!   [`Service::assert_facts`] family is `submit(…)?.wait()`. A full
+//!   queue refuses with [`Error::Overloaded`] immediately; a queued
+//!   submission whose deadline ([`ServiceOptions::submit_deadline`])
+//!   passes before the writer picks it up fails with
+//!   [`Error::SubmitTimeout`] without being applied;
+//! * concurrent submissions **coalesce**: the writer thread takes the
+//!   whole queue per cycle and applies it as one batched warm update
+//!   (adjacent same-kind deltas merge into one batch call, i.e. one
+//!   envelope-delta round). Under write contention the solve cost is
+//!   paid per *cycle*, not per submission — [`ServiceStats::write_cycles`]
+//!   vs [`ServiceStats::submissions`] shows the ratio;
 //! * a small version-keyed cache ([`Service::at_version`]) serves repeat
 //!   requests for recent versions as pointer copies, and a bounded
 //!   changelog ([`Service::changelog`]) records which deltas produced
@@ -55,8 +64,21 @@
 //! changelog attributes it to that version, keeping reconstruction
 //! exact.
 //!
+//! ## Shutdown and panics
+//!
+//! Every accepted submission gets a terminal result, so no handle can
+//! hang. [`Service::shutdown`] with [`Shutdown::Drain`] runs every
+//! queued cycle to completion; [`Shutdown::Abort`] fails everything
+//! still queued with [`Error::ServiceStopped`]. Dropping the last
+//! `Service` handle drains and joins the writer thread. A write cycle
+//! that panics stops the writer: its own submissions and everything
+//! queued behind it fail with [`Error::WriterAborted`], later
+//! submissions with [`Error::ServiceStopped`], and reads keep answering
+//! from the last published version. A writer that unwound mid-delta
+//! never applies another one.
+//!
 //! ```
-//! use afp::{Engine, Truth};
+//! use afp::{DeltaKind, Engine, Truth};
 //!
 //! let service = Engine::default()
 //!     .serve("wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).")
@@ -69,17 +91,23 @@
 //! assert_eq!(v, 1);
 //! assert_eq!(service.snapshot().truth("wins", &["c"]), Truth::True);
 //! assert_eq!(pinned.truth("wins", &["c"]), Truth::False); // still version 0
+//!
+//! // Or submit without blocking, and wait on the handle later.
+//! let handle = service.submit(DeltaKind::AssertFacts, "move(d, e).").unwrap();
+//! assert_eq!(handle.wait().unwrap(), 2);
 //! ```
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::engine::restricted_wfs_model;
 use crate::journal::{self, CrashPoint, Journal, JournalOptions, JournalStats};
 use crate::telemetry::{stat_set, PhaseBreakdown, Telemetry};
-use crate::{Engine, Error, Model, Session, SessionStats, Truth};
+use crate::{Engine, Error, Model, NetStats, Session, SessionStats, Truth};
 
 /// Lock a mutex, recovering the data on poison: the service's shared
 /// state is kept consistent by construction (publishing happens after a
@@ -135,6 +163,16 @@ pub struct ServiceOptions {
     pub cache_capacity: usize,
     /// How many [`AppliedDelta`]s the changelog retains.
     pub changelog_capacity: usize,
+    /// Bounded write-queue depth. A submission arriving at a full queue
+    /// is rejected with [`Error::Overloaded`] immediately — admission
+    /// control never blocks the submitter.
+    pub queue_depth: usize,
+    /// Default per-submission deadline, measured from enqueue. A queued
+    /// submission whose deadline passes before the writer picks it up
+    /// fails with [`Error::SubmitTimeout`] without being applied.
+    /// `None` = no deadline. Override per call with
+    /// [`Service::submit_with_deadline`].
+    pub submit_deadline: Option<Duration>,
 }
 
 impl Default for ServiceOptions {
@@ -142,6 +180,8 @@ impl Default for ServiceOptions {
         ServiceOptions {
             cache_capacity: 8,
             changelog_capacity: 1024,
+            queue_depth: 64,
+            submit_deadline: None,
         }
     }
 }
@@ -162,8 +202,8 @@ pub struct ServiceStats {
     /// submission (the coalescing win; `0` under purely sequential
     /// writers).
     pub coalesced: u64,
-    /// Submissions whose delta failed (parse/safety/grounding error); the
-    /// published chain skips them.
+    /// Submissions that failed, whichever step refused them: validation,
+    /// admission, deadline, shutdown, apply, solve or journal.
     pub rejected: u64,
     /// Snapshots pinned through [`Service::snapshot`].
     pub pins: u64,
@@ -252,50 +292,31 @@ impl std::fmt::Debug for ModelSnapshot {
     }
 }
 
-/// One queued submission: the delta plus the slot its submitter blocks
-/// on until the cycle that applies it publishes (or fails). The net
-/// tier's dedicated writer thread ([`crate::net::AsyncService`]) builds
-/// these too and feeds them through [`Service::run_cycle`].
-pub(crate) struct Pending {
-    pub(crate) kind: DeltaKind,
-    pub(crate) text: String,
-    pub(crate) slot: Arc<Slot>,
-}
-
-impl Pending {
-    pub(crate) fn new(kind: DeltaKind, text: String, slot: Arc<Slot>) -> Pending {
-        Pending { kind, text, slot }
-    }
-}
-
-impl Drop for Pending {
-    /// Panic safety: a `Pending` dropped before its slot was filled means
-    /// the leader unwound mid-cycle (a bug in a delta path, surfaced as a
-    /// panic). Fail the submission instead of leaving its submitter
-    /// blocked on the condvar forever.
-    fn drop(&mut self) {
-        let mut guard = lock(&self.slot.result);
-        if guard.is_none() {
-            *guard = Some(Err(Error::WriterAborted));
-            self.slot.ready.notify_all();
-        }
-    }
+/// How [`Service::shutdown`] disposes of queued submissions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shutdown {
+    /// Run every queued cycle to completion before stopping; queued
+    /// submitters get their real results.
+    Drain,
+    /// Stop after the in-flight cycle (if any); everything still queued
+    /// fails with [`Error::ServiceStopped`].
+    Abort,
 }
 
 /// Completion slot for one submission.
 #[derive(Default)]
-pub(crate) struct Slot {
+struct Slot {
     result: Mutex<Option<Result<u64, Error>>>,
     ready: Condvar,
 }
 
 impl Slot {
-    pub(crate) fn fill(&self, outcome: Result<u64, Error>) {
+    fn fill(&self, outcome: Result<u64, Error>) {
         *lock(&self.result) = Some(outcome);
         self.ready.notify_all();
     }
 
-    pub(crate) fn wait(&self) -> Result<u64, Error> {
+    fn wait(&self) -> Result<u64, Error> {
         let mut guard = lock(&self.result);
         loop {
             if let Some(outcome) = guard.as_ref() {
@@ -309,20 +330,20 @@ impl Slot {
     }
 
     /// Non-blocking poll: `None` while the cycle is still pending.
-    pub(crate) fn try_get(&self) -> Option<Result<u64, Error>> {
+    fn try_get(&self) -> Option<Result<u64, Error>> {
         lock(&self.result).clone()
     }
 
     /// Wait at most `timeout` for the terminal result. `None` on
     /// timeout — the submission stays queued and may still complete.
-    pub(crate) fn wait_timeout(&self, timeout: std::time::Duration) -> Option<Result<u64, Error>> {
-        let deadline = std::time::Instant::now() + timeout;
+    fn wait_timeout(&self, timeout: Duration) -> Option<Result<u64, Error>> {
+        let deadline = Instant::now() + timeout;
         let mut guard = lock(&self.result);
         loop {
             if let Some(outcome) = guard.as_ref() {
                 return Some(outcome.clone());
             }
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             if now >= deadline {
                 return None;
             }
@@ -335,14 +356,124 @@ impl Slot {
     }
 }
 
-/// The submission queue and the leader flag: the first submitter to find
-/// `writer_active == false` becomes the cycle leader and drains the
-/// queue (its own delta included) until empty; everyone else just
-/// enqueues and waits on their slot.
-#[derive(Default)]
-struct WriteQueue {
-    pending: Vec<Pending>,
-    writer_active: bool,
+/// A pending submission's completion future. Futures-free blocking
+/// bridge: [`wait`](SubmitHandle::wait) blocks,
+/// [`try_result`](SubmitHandle::try_result) polls, and
+/// [`wait_timeout`](SubmitHandle::wait_timeout) bounds the block. All
+/// of them return the version that first includes the delta, or the
+/// terminal error. Dropping the handle abandons the *wait*, never the
+/// submission: the delta stays queued and is applied (or expired)
+/// normally.
+pub struct SubmitHandle {
+    slot: Arc<Slot>,
+}
+
+impl std::fmt::Debug for SubmitHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SubmitHandle")
+            .field("result", &self.slot.try_get())
+            .finish()
+    }
+}
+
+impl SubmitHandle {
+    /// Block until the write cycle that includes this delta publishes
+    /// (or terminally fails). Every queued submission is guaranteed a
+    /// terminal result — by its cycle, its deadline, shutdown, or the
+    /// panic-safe abort path — so this cannot hang.
+    pub fn wait(&self) -> Result<u64, Error> {
+        self.slot.wait()
+    }
+
+    /// Non-blocking poll: `None` while the submission is still queued
+    /// or its cycle is still running.
+    pub fn try_result(&self) -> Option<Result<u64, Error>> {
+        self.slot.try_get()
+    }
+
+    /// [`wait`](SubmitHandle::wait), but give up after `timeout`.
+    /// `None` means the submission is *still pending* (not failed):
+    /// the caller may keep polling or abandon the handle.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<u64, Error>> {
+        self.slot.wait_timeout(timeout)
+    }
+}
+
+/// One queued submission: the delta, its deadline, and the slot its
+/// submitter waits on until the cycle that applies it publishes (or
+/// fails).
+struct Queued {
+    kind: DeltaKind,
+    text: String,
+    slot: Arc<Slot>,
+    deadline: Option<Instant>,
+    enqueued: Instant,
+}
+
+impl Drop for Queued {
+    /// Backstop for the terminal-result guarantee: a submission dropped
+    /// before its slot was filled fails with [`Error::WriterAborted`]
+    /// instead of leaving its submitter blocked on the condvar forever.
+    fn drop(&mut self) {
+        let mut guard = lock(&self.slot.result);
+        if guard.is_none() {
+            *guard = Some(Err(Error::WriterAborted));
+            self.slot.ready.notify_all();
+        }
+    }
+}
+
+enum QueueState {
+    Running,
+    Draining,
+    Aborting,
+    Stopped,
+}
+
+struct SubmitQueue {
+    items: VecDeque<Queued>,
+    state: QueueState,
+    /// Test seam: while `true` the writer thread leaves the queue
+    /// untouched, so admission control can be exercised
+    /// deterministically (fill the queue → observe `Overloaded`).
+    held: bool,
+}
+
+/// Sliding window of recent submit→completion latencies (microseconds).
+struct LatencyRing {
+    samples: Vec<u64>,
+    next: usize,
+}
+
+const LATENCY_WINDOW: usize = 4096;
+
+impl LatencyRing {
+    fn new() -> Self {
+        LatencyRing {
+            samples: Vec::with_capacity(LATENCY_WINDOW),
+            next: 0,
+        }
+    }
+
+    fn record(&mut self, us: u64) {
+        if self.samples.len() < LATENCY_WINDOW {
+            self.samples.push(us);
+        } else {
+            self.samples[self.next] = us;
+        }
+        self.next = (self.next + 1) % LATENCY_WINDOW;
+    }
+
+    /// (p50, p99) over the window; (0, 0) before the first completion.
+    fn percentiles(&self) -> (u64, u64) {
+        if self.samples.is_empty() {
+            return (0, 0);
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let at = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
+        (at(0.50), at(0.99))
+    }
 }
 
 /// The writer session plus the deltas applied to it that no published
@@ -361,11 +492,15 @@ struct Writer {
     journal: Option<Journal>,
 }
 
+/// State shared by every [`Service`] handle and the writer thread.
 struct Shared {
-    queue: Mutex<WriteQueue>,
-    /// The single writer. Held only by the cycle leader, and never while
-    /// `queue` is locked (submitters must be able to enqueue during a
-    /// running cycle — that is what coalescing is).
+    queue: Mutex<SubmitQueue>,
+    /// Signaled when the queue becomes non-empty or the state/hold
+    /// changes; the writer thread waits on it.
+    work: Condvar,
+    /// The single writer. Write cycles run on the writer thread; the
+    /// lock is also taken briefly by `checkpoint` and the stats
+    /// accessors.
     writer: Mutex<Writer>,
     /// The published head. Readers take the read side for one `Arc`
     /// bump; only a publishing cycle takes the write side, briefly.
@@ -385,6 +520,7 @@ struct Shared {
     /// crash-recovery test suite.
     crash_seam: Mutex<Option<CrashPoint>>,
     options: ServiceOptions,
+    latencies: Mutex<LatencyRing>,
     submissions: AtomicU64,
     write_cycles: AtomicU64,
     coalesced: AtomicU64,
@@ -395,6 +531,12 @@ struct Shared {
     changelog_evicted: AtomicU64,
     last_cycle_width: AtomicU64,
     max_cycle_width: AtomicU64,
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    overloaded: AtomicU64,
+    timed_out: AtomicU64,
+    aborted: AtomicU64,
+    queue_depth_hwm: AtomicU64,
     /// Phase-timing sink for write cycles. Enabled (but unconfigured —
     /// no trace file, no slow-cycle threshold) by default so `metrics`
     /// works out of the box; [`Service::set_telemetry`] swaps in a
@@ -405,21 +547,60 @@ struct Shared {
     started: Instant,
 }
 
-/// A concurrent serving layer over one writer [`Session`]. Cheap to
-/// clone (shared handle); clones refer to the same service. See the
-/// module docs for the full model.
+/// The writer thread's join handle. Every [`Service`] clone holds it and
+/// the writer thread does not, so dropping the last handle drops this,
+/// which drains the queue and joins the thread.
+struct WriterThread {
+    shared: Arc<Shared>,
+    handle: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl WriterThread {
+    fn stop(&self, mode: Shutdown) {
+        {
+            let mut q = lock(&self.shared.queue);
+            if !matches!(q.state, QueueState::Stopped) {
+                q.state = match mode {
+                    Shutdown::Drain => QueueState::Draining,
+                    Shutdown::Abort => QueueState::Aborting,
+                };
+            }
+            q.held = false;
+        }
+        self.shared.work.notify_all();
+        if let Some(handle) = lock(&self.handle).take() {
+            // The writer loop catches every cycle panic, so the thread
+            // itself ends normally.
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for WriterThread {
+    fn drop(&mut self) {
+        self.stop(Shutdown::Drain);
+    }
+}
+
+/// A concurrent serving layer over one writer [`Session`] and the
+/// dedicated thread that drives it. Cheap to clone (shared handle);
+/// clones refer to the same service, and dropping the last one drains
+/// the write queue and joins the writer thread. See the module docs for
+/// the full model.
 #[derive(Clone)]
 pub struct Service {
     shared: Arc<Shared>,
+    thread: Arc<WriterThread>,
 }
 
 impl Service {
-    /// Wrap a loaded session, solve it once, and publish version 0.
+    /// Wrap a loaded session, solve it once, publish version 0, and
+    /// start the writer thread.
     pub fn new(session: Session) -> Result<Service, Error> {
         Service::with_options(session, ServiceOptions::default())
     }
 
-    /// [`Service::new`] with explicit cache/changelog bounds.
+    /// [`Service::new`] with explicit cache/changelog/queue bounds.
     pub fn with_options(session: Session, options: ServiceOptions) -> Result<Service, Error> {
         Service::build(session, options, None, 0, Vec::new(), 0)
     }
@@ -500,9 +681,9 @@ impl Service {
     }
 
     /// Shared tail of every constructor: solve the (possibly replayed)
-    /// session once, publish `head_version`, and seed the changelog with
+    /// session once, publish `head_version`, seed the changelog with
     /// the already-durable `entries` (recovery) under the usual bounded
-    /// retention.
+    /// retention, and spawn the writer thread.
     fn build(
         mut session: Session,
         options: ServiceOptions,
@@ -529,34 +710,58 @@ impl Service {
                 evicted += 1;
             }
         }
-        Ok(Service {
-            shared: Arc::new(Shared {
-                queue: Mutex::new(WriteQueue::default()),
-                writer: Mutex::new(Writer {
-                    session,
-                    unpublished: Vec::new(),
-                    journal,
-                }),
-                head: RwLock::new(head),
-                version: AtomicU64::new(head_version),
-                cache: Mutex::new(cache),
-                changelog: Mutex::new(changelog),
-                log_horizon: AtomicU64::new(horizon),
-                crash_seam: Mutex::new(None),
-                options,
-                submissions: AtomicU64::new(0),
-                write_cycles: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                pins: AtomicU64::new(0),
-                cache_hits: AtomicU64::new(0),
-                cache_misses: AtomicU64::new(0),
-                changelog_evicted: AtomicU64::new(evicted),
-                last_cycle_width: AtomicU64::new(0),
-                max_cycle_width: AtomicU64::new(0),
-                telemetry: Mutex::new(Telemetry::new()),
-                started: Instant::now(),
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(SubmitQueue {
+                items: VecDeque::new(),
+                state: QueueState::Running,
+                held: false,
             }),
+            work: Condvar::new(),
+            writer: Mutex::new(Writer {
+                session,
+                unpublished: Vec::new(),
+                journal,
+            }),
+            head: RwLock::new(head),
+            version: AtomicU64::new(head_version),
+            cache: Mutex::new(cache),
+            changelog: Mutex::new(changelog),
+            log_horizon: AtomicU64::new(horizon),
+            crash_seam: Mutex::new(None),
+            options,
+            latencies: Mutex::new(LatencyRing::new()),
+            submissions: AtomicU64::new(0),
+            write_cycles: AtomicU64::new(0),
+            coalesced: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            pins: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            changelog_evicted: AtomicU64::new(evicted),
+            last_cycle_width: AtomicU64::new(0),
+            max_cycle_width: AtomicU64::new(0),
+            submitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            overloaded: AtomicU64::new(0),
+            timed_out: AtomicU64::new(0),
+            aborted: AtomicU64::new(0),
+            queue_depth_hwm: AtomicU64::new(0),
+            telemetry: Mutex::new(Telemetry::new()),
+            started: Instant::now(),
+        });
+        let handle = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("afp-writer".into())
+                .spawn(move || writer_loop(&shared))
+                .expect("spawn writer thread")
+        };
+        Ok(Service {
+            thread: Arc::new(WriterThread {
+                shared: Arc::clone(&shared),
+                handle: Mutex::new(Some(handle)),
+            }),
+            shared,
         })
     }
 
@@ -650,6 +855,28 @@ impl Service {
         }
     }
 
+    /// Write-queue and latency counters, in the [`NetStats`] shape the
+    /// `net` stats section uses. The connection fields stay zero;
+    /// [`crate::NetServer::stats`] fills them.
+    pub fn queue_stats(&self) -> NetStats {
+        let s = &self.shared;
+        let (write_p50_us, write_p99_us) = lock(&s.latencies).percentiles();
+        NetStats {
+            submitted: s.submitted.load(Ordering::Relaxed),
+            completed: s.completed.load(Ordering::Relaxed),
+            overloaded: s.overloaded.load(Ordering::Relaxed),
+            timed_out: s.timed_out.load(Ordering::Relaxed),
+            aborted: s.aborted.load(Ordering::Relaxed),
+            queue_depth: lock(&s.queue).items.len() as u64,
+            queue_depth_hwm: s.queue_depth_hwm.load(Ordering::Relaxed),
+            last_cycle_width: s.last_cycle_width.load(Ordering::Relaxed),
+            max_cycle_width: s.max_cycle_width.load(Ordering::Relaxed),
+            write_p50_us,
+            write_p99_us,
+            ..NetStats::default()
+        }
+    }
+
     /// The writer session's own reuse counters (briefly locks the
     /// writer; don't call on a hot read path).
     pub fn session_stats(&self) -> SessionStats {
@@ -668,12 +895,25 @@ impl Service {
     /// A clone of the current telemetry handle (shares the same
     /// registry, ring and trace sink).
     pub fn telemetry(&self) -> Telemetry {
-        lock(&self.shared.telemetry).clone()
+        self.shared.telemetry()
     }
 
     /// Milliseconds since this service was constructed.
     pub fn uptime_ms(&self) -> u64 {
         self.shared.started.elapsed().as_millis() as u64
+    }
+
+    /// Whether the writer thread is alive and accepting work — the
+    /// liveness half of the protocol's `ping` readiness probe. `false`
+    /// once the service is draining, aborting, or stopped (shutdown or
+    /// a writer panic): queries still answer from published snapshots,
+    /// but new submissions are refused. When the service journals with
+    /// [`crate::JournalOptions::ack_durable`], a live writer also means
+    /// every handle it has resolved was acked **after** its journal
+    /// record synced (slots are filled only after the cycle's sync
+    /// step).
+    pub fn writer_live(&self) -> bool {
+        matches!(lock(&self.shared.queue).state, QueueState::Running)
     }
 
     // ------------------------------------------------------------------
@@ -683,135 +923,271 @@ impl Service {
     /// Assert ground facts; blocks until the write cycle that includes
     /// them publishes, and returns that version.
     pub fn assert_facts(&self, facts: &str) -> Result<u64, Error> {
-        self.submit(DeltaKind::AssertFacts, facts)
+        self.submit(DeltaKind::AssertFacts, facts)?.wait()
     }
 
     /// Retract ground facts; see [`Service::assert_facts`].
     pub fn retract_facts(&self, facts: &str) -> Result<u64, Error> {
-        self.submit(DeltaKind::RetractFacts, facts)
+        self.submit(DeltaKind::RetractFacts, facts)?.wait()
     }
 
     /// Assert rules (facts allowed); see [`Service::assert_facts`].
     pub fn assert_rules(&self, rules: &str) -> Result<u64, Error> {
-        self.submit(DeltaKind::AssertRules, rules)
+        self.submit(DeltaKind::AssertRules, rules)?.wait()
     }
 
     /// Retract rules; see [`Service::assert_facts`].
     pub fn retract_rules(&self, rules: &str) -> Result<u64, Error> {
-        self.submit(DeltaKind::RetractRules, rules)
+        self.submit(DeltaKind::RetractRules, rules)?.wait()
     }
 
-    /// Queue one delta and drive (or wait for) the write cycle that
-    /// applies it. The first submitter to find no cycle in flight
-    /// becomes the leader and drains the queue until empty — including
-    /// deltas that arrive *while* it is applying earlier ones, which is
-    /// exactly the coalescing: those share one batched warm update and
-    /// one solve.
-    fn submit(&self, kind: DeltaKind, text: &str) -> Result<u64, Error> {
-        self.shared.submissions.fetch_add(1, Ordering::Relaxed);
-        // Reject malformed text before it can poison a shared batch:
-        // parse errors (and non-fact rules on the fact paths) are the
-        // submitter's own, never its cycle-mates'.
-        if let Err(e) = validate(kind, text) {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let slot = Arc::new(Slot::default());
-        let leader = {
-            let mut queue = lock(&self.shared.queue);
-            queue.pending.push(Pending {
+    /// Enqueue one delta for the writer thread, with the default
+    /// deadline from [`ServiceOptions::submit_deadline`]. Returns
+    /// immediately: `Ok(handle)` once admitted, or the admission
+    /// verdict — [`Error::Overloaded`] on a full queue (never blocks),
+    /// [`Error::ServiceStopped`] after shutdown, or a validation error
+    /// for a textually malformed delta, which fails here on the
+    /// submitting thread before it can reach a shared batch.
+    pub fn submit(&self, kind: DeltaKind, text: &str) -> Result<SubmitHandle, Error> {
+        self.submit_with_deadline(kind, text, self.shared.options.submit_deadline)
+    }
+
+    /// [`submit`](Service::submit) with an explicit per-submission
+    /// deadline (measured from enqueue; `None` = wait indefinitely).
+    pub fn submit_with_deadline(
+        &self,
+        kind: DeltaKind,
+        text: &str,
+        deadline: Option<Duration>,
+    ) -> Result<SubmitHandle, Error> {
+        let s = &self.shared;
+        s.submissions.fetch_add(1, Ordering::Relaxed);
+        let admitted = validate(kind, text).and_then(|()| {
+            let mut q = lock(&s.queue);
+            if !matches!(q.state, QueueState::Running) {
+                return Err(Error::ServiceStopped);
+            }
+            if q.items.len() >= s.options.queue_depth {
+                s.overloaded.fetch_add(1, Ordering::Relaxed);
+                return Err(Error::Overloaded);
+            }
+            let slot = Arc::new(Slot::default());
+            let now = Instant::now();
+            q.items.push_back(Queued {
                 kind,
                 text: text.to_string(),
                 slot: Arc::clone(&slot),
+                deadline: deadline.map(|d| now + d),
+                enqueued: now,
             });
-            if queue.writer_active {
-                false
-            } else {
-                queue.writer_active = true;
-                true
+            s.submitted.fetch_add(1, Ordering::Relaxed);
+            s.queue_depth_hwm
+                .fetch_max(q.items.len() as u64, Ordering::Relaxed);
+            Ok(slot)
+        });
+        match admitted {
+            Ok(slot) => {
+                s.work.notify_all();
+                Ok(SubmitHandle { slot })
             }
-        };
-        if leader {
-            self.drain_cycles();
+            Err(e) => {
+                s.rejected.fetch_add(1, Ordering::Relaxed);
+                Err(e)
+            }
         }
-        let outcome = slot.wait();
-        if outcome.is_err() {
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-        }
-        outcome
     }
 
-    /// Leader loop: take everything queued, run one write cycle, repeat
-    /// until the queue drains, then hand the leader role back.
-    ///
-    /// Panic safety: if a cycle unwinds, the guard hands the leader role
-    /// back and fails everything still queued (each dropped [`Pending`]
-    /// completes its slot with [`Error::WriterAborted`]), so no submitter
-    /// is left blocked behind a dead leader. Published versions are
-    /// unaffected — publishing is the last step of a successful cycle.
-    fn drain_cycles(&self) {
-        struct LeaderGuard<'a> {
-            shared: &'a Shared,
-            clean_exit: bool,
+    /// Stop the writer thread deterministically and join it. Idempotent.
+    /// [`Shutdown::Drain`] completes every queued cycle first;
+    /// [`Shutdown::Abort`] fails everything still queued with
+    /// [`Error::ServiceStopped`]. Either way every outstanding
+    /// [`SubmitHandle`] resolves. Subsequent submissions return
+    /// [`Error::ServiceStopped`]; reads keep working.
+    pub fn shutdown(&self, mode: Shutdown) {
+        self.thread.stop(mode);
+    }
+
+    /// Test seam: freeze (`true`) / thaw (`false`) the writer thread so
+    /// admission control, deadlines and shutdown can be exercised with
+    /// a deterministically full queue. Hidden, not `cfg(test)`, so
+    /// integration tests and benches can reach it.
+    #[doc(hidden)]
+    pub fn hold_writer(&self, held: bool) {
+        lock(&self.shared.queue).held = held;
+        self.shared.work.notify_all();
+    }
+
+    // ------------------------------------------------------------------
+    // Durability
+    // ------------------------------------------------------------------
+
+    /// Write a checkpoint of the current version now (the protocol's
+    /// `checkpoint` command) and compact the journal prefix it subsumes.
+    /// Returns the checkpointed version. A no-op (still `Ok`) when the
+    /// current version is already checkpointed;
+    /// [`Error::Journal`] on an unjournaled service.
+    pub fn checkpoint(&self) -> Result<u64, Error> {
+        let mut writer = lock(&self.shared.writer);
+        let version = self.shared.version.load(Ordering::Acquire);
+        self.shared.checkpoint_writer(&mut writer, version)?;
+        Ok(version)
+    }
+
+    /// Journal counters, `None` on an unjournaled service. Briefly locks
+    /// the writer.
+    pub fn journal_stats(&self) -> Option<JournalStats> {
+        lock(&self.shared.writer)
+            .journal
+            .as_ref()
+            .map(|j| j.stats())
+    }
+
+    /// Arm (or with `None`, disarm) the fault-injection seam: the next
+    /// write cycle to reach `point` panics there, exactly as an OOM kill
+    /// or power cut at that instruction would end the process. One-shot:
+    /// the seam disarms as it fires. Like the grounder's poison seam and
+    /// [`Service::hold_writer`], this is test-only plumbing kept out of
+    /// the docs rather than behind `cfg(test)` so the crash-recovery
+    /// suite in `tests/` can reach it.
+    #[doc(hidden)]
+    pub fn inject_crash_for_testing(&self, point: Option<CrashPoint>) {
+        *lock(&self.shared.crash_seam) = point;
+    }
+}
+
+impl std::fmt::Debug for Service {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Service")
+            .field("version", &self.version())
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+/// The writer thread: wait for work, take the whole queue as one batch
+/// (maximal coalescing), expire dead submissions, run the cycle, and
+/// resolve every submitter. Counters move before a slot is filled, so a
+/// waiter released by the fill already sees its outcome in the stats.
+fn writer_loop(shared: &Shared) {
+    while let Some(batch) = next_batch(shared) {
+        // Expire submissions whose deadline passed while queued: they
+        // cost nothing beyond the queue slot they held.
+        let now = Instant::now();
+        let (expired, live): (Vec<Queued>, Vec<Queued>) = batch
+            .into_iter()
+            .partition(|item| item.deadline.is_some_and(|d| d <= now));
+        for item in expired {
+            shared.timed_out.fetch_add(1, Ordering::Relaxed);
+            shared.rejected.fetch_add(1, Ordering::Relaxed);
+            item.slot.fill(Err(Error::SubmitTimeout));
         }
-        impl Drop for LeaderGuard<'_> {
-            fn drop(&mut self) {
-                if !self.clean_exit {
-                    let abandoned = {
-                        let mut queue = lock(&self.shared.queue);
-                        queue.writer_active = false;
-                        std::mem::take(&mut queue.pending)
-                    };
-                    drop(abandoned); // fails each slot via Pending::drop
-                }
+        if live.is_empty() {
+            continue;
+        }
+
+        // Queue-wait latency: enqueue → writer pickup, per submission
+        // (distinct from the submit→completion window, which includes
+        // the cycle itself).
+        let telemetry = shared.telemetry();
+        for item in &live {
+            telemetry.record_queue_wait(now.duration_since(item.enqueued).as_nanos() as u64);
+        }
+
+        let cycle = catch_unwind(AssertUnwindSafe(|| shared.run_cycle(&live, &telemetry)));
+        let panicked = cycle.is_err();
+        let outcomes = cycle.unwrap_or_else(|_| vec![Err(Error::WriterAborted); live.len()]);
+        if panicked {
+            // A writer that has unwound mid-delta must not keep
+            // applying: stop before the batch's waiters are released,
+            // so their next submission is refused, and fail whatever
+            // queued behind the dead cycle.
+            stop_queue(shared, &mut lock(&shared.queue), Error::WriterAborted);
+        }
+
+        let finished = Instant::now();
+        {
+            let mut ring = lock(&shared.latencies);
+            for item in &live {
+                ring.record(finished.duration_since(item.enqueued).as_micros() as u64);
             }
         }
-        let mut guard = LeaderGuard {
-            shared: &self.shared,
-            clean_exit: false,
-        };
-        loop {
-            let batch = {
-                let mut queue = lock(&self.shared.queue);
-                if queue.pending.is_empty() {
-                    // Atomic with the emptiness check: a submitter that
-                    // enqueues after this sees `writer_active == false`
-                    // and becomes the next leader itself.
-                    queue.writer_active = false;
+        shared
+            .completed
+            .fetch_add(live.len() as u64, Ordering::Relaxed);
+        for (item, outcome) in live.iter().zip(outcomes) {
+            if outcome.is_err() {
+                shared.rejected.fetch_add(1, Ordering::Relaxed);
+            }
+            item.slot.fill(outcome);
+        }
+        if panicked {
+            return;
+        }
+    }
+}
+
+/// Block until there is work, then take the whole queue. `None` once
+/// the writer should exit: a drain found the queue empty, an abort
+/// failed what was left, or the queue was already stopped.
+fn next_batch(shared: &Shared) -> Option<Vec<Queued>> {
+    let mut q = lock(&shared.queue);
+    loop {
+        match q.state {
+            QueueState::Running => {
+                if !q.held && !q.items.is_empty() {
                     break;
                 }
-                std::mem::take(&mut queue.pending)
-            };
-            self.run_cycle(batch);
+                q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+            }
+            QueueState::Draining => {
+                if q.items.is_empty() {
+                    q.state = QueueState::Stopped;
+                    return None;
+                }
+                break;
+            }
+            QueueState::Aborting => {
+                stop_queue(shared, &mut q, Error::ServiceStopped);
+                return None;
+            }
+            QueueState::Stopped => return None,
         }
-        guard.clean_exit = true;
+    }
+    Some(q.items.drain(..).collect())
+}
+
+/// Stop the queue and fail everything still in it with `err`.
+fn stop_queue(shared: &Shared, q: &mut SubmitQueue, err: Error) {
+    for item in q.items.drain(..) {
+        shared.aborted.fetch_add(1, Ordering::Relaxed);
+        shared.rejected.fetch_add(1, Ordering::Relaxed);
+        item.slot.fill(Err(err.clone()));
+    }
+    q.state = QueueState::Stopped;
+}
+
+impl Shared {
+    fn telemetry(&self) -> Telemetry {
+        lock(&self.telemetry).clone()
     }
 
     /// One write cycle: apply the whole batch to the writer session
     /// (adjacent same-kind deltas merged into one batched call), solve
-    /// once, publish the new version, and complete every submitter's
-    /// slot. `pub(crate)` so the net tier's dedicated writer thread
-    /// ([`crate::net::AsyncService`]) can drive cycles off its own
-    /// bounded queue; concurrent cycles serialize on the writer lock.
-    pub(crate) fn run_cycle(&self, batch: Vec<Pending>) {
-        let telemetry = self.telemetry();
+    /// once, and publish the new version. Returns each submission's
+    /// outcome, in batch order; the caller fills the slots.
+    fn run_cycle(&self, batch: &[Queued], telemetry: &Telemetry) -> Vec<Result<u64, Error>> {
         let cycle_started = Instant::now();
-        self.shared.write_cycles.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .last_cycle_width
-            .store(batch.len() as u64, Ordering::Relaxed);
-        self.shared
-            .max_cycle_width
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        if batch.len() > 1 {
-            self.shared
-                .coalesced
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        let width = batch.len() as u64;
+        self.write_cycles.fetch_add(1, Ordering::Relaxed);
+        self.last_cycle_width.store(width, Ordering::Relaxed);
+        self.max_cycle_width.fetch_max(width, Ordering::Relaxed);
+        if width > 1 {
+            self.coalesced.fetch_add(width, Ordering::Relaxed);
         }
-        let mut writer = lock(&self.shared.writer);
+        let mut writer = lock(&self.writer);
         // Phase accounting starts fresh each cycle: anything the session
-        // accumulated outside a cycle (direct use, recovery replay) must
-        // not be attributed to this one.
+        // accumulated outside a cycle (recovery replay) must not be
+        // attributed to this one.
         let _ = writer.session.take_phases();
 
         // Apply, in submission order, merging adjacent same-kind runs
@@ -860,91 +1236,70 @@ impl Service {
 
         if writer.unpublished.is_empty() {
             // Nothing changed; no new version. Report each failure.
-            drop(writer);
-            for (pending, outcome) in batch.iter().zip(outcomes) {
-                let err = outcome.expect_err("cycle with no applied delta");
-                pending.slot.fill(Err(err));
-            }
-            return;
+            return outcomes
+                .into_iter()
+                .map(|o| Err(o.expect_err("cycle with no applied delta")))
+                .collect();
         }
+        // A solve or journal failure fails every applied delta of the
+        // cycle with that error; apply failures keep their own.
+        let verdict = self.commit(&mut writer, telemetry, cycle_started);
+        outcomes
+            .into_iter()
+            .map(|o| o.and_then(|()| verdict.clone()))
+            .collect()
+    }
 
-        match writer.session.solve() {
-            Ok(model) => {
-                let phases = writer.session.take_phases();
-                let version = self.shared.version.load(Ordering::Acquire) + 1;
-                let snapshot = ModelSnapshot {
-                    version,
-                    model: Arc::new(model),
-                };
-                // Write-ahead: every delta of this cycle becomes a
-                // journal record stamped `version`, appended and (policy
-                // permitting) synced BEFORE the version is published or
-                // any submitter acked — so an acked write is never ahead
-                // of the log. A journal I/O failure fails the cycle like
-                // a solve failure: no publish, the cycle's records are
-                // rolled back off the WAL, the applied deltas stay in
-                // `unpublished` (they are in the session), and the next
-                // cycle that succeeds re-appends and attributes them.
-                let (journal_append_ns, fsync_ns) = if writer.journal.is_some() {
-                    match self.journal_cycle(&mut writer, version) {
-                        Ok(timing) => timing,
-                        Err(e) => {
-                            drop(writer);
-                            for (pending, outcome) in batch.iter().zip(outcomes) {
-                                pending.slot.fill(match outcome {
-                                    Ok(()) => Err(e.clone()),
-                                    Err(apply_err) => Err(apply_err),
-                                });
-                            }
-                            return;
-                        }
-                    }
-                } else {
-                    (0, 0)
-                };
-                let applied = std::mem::take(&mut writer.unpublished);
-                let width = applied.len() as u64;
-                let publish_started = Instant::now();
-                self.publish(&snapshot, applied);
-                let publish_ns = publish_started.elapsed().as_nanos() as u64;
-                self.maybe_checkpoint(&mut writer, version);
-                drop(writer);
-                telemetry.record_cycle(&PhaseBreakdown {
-                    version,
-                    width,
-                    total_ns: cycle_started.elapsed().as_nanos() as u64,
-                    ground_ns: phases.ground_ns,
-                    repair_ns: phases.repair_ns,
-                    condense_ns: phases.condense_ns,
-                    solve_ns: phases.solve_ns,
-                    journal_append_ns,
-                    fsync_ns,
-                    publish_ns,
-                });
-                // Slots fill only after the sync above: with
-                // `JournalOptions::ack_durable` this is ack-after-
-                // durable — a submitter (or net-tier `SubmitHandle`)
-                // resolves only once its record is on disk.
-                for (pending, outcome) in batch.iter().zip(outcomes) {
-                    pending.slot.fill(outcome.map(|_| version));
-                }
-            }
-            Err(e) => {
-                // The solve failed (no perfect model, a grounding error
-                // surfacing through recovery): no publish. The applied
-                // deltas stay recorded in `unpublished` and will be
-                // attributed to the next version that does solve; their
-                // submitters get the solve error so they know their
-                // version never became visible.
-                drop(writer);
-                for (pending, outcome) in batch.iter().zip(outcomes) {
-                    pending.slot.fill(match outcome {
-                        Ok(()) => Err(e.clone()),
-                        Err(apply_err) => Err(apply_err),
-                    });
-                }
-            }
-        }
+    /// Solve the writer session, journal the unpublished deltas, and
+    /// publish the next version. On a solve failure (no perfect model, a
+    /// grounding error surfacing through recovery) nothing publishes:
+    /// the applied deltas stay in `unpublished` and are attributed to
+    /// the next version that does solve.
+    fn commit(
+        &self,
+        writer: &mut Writer,
+        telemetry: &Telemetry,
+        cycle_started: Instant,
+    ) -> Result<u64, Error> {
+        let model = writer.session.solve()?;
+        let phases = writer.session.take_phases();
+        let version = self.version.load(Ordering::Acquire) + 1;
+        let snapshot = ModelSnapshot {
+            version,
+            model: Arc::new(model),
+        };
+        // Write-ahead: every delta of this cycle becomes a journal
+        // record stamped `version`, appended and (policy permitting)
+        // synced BEFORE the version is published or any submitter acked
+        // — so an acked write is never ahead of the log. A journal I/O
+        // failure fails the cycle like a solve failure: no publish, the
+        // cycle's records are rolled back off the WAL, the applied
+        // deltas stay in `unpublished` (they are in the session), and
+        // the next cycle that succeeds re-appends and attributes them.
+        let (journal_append_ns, fsync_ns) = if writer.journal.is_some() {
+            self.journal_cycle(writer, version)?
+        } else {
+            (0, 0)
+        };
+        let applied = std::mem::take(&mut writer.unpublished);
+        let width = applied.len() as u64;
+        let publish_started = Instant::now();
+        self.publish(&snapshot, applied);
+        let publish_ns = publish_started.elapsed().as_nanos() as u64;
+        self.maybe_checkpoint(writer, version);
+        telemetry.record_cycle(&PhaseBreakdown {
+            version,
+            width,
+            total_ns: cycle_started.elapsed().as_nanos() as u64,
+            ground_ns: phases.ground_ns,
+            repair_ns: phases.repair_ns,
+            condense_ns: phases.condense_ns,
+            solve_ns: phases.solve_ns,
+            journal_append_ns,
+            fsync_ns,
+            publish_ns,
+        });
+        Ok(version)
     }
 
     /// Swing the head to `snapshot` and record it in the cache and
@@ -953,24 +1308,18 @@ impl Service {
     /// solve has not finished.
     fn publish(&self, snapshot: &ModelSnapshot, applied: Vec<(DeltaKind, String)>) {
         {
-            let mut head = self
-                .shared
-                .head
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut head = self.head.write().unwrap_or_else(PoisonError::into_inner);
             *head = snapshot.clone();
         }
-        self.shared
-            .version
-            .store(snapshot.version, Ordering::Release);
-        if self.shared.options.cache_capacity > 0 {
-            let mut cache = lock(&self.shared.cache);
+        self.version.store(snapshot.version, Ordering::Release);
+        if self.options.cache_capacity > 0 {
+            let mut cache = lock(&self.cache);
             cache.push_back(snapshot.clone());
-            while cache.len() > self.shared.options.cache_capacity {
+            while cache.len() > self.options.cache_capacity {
                 cache.pop_front();
             }
         }
-        let mut log = lock(&self.shared.changelog);
+        let mut log = lock(&self.changelog);
         for (kind, text) in applied {
             log.push_back(AppliedDelta {
                 version: snapshot.version,
@@ -978,24 +1327,17 @@ impl Service {
                 text,
             });
         }
-        while log.len() > self.shared.options.changelog_capacity {
+        while log.len() > self.options.changelog_capacity {
             if let Some(evicted) = log.pop_front() {
                 // Monotone: entries leave oldest-first, so the horizon
                 // only advances. Reads anchored below it get
                 // `Error::VersionEvicted` instead of a gapped replay.
-                self.shared
-                    .log_horizon
+                self.log_horizon
                     .fetch_max(evicted.version, Ordering::AcqRel);
-                self.shared
-                    .changelog_evicted
-                    .fetch_add(1, Ordering::Relaxed);
+                self.changelog_evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Durability
-    // ------------------------------------------------------------------
 
     /// Append this cycle's applied deltas to the write-ahead log and
     /// sync per policy, with the pre/post-append crash seams around it.
@@ -1052,7 +1394,9 @@ impl Service {
     fn checkpoint_writer(&self, writer: &mut Writer, version: u64) -> Result<(), Error> {
         let crash = self.take_crash(CrashPoint::MidCheckpoint);
         let Writer {
-            session, journal, ..
+            session,
+            journal,
+            unpublished,
         } = writer;
         let journal = journal.as_mut().ok_or_else(|| {
             Error::Journal(
@@ -1061,48 +1405,27 @@ impl Service {
                     .into(),
             )
         })?;
+        // The session text is only the published history while no delta
+        // waits for a version (after a failed solve, or a cycle that
+        // panicked after its append). A checkpoint taken then would
+        // label those deltas with an older version, and recovery would
+        // replay their journal records on top of them.
+        if !unpublished.is_empty() {
+            return Err(Error::Journal(
+                "the writer holds deltas no published version carries yet; \
+                 checkpoint after the next successful write"
+                    .into(),
+            ));
+        }
         let text = session.source_text().ok_or_else(|| {
             Error::Journal("session keeps no source text; cannot checkpoint".into())
         })?;
         journal.checkpoint(version, &text, crash)
     }
 
-    /// Write a checkpoint of the current version now (the protocol's
-    /// `checkpoint` command) and compact the journal prefix it subsumes.
-    /// Returns the checkpointed version. A no-op (still `Ok`) when the
-    /// current version is already checkpointed;
-    /// [`Error::Journal`] on an unjournaled service.
-    pub fn checkpoint(&self) -> Result<u64, Error> {
-        let mut writer = lock(&self.shared.writer);
-        let version = self.shared.version.load(Ordering::Acquire);
-        self.checkpoint_writer(&mut writer, version)?;
-        Ok(version)
-    }
-
-    /// Journal counters, `None` on an unjournaled service. Briefly locks
-    /// the writer.
-    pub fn journal_stats(&self) -> Option<JournalStats> {
-        lock(&self.shared.writer)
-            .journal
-            .as_ref()
-            .map(|j| j.stats())
-    }
-
-    /// Arm (or with `None`, disarm) the fault-injection seam: the next
-    /// write cycle to reach `point` panics there, exactly as an OOM kill
-    /// or power cut at that instruction would end the process. One-shot:
-    /// the seam disarms as it fires. Like the grounder's poison seam and
-    /// the net tier's `hold_writer`, this is test-only plumbing kept out
-    /// of the docs rather than behind `cfg(test)` so the crash-recovery
-    /// suite in `tests/` can reach it.
-    #[doc(hidden)]
-    pub fn inject_crash_for_testing(&self, point: Option<CrashPoint>) {
-        *lock(&self.shared.crash_seam) = point;
-    }
-
     /// Consume the seam if it is armed at `point`.
     fn take_crash(&self, point: CrashPoint) -> bool {
-        let mut seam = lock(&self.shared.crash_seam);
+        let mut seam = lock(&self.crash_seam);
         if *seam == Some(point) {
             *seam = None;
             true
@@ -1115,30 +1438,6 @@ impl Service {
         if self.take_crash(point) {
             panic!("afp crash seam: {point:?}");
         }
-    }
-
-    /// Count a submission that entered through an upstream queue (the
-    /// net tier's admission control) so `ServiceStats::submissions`
-    /// covers every tier.
-    pub(crate) fn note_submission(&self) {
-        self.shared.submissions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a submission that terminally failed upstream or inside a
-    /// net-tier cycle (`Overloaded`, deadline expiry, apply error), so
-    /// `ServiceStats::rejected` counts every failed submission
-    /// regardless of which layer refused it.
-    pub(crate) fn note_rejection(&self) {
-        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl std::fmt::Debug for Service {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Service")
-            .field("version", &self.version())
-            .field("stats", &self.stats())
-            .finish()
     }
 }
 
@@ -1159,7 +1458,7 @@ fn apply_delta(session: &mut Session, kind: DeltaKind, text: &str) -> Result<(),
 /// Semantic failures that need the live session (safety, budgets) are
 /// caught in the cycle, where a failed merged run is retried delta by
 /// delta for exact attribution.
-pub(crate) fn validate(kind: DeltaKind, text: &str) -> Result<(), Error> {
+fn validate(kind: DeltaKind, text: &str) -> Result<(), Error> {
     if matches!(kind, DeltaKind::AssertFacts | DeltaKind::RetractFacts) {
         crate::engine::parse_fact_batch(text)?;
     } else {
@@ -1176,19 +1475,151 @@ mod tests {
     const WIN_MOVE: &str =
         "wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).";
 
+    fn service_with_queue(queue_depth: usize) -> Service {
+        Service::with_options(
+            Engine::default().load(WIN_MOVE).unwrap(),
+            ServiceOptions {
+                queue_depth,
+                ..ServiceOptions::default()
+            },
+        )
+        .unwrap()
+    }
+
     #[test]
     fn abandoned_pending_fails_its_slot_instead_of_blocking() {
-        // The panic-safety protocol: a `Pending` dropped unfilled (leader
-        // unwound mid-cycle) completes its submitter with `WriterAborted`
-        // rather than leaving it on the condvar forever.
+        // The terminal-result backstop: a queued submission dropped
+        // unfilled completes its submitter with `WriterAborted` rather
+        // than leaving it on the condvar forever.
         let slot = Arc::new(Slot::default());
-        let pending = Pending {
+        let pending = Queued {
             kind: DeltaKind::AssertFacts,
             text: "a.".into(),
             slot: Arc::clone(&slot),
+            deadline: None,
+            enqueued: Instant::now(),
         };
         drop(pending);
         assert!(matches!(slot.wait(), Err(Error::WriterAborted)));
+    }
+
+    #[test]
+    fn submit_wait_and_poll() {
+        let service = service_with_queue(8);
+        let handle = service
+            .submit(DeltaKind::AssertFacts, "move(c, d).")
+            .unwrap();
+        assert_eq!(handle.wait().unwrap(), 1);
+        // A resolved handle polls instantly, repeatedly.
+        assert_eq!(handle.try_result(), Some(Ok(1)));
+        assert_eq!(handle.wait_timeout(Duration::from_millis(1)), Some(Ok(1)));
+        assert_eq!(service.snapshot().truth("wins", &["c"]), Truth::True);
+        service.shutdown(Shutdown::Drain);
+    }
+
+    #[test]
+    fn full_queue_rejects_immediately_never_hangs() {
+        let service = service_with_queue(2);
+        service.hold_writer(true);
+        let h1 = service.submit(DeltaKind::AssertFacts, "p(a).").unwrap();
+        let h2 = service.submit(DeltaKind::AssertFacts, "p(b).").unwrap();
+        let before = Instant::now();
+        let err = service.submit(DeltaKind::AssertFacts, "p(c).").unwrap_err();
+        assert!(matches!(err, Error::Overloaded), "{err:?}");
+        assert!(
+            before.elapsed() < Duration::from_secs(1),
+            "admission control must answer immediately"
+        );
+        assert_eq!(service.queue_stats().overloaded, 1);
+        assert_eq!(service.queue_stats().queue_depth_hwm, 2);
+        // Still pending while held...
+        assert!(h1.try_result().is_none());
+        service.hold_writer(false);
+        // ...then both complete (one coalesced cycle).
+        assert!(h1.wait().is_ok());
+        assert!(h2.wait().is_ok());
+        assert_eq!(service.queue_stats().last_cycle_width, 2);
+        service.shutdown(Shutdown::Drain);
+    }
+
+    #[test]
+    fn queued_deadline_expires_without_applying() {
+        let service = service_with_queue(8);
+        service.hold_writer(true);
+        let h = service
+            .submit_with_deadline(
+                DeltaKind::AssertFacts,
+                "p(a).",
+                Some(Duration::from_millis(20)),
+            )
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+        service.hold_writer(false);
+        assert!(matches!(h.wait(), Err(Error::SubmitTimeout)));
+        assert_eq!(service.queue_stats().timed_out, 1);
+        assert_eq!(service.version(), 0, "expired delta never applied");
+        service.shutdown(Shutdown::Drain);
+    }
+
+    #[test]
+    fn drain_shutdown_completes_queued_work() {
+        let service = service_with_queue(8);
+        service.hold_writer(true);
+        let handles: Vec<SubmitHandle> = (0..3)
+            .map(|i| {
+                service
+                    .submit(DeltaKind::AssertFacts, &format!("p(x{i})."))
+                    .unwrap()
+            })
+            .collect();
+        // Drain releases the hold, runs everything, then stops.
+        service.shutdown(Shutdown::Drain);
+        for h in &handles {
+            assert!(h.wait().is_ok(), "drained submissions publish");
+        }
+        assert!(service.version() >= 1);
+        let err = service.submit(DeltaKind::AssertFacts, "p(y).").unwrap_err();
+        assert!(matches!(err, Error::ServiceStopped));
+    }
+
+    #[test]
+    fn abort_shutdown_fails_queued_work_terminally() {
+        let service = service_with_queue(8);
+        service.hold_writer(true);
+        let h1 = service.submit(DeltaKind::AssertFacts, "p(a).").unwrap();
+        let h2 = service.submit(DeltaKind::AssertFacts, "p(b).").unwrap();
+        service.shutdown(Shutdown::Abort);
+        assert!(matches!(h1.wait(), Err(Error::ServiceStopped)));
+        assert!(matches!(h2.wait(), Err(Error::ServiceStopped)));
+        assert_eq!(service.version(), 0, "aborted deltas never applied");
+        assert_eq!(service.queue_stats().aborted, 2);
+        // Shutdown is idempotent.
+        service.shutdown(Shutdown::Abort);
+        service.shutdown(Shutdown::Drain);
+    }
+
+    #[test]
+    fn checkpoint_refuses_while_deltas_are_unpublished() {
+        let dir = std::env::temp_dir().join(format!("afp-ckpt-unpub-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::builder()
+            .semantics(crate::Semantics::Perfect)
+            .build();
+        let service = Service::with_journal(
+            engine.load("x.").unwrap(),
+            ServiceOptions::default(),
+            &dir,
+            JournalOptions::default(),
+        )
+        .unwrap();
+        // The odd loop applies but has no perfect model: nothing
+        // publishes, and the delta waits in the writer.
+        assert!(service.assert_rules("a :- not b. b :- not a.").is_err());
+        assert!(matches!(service.checkpoint(), Err(Error::Journal(_))));
+        assert_eq!(service.retract_rules("b :- not a."), Ok(1));
+        assert_eq!(service.checkpoint(), Ok(1));
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1238,6 +1669,7 @@ mod tests {
         let options = ServiceOptions {
             cache_capacity: 2,
             changelog_capacity: 3,
+            ..ServiceOptions::default()
         };
         let service =
             Service::with_options(Engine::default().load(WIN_MOVE).unwrap(), options).unwrap();

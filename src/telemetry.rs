@@ -221,7 +221,7 @@ pub struct MetricsRegistry {
     pub fsync_ns: Histogram,
     /// Snapshot/version/changelog publication.
     pub publish_ns: Histogram,
-    /// Submission enqueue to writer pickup (async tier).
+    /// Submission enqueue to writer-thread pickup.
     pub queue_wait_ns: Histogram,
     /// One framed request: read to response written (net tier).
     pub request_ns: Histogram,
@@ -555,9 +555,9 @@ struct TelemetryInner {
     epoch: Instant,
 }
 
-/// The cloneable recording handle threaded through the service, writer
-/// and net tiers. [`Telemetry::disabled`] carries no state and
-/// makes every record call a single branch.
+/// The cloneable recording handle threaded through the service, its
+/// writer thread and the net tier. [`Telemetry::disabled`] carries no
+/// state and makes every record call a single branch.
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Option<Arc<TelemetryInner>>,

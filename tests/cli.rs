@@ -206,6 +206,12 @@ fn unknown_flags_exit_2_with_usage_hint() {
     let (_, stderr, code) = run_afp(&["-s", "nonsense"], "a.");
     assert_eq!(code, Some(2));
     assert!(stderr.contains("usage:"));
+    // A zero bound would refuse every write or every connection.
+    for flag in ["--queue-depth", "--max-conns"] {
+        let (_, stderr, code) = run_afp(&["--serve", flag, "0"], "");
+        assert_eq!(code, Some(2), "{flag} 0");
+        assert!(stderr.contains("usage:"), "{flag} 0: {stderr}");
+    }
 }
 
 #[test]
@@ -553,8 +559,8 @@ fn serve_listen_and_socket_front_the_same_service() {
 }
 
 /// `ping` through the stdin front end: version + writer liveness, in
-/// both renderings. The stdin backend has no async tier, so the writer
-/// is the submitting thread itself — always live.
+/// both renderings. Stdin submits to the service's writer thread like
+/// any listener does, and that thread stays live until shutdown.
 #[test]
 fn serve_mode_ping() {
     let (stdout, _, code) = run_serve(&[], "ping\nassert move(c, d).\nping\nquit\n");

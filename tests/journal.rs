@@ -136,7 +136,7 @@ fn assert_head_matches_cold(eng: &Engine, service: &Service, changelog: &[Applie
 }
 
 /// Apply a seeded mixed script of asserts/retracts straight to the
-/// service (the submitting thread leads its own write cycles), tracking
+/// service (each call waits for its own write cycle), tracking
 /// liveness so retracts only touch live text.
 fn run_script(service: &Service, rng: &mut Rng, steps: usize) {
     let mut live_facts: Vec<&str> = Vec::new();
@@ -306,11 +306,11 @@ fn crash_differential(semantics: Semantics, label: &str) {
             let pre_changelog = service.changelog().unwrap();
 
             // The crash op: the seam fires inside this write cycle, so
-            // the submitting thread (the cycle leader) panics.
+            // the writer thread panics and the submission is aborted.
             service.inject_crash_for_testing(Some(point));
             let crash_fact = FACT_POOL[(rng.next() % FACT_POOL.len() as u64) as usize];
-            let outcome = catch_unwind(AssertUnwindSafe(|| service.assert_facts(crash_fact)));
-            assert!(outcome.is_err(), "crash seam must panic the leader");
+            let outcome = service.assert_facts(crash_fact);
+            assert_eq!(outcome, Err(Error::WriterAborted), "crash seam must abort");
             drop(service);
 
             let recovered = Service::recover(
@@ -354,6 +354,38 @@ fn crash_differential(semantics: Semantics, label: &str) {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// A cycle that panics after its journal append stops the writer: its
+/// submission fails with `WriterAborted`, a later submission fails
+/// without publishing, and the WAL holds the crashed delta's record
+/// exactly once (no retry cycle re-appends it).
+#[test]
+fn post_append_panic_stops_the_writer_and_journals_the_delta_once() {
+    let eng = engine(SCC);
+    let dir = temp_journal_dir("post-append-once");
+    let service = fresh_service(&eng, &dir, JournalOptions::default());
+    assert_eq!(service.assert_facts(FACT_POOL[0]), Ok(1));
+
+    service.inject_crash_for_testing(Some(CrashPoint::PostAppend));
+    assert_eq!(
+        service.assert_facts(FACT_POOL[1]),
+        Err(Error::WriterAborted)
+    );
+    assert!(service.assert_facts(FACT_POOL[2]).is_err());
+    assert_eq!(service.version(), 1, "nothing published after the crash");
+    assert!(!service.writer_live());
+    drop(service);
+
+    let recovered = afp::journal::recover(&dir, JournalOptions::default()).unwrap();
+    let records: Vec<(u64, &str)> = recovered
+        .records
+        .iter()
+        .map(|r| (r.version, r.text.as_str()))
+        .collect();
+    assert_eq!(records, vec![(1, FACT_POOL[0]), (2, FACT_POOL[1])]);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -14,18 +14,17 @@
 //! the wire: a full queue answers with an `overloaded` error frame
 //! immediately, a queued deadline expires into a `submit-timeout`
 //! frame without applying, and drain-shutdown resolves every accepted
-//! submission with its real result before the tier stops.
+//! submission with its real result before the writer stops.
 
 use afp::net::codec::{self, read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
 use afp::{
-    AsyncOptions, AsyncService, DeltaKind, Engine, NetOptions, NetServer, Semantics, Shutdown,
-    Strategy, WfStrategy,
+    DeltaKind, Engine, NetOptions, NetServer, Semantics, ServiceOptions, Shutdown, Strategy,
+    WfStrategy,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -153,14 +152,13 @@ fn comparable(model_json: &str) -> String {
 fn wire_differential(semantics: Semantics, label: &str, unix: bool) {
     let engine = Engine::builder().semantics(semantics).build();
     let service = afp::Service::new(engine.load(&base_src()).unwrap()).unwrap();
-    let tier = Arc::new(AsyncService::new(service.clone(), AsyncOptions::default()));
     let socket_path =
         std::env::temp_dir().join(format!("afp-wire-{label}-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket_path);
     let server = if unix {
-        NetServer::bind_unix(Arc::clone(&tier), &socket_path, NetOptions::default()).unwrap()
+        NetServer::bind_unix(service.clone(), &socket_path, NetOptions::default()).unwrap()
     } else {
-        NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", NetOptions::default()).unwrap()
+        NetServer::bind_tcp(service.clone(), "127.0.0.1:0", NetOptions::default()).unwrap()
     };
     let addr = server.addr().to_string();
 
@@ -258,7 +256,7 @@ fn wire_differential(semantics: Semantics, label: &str, unix: bool) {
     assert_eq!(stats.conns_accepted, CONNS as u64, "({label})");
     assert!(stats.frames_in >= stats.frames_out, "({label})");
     server.shutdown();
-    tier.shutdown(Shutdown::Drain);
+    service.shutdown(Shutdown::Drain);
     let _ = std::fs::remove_file(&socket_path);
 }
 
@@ -276,12 +274,12 @@ fn unix_models_match_cold_solves_of_their_version() {
 
 const SERVE_SRC: &str = "wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a). move(b, c).";
 
-fn tier_with(options: AsyncOptions) -> (afp::Service, Arc<AsyncService>, NetServer) {
-    let service = Engine::default().serve(SERVE_SRC).unwrap();
-    let tier = Arc::new(AsyncService::new(service.clone(), options));
+fn serve_with(options: ServiceOptions) -> (afp::Service, NetServer) {
+    let service =
+        afp::Service::with_options(Engine::default().load(SERVE_SRC).unwrap(), options).unwrap();
     let server =
-        NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", NetOptions::default()).unwrap();
-    (service, tier, server)
+        NetServer::bind_tcp(service.clone(), "127.0.0.1:0", NetOptions::default()).unwrap();
+    (service, server)
 }
 
 /// Backpressure at the wire: a full queue answers `overloaded`
@@ -290,48 +288,52 @@ fn tier_with(options: AsyncOptions) -> (afp::Service, Arc<AsyncService>, NetServ
 /// catches up.
 #[test]
 fn wire_overload_rejection_is_immediate_and_structured() {
-    let (_service, tier, server) = tier_with(AsyncOptions {
+    let (service, server) = serve_with(ServiceOptions {
         queue_depth: 1,
         submit_deadline: None,
+        ..ServiceOptions::default()
     });
     let mut conn = TcpStream::connect(server.addr()).unwrap();
 
-    tier.hold_writer(true);
-    let queued = tier.submit(DeltaKind::AssertFacts, "move(c, d).").unwrap();
+    service.hold_writer(true);
+    let queued = service
+        .submit(DeltaKind::AssertFacts, "move(c, d).")
+        .unwrap();
     let resp = send(&mut conn, "assert-facts move(d, e).");
     assert!(
         resp.starts_with("{\"error\":{\"kind\":\"overloaded\""),
         "{resp}"
     );
-    tier.hold_writer(false);
+    service.hold_writer(false);
     assert_eq!(
         queued.wait().unwrap(),
         1,
         "held work completes after release"
     );
 
-    // The connection survived the rejection and the tier still accepts.
+    // The connection survived the rejection and the service still accepts.
     let resp = send(&mut conn, "assert-facts move(d, e).");
     assert!(resp.starts_with("{\"ok\":true,"), "{resp}");
-    assert!(tier.stats().overloaded >= 1);
+    assert!(service.queue_stats().overloaded >= 1);
     server.shutdown();
-    tier.shutdown(Shutdown::Drain);
+    service.shutdown(Shutdown::Drain);
 }
 
 /// A queued submission's deadline fires while it waits: the client gets
 /// a `submit-timeout` error frame and the delta is never applied.
 #[test]
 fn wire_submission_deadline_expires_without_applying() {
-    let (service, tier, server) = tier_with(AsyncOptions {
+    let (service, server) = serve_with(ServiceOptions {
         queue_depth: 8,
         submit_deadline: Some(Duration::from_millis(25)),
+        ..ServiceOptions::default()
     });
     let mut conn = TcpStream::connect(server.addr()).unwrap();
 
-    tier.hold_writer(true);
+    service.hold_writer(true);
     write_frame(&mut conn, b"assert-facts move(c, d).").unwrap();
     thread::sleep(Duration::from_millis(80));
-    tier.hold_writer(false);
+    service.hold_writer(false);
     let resp = String::from_utf8(
         read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN)
             .unwrap()
@@ -343,9 +345,9 @@ fn wire_submission_deadline_expires_without_applying() {
         "{resp}"
     );
     assert_eq!(service.version(), 0, "expired delta never applied");
-    assert!(tier.stats().timed_out >= 1);
+    assert!(service.queue_stats().timed_out >= 1);
     server.shutdown();
-    tier.shutdown(Shutdown::Drain);
+    service.shutdown(Shutdown::Drain);
 }
 
 /// Drain shutdown with a wire submission in flight: the accepted delta
@@ -353,17 +355,17 @@ fn wire_submission_deadline_expires_without_applying() {
 /// submissions get `service-stopped`.
 #[test]
 fn wire_drain_shutdown_resolves_accepted_work() {
-    let (service, tier, server) = tier_with(AsyncOptions::default());
+    let (service, server) = serve_with(ServiceOptions::default());
     let mut conn = TcpStream::connect(server.addr()).unwrap();
 
-    tier.hold_writer(true);
+    service.hold_writer(true);
     write_frame(&mut conn, b"assert-facts move(c, d).").unwrap();
     // Wait until the submission is actually queued (not just written to
     // the socket) so the drain provably covers it.
-    while tier.stats().queue_depth == 0 {
+    while service.queue_stats().queue_depth == 0 {
         thread::yield_now();
     }
-    tier.shutdown(Shutdown::Drain);
+    service.shutdown(Shutdown::Drain);
     let resp = String::from_utf8(
         read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN)
             .unwrap()
@@ -392,15 +394,15 @@ fn wire_drain_shutdown_resolves_accepted_work() {
 fn wire_changelog_and_eviction_are_structured() {
     let service = afp::Service::with_options(
         Engine::default().load(SERVE_SRC).unwrap(),
-        afp::ServiceOptions {
+        ServiceOptions {
             cache_capacity: 2,
             changelog_capacity: 2,
+            ..ServiceOptions::default()
         },
     )
     .unwrap();
-    let tier = Arc::new(AsyncService::new(service.clone(), AsyncOptions::default()));
     let server =
-        NetServer::bind_tcp(Arc::clone(&tier), "127.0.0.1:0", NetOptions::default()).unwrap();
+        NetServer::bind_tcp(service.clone(), "127.0.0.1:0", NetOptions::default()).unwrap();
     let mut conn = TcpStream::connect(server.addr()).unwrap();
 
     for i in 0..4 {
@@ -426,16 +428,16 @@ fn wire_changelog_and_eviction_are_structured() {
         "{resp}"
     );
     server.shutdown();
-    tier.shutdown(Shutdown::Drain);
+    service.shutdown(Shutdown::Drain);
 }
 
 /// `ping` is a readiness probe: it reports the current version plus
 /// writer liveness over the wire, and liveness flips to `false` once
-/// the tier stops — so a load balancer can tell a read-only survivor
+/// the writer stops — so a load balancer can tell a read-only survivor
 /// from a fully live server.
 #[test]
 fn wire_ping_reports_version_and_writer_liveness() {
-    let (_service, tier, server) = tier_with(AsyncOptions::default());
+    let (service, server) = serve_with(ServiceOptions::default());
     let mut conn = TcpStream::connect(server.addr()).unwrap();
 
     let resp = send(&mut conn, "ping");
@@ -454,7 +456,7 @@ fn wire_ping_reports_version_and_writer_liveness() {
 
     // After the writer stops, reads (including ping) still answer, but
     // liveness is reported honestly.
-    tier.shutdown(Shutdown::Drain);
+    service.shutdown(Shutdown::Drain);
     let resp = send(&mut conn, "ping");
     assert!(
         resp.starts_with("{\"pong\":true,\"version\":1,\"writer_live\":false,\"uptime_ms\":"),
