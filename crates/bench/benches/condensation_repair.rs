@@ -15,13 +15,24 @@
 //!   solve, emulating the pre-repair warm path (which rebuilt the
 //!   condensation on the first solve after every mutation).
 //!
+//! Those toggles only ever touch atoms that exist, so the component
+//! count never changes. One more group per key count covers the repair
+//! that creates components:
+//!
+//! * `intern/assert_new_key` — on the `write_edb` program shape
+//!   ([`afp_bench::gen::write_edb_src`]), assert `d(kI)` for a fresh odd
+//!   key and solve. The assert interns `c(kI)` and `d(kI)` below the
+//!   existing knot `{a(kI), b(kI)}`, so the repair turns one component
+//!   into three.
+//!
 //! After the timed loops the bench prints the session's repair window
-//! as a fraction of the program — the delta-boundedness evidence
-//! recorded in `BENCH_cond.json`.
+//! as a fraction of the program, and for `intern` the median repair
+//! wall time from `Session::take_phases` — the delta-boundedness
+//! evidence recorded in `BENCH_cond.json`.
 
-use afp::datalog::depgraph::{Condensation, CondensationDelta, RuleRename};
+use afp::datalog::depgraph::{Condensation, CondensationDelta};
 use afp::Engine;
-use afp_bench::gen::hard_knot_chain_src;
+use afp_bench::gen::{hard_knot_chain_src, write_edb_src};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn condensation_step(c: &mut Criterion) {
@@ -49,14 +60,12 @@ fn condensation_step(c: &mut Criterion) {
                     .iter()
                     .find(|&&r| prog.rule(r).is_fact())
                     .unwrap();
-                let mut renames: Vec<RuleRename> = Vec::new();
-                prog.remove_rule_logged(rid, &mut renames);
+                prog.remove_rule(rid);
                 cond.apply_delta(
                     &prog,
                     &CondensationDelta {
                         touched: &[leaf],
                         new_edge_targets: &[],
-                        renames: &renames,
                     },
                 );
                 prog.push_rule(leaf, vec![], vec![]);
@@ -65,7 +74,6 @@ fn condensation_step(c: &mut Criterion) {
                     &CondensationDelta {
                         touched: &[leaf],
                         new_edge_targets: &[],
-                        renames: &[],
                     },
                 );
             })
@@ -129,5 +137,43 @@ fn warm_solve_one_fact_delta(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, condensation_step, warm_solve_one_fact_delta);
+fn assert_new_key(c: &mut Criterion) {
+    for keys in [1_000usize, 10_000, 100_000] {
+        let engine = Engine::default();
+        let mut session = engine.load(&write_edb_src(keys)).unwrap();
+        session.solve().unwrap();
+        let mut group = c.benchmark_group(format!("cond/intern_{keys}"));
+        let mut odd = (1..keys).step_by(2);
+        let mut repair_us: Vec<f64> = Vec::new();
+        group.bench_function(BenchmarkId::new("assert_new_key", keys), |b| {
+            b.iter(|| {
+                let key = odd.next().expect("a fresh odd key per iteration");
+                let _ = session.take_phases();
+                session.assert_facts(&format!("d(k{key}).")).unwrap();
+                repair_us.push(session.take_phases().repair_ns as f64 / 1e3);
+                session.solve().unwrap()
+            })
+        });
+        group.finish();
+        repair_us.sort_by(f64::total_cmp);
+        let stats = session.stats();
+        println!(
+            "cond/intern_{keys}: repair p50 {:.1} us over {} asserts, last repair wrote {} of {} atoms, \
+             {} of {} components evaluated",
+            repair_us[repair_us.len() / 2],
+            repair_us.len(),
+            stats.last_repair_atoms,
+            session.ground().atom_count(),
+            stats.last_components_evaluated,
+            stats.last_components,
+        );
+    }
+}
+
+criterion_group!(
+    benches,
+    condensation_step,
+    warm_solve_one_fact_delta,
+    assert_new_key
+);
 criterion_main!(benches);

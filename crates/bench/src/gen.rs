@@ -383,6 +383,30 @@ pub fn hard_knot_chain_src(k: usize) -> String {
     src
 }
 
+/// The knot forest of the `write_edb` wire workload over `keys` keys:
+/// `e(kI)` for every key, `d(kI)` for even `I`, and per key the knot
+/// `{a(kI), b(kI)}` guarded by `c(kI)`.
+///
+/// ```text
+/// a(K) :- e(K), not b(K).     b(K) :- e(K), not a(K), not c(K).
+/// c(K) :- d(K).
+/// ```
+///
+/// Asserting `d(kI)` for an odd `I` the first time interns `c(kI)` and
+/// `d(kI)` below an existing knot: a one-knot write whose condensation
+/// repair creates components.
+pub fn write_edb_src(keys: usize) -> String {
+    let mut src =
+        String::from("a(K) :- e(K), not b(K).\nb(K) :- e(K), not a(K), not c(K).\nc(K) :- d(K).\n");
+    for i in 0..keys {
+        src.push_str(&format!("e(k{i}).\n"));
+        if i % 2 == 0 {
+            src.push_str(&format!("d(k{i}).\n"));
+        }
+    }
+    src
+}
+
 /// A "negation ladder" of depth `k`: `p₀` is a fact and each
 /// `pᵢ₊₁ ← ¬pᵢ` alternates — a long chain of singleton components with
 /// negative links; stratified, decided all the way up.

@@ -116,7 +116,7 @@ impl Literal {
 /// A normal rule `head ← body` (Definition 3.1). An empty body means the
 /// head holds unconditionally; if additionally the head is ground, the rule
 /// is a *fact*.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     /// The rule head.
     pub head: Atom,

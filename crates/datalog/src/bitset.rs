@@ -12,7 +12,7 @@
 use std::fmt;
 
 /// A set of atom ids drawn from a fixed universe `0..universe`.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct AtomSet {
     universe: usize,
     words: Vec<u64>,
@@ -52,6 +52,35 @@ impl AtomSet {
     #[inline]
     pub fn universe(&self) -> usize {
         self.universe
+    }
+
+    /// Make this the empty set over `universe` atoms, keeping the
+    /// allocation: scratch sets reused across differently sized
+    /// universes allocate only when they grow.
+    pub fn reset(&mut self, universe: usize) {
+        self.universe = universe;
+        self.words.clear();
+        self.words.resize(universe.div_ceil(BITS), 0);
+    }
+
+    /// Make this the complement of `other` within `other`'s universe,
+    /// keeping the allocation ([`AtomSet::complement`] in place).
+    pub fn assign_complement(&mut self, other: &AtomSet) {
+        self.universe = other.universe;
+        self.words.clear();
+        self.words.extend(other.words.iter().map(|w| !w));
+        self.trim();
+    }
+
+    /// A copy of this set over the larger universe `universe` (the added
+    /// atoms are absent) — a word copy. A smaller `universe` keeps the
+    /// current one.
+    pub fn grown(&self, universe: usize) -> AtomSet {
+        let universe = universe.max(self.universe);
+        let mut words = Vec::with_capacity(universe.div_ceil(BITS));
+        words.extend_from_slice(&self.words);
+        words.resize(universe.div_ceil(BITS), 0);
+        AtomSet { universe, words }
     }
 
     /// Zero out any bits beyond the universe (kept as an internal invariant

@@ -16,11 +16,19 @@
 //!   mixed arc, or all cross an odd number and no mixed arc, or there is no
 //!   path. Strictness-in-the-IDB is the side condition of the
 //!   expressiveness theorems (8.6, 8.7).
+//!
+//! For ground programs, [`Condensation`] condenses the **atom**
+//! dependency graph into strongly connected components with stable ids
+//! and order labels, the substrate of per-component well-founded
+//! evaluation. [`Condensation::apply_delta`] keeps it current under
+//! in-place program mutations: a repair re-runs Tarjan over the window
+//! of components the delta can restructure and writes nothing outside
+//! it, so a one-knot write costs the knot, not the program.
 
 use crate::ast::Program;
 use crate::atoms::AtomId;
 use crate::fx::FxHashMap;
-use crate::program::{GroundProgram, RuleId};
+use crate::program::GroundProgram;
 use crate::symbol::Symbol;
 
 /// Polarity label of a dependency arc.
@@ -378,41 +386,87 @@ fn tarjan_csr(n: usize, offsets: &[u32], targets: &[u32], mut emit: impl FnMut(&
     }
 }
 
+/// No atom / no component.
+const NONE: u32 = u32::MAX;
+
+/// Label distance between neighbouring components of a fresh
+/// condensation, and the largest step a repair leaves between the labels
+/// it assigns: 32 halvings of one gap before a relabel is needed.
+const LABEL_GAP: u64 = 1 << 32;
+
+/// Smallest average gap a relabel leaves in the neighbourhood it
+/// respaces.
+const MIN_RELABEL_GAP: u64 = 1 << 20;
+
+/// One strongly connected component: its atoms (a list threaded through
+/// [`Condensation`]'s `next_atom`), its order label and its neighbours in
+/// the topological order.
+#[derive(Debug, Clone, Copy)]
+struct Comp {
+    /// Smallest atom of the component, or [`NONE`] for a free id.
+    first: u32,
+    /// Atom count; `0` for a free id.
+    size: u32,
+    /// Previous and next component in topological order ([`NONE`] at
+    /// the ends).
+    prev: u32,
+    next: u32,
+    /// Order label: strictly increasing along the topological order.
+    label: u64,
+}
+
+const FREE: Comp = Comp {
+    first: NONE,
+    size: 0,
+    prev: NONE,
+    next: NONE,
+    label: 0,
+};
+
 /// The condensation of a ground program's **atom** dependency graph,
-/// precomputed once and reused across solves: atom → component ids in
-/// topological (dependency) order, the atoms of each component, and the
-/// rules of each component (those whose head lies in it).
+/// precomputed once and reused across solves: atom → component, the
+/// atoms of each component, and a topological order of the components.
 ///
-/// Component ids are assigned so that if any atom of component `A` depends
-/// (directly or transitively) on an atom of component `B ≠ A`, then
-/// `B < A` — processing components in id order is bottom-up. This is the
-/// substrate of the in-place component-wise well-founded evaluation
-/// (`afp-semantics::modular`) and of per-component warm re-solves in the
-/// engine's sessions.
+/// Components have **stable ids** and a separate **order label**. If any
+/// atom of component `A` depends (directly or transitively) on an atom of
+/// component `B ≠ A`, then `label(B) < label(A)`, so processing
+/// components by ascending label ([`Condensation::topological_order`]) is
+/// bottom-up. This is the substrate of the in-place component-wise
+/// well-founded evaluation (`afp-semantics::modular`) and of its warm
+/// re-solves, which evaluate only the components of a delta's cone,
+/// sorted by label.
 ///
 /// The condensation is **maintained incrementally** across in-place
-/// program mutations: [`Condensation::apply_delta`] patches the CSR
-/// structures by re-running Tarjan only over the *window* of components
-/// the delta's dependency edges can possibly restructure, so a warm
-/// re-solve pays `O(|delta cone|)` for its SCC structure, not
-/// `O(|program|)`. Components outside the window keep their ids, atom
-/// slices, and rule slices untouched. Atom ids are stable across
-/// in-place mutations, which is why per-component memoization keyed by
-/// atom id additionally survives even the id renumbering *inside* the
-/// window: a component whose atoms all lie outside the delta's forward
-/// cone can copy its previous truth values verbatim.
+/// program mutations: [`Condensation::apply_delta`] re-runs Tarjan only
+/// over the *window* of components the delta can restructure, frees
+/// their ids, and links the recomputed components into the window's
+/// place in the order. Nothing outside the window is written: the order
+/// is a doubly linked list with gapped labels, as in order-maintenance
+/// structures (Dietz & Sleator, STOC 1987; Bender et al., ESA 2002), so
+/// new components take labels between the window's neighbours instead
+/// of shifting every later component. This is the dynamic topological
+/// order of Pearce & Kelly (JEA 2006) with a contiguous window in place
+/// of their reachability-bounded one. Rules are not stored: the rules of
+/// a component are `prog.rules_with_head(a)` over its atoms.
 #[derive(Debug, Clone)]
 pub struct Condensation {
-    /// Atom index → component id.
+    /// Atom → component id.
     comp_of: Vec<u32>,
-    /// Component id → range into `atoms` (len = components + 1).
-    atom_offsets: Vec<u32>,
-    /// Atom indices grouped by component, components in id order.
-    atoms: Vec<u32>,
-    /// Component id → range into `rules` (len = components + 1).
-    rule_offsets: Vec<u32>,
-    /// Rule ids grouped by their head's component.
-    rules: Vec<RuleId>,
+    /// Atom → next atom of its component (ascending), or [`NONE`].
+    next_atom: Vec<u32>,
+    /// Atom → its position in its component's ascending atom list.
+    rank: Vec<u32>,
+    /// Component id → component; ids with `size == 0` are free.
+    comps: Vec<Comp>,
+    /// Free component ids, reused before new ids are appended.
+    free: Vec<u32>,
+    /// First and last component in topological order.
+    head: u32,
+    tail: u32,
+    /// Live components.
+    live: usize,
+    /// `size_hist[s]` = live components with `s` atoms.
+    size_hist: Vec<u32>,
     /// Size of the largest component.
     largest: usize,
 }
@@ -441,82 +495,117 @@ impl Condensation {
             }
         }
 
-        let mut comp_of = vec![0u32; n];
-        let mut comp_sizes: Vec<u32> = Vec::new();
-        let mut largest = 0usize;
+        let mut cond = Condensation {
+            comp_of: vec![NONE; n],
+            next_atom: vec![NONE; n],
+            rank: vec![0; n],
+            comps: Vec::new(),
+            free: Vec::new(),
+            head: NONE,
+            tail: NONE,
+            live: 0,
+            size_hist: vec![0],
+            largest: 0,
+        };
+        // Tarjan emits callees before callers: emission order is a
+        // topological order, and the emission index is the id.
         tarjan_csr(n, &offsets, &targets, |comp| {
-            let cid = comp_sizes.len() as u32;
+            let cid = cond.comps.len() as u32;
             for &a in comp {
-                comp_of[a as usize] = cid;
+                cond.comp_of[a as usize] = cid;
             }
-            comp_sizes.push(comp.len() as u32);
-            largest = largest.max(comp.len());
+            cond.comps.push(Comp {
+                first: NONE,
+                size: comp.len() as u32,
+                prev: cid.checked_sub(1).unwrap_or(NONE),
+                next: NONE,
+                label: (u64::from(cid) + 1) * LABEL_GAP,
+            });
+            if let Some(p) = cid.checked_sub(1) {
+                cond.comps[p as usize].next = cid;
+            }
+            cond.count_size(comp.len(), true);
         });
-
-        // Group atoms and rules by component (counting sort).
-        let k = comp_sizes.len();
-        let mut atom_offsets = vec![0u32; k + 1];
-        for (i, &s) in comp_sizes.iter().enumerate() {
-            atom_offsets[i + 1] = atom_offsets[i] + s;
+        // Thread each component's atom list in ascending order; a second
+        // pass numbers each atom within its component.
+        for a in (0..n as u32).rev() {
+            let c = &mut cond.comps[cond.comp_of[a as usize] as usize];
+            cond.next_atom[a as usize] = c.first;
+            c.first = a;
         }
-        let mut cursor = atom_offsets.clone();
-        let mut atoms = vec![0u32; n];
-        for a in 0..n as u32 {
-            let c = &mut cursor[comp_of[a as usize] as usize];
-            atoms[*c as usize] = a;
-            *c += 1;
+        let mut seen = vec![0u32; cond.comps.len()];
+        for a in 0..n {
+            let c = cond.comp_of[a] as usize;
+            cond.rank[a] = seen[c];
+            seen[c] += 1;
         }
-
-        let mut rule_offsets = vec![0u32; k + 1];
-        for r in prog.rules() {
-            rule_offsets[comp_of[r.head.index()] as usize + 1] += 1;
+        let k = cond.comps.len() as u32;
+        cond.live = k as usize;
+        if k > 0 {
+            cond.head = 0;
+            cond.tail = k - 1;
         }
-        for i in 0..k {
-            rule_offsets[i + 1] += rule_offsets[i];
-        }
-        let mut cursor = rule_offsets.clone();
-        let mut rules = vec![0 as RuleId; prog.rule_count()];
-        for (rid, r) in prog.rules().enumerate() {
-            let c = &mut cursor[comp_of[r.head.index()] as usize];
-            rules[*c as usize] = rid as RuleId;
-            *c += 1;
-        }
-
-        Condensation {
-            comp_of,
-            atom_offsets,
-            atoms,
-            rule_offsets,
-            rules,
-            largest,
-        }
+        cond
     }
 
     /// Number of strongly connected components.
     pub fn len(&self) -> usize {
-        self.atom_offsets.len() - 1
+        self.live
     }
 
     /// True when the program has no atoms.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
-    /// Component id of an atom. Component ids respect dependencies: every
-    /// component an atom's rules mention (other than its own) has a
-    /// smaller id.
+    /// Component id of an atom. Ids are stable across repairs that do
+    /// not restructure the component; compare [`Condensation::label`]s
+    /// for dependency order.
     pub fn component_of(&self, atom: u32) -> u32 {
         self.comp_of[atom as usize]
     }
 
-    /// The atoms of component `comp`, in ascending atom-id order.
-    pub fn atoms(&self, comp: usize) -> &[u32] {
-        &self.atoms[self.atom_offsets[comp] as usize..self.atom_offsets[comp + 1] as usize]
+    /// Order label of component `comp`: every component whose atoms
+    /// `comp`'s rules mention (other than `comp` itself) has a smaller
+    /// label.
+    pub fn label(&self, comp: u32) -> u64 {
+        self.comps[comp as usize].label
     }
 
-    /// The rules whose head lies in component `comp`.
-    pub fn rules(&self, comp: usize) -> &[RuleId] {
-        &self.rules[self.rule_offsets[comp] as usize..self.rule_offsets[comp + 1] as usize]
+    /// Position of `atom` in its component's ascending atom list
+    /// ([`Condensation::atoms`]): a dense local index for per-component
+    /// scratch.
+    pub fn local_index(&self, atom: u32) -> u32 {
+        self.rank[atom as usize]
+    }
+
+    /// Number of atoms in component `comp`.
+    pub fn component_size(&self, comp: u32) -> usize {
+        self.comps[comp as usize].size as usize
+    }
+
+    /// The atoms of component `comp`, in ascending atom-id order.
+    pub fn atoms(&self, comp: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut a = self.comps[comp as usize].first;
+        std::iter::from_fn(move || {
+            let cur = a;
+            (cur != NONE).then(|| {
+                a = self.next_atom[cur as usize];
+                cur
+            })
+        })
+    }
+
+    /// Every component id, in topological (ascending label) order.
+    pub fn topological_order(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut c = self.head;
+        std::iter::from_fn(move || {
+            let cur = c;
+            (cur != NONE).then(|| {
+                c = self.comps[cur as usize].next;
+                cur
+            })
+        })
     }
 
     /// Size of the largest component.
@@ -524,11 +613,28 @@ impl Condensation {
         self.largest
     }
 
+    /// Add (`add`) or remove one component of `size` atoms from the size
+    /// histogram, keeping `largest` current.
+    fn count_size(&mut self, size: usize, add: bool) {
+        if add {
+            if self.size_hist.len() <= size {
+                self.size_hist.resize(size + 1, 0);
+            }
+            self.size_hist[size] += 1;
+            self.largest = self.largest.max(size);
+        } else {
+            self.size_hist[size] -= 1;
+            while self.largest > 0 && self.size_hist[self.largest] == 0 {
+                self.largest -= 1;
+            }
+        }
+    }
+
     /// Patch this condensation after a batch of in-place program
     /// mutations, instead of rebuilding it from scratch. `prog` is the
     /// program **after** the mutations; `delta` describes them (see
     /// [`CondensationDelta`] for the exact contract). Returns counters
-    /// for how much of the graph the repair actually walked.
+    /// for how much of the condensation the repair read and wrote.
     ///
     /// # Algorithm
     ///
@@ -536,86 +642,84 @@ impl Condensation {
     /// *window* of the topological order. A removed edge can split only
     /// the component that contained it (its head is touched). An added
     /// edge `u → v` can merge components only along a pre-existing
-    /// dependency path `v ⇝ u`, and every component on such a path has an
-    /// id between `comp(u)` and `comp(v)` — ids along old dependency
-    /// edges are non-increasing and both endpoints of every added edge
-    /// are recorded in the delta. So the window `[lo, hi]` spanned by the
-    /// components of all touched heads and new-edge targets contains
-    /// every component whose membership or relative position can change;
-    /// no cycle through a changed edge can leave it. The repair re-runs
-    /// Tarjan over the window's atoms only (plus atoms interned since the
-    /// last repair, which join the window), splices the recomputed
-    /// components back into the id range `[lo, lo + m)`, shifts the
-    /// suffix only when the component count actually changed, and
-    /// regroups rule slices for window components straight from the
-    /// program's head index. Components outside the window keep their
-    /// ids, atom slices, and rule slices (modulo swap-remove rule-id
-    /// renames, which are patched pointwise).
+    /// dependency path `v ⇝ u`, and every component on such a path has a
+    /// label between those of `comp(u)` and `comp(v)`: labels along old
+    /// dependency edges are non-increasing and both endpoints of every
+    /// added edge are recorded in the delta. So the window — the
+    /// components from the lowest to the highest labelled seed, walked
+    /// along the order list — contains every component whose membership
+    /// or relative position can change; no cycle through a changed edge
+    /// can leave it. Atoms interned since the last repair join the
+    /// window: they are connected only to window atoms or to each other.
+    ///
+    /// The repair re-runs Tarjan over the window's atoms, frees the
+    /// window's component ids, and links the recomputed components (ids
+    /// from the free list first) into the window's place in the order.
+    /// Their labels split the gap between the window's neighbours; only
+    /// when that gap is too small does a relabel respace the smallest
+    /// enclosing neighbourhood that has room, doubling it on each side.
     pub fn apply_delta(&mut self, prog: &GroundProgram, delta: &CondensationDelta) -> RepairStats {
         let old_n = self.comp_of.len();
         let new_n = prog.atom_count();
-        let k_old = self.len();
 
         // ---- Window of possibly-restructured components -----------------
-        let mut lo = usize::MAX;
-        let mut hi_ex = 0usize; // exclusive upper bound
+        let (mut lo, mut hi) = (NONE, NONE);
         for &a in delta.touched.iter().chain(delta.new_edge_targets.iter()) {
             if a.index() < old_n {
-                let c = self.comp_of[a.index()] as usize;
-                lo = lo.min(c);
-                hi_ex = hi_ex.max(c + 1);
+                let c = self.comp_of[a.index()];
+                if lo == NONE || self.label(c) < self.label(lo) {
+                    lo = c;
+                }
+                if hi == NONE || self.label(c) > self.label(hi) {
+                    hi = c;
+                }
             }
         }
-        if lo == usize::MAX {
-            // No existing component is seeded: new atoms (if any) are
-            // appended as fresh components after everything else.
-            lo = k_old;
-            hi_ex = k_old;
+        if lo == NONE && new_n == old_n {
+            return RepairStats::default();
         }
-        let w = hi_ex - lo;
-
-        // ---- Rename pass ------------------------------------------------
-        // Swap-removed rule ids in slices *outside* the window are patched
-        // pointwise, in chronological order (window slices are regrouped
-        // wholesale below, so stale entries there are simply discarded).
-        for r in delta.renames {
-            if r.head.index() >= old_n {
-                // The moved rule was added in this same batch (its head is
-                // a new atom): it was never indexed here, and the window
-                // regroup below picks up its final id from the program.
-                continue;
-            }
-            let c = self.comp_of[r.head.index()] as usize;
-            if c >= lo && c < hi_ex {
-                continue;
-            }
-            let (s, e) = (
-                self.rule_offsets[c] as usize,
-                self.rule_offsets[c + 1] as usize,
-            );
-            let slice = &mut self.rules[s..e];
-            let pos = slice
-                .iter()
-                .position(|&x| x == r.from)
-                .expect("renamed rule is indexed under its head's component");
-            slice[pos] = r.to;
+        // Neighbours the recomputed components are linked between. With
+        // no existing seed, new atoms are appended after everything else.
+        let (before, after) = if lo == NONE {
+            (self.tail, NONE)
+        } else {
+            (self.comps[lo as usize].prev, self.comps[hi as usize].next)
+        };
+        let mut window_comps: Vec<u32> = Vec::new();
+        let mut window_atoms: Vec<u32> = Vec::new();
+        let mut c = lo;
+        while c != NONE {
+            window_comps.push(c);
+            window_atoms.extend(self.atoms(c));
+            c = if c == hi {
+                NONE
+            } else {
+                self.comps[c as usize].next
+            };
         }
-
-        if w == 0 && new_n == old_n {
-            return RepairStats::default(); // renames were the whole delta
-        }
-
-        // ---- Localized Tarjan over the window's atoms -------------------
-        let a_lo = self.atom_offsets[lo] as usize;
-        let a_hi = self.atom_offsets[hi_ex] as usize;
-        let mut window_atoms: Vec<u32> = Vec::with_capacity(a_hi - a_lo + (new_n - old_n));
-        window_atoms.extend_from_slice(&self.atoms[a_lo..a_hi]);
+        // Old atoms ascending, then the new ones (all larger).
+        window_atoms.sort_unstable();
         window_atoms.extend(old_n as u32..new_n as u32);
         let nw = window_atoms.len();
-        let mut local: FxHashMap<u32, u32> = FxHashMap::default();
+        // The window is a label range plus the new atoms. Its atoms' ranks
+        // are rewritten below anyway, so they hold window positions
+        // meanwhile.
+        self.comp_of.resize(new_n, NONE);
+        self.next_atom.resize(new_n, NONE);
+        self.rank.resize(new_n, 0);
         for (i, &a) in window_atoms.iter().enumerate() {
-            local.insert(a, i as u32);
+            self.rank[a as usize] = i as u32;
         }
+        let labels = (lo != NONE).then(|| self.label(lo)..=self.label(hi));
+        let local = |q: u32| {
+            let inside = q as usize >= old_n
+                || labels
+                    .as_ref()
+                    .is_some_and(|l| l.contains(&self.label(self.comp_of[q as usize])));
+            inside.then(|| self.rank[q as usize])
+        };
+
+        // ---- Localized Tarjan over the window's atoms -------------------
         let mut offsets: Vec<u32> = Vec::with_capacity(nw + 1);
         offsets.push(0);
         let mut targets: Vec<u32> = Vec::new();
@@ -625,14 +729,16 @@ impl Condensation {
                 let r = prog.rule(rid);
                 for &q in r.pos.iter().chain(r.neg.iter()) {
                     edges_visited += 1;
-                    if let Some(&lq) = local.get(&q.0) {
+                    if let Some(lq) = local(q.0) {
                         targets.push(lq);
                     } else {
                         // A dependency that leaves the window can only go
                         // below it: old edges respect the old order, and
                         // both endpoints of every added edge are seeds.
                         debug_assert!(
-                            (self.comp_of[q.index()] as usize) < lo,
+                            labels
+                                .as_ref()
+                                .is_some_and(|l| self.label(self.comp_of[q.index()]) < *l.start()),
                             "window atoms only depend into or below the window"
                         );
                     }
@@ -650,216 +756,212 @@ impl Condensation {
         });
         let m = m as usize;
 
-        // Group the window's atoms by new component, ascending atom id
-        // within each component (the invariant `Condensation::of`'s
-        // counting sort establishes globally).
-        let mut new_atom_offsets = vec![0u32; m + 1];
-        for &lc in &local_comp {
-            new_atom_offsets[lc as usize + 1] += 1;
+        // ---- Free the window's components -------------------------------
+        for &c in &window_comps {
+            let size = self.comps[c as usize].size as usize;
+            self.count_size(size, false);
+            self.comps[c as usize] = FREE;
+            self.free.push(c);
         }
-        for i in 0..m {
-            new_atom_offsets[i + 1] += new_atom_offsets[i];
-        }
-        let mut sorted = window_atoms.clone();
-        sorted.sort_unstable();
-        let mut cursor = new_atom_offsets.clone();
-        let mut grouped_atoms = vec![0u32; nw];
-        for &a in &sorted {
-            let lc = local_comp[local[&a] as usize] as usize;
-            grouped_atoms[cursor[lc] as usize] = a;
-            cursor[lc] += 1;
-        }
+        self.live -= window_comps.len();
 
-        // Did the window hold a component of the current maximum size?
-        // Only then can the maximum shrink, requiring a full fence
-        // rescan below; otherwise `largest` is monotone under this
-        // repair and a window-local max suffices. Read the old fences
-        // before they are spliced.
-        let window_held_largest = (lo..hi_ex)
-            .any(|c| (self.atom_offsets[c + 1] - self.atom_offsets[c]) as usize == self.largest);
+        // ---- Link the recomputed components in the window's place -------
+        let mut ids: Vec<u32> = Vec::with_capacity(m);
+        let mut prev = before;
+        for _ in 0..m {
+            let id = match self.free.pop() {
+                Some(id) => id,
+                None => {
+                    self.comps.push(FREE);
+                    (self.comps.len() - 1) as u32
+                }
+            };
+            self.comps[id as usize].prev = prev;
+            match prev {
+                NONE => self.head = id,
+                p => self.comps[p as usize].next = id,
+            }
+            prev = id;
+            ids.push(id);
+        }
+        match after {
+            NONE => self.tail = prev,
+            s => self.comps[s as usize].prev = prev,
+        }
+        if let Some(&last) = ids.last() {
+            self.comps[last as usize].next = after;
+        }
+        // Thread atoms in descending order so every list ends ascending.
+        for (i, &a) in window_atoms.iter().enumerate().rev() {
+            let id = ids[local_comp[i] as usize];
+            let comp = &mut self.comps[id as usize];
+            self.comp_of[a as usize] = id;
+            self.next_atom[a as usize] = comp.first;
+            comp.first = a;
+            comp.size += 1;
+        }
+        for &id in &ids {
+            let size = self.comps[id as usize].size as usize;
+            self.count_size(size, true);
+            let mut a = self.comps[id as usize].first;
+            for r in 0..size as u32 {
+                self.rank[a as usize] = r;
+                a = self.next_atom[a as usize];
+            }
+        }
+        self.live += m;
 
-        // ---- Splice: comp_of --------------------------------------------
-        let dcomp = m as i64 - w as i64;
-        self.comp_of.resize(new_n, 0);
-        if dcomp != 0 {
-            // Suffix components shift uniformly; their relative order (and
-            // hence every dependency constraint they participate in) is
-            // preserved.
-            for &a in &self.atoms[a_hi..] {
-                self.comp_of[a as usize] = (self.comp_of[a as usize] as i64 + dcomp) as u32;
+        // ---- Labels -----------------------------------------------------
+        let mut atoms_written = nw;
+        if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
+            let lower = self.label_or(before, 0);
+            let upper = self.label_or(after, u64::MAX);
+            let step = LABEL_GAP.min((upper - lower) / (m as u64 + 1));
+            if step > 0 {
+                for (i, &id) in ids.iter().enumerate() {
+                    self.comps[id as usize].label = lower + step * (i as u64 + 1);
+                }
+            } else {
+                // The respaced neighbourhood holds the window's `nw`
+                // atoms and those of the components around it.
+                atoms_written = self.respace(first, last, m);
             }
-        }
-        for (i, &a) in window_atoms.iter().enumerate() {
-            self.comp_of[a as usize] = lo as u32 + local_comp[i];
-        }
-
-        // ---- Splice: atom slices ----------------------------------------
-        if m == w && nw == a_hi - a_lo {
-            // Same component count, no new atoms: patch in place.
-            self.atoms[a_lo..a_hi].copy_from_slice(&grouped_atoms);
-            for i in 0..m {
-                self.atom_offsets[lo + 1 + i] = a_lo as u32 + new_atom_offsets[i + 1];
-            }
-        } else {
-            let mut atoms2 = Vec::with_capacity(new_n);
-            atoms2.extend_from_slice(&self.atoms[..a_lo]);
-            atoms2.extend_from_slice(&grouped_atoms);
-            atoms2.extend_from_slice(&self.atoms[a_hi..]);
-            self.atoms = atoms2;
-            let grow = nw as i64 - (a_hi - a_lo) as i64;
-            let mut off2 = Vec::with_capacity((k_old as i64 + dcomp) as usize + 1);
-            off2.extend_from_slice(&self.atom_offsets[..=lo]);
-            off2.extend(new_atom_offsets[1..].iter().map(|&o| a_lo as u32 + o));
-            for &o in &self.atom_offsets[hi_ex + 1..] {
-                off2.push((o as i64 + grow) as u32);
-            }
-            self.atom_offsets = off2;
-        }
-
-        // ---- Splice: rule slices ----------------------------------------
-        // Membership changes are confined to window components (every
-        // added or removed rule's head is touched), so the window's rule
-        // slices are regrouped straight from the program's head index.
-        let r_lo = self.rule_offsets[lo] as usize;
-        let r_hi = self.rule_offsets[hi_ex] as usize;
-        let mut grouped_rules: Vec<RuleId> = Vec::with_capacity(r_hi - r_lo);
-        let mut new_rule_offsets = vec![0u32; m + 1];
-        for c in 0..m {
-            let range = new_atom_offsets[c] as usize..new_atom_offsets[c + 1] as usize;
-            for &a in &grouped_atoms[range] {
-                grouped_rules.extend_from_slice(prog.rules_with_head(AtomId(a)));
-            }
-            new_rule_offsets[c + 1] = grouped_rules.len() as u32;
-        }
-        if m == w && grouped_rules.len() == r_hi - r_lo {
-            self.rules[r_lo..r_hi].copy_from_slice(&grouped_rules);
-            for i in 0..m {
-                self.rule_offsets[lo + 1 + i] = r_lo as u32 + new_rule_offsets[i + 1];
-            }
-        } else {
-            let grow = grouped_rules.len() as i64 - (r_hi - r_lo) as i64;
-            let mut rules2 = Vec::with_capacity((self.rules.len() as i64 + grow) as usize);
-            rules2.extend_from_slice(&self.rules[..r_lo]);
-            rules2.extend_from_slice(&grouped_rules);
-            rules2.extend_from_slice(&self.rules[r_hi..]);
-            self.rules = rules2;
-            let mut off2 = Vec::with_capacity((k_old as i64 + dcomp) as usize + 1);
-            off2.extend_from_slice(&self.rule_offsets[..=lo]);
-            off2.extend(new_rule_offsets[1..].iter().map(|&o| r_lo as u32 + o));
-            for &o in &self.rule_offsets[hi_ex + 1..] {
-                off2.push((o as i64 + grow) as u32);
-            }
-            self.rule_offsets = off2;
-        }
-        debug_assert_eq!(self.rules.len(), prog.rule_count());
-        debug_assert_eq!(self.atoms.len(), new_n);
-
-        // ---- Largest component ------------------------------------------
-        let window_max = (0..m)
-            .map(|c| (new_atom_offsets[c + 1] - new_atom_offsets[c]) as usize)
-            .max()
-            .unwrap_or(0);
-        if window_held_largest {
-            // A split may have shrunk the maximum: rescan the (cheap,
-            // fence-array-only) component sizes.
-            let k_new = self.len();
-            self.largest = (0..k_new)
-                .map(|c| (self.atom_offsets[c + 1] - self.atom_offsets[c]) as usize)
-                .max()
-                .unwrap_or(0);
-        } else {
-            // Components outside the window are untouched, so the
-            // maximum can only grow — by a merge inside the window.
-            self.largest = self.largest.max(window_max);
         }
 
         RepairStats {
-            atoms_visited: nw,
+            atoms_visited: atoms_written,
             edges_visited,
-            components_replaced: w,
+            components_replaced: window_comps.len(),
             components_recomputed: m,
         }
     }
 
-    /// Do `self` and `other` describe the same condensation? The SCC
-    /// *partition* of a graph is unique but component ids are an arbitrary
-    /// topological labeling, so this compares the atom partition and the
-    /// per-component rule **sets** — the notion of identity the
-    /// differential suite holds [`Condensation::apply_delta`] to against
-    /// a from-scratch [`Condensation::of`] (use
-    /// [`Condensation::is_consistent_with`] for the order-validity half).
-    pub fn same_decomposition(&self, other: &Condensation) -> bool {
-        if self.comp_of.len() != other.comp_of.len()
-            || self.len() != other.len()
-            || self.rules.len() != other.rules.len()
-        {
-            return false;
+    /// The label of `comp`, or `sentinel` past either end of the order.
+    fn label_or(&self, comp: u32, sentinel: u64) -> u64 {
+        match comp {
+            NONE => sentinel,
+            c => self.label(c),
         }
-        for c in 0..self.len() {
-            let atoms = self.atoms(c);
-            let oc = other.comp_of[atoms[0] as usize] as usize;
-            // Atom slices are ascending on both sides, so slice equality
-            // is set equality; equal counts + disjointness make the
-            // component mapping a bijection.
-            if atoms != other.atoms(oc) {
-                return false;
-            }
-            let mut r1: Vec<RuleId> = self.rules(c).to_vec();
-            let mut r2: Vec<RuleId> = other.rules(oc).to_vec();
-            r1.sort_unstable();
-            r2.sort_unstable();
-            if r1 != r2 {
-                return false;
-            }
-        }
-        true
     }
 
-    /// Full structural audit against `prog`: sizes, slice/`comp_of`
-    /// agreement, ascending atom slices, every rule indexed exactly once
-    /// under its head's component, **topologically valid** component ids
-    /// (no rule's body reaches a higher component than its head), and a
-    /// correct `largest`. `O(|program|)` — this is the debug-mode check
-    /// behind warm condensation repairs, not a hot-path operation.
-    pub fn is_consistent_with(&self, prog: &GroundProgram) -> bool {
-        let n = prog.atom_count();
-        let k = self.len();
-        if self.comp_of.len() != n
-            || self.atoms.len() != n
-            || self.rules.len() != prog.rule_count()
-            || self.rule_offsets.len() != k + 1
-        {
+    /// Relabel the smallest neighbourhood of the `count` consecutive
+    /// components `first..=last` whose label span leaves an average gap
+    /// of at least [`MIN_RELABEL_GAP`], growing it by doubling on each
+    /// side, and space its labels evenly. The whole order always
+    /// qualifies: at most `u32::MAX` components share the `u64` labels.
+    /// Returns the atoms of the relabelled components.
+    fn respace(&mut self, mut first: u32, mut last: u32, mut count: usize) -> usize {
+        let mut reach = 1usize;
+        loop {
+            let lower = self.label_or(self.comps[first as usize].prev, 0);
+            let upper = self.label_or(self.comps[last as usize].next, u64::MAX);
+            let gap = (upper - lower) / (count as u64 + 1);
+            let whole =
+                self.comps[first as usize].prev == NONE && self.comps[last as usize].next == NONE;
+            if gap >= MIN_RELABEL_GAP || whole {
+                let mut atoms = 0usize;
+                let mut c = first;
+                for i in 0..count {
+                    let comp = &mut self.comps[c as usize];
+                    comp.label = lower + gap * (i as u64 + 1);
+                    atoms += comp.size as usize;
+                    c = comp.next;
+                }
+                return atoms;
+            }
+            for _ in 0..reach {
+                let p = self.comps[first as usize].prev;
+                if p != NONE {
+                    first = p;
+                    count += 1;
+                }
+                let s = self.comps[last as usize].next;
+                if s != NONE {
+                    last = s;
+                    count += 1;
+                }
+            }
+            reach *= 2;
+        }
+    }
+
+    /// Do `self` and `other` describe the same condensation? The SCC
+    /// *partition* of a graph is unique but component ids and labels are
+    /// an arbitrary topological labelling, so this compares the atom
+    /// partition — the notion of identity the differential suite holds
+    /// [`Condensation::apply_delta`] to against a from-scratch
+    /// [`Condensation::of`] (use [`Condensation::is_consistent_with`]
+    /// for the order-validity half).
+    pub fn same_decomposition(&self, other: &Condensation) -> bool {
+        if self.comp_of.len() != other.comp_of.len() || self.len() != other.len() {
             return false;
         }
-        let mut seen_rule = vec![false; prog.rule_count()];
-        for c in 0..k {
-            let atoms = self.atoms(c);
-            if atoms.is_empty() || !atoms.windows(2).all(|p| p[0] < p[1]) {
-                return false;
-            }
-            if atoms.iter().any(|&a| self.comp_of[a as usize] != c as u32) {
-                return false;
-            }
-            for &rid in self.rules(c) {
-                if seen_rule[rid as usize] || self.comp_of[prog.rule(rid).head.index()] != c as u32
-                {
-                    return false;
-                }
-                seen_rule[rid as usize] = true;
-            }
+        // Atom lists are ascending on both sides, so list equality is set
+        // equality; equal counts + disjointness make the component
+        // mapping a bijection.
+        self.topological_order().all(|c| {
+            let oc = other.comp_of[self.comps[c as usize].first as usize];
+            self.atoms(c).eq(other.atoms(oc))
+        })
+    }
+
+    /// Full structural audit against `prog`: sizes, the order list (every
+    /// live component exactly once, labels strictly increasing), the
+    /// free list, atom lists (ascending, agreeing with `comp_of`),
+    /// **topologically valid** labels (no rule's body reaches a component
+    /// labelled above its head's), and a correct histogram and `largest`.
+    /// `O(|program|)` — this is the debug-mode check behind warm
+    /// condensation repairs, not a hot-path operation.
+    pub fn is_consistent_with(&self, prog: &GroundProgram) -> bool {
+        let n = prog.atom_count();
+        if self.comp_of.len() != n || self.next_atom.len() != n || self.rank.len() != n {
+            return false;
         }
-        for r in prog.rules() {
-            let hc = self.comp_of[r.head.index()];
-            if r.pos
-                .iter()
-                .chain(r.neg.iter())
-                .any(|&q| self.comp_of[q.index()] > hc)
+        let mut seen = vec![false; self.comps.len()];
+        let mut hist = vec![0u32; n + 1];
+        let (mut prev, mut last_label, mut live, mut atoms) = (NONE, None, 0usize, 0usize);
+        for c in self.topological_order() {
+            let comp = &self.comps[c as usize];
+            if seen[c as usize] || comp.size == 0 || comp.prev != prev {
+                return false;
+            }
+            if last_label.is_some_and(|l| l >= comp.label) {
+                return false;
+            }
+            seen[c as usize] = true;
+            (prev, last_label) = (c, Some(comp.label));
+            let list: Vec<u32> = self.atoms(c).collect();
+            if list.len() != comp.size as usize
+                || !list.windows(2).all(|p| p[0] < p[1])
+                || list.iter().any(|&a| self.comp_of[a as usize] != c)
+                || list
+                    .iter()
+                    .enumerate()
+                    .any(|(r, &a)| self.rank[a as usize] != r as u32)
             {
                 return false;
             }
+            hist[list.len()] += 1;
+            live += 1;
+            atoms += list.len();
         }
-        let largest = (0..k).map(|c| self.atoms(c).len()).max().unwrap_or(0);
-        self.largest == largest
+        let free_ok = self.free.len() == self.comps.len() - live
+            && self.free.iter().all(|&c| self.comps[c as usize].size == 0);
+        if prev != self.tail || live != self.live || atoms != n || !free_ok {
+            return false;
+        }
+        let topological = prog.rules().all(|r| {
+            let hl = self.label(self.comp_of[r.head.index()]);
+            r.pos
+                .iter()
+                .chain(r.neg.iter())
+                .all(|&q| self.label(self.comp_of[q.index()]) <= hl)
+        });
+        let largest = hist.iter().rposition(|&k| k > 0).unwrap_or(0);
+        let hist_ok = (0..self.size_hist.len().max(hist.len())).all(|s| {
+            self.size_hist.get(s).copied().unwrap_or(0) == hist.get(s).copied().unwrap_or(0)
+        });
+        topological && hist_ok && self.largest == largest
     }
 }
 
@@ -878,43 +980,27 @@ impl Condensation {
 /// * `new_edge_targets` holds every body atom of every added rule and
 ///   every atom added to an existing rule's body — the targets of
 ///   dependency edges that did not necessarily exist before;
-/// * `renames` records every swap-remove rename
-///   ([`GroundProgram::remove_rule`] moving the last rule into the freed
-///   slot) in chronological order, each stamped with the moved rule's
-///   head **at event time**;
 /// * atoms interned since the last delta are exactly
 ///   `old_atom_count..prog.atom_count()` (dense append), and each of
 ///   them either has its rules' heads in `touched` or appears in
 ///   `new_edge_targets` or has no incident dependency edges at all.
+///
+/// Rule ids play no part: swap-remove renames of rules need no report.
 #[derive(Debug, Clone, Copy)]
 pub struct CondensationDelta<'a> {
     /// Heads whose rule set changed (rules added, removed, or patched).
     pub touched: &'a [AtomId],
     /// Body atoms of added rules and added (resurrected) body literals.
     pub new_edge_targets: &'a [AtomId],
-    /// Swap-remove rule-id renames, in chronological order.
-    pub renames: &'a [RuleRename],
-}
-
-/// A swap-remove rename of a ground rule id: the rule formerly at `from`
-/// now lives at `to`. `head` is that rule's head **at event time** —
-/// recorded eagerly because a later rename in the same batch may move
-/// the slot again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleRename {
-    /// The rule's previous id (the last rule at removal time).
-    pub from: RuleId,
-    /// The slot it moved into.
-    pub to: RuleId,
-    /// The moved rule's head atom.
-    pub head: AtomId,
 }
 
 /// What one [`Condensation::apply_delta`] call actually walked — the
 /// evidence that a repair was delta-bounded rather than a hidden rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Atoms the localized Tarjan visited (the repair window).
+    /// Atoms whose component entry or component label the repair wrote:
+    /// the window's atoms, plus the atoms of any component a relabel
+    /// outside the window respaced.
     pub atoms_visited: usize,
     /// Dependency edges inspected while rebuilding the window adjacency.
     pub edges_visited: usize,
@@ -1049,7 +1135,7 @@ mod tests {
     }
 
     #[test]
-    fn condensation_groups_atoms_and_rules() {
+    fn condensation_groups_atoms() {
         use crate::program::parse_ground;
         let g = parse_ground("p :- not q. q :- not p. r :- p. r :- q. s :- not r. t.");
         let c = Condensation::of(&g);
@@ -1061,17 +1147,19 @@ mod tests {
         let s = g.find_atom_by_name("s", &[]).unwrap().0;
         assert_eq!(c.component_of(p), c.component_of(q));
         assert_ne!(c.component_of(p), c.component_of(r));
-        // Dependency order: callees get smaller ids.
-        assert!(c.component_of(p) < c.component_of(r));
-        assert!(c.component_of(r) < c.component_of(s));
-        // The knot's component holds both atoms and both 2-cycle rules.
-        let knot = c.component_of(p) as usize;
-        assert_eq!(c.atoms(knot), &[p.min(q), p.max(q)]);
-        assert_eq!(c.rules(knot).len(), 2);
-        // Every rule lands in exactly one component slice.
-        let total: usize = (0..c.len()).map(|i| c.rules(i).len()).sum();
-        assert_eq!(total, g.rule_count());
-        let total_atoms: usize = (0..c.len()).map(|i| c.atoms(i).len()).sum();
+        // Dependency order: callees get smaller labels.
+        let label = |a: u32| c.label(c.component_of(a));
+        assert!(label(p) < label(r));
+        assert!(label(r) < label(s));
+        // The knot's component holds both atoms, ascending.
+        let knot = c.component_of(p);
+        assert_eq!(c.atoms(knot).collect::<Vec<_>>(), [p.min(q), p.max(q)]);
+        assert_eq!(c.component_size(knot), 2);
+        // Every atom lands in exactly one component, listed in order.
+        let order: Vec<u32> = c.topological_order().collect();
+        assert_eq!(order.len(), c.len());
+        assert!(order.windows(2).all(|w| c.label(w[0]) < c.label(w[1])));
+        let total_atoms: usize = order.iter().map(|&i| c.atoms(i).count()).sum();
         assert_eq!(total_atoms, g.atom_count());
     }
 
@@ -1107,18 +1195,16 @@ mod tests {
             .find(|&&r| g.rule(r).is_fact())
             .unwrap();
         // Retract the fact…
-        let mut renames: Vec<RuleRename> = Vec::new();
-        g.remove_rule_logged(fact, &mut renames);
+        g.remove_rule(fact);
         let stats = c.apply_delta(
             &g,
             &CondensationDelta {
                 touched: &[e],
                 new_edge_targets: &[],
-                renames: &renames,
             },
         );
         assert_repaired(&c, &g);
-        assert!(stats.atoms_visited <= 1, "only e's singleton is rewalked");
+        assert_eq!(stats.atoms_visited, 1, "only e's singleton is rewritten");
         // …and assert it back.
         g.push_rule(e, vec![], vec![]);
         c.apply_delta(
@@ -1126,7 +1212,6 @@ mod tests {
             &CondensationDelta {
                 touched: &[e],
                 new_edge_targets: &[],
-                renames: &[],
             },
         );
         assert_repaired(&c, &g);
@@ -1148,7 +1233,6 @@ mod tests {
             &CondensationDelta {
                 touched: &[a],
                 new_edge_targets: &[cc],
-                renames: &[],
             },
         );
         assert_repaired(&c, &g);
@@ -1157,14 +1241,12 @@ mod tests {
         assert_eq!(stats.components_recomputed, 1, "merged into one knot");
         assert_eq!(c.largest(), 3);
         // Remove it again: the knot splits back into three singletons.
-        let mut renames: Vec<RuleRename> = Vec::new();
-        g.remove_rule_logged(rid, &mut renames);
+        g.remove_rule(rid);
         c.apply_delta(
             &g,
             &CondensationDelta {
                 touched: &[a],
                 new_edge_targets: &[],
-                renames: &renames,
             },
         );
         assert_repaired(&c, &g);
@@ -1188,11 +1270,10 @@ mod tests {
             &CondensationDelta {
                 touched: &[sa],
                 new_edge_targets: &[p, sa],
-                renames: &[],
             },
         );
         assert_repaired(&c, &g);
-        assert!(c.component_of(sa.0) > c.component_of(p.0));
+        assert!(c.label(c.component_of(sa.0)) > c.label(c.component_of(p.0)));
         // A floating new atom with no rules at all becomes a singleton.
         let t = g.intern_symbol("t");
         let ta = g.intern_atom_ids(t, &[]);
@@ -1201,11 +1282,39 @@ mod tests {
             &CondensationDelta {
                 touched: &[],
                 new_edge_targets: &[],
-                renames: &[],
             },
         );
         assert_repaired(&c, &g);
-        assert_eq!(c.atoms(c.component_of(ta.0) as usize), &[ta.0]);
+        assert_eq!(c.atoms(c.component_of(ta.0)).collect::<Vec<_>>(), [ta.0]);
+    }
+
+    #[test]
+    fn repeated_splits_in_one_gap_relabel_a_neighbourhood() {
+        use crate::program::parse_ground;
+        // Each step interns x_i below b, so the repair puts two
+        // components where b was, between x_{i-1} and z: the gap there
+        // shrinks by a third per step until a relabel must respace.
+        let mut g = parse_ground("a. b :- a. z :- b.");
+        let mut c = Condensation::of(&g);
+        let b = g.find_atom_by_name("b", &[]).unwrap();
+        let mut relabelled = false;
+        for i in 0..80 {
+            let sym = g.intern_symbol(&format!("x{i}"));
+            let x = g.intern_atom_ids(sym, &[]);
+            g.push_rule(b, vec![x], vec![]);
+            let stats = c.apply_delta(
+                &g,
+                &CondensationDelta {
+                    touched: &[b],
+                    new_edge_targets: &[x],
+                },
+            );
+            assert_repaired(&c, &g);
+            assert_eq!(stats.components_recomputed, 2);
+            relabelled |= stats.atoms_visited > 2;
+        }
+        assert!(relabelled, "80 splits of one gap needed a relabel");
+        assert_eq!(c.len(), 83);
     }
 
     #[test]

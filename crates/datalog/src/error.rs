@@ -51,6 +51,12 @@ pub enum ParseError {
         /// Where the head starts.
         at: Location,
     },
+    /// Function terms nest deeper than
+    /// [`MAX_TERM_DEPTH`](crate::parser::MAX_TERM_DEPTH).
+    TooDeep {
+        /// Where the first application past the limit starts.
+        at: Location,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -73,6 +79,11 @@ impl fmt::Display for ParseError {
             ParseError::InvalidHead { at } => {
                 write!(f, "{at}: rule head must be a non-negated atom")
             }
+            ParseError::TooDeep { at } => write!(
+                f,
+                "{at}: function terms nest deeper than {}",
+                crate::parser::MAX_TERM_DEPTH
+            ),
         }
     }
 }

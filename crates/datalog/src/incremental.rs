@@ -66,7 +66,6 @@
 
 use crate::ast::{Atom, Program, Rule};
 use crate::atoms::{AtomId, ConstId, HerbrandBase};
-use crate::depgraph::RuleRename;
 use crate::error::GroundError;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::ground::{
@@ -128,11 +127,6 @@ pub struct DeltaEffect {
     /// [`crate::depgraph::Condensation::apply_delta`] needs to bound its
     /// repair window.
     pub new_edge_targets: Vec<AtomId>,
-    /// Swap-remove renames of ground rule ids
-    /// ([`crate::program::GroundProgram::remove_rule`] moving the last
-    /// rule into the freed slot), in chronological order — the other
-    /// half of the condensation-repair delta.
-    pub renames: Vec<RuleRename>,
     /// Ground rule instances added by this call.
     pub new_rules: usize,
     /// Negative literals resurrected onto existing instances.
@@ -600,7 +594,6 @@ impl IncrementalGrounder {
             effect.fresh |= one.fresh;
             effect.atom = one.atom.or(effect.atom);
             effect.changed.extend(one.changed);
-            effect.renames.extend(one.renames);
         }
         effect.changed.sort_unstable();
         effect.changed.dedup();
@@ -665,7 +658,7 @@ impl IncrementalGrounder {
         else {
             return effect; // the fact rule itself is gone — nothing to do
         };
-        if let Some(moved) = self.prog.remove_rule_logged(rid, &mut effect.renames) {
+        if let Some(moved) = self.prog.remove_rule(rid) {
             self.fix_moved_rule(moved, rid);
         }
         if self.need_dom {
@@ -1010,7 +1003,6 @@ impl IncrementalGrounder {
             effect.fresh |= one.fresh;
             effect.atom = one.atom.or(effect.atom);
             effect.changed.extend(one.changed);
-            effect.renames.extend(one.renames);
         }
         // Highest index first: each swap-remove fills the freed slot from
         // the end, which in descending order is never an index still
@@ -1093,7 +1085,7 @@ impl IncrementalGrounder {
             for rules in self.dropped.values_mut() {
                 rules.retain(|&r| r != rid);
             }
-            if let Some(moved) = self.prog.remove_rule_logged(rid, &mut effect.renames) {
+            if let Some(moved) = self.prog.remove_rule(rid) {
                 self.fix_moved_rule(moved, rid);
                 for r in rids.iter_mut() {
                     if *r == moved {

@@ -43,7 +43,7 @@ pub mod symbol;
 pub use ast::{Atom, Literal, Program, Rule, Term};
 pub use atoms::{AtomId, ConstId, HerbrandBase};
 pub use bitset::AtomSet;
-pub use depgraph::{Condensation, CondensationDelta, RepairStats, RuleRename, SccList};
+pub use depgraph::{Condensation, CondensationDelta, RepairStats, SccList};
 pub use error::{GroundError, ParseError};
 pub use ground::{ground, ground_with, GroundOptions, SafetyPolicy};
 pub use incremental::{DeltaEffect, IncrementalGrounder, RetractOutcome, RuleAssertOutcome};

@@ -19,12 +19,19 @@
 use crate::ast::{Atom, Literal, Program, Rule, Term};
 use crate::error::{Location, ParseError};
 
+/// Deepest nesting of function applications a term may have. Terms are
+/// parsed, rendered, imported and dropped recursively, so the bound
+/// keeps hostile input from exhausting the stack; deeper input is a
+/// [`ParseError::TooDeep`].
+pub const MAX_TERM_DEPTH: usize = 128;
+
 /// Parse a complete program from source text.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(src)?;
     let mut parser = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         program: Program::new(),
     };
     parser.program()?;
@@ -39,6 +46,7 @@ pub fn parse_atom_into(src: &str, program: &mut Program) -> Result<Atom, ParseEr
     let mut parser = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         program: std::mem::take(program),
     };
     let atom = parser.atom();
@@ -278,6 +286,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     program: Program,
+    /// Function applications open around the term being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -398,6 +408,10 @@ impl Parser {
             TokenKind::Ident(name) => {
                 let sym = self.program.symbols.intern(&name);
                 if self.eat(&TokenKind::LParen) {
+                    if self.depth == MAX_TERM_DEPTH {
+                        return Err(ParseError::TooDeep { at: tok.at });
+                    }
+                    self.depth += 1;
                     let mut args = Vec::new();
                     loop {
                         args.push(self.term()?);
@@ -406,6 +420,7 @@ impl Parser {
                         }
                     }
                     self.expect(TokenKind::RParen, "')'")?;
+                    self.depth -= 1;
                     Ok(Term::App(sym, args))
                 } else {
                     Ok(Term::Const(sym))
@@ -555,5 +570,17 @@ mod tests {
         assert_eq!(atom.arity(), 1);
         // trailing junk is rejected
         assert!(parse_atom_into("p(b) extra", &mut p).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("p({}a{}).", "f(".repeat(depth), ")".repeat(depth));
+        assert!(parse_program(&nested(MAX_TERM_DEPTH)).is_ok());
+        assert!(matches!(
+            parse_program(&nested(MAX_TERM_DEPTH + 1)),
+            Err(ParseError::TooDeep { .. })
+        ));
+        // Far past the bound: an error, not a stack overflow.
+        assert!(parse_program(&nested(1 << 20)).is_err());
     }
 }

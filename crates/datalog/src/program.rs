@@ -324,11 +324,6 @@ impl GroundProgram {
     /// Remove a rule by id via swap-remove: the **last** rule takes over
     /// `id` (the returned value names the rule that moved, if any). All
     /// occurrence indices are patched; other rule ids are unchanged.
-    /// Callers maintaining a memoized [`crate::depgraph::Condensation`]
-    /// must record the move as a [`crate::depgraph::RuleRename`]
-    /// (stamped with the moved rule's head at this moment) so
-    /// `apply_delta` can keep its rule slices pointing at the right ids
-    /// — [`GroundProgram::remove_rule_logged`] does that for you.
     pub fn remove_rule(&mut self, id: RuleId) -> Option<RuleId> {
         let unlink = |index: &mut CowVec<Vec<RuleId>>, atom: AtomId, rid: RuleId| {
             let v = index.get_mut(atom.index());
@@ -362,27 +357,6 @@ impl GroundProgram {
             relink(&mut self.neg_index, q, last, id);
         }
         Some(last)
-    }
-
-    /// [`GroundProgram::remove_rule`] plus the condensation-repair
-    /// bookkeeping: when the swap-remove moves the last rule into the
-    /// freed slot, the move is appended to `renames` stamped with the
-    /// moved rule's head **at this moment** (a later removal may move
-    /// the slot again, so the stamp cannot be recovered afterwards).
-    /// Returns the moved rule's previous id for callers that keep other
-    /// id-keyed state of their own.
-    pub fn remove_rule_logged(
-        &mut self,
-        id: RuleId,
-        renames: &mut Vec<crate::depgraph::RuleRename>,
-    ) -> Option<RuleId> {
-        let moved = self.remove_rule(id)?;
-        renames.push(crate::depgraph::RuleRename {
-            from: moved,
-            to: id,
-            head: self.rule(id).head,
-        });
-        Some(moved)
     }
 
     /// A copy of this program over the **same Herbrand base and atom ids**

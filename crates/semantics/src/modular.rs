@@ -13,15 +13,16 @@
 //!
 //! Unlike a textbook implementation, no subprogram is ever constructed.
 //! The dependency graph is condensed once into a reusable
-//! [`Condensation`] (atom → component ids in topological order, per-
-//! component atom and rule slices), and each component is evaluated by
-//! **index-restricted closures** directly against the global
-//! [`PartialModel`]:
+//! [`Condensation`] (atom → component, per-component atom lists, a
+//! topological order by component label), and each component is
+//! evaluated by **index-restricted closures** directly against the
+//! global [`PartialModel`]:
 //!
 //! * components are processed in dependency order, so when a component is
 //!   evaluated every body literal on a lower component is already decided
 //!   (or known undefined);
-//! * each rule of the component is classified once per evaluation:
+//! * each rule of the component (`rules_with_head` of its atoms) is
+//!   classified once per evaluation:
 //!   decided boundary literals either drop out (true positive / false
 //!   negative) or kill the rule (false positive / true negative), in-
 //!   component literals are kept as local counter targets, and a literal
@@ -32,33 +33,28 @@
 //!   an even iterate) and always can in the decreasing **over**-closures
 //!   (the gadget atom is derivable from every odd iterate);
 //! * the alternating fixpoint then runs over the component's atoms alone,
-//!   with Dowling–Gallier counter closures over the component's rule
-//!   slice — no symbol interning, no hash maps, no allocation beyond a
-//!   handful of reused scratch vectors.
+//!   with Dowling–Gallier counter closures over the component's rules —
+//!   no symbol interning, no hash maps, and scratch sized by the
+//!   component, never by the program.
 //!
 //! The result is identical to the global alternating fixpoint (checked by
 //! a differential property test and by the engine's differential CI
-//! test). [`modular_wfs_update`] additionally supports **per-component
-//! warm re-solves**: given the previous model and the set of atoms whose
+//! test). [`modular_wfs_update`] additionally supports **cone-only warm
+//! re-solves**: given the previous model and the set of atoms whose
 //! truth may have changed (the forward dependency cone of a fact *or
 //! rule* delta — for a rule delta, the cone of the heads whose rule sets
-//! changed), components disjoint from the cone copy their stored truth
-//! values verbatim instead of being re-derived — the engine's `Session`
-//! uses this to make update-heavy workloads pay only for the cone they
-//! touch. The reuse check is **by atom id**, not component id: a
-//! mutation repairs the condensation in place
-//! (`Condensation::apply_delta` renumbers component ids inside the
-//! delta's window), but atom ids are stable across in-place mutations,
-//! so the repaired condensation still reuses every component outside the
-//! cone. Atoms interned after the previous solve (heads and bodies a new
-//! rule brought into the program) fail the `a < old_n` universe check
-//! and are always evaluated.
+//! changed), it starts from a word copy of the previous model and
+//! evaluates only the components of that cone and of the atoms interned
+//! since, sorted by order label. Every other component keeps its stored
+//! truth values without being visited, so a write whose cone is `k`
+//! components costs `O(k)` plus the copy. Reuse is keyed by atom id, and
+//! atom ids are stable across in-place mutations, so it survives the
+//! engine's in-place condensation repairs (`Condensation::apply_delta`).
 //!
-//! Components are evaluated in one loop in ascending component id,
-//! which is a topological order, by a single reusable `ComponentEval`
-//! that reads the settled lower components from the [`PartialModel`]
-//! under construction and writes its own atoms' verdicts straight into
-//! it.
+//! Components are evaluated in one loop in topological order by a single
+//! reusable `ComponentEval` that reads the settled lower components from
+//! the [`PartialModel`] under construction and writes its own atoms'
+//! verdicts straight into it.
 
 use afp_core::interp::{PartialModel, Truth};
 use afp_datalog::atoms::AtomId;
@@ -77,7 +73,7 @@ pub struct ModularResult {
     pub largest_component: usize,
     /// Components actually evaluated by this call.
     pub evaluated: usize,
-    /// Components whose truth values were copied from a previous model
+    /// Components whose truth values were kept from a previous model
     /// (always `0` unless called through [`modular_wfs_update`]).
     pub reused: usize,
     /// Atoms covered by the reused components.
@@ -98,9 +94,10 @@ pub fn modular_wfs_with(prog: &GroundProgram, cond: &Condensation) -> ModularRes
 }
 
 /// Component-wise evaluation with **per-component reuse**: when
-/// `previous` is `Some((old_model, affected))`, any component all of
-/// whose atoms (a) existed at the time of `old_model` and (b) lie outside
-/// `affected` copies its old truth values instead of being re-evaluated.
+/// `previous` is `Some((old_model, affected))`, only the components of
+/// `affected` and of the atoms interned after `old_model` (ids at or
+/// above its universe) are evaluated; every other atom keeps its truth
+/// value from `old_model`, and those components are not visited.
 ///
 /// # Soundness
 /// `affected` must contain every atom whose set of rules changed since
@@ -115,41 +112,54 @@ pub fn modular_wfs_update(
     cond: &Condensation,
     previous: Option<(&PartialModel, &AtomSet)>,
 ) -> ModularResult {
-    let mut model = PartialModel::empty(prog.atom_count());
-    // Allocated on the first evaluated component: a warm solve that
-    // copies every component never pays for the scratch.
-    let mut eval: Option<ComponentEval> = None;
-    let mut reused = 0usize;
-    let mut reused_atoms = 0usize;
-
-    for comp in 0..cond.len() {
-        let atoms = cond.atoms(comp);
-        if let Some((old, affected)) = previous {
-            let old_n = old.pos.universe() as u32;
-            if atoms.iter().all(|&a| a < old_n && !affected.contains(a)) {
-                for &a in atoms {
-                    if old.pos.contains(a) {
-                        model.pos.insert(a);
-                    } else if old.neg.contains(a) {
-                        model.neg.insert(a);
-                    }
-                }
-                reused += 1;
-                reused_atoms += atoms.len();
-                continue;
-            }
+    let n = prog.atom_count();
+    let mut eval = ComponentEval::default();
+    let Some((old, affected)) = previous else {
+        let mut model = PartialModel::empty(n);
+        for comp in cond.topological_order() {
+            eval.evaluate(prog, cond, comp, &mut model);
         }
-        eval.get_or_insert_with(|| ComponentEval::new(prog.atom_count(), prog.rule_count()))
-            .evaluate(prog, cond, comp, &mut model);
+        return ModularResult {
+            model,
+            components: cond.len(),
+            largest_component: cond.largest(),
+            evaluated: cond.len(),
+            reused: 0,
+            reused_atoms: 0,
+        };
+    };
+
+    let old_n = old.pos.universe();
+    debug_assert!(old_n <= n, "atom ids only grow between warm solves");
+    let mut model = PartialModel {
+        pos: old.pos.grown(n),
+        neg: old.neg.grown(n),
+    };
+    // The cone's components in topological order. Labels are unique per
+    // component, so sorting by label puts duplicates side by side.
+    let mut cone: Vec<(u64, u32)> = affected
+        .iter()
+        .chain(old_n as u32..n as u32)
+        .map(|a| {
+            let c = cond.component_of(a);
+            (cond.label(c), c)
+        })
+        .collect();
+    cone.sort_unstable();
+    cone.dedup();
+    let mut cone_atoms = 0usize;
+    for &(_, comp) in &cone {
+        cone_atoms += cond.component_size(comp);
+        eval.evaluate(prog, cond, comp, &mut model);
     }
 
     ModularResult {
         model,
         components: cond.len(),
         largest_component: cond.largest(),
-        evaluated: cond.len() - reused,
-        reused,
-        reused_atoms,
+        evaluated: cone.len(),
+        reused: cond.len() - cone.len(),
+        reused_atoms: n - cone_atoms,
     }
 }
 
@@ -175,145 +185,164 @@ struct LocalRule {
 const BLOCKED: u32 = u32::MAX;
 
 /// Reusable scratch for evaluating one component at a time against the
-/// global model. All vectors are allocated once and reused; the
-/// global-sized maps (`local_ix`, `rule_slot`) are only ever read for
-/// atoms/rules of the component being evaluated, so they need no
-/// clearing between components.
+/// global model. Every vector is indexed by the component's local atom
+/// or rule positions, so the scratch grows to the largest component
+/// evaluated, never to the program.
+#[derive(Default)]
 struct ComponentEval {
-    /// Global atom id → local index (valid for the current component).
-    local_ix: Vec<u32>,
-    /// Global rule id → local rule index (valid for rules whose head is
-    /// in the current component).
-    rule_slot: Vec<u32>,
+    /// The current component's atoms, ascending: local index
+    /// ([`Condensation::local_index`]) → atom.
+    atoms: Vec<u32>,
     /// The current component's partially evaluated rules.
     rules: Vec<LocalRule>,
     /// Flat storage for in-component negative literals, local indices.
     neg_lits: Vec<u32>,
+    /// `(local body atom, local rule)` for every in-component positive
+    /// literal, grouped by atom into `watch` below.
+    pos_occ: Vec<(u32, u32)>,
+    /// Local atom `l` → `watch[watch_start[l]..watch_start[l + 1]]`, the
+    /// local rules with `l` in their positive body.
+    watch_start: Vec<u32>,
+    watch: Vec<u32>,
     /// Per local rule: positive subgoals not yet derived, or [`BLOCKED`].
     pos_rem: Vec<u32>,
     /// Work queue of freshly derived local atoms.
     queue: Vec<u32>,
+    /// Alternating-fixpoint iterates, reused across components.
+    sets: [AtomSet; 4],
 }
 
 impl ComponentEval {
-    fn new(atom_count: usize, rule_count: usize) -> ComponentEval {
-        ComponentEval {
-            local_ix: vec![0; atom_count],
-            rule_slot: vec![0; rule_count],
-            rules: Vec::new(),
-            neg_lits: Vec::new(),
-            pos_rem: Vec::new(),
-            queue: Vec::new(),
-        }
-    }
-
     /// Decide the atoms of component `comp`, reading settled lower
-    /// components from `model` and writing only this component's atoms.
+    /// components from `model` and writing only this component's atoms
+    /// (any stale value of theirs is cleared first).
     fn evaluate(
         &mut self,
         prog: &GroundProgram,
         cond: &Condensation,
-        comp: usize,
+        comp: u32,
         model: &mut PartialModel,
     ) {
-        let atoms = cond.atoms(comp);
-        let rule_ids = cond.rules(comp);
+        self.atoms.clear();
+        for a in cond.atoms(comp) {
+            model.pos.remove(a);
+            model.neg.remove(a);
+            self.atoms.push(a);
+        }
 
         // Fast path for singleton components without a self-referencing
         // rule — the overwhelmingly common case. The atom is decided
         // directly from the (already settled) lower components.
-        if atoms.len() == 1 && self.try_singleton(prog, atoms[0], rule_ids, model) {
+        if self.atoms.len() == 1 && try_singleton(prog, self.atoms[0], model) {
             return;
         }
 
         // ---- Classify the component's rules against the model ----------
-        let cid = cond.component_of(atoms[0]);
-        for (i, &a) in atoms.iter().enumerate() {
-            self.local_ix[a as usize] = i as u32;
-        }
         self.rules.clear();
         self.neg_lits.clear();
-        for &rid in rule_ids {
-            self.rule_slot[rid as usize] = self.rules.len() as u32;
-            let r = prog.rule(rid);
-            let mut lr = LocalRule {
-                head: self.local_ix[r.head.index()],
-                pos_in: 0,
-                neg_start: self.neg_lits.len() as u32,
-                neg_end: 0,
-                ext_undef: false,
-                dead: false,
-            };
-            for &q in r.pos.iter() {
-                if cond.component_of(q.0) == cid {
-                    lr.pos_in += 1;
-                } else {
-                    match model.truth(q.0) {
-                        Truth::True => {}
-                        Truth::False => lr.dead = true,
-                        Truth::Undefined => lr.ext_undef = true,
+        self.pos_occ.clear();
+        for i in 0..self.atoms.len() {
+            let a = self.atoms[i];
+            for &rid in prog.rules_with_head(AtomId(a)) {
+                let r = prog.rule(rid);
+                let slot = self.rules.len() as u32;
+                let mut lr = LocalRule {
+                    head: i as u32,
+                    pos_in: 0,
+                    neg_start: self.neg_lits.len() as u32,
+                    neg_end: 0,
+                    ext_undef: false,
+                    dead: false,
+                };
+                for &q in r.pos.iter() {
+                    if cond.component_of(q.0) == comp {
+                        lr.pos_in += 1;
+                        self.pos_occ.push((cond.local_index(q.0), slot));
+                    } else {
+                        match model.truth(q.0) {
+                            Truth::True => {}
+                            Truth::False => lr.dead = true,
+                            Truth::Undefined => lr.ext_undef = true,
+                        }
                     }
                 }
-            }
-            for &q in r.neg.iter() {
-                if cond.component_of(q.0) == cid {
-                    self.neg_lits.push(self.local_ix[q.index()]);
-                } else {
-                    match model.truth(q.0) {
-                        Truth::False => {}
-                        Truth::True => lr.dead = true,
-                        Truth::Undefined => lr.ext_undef = true,
+                for &q in r.neg.iter() {
+                    if cond.component_of(q.0) == comp {
+                        self.neg_lits.push(cond.local_index(q.0));
+                    } else {
+                        match model.truth(q.0) {
+                            Truth::False => {}
+                            Truth::True => lr.dead = true,
+                            Truth::Undefined => lr.ext_undef = true,
+                        }
                     }
                 }
+                lr.neg_end = self.neg_lits.len() as u32;
+                self.rules.push(lr);
             }
-            lr.neg_end = self.neg_lits.len() as u32;
-            self.rules.push(lr);
+        }
+        // Group the positive occurrences by body atom (counting sort):
+        // inclusive prefix sums give each atom's end, and placing the
+        // occurrences back to front leaves each entry at its atom's start.
+        let k = self.atoms.len();
+        self.watch_start.clear();
+        self.watch_start.resize(k + 1, 0);
+        for &(l, _) in &self.pos_occ {
+            self.watch_start[l as usize] += 1;
+        }
+        let mut end = 0;
+        for s in &mut self.watch_start {
+            end += *s;
+            *s = end;
+        }
+        self.watch.clear();
+        self.watch.resize(self.pos_occ.len(), 0);
+        for &(l, slot) in self.pos_occ.iter().rev() {
+            let start = &mut self.watch_start[l as usize];
+            *start -= 1;
+            self.watch[*start as usize] = slot;
         }
 
         // ---- Alternating fixpoint over the component's atoms -----------
         // Ĩ₀ = ∅ locally; boundary-undefined rules are blocked in the
         // under-closures and enabled in the over-closures (see module
         // docs for why this is exactly the `u ← ¬u` gadget semantics).
-        let k = atoms.len();
-        let mut under = AtomSet::empty(k);
-        let (a_tilde, a_plus) = loop {
-            let sp_under = self.closure(prog, cond, cid, atoms, false, &under);
-            let over = sp_under.complement();
+        // The iterates live in the four reused scratch sets: Ĩ (`under`),
+        // S_P(Ĩ) (`sp_under`), then the over-iterate and its closure.
+        let [mut under, mut sp_under, mut over, mut sp_over] = std::mem::take(&mut self.sets);
+        under.reset(k);
+        loop {
+            self.closure(false, &under, &mut sp_under);
+            over.assign_complement(&sp_under);
             if over == under {
-                break (under, sp_under);
+                break;
             }
-            let sp_over = self.closure(prog, cond, cid, atoms, true, &over);
-            let mut next_under = sp_over.complement();
-            next_under.union_with(&under);
-            if next_under == under {
-                break (under, sp_under);
+            self.closure(true, &over, &mut sp_over);
+            // Ĩ ∪ ~S_P(over) is the next under-iterate.
+            over.assign_complement(&sp_over);
+            over.union_with(&under);
+            if over == under {
+                break;
             }
-            under = next_under;
-        };
+            std::mem::swap(&mut under, &mut over);
+        }
 
-        for (i, &a) in atoms.iter().enumerate() {
-            if a_plus.contains(i as u32) {
+        for (i, &a) in self.atoms.iter().enumerate() {
+            if sp_under.contains(i as u32) {
                 model.pos.insert(a);
-            } else if a_tilde.contains(i as u32) {
+            } else if under.contains(i as u32) {
                 model.neg.insert(a);
             }
         }
+        self.sets = [under, sp_under, over, sp_over];
     }
 
-    /// Local `S_P(Ĩ)` over the component: a counter-based Horn closure of
-    /// the component's rules with the in-component negative literals read
-    /// from `i_tilde` and boundary-undefined rules enabled only when
-    /// `optimistic`.
-    fn closure(
-        &mut self,
-        prog: &GroundProgram,
-        cond: &Condensation,
-        cid: u32,
-        atoms: &[u32],
-        optimistic: bool,
-        i_tilde: &AtomSet,
-    ) -> AtomSet {
-        let mut derived = AtomSet::empty(atoms.len());
+    /// Local `S_P(Ĩ)` over the component, into `derived`: a counter-based
+    /// Horn closure of the component's rules with the in-component
+    /// negative literals read from `i_tilde` and boundary-undefined rules
+    /// enabled only when `optimistic`.
+    fn closure(&mut self, optimistic: bool, i_tilde: &AtomSet, derived: &mut AtomSet) {
+        derived.reset(self.atoms.len());
         self.pos_rem.clear();
         self.queue.clear();
         for lr in &self.rules {
@@ -331,94 +360,84 @@ impl ComponentEval {
                 self.queue.push(lr.head);
             }
         }
-        while let Some(local) = self.queue.pop() {
-            let global = atoms[local as usize];
-            for &rid in prog.rules_with_pos(AtomId(global)) {
-                if cond.component_of(prog.rule(rid).head.0) != cid {
-                    continue; // a dependent rule of a higher component
-                }
-                let slot = self.rule_slot[rid as usize] as usize;
-                let rem = &mut self.pos_rem[slot];
+        while let Some(l) = self.queue.pop() {
+            let watchers =
+                self.watch_start[l as usize] as usize..self.watch_start[l as usize + 1] as usize;
+            for &slot in &self.watch[watchers] {
+                let rem = &mut self.pos_rem[slot as usize];
                 if *rem == BLOCKED {
                     continue;
                 }
                 *rem -= 1;
                 if *rem == 0 {
-                    let head = self.rules[slot].head;
+                    let head = self.rules[slot as usize].head;
                     if derived.insert(head) {
                         self.queue.push(head);
                     }
                 }
             }
         }
-        derived
     }
+}
 
-    /// Decide a singleton component without a self-referencing rule
-    /// directly from the settled lower components: true if some body is
-    /// all-true, false if every body has a false literal, undefined
-    /// otherwise. Returns
-    /// `false` (not handled) when the atom's rules mention the atom
-    /// itself — those go through the general alternating path.
-    fn try_singleton(
-        &mut self,
-        prog: &GroundProgram,
-        atom: u32,
-        rule_ids: &[afp_datalog::RuleId],
-        model: &mut PartialModel,
-    ) -> bool {
-        let atom = AtomId(atom);
-        if rule_ids.is_empty() {
-            model.neg.insert(atom.0);
-            return true;
+/// Decide a singleton component without a self-referencing rule directly
+/// from the settled lower components: true if some body is all-true,
+/// false if every body has a false literal, undefined otherwise. Returns
+/// `false` (not handled) when the atom's rules mention the atom itself —
+/// those go through the general alternating path.
+fn try_singleton(prog: &GroundProgram, atom: u32, model: &mut PartialModel) -> bool {
+    let atom = AtomId(atom);
+    let rule_ids = prog.rules_with_head(atom);
+    if rule_ids.is_empty() {
+        model.neg.insert(atom.0);
+        return true;
+    }
+    let self_ref = rule_ids.iter().any(|&rid| {
+        let r = prog.rule(rid);
+        r.pos.contains(&atom) || r.neg.contains(&atom)
+    });
+    if self_ref {
+        return false;
+    }
+    let mut any_undefined = false;
+    for &rid in rule_ids {
+        let r = prog.rule(rid);
+        let mut body = Truth::True;
+        for &q in r.pos.iter() {
+            match model.truth(q.0) {
+                Truth::False => {
+                    body = Truth::False;
+                    break;
+                }
+                Truth::Undefined => body = Truth::Undefined,
+                Truth::True => {}
+            }
         }
-        let self_ref = rule_ids.iter().any(|&rid| {
-            let r = prog.rule(rid);
-            r.pos.contains(&atom) || r.neg.contains(&atom)
-        });
-        if self_ref {
-            return false;
-        }
-        let mut any_undefined = false;
-        for &rid in rule_ids {
-            let r = prog.rule(rid);
-            let mut body = Truth::True;
-            for &q in r.pos.iter() {
+        if body != Truth::False {
+            for &q in r.neg.iter() {
                 match model.truth(q.0) {
-                    Truth::False => {
+                    Truth::True => {
                         body = Truth::False;
                         break;
                     }
                     Truth::Undefined => body = Truth::Undefined,
-                    Truth::True => {}
+                    Truth::False => {}
                 }
-            }
-            if body != Truth::False {
-                for &q in r.neg.iter() {
-                    match model.truth(q.0) {
-                        Truth::True => {
-                            body = Truth::False;
-                            break;
-                        }
-                        Truth::Undefined => body = Truth::Undefined,
-                        Truth::False => {}
-                    }
-                }
-            }
-            match body {
-                Truth::True => {
-                    model.pos.insert(atom.0);
-                    return true;
-                }
-                Truth::Undefined => any_undefined = true,
-                Truth::False => {}
             }
         }
-        if !any_undefined {
-            model.neg.insert(atom.0);
+        match body {
+            Truth::True => {
+                model.pos.insert(atom.0);
+                return true;
+            }
+            Truth::Undefined => any_undefined = true,
+            Truth::False => {}
         }
-        true
     }
+    if !any_undefined {
+        model.neg.insert(atom.0);
+    }
+    true
 }
 
 #[cfg(test)]

@@ -1,0 +1,97 @@
+//! In-process write scaling on the `write_edb` program shape: for each
+//! key count on the command line, load the knot forest, solve it, then
+//! time seeded one-key writes (toggle `d(kI)`, then solve) and print
+//! where each write's time goes.
+//!
+//! ```text
+//! cargo run --release --example write_scaling -- 10000 100000 400000
+//! ```
+//!
+//! Columns: `Engine::load` wall time, the first solve, the p50 of a
+//! whole write (the session call plus the solve after it), and the p50
+//! of its layers from [`afp::Session::take_phases`]: grounding,
+//! condensation repair, the source-program mirror (session call wall
+//! time minus ground and repair, as the benchmark's replay measures it)
+//! and the solve. A write whose cone is one knot should cost the same
+//! at every size.
+
+use afp::Engine;
+use afp_bench::gen::write_edb_src;
+use std::time::Instant;
+
+/// Timed writes per key count.
+const WRITES: usize = 40;
+
+fn p50(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+fn main() {
+    let sizes: Result<Vec<usize>, _> = std::env::args().skip(1).map(|a| a.parse()).collect();
+    let sizes = match sizes {
+        Ok(sizes) if !sizes.is_empty() => sizes,
+        Ok(_) => vec![10_000],
+        Err(_) => {
+            eprintln!("usage: write_scaling [KEYS...]  (key counts, default 10000)");
+            std::process::exit(2);
+        }
+    };
+    println!(
+        "| keys | load (s) | first solve (ms) | write p50 (us) | ground p50 (us) \
+         | repair p50 (us) | mirror p50 (us) | solve p50 (us) |"
+    );
+    println!("|---|---|---|---|---|---|---|---|");
+    for keys in sizes {
+        let engine = Engine::default();
+        let t = Instant::now();
+        let mut session = engine
+            .load(&write_edb_src(keys))
+            .expect("the program loads");
+        let load_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        // The last model stays alive across the next write, as a
+        // server's published head does.
+        let mut _alive = session.solve().expect("the program solves");
+        let first_ms = t.elapsed().as_secs_f64() * 1e3;
+
+        let mut present: Vec<bool> = (0..keys).map(|i| i % 2 == 0).collect();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64 ^ keys as u64;
+        let (mut write, mut ground, mut repair, mut mirror, mut solve) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..WRITES {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = (rng % keys as u64) as usize;
+            let fact = format!("d(k{key}).");
+            let _ = session.take_phases();
+            let t = Instant::now();
+            if present[key] {
+                session.retract_facts(&fact)
+            } else {
+                session.assert_facts(&fact)
+            }
+            .expect("a one-key write applies");
+            let call_ns = t.elapsed().as_nanos() as f64;
+            present[key] = !present[key];
+            let delta = session.take_phases();
+            _alive = session.solve().expect("the write solves");
+            let total_ns = t.elapsed().as_nanos() as f64;
+            let solved = session.take_phases();
+            write.push(total_ns / 1e3);
+            ground.push(delta.ground_ns as f64 / 1e3);
+            repair.push(delta.repair_ns as f64 / 1e3);
+            mirror.push((call_ns - (delta.ground_ns + delta.repair_ns) as f64).max(0.0) / 1e3);
+            solve.push(solved.solve_ns as f64 / 1e3);
+        }
+        println!(
+            "| {keys} | {load_s:.2} | {first_ms:.1} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} |",
+            p50(write),
+            p50(ground),
+            p50(repair),
+            p50(mirror),
+            p50(solve),
+        );
+    }
+}

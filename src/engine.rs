@@ -54,10 +54,10 @@
 //! via the relevance/splitting argument (atoms that cannot reach any
 //! changed atom in the dependency graph keep their truth values):
 //!
-//! * per-SCC (the default): components disjoint from the changed cone
-//!   **copy their stored truth values verbatim** from the previous
-//!   solve; only the forward dependency cone of the delta is
-//!   re-evaluated;
+//! * per-SCC (the default): the solve starts from a word copy of the
+//!   previous model and evaluates **only the components of the delta's
+//!   forward dependency cone**, in topological order; every other
+//!   component keeps its stored truth values without being visited;
 //! * global: the previous negative fixpoint restricted to unaffected
 //!   atoms seeds the under-chain of
 //!   [`afp_core::alternating_fixpoint_from`].
@@ -70,7 +70,7 @@ use afp_core::Strategy;
 use afp_datalog::ast::{Atom, Program, Rule};
 use afp_datalog::atoms::AtomId;
 use afp_datalog::bitset::AtomSet;
-use afp_datalog::depgraph::{Condensation, CondensationDelta, RuleRename};
+use afp_datalog::depgraph::{Condensation, CondensationDelta};
 use afp_datalog::program::{GroundProgram, GroundRule};
 use afp_datalog::{
     GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome, SafetyPolicy,
@@ -79,6 +79,7 @@ use afp_datalog::{
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::source::SourceProgram;
 use crate::telemetry::{stat_set, SessionPhases};
 use crate::Error;
 
@@ -250,11 +251,12 @@ impl Engine {
 
     /// Ground an already-parsed program into a reusable session.
     pub fn load_program(&self, program: Program) -> Result<Session, Error> {
-        let grounder = IncrementalGrounder::new(&program, &self.config.ground)?;
+        let ast = SourceProgram::new(program);
+        let grounder = IncrementalGrounder::new(ast.program(), &self.config.ground)?;
         Ok(Session {
             config: self.config.clone(),
             grounder: Some(grounder),
-            ast: Some(program),
+            ast: Some(ast),
             fixed: None,
             snapshot: None,
             dirty: Vec::new(),
@@ -312,7 +314,7 @@ pub struct SessionStats {
     /// component (per-SCC strategy).
     pub warm_solves: u64,
     /// Atoms whose truth values were carried over into the last
-    /// well-founded solve (seed atoms or atoms of copied components).
+    /// well-founded solve (seed atoms or atoms of reused components).
     pub last_seed_size: usize,
     /// Full re-groundings since load. Stays `0` on the pure incremental
     /// path; counts the cold fallbacks the session takes where a warm
@@ -340,9 +342,10 @@ pub struct SessionStats {
     /// one per warm mutation batch that found a memoized condensation to
     /// patch instead of evicting it.
     pub condensation_repairs: u64,
-    /// Atoms the last condensation repair actually visited (its
-    /// localized-Tarjan window) — compare against the program's atom
-    /// count to see the repair staying delta-bounded.
+    /// Atoms whose component entry or component label the last
+    /// condensation repair wrote (its localized-Tarjan window, plus any
+    /// neighbours a relabel respaced) — compare against the program's
+    /// atom count to see the repair staying delta-bounded.
     pub last_repair_atoms: usize,
     /// Dependency edges the last condensation repair inspected.
     pub last_repair_edges: usize,
@@ -354,10 +357,11 @@ pub struct SessionStats {
     pub scc_solves: u64,
     /// Components in the condensation at the last SCC-stratified solve.
     pub last_components: usize,
-    /// Components evaluated by the last SCC-stratified solve.
+    /// Components evaluated by the last SCC-stratified solve: on a warm
+    /// solve, exactly the components of the pending deltas' cone.
     pub last_components_evaluated: usize,
-    /// Components whose values were copied verbatim by the last
-    /// SCC-stratified solve.
+    /// Components whose values the last SCC-stratified solve kept from
+    /// the previous model without visiting them.
     pub last_components_reused: usize,
     /// Envelope delta rounds run by the grounder — one per *batch* of
     /// asserted facts, however many facts the batch carries.
@@ -407,8 +411,9 @@ stat_set!(SessionStats {
 pub struct Session {
     config: EngineBuilder,
     grounder: Option<IncrementalGrounder>,
-    /// Source program retained for the cold re-ground fallback.
-    ast: Option<Program>,
+    /// Source program retained for the cold re-ground fallback and for
+    /// checkpoints, with every warm delta mirrored into it.
+    ast: Option<SourceProgram>,
     fixed: Option<GroundProgram>,
     /// Copy-on-write snapshot handed to models; invalidated on mutation.
     snapshot: Option<Arc<GroundProgram>>,
@@ -425,8 +430,12 @@ pub struct Session {
     last_model: Option<Arc<PartialModel>>,
     /// Condensation of the current ground program. Built (linear time)
     /// on the first SCC solve, then **repaired in place** across warm
-    /// mutations ([`Condensation::apply_delta`] over the delta's window)
-    /// — only a cold re-ground, which renumbers atom ids, drops it.
+    /// mutations ([`Condensation::apply_delta`] rewrites only the delta's
+    /// window: component ids elsewhere are stable and new components
+    /// take order labels between the window's neighbours) — only a cold
+    /// re-ground, which renumbers atom ids, drops it. A warm solve sorts
+    /// the components of the affected cone by label and evaluates those
+    /// alone.
     scc_cond: Option<Condensation>,
     /// Condensations of relevance-restricted programs
     /// ([`Session::solve_restricted`]), keyed by the resolved seed atom
@@ -476,7 +485,7 @@ impl Session {
     /// layer serializes checkpoints from this text, so
     /// `Engine::load(source_text())` reconstructs an equivalent session.
     pub fn source_text(&self) -> Option<String> {
-        self.ast.as_ref().map(|p| p.to_text())
+        self.ast.as_ref().map(|p| p.program().to_text())
     }
 
     /// Assert ground facts, written as source text (e.g.
@@ -497,7 +506,7 @@ impl Session {
                     // earlier mid-delta error); a warm delta could
                     // silently change old instances' semantics. Apply
                     // every edit to the retained AST and re-ground once.
-                    return self.cold_update(&atoms, &symbols, true);
+                    return self.cold_update(&fact_rules(&atoms), &symbols, true);
                 }
                 let ground_started = Instant::now();
                 let outcome = g.assert_batch(&atoms, &symbols);
@@ -517,15 +526,10 @@ impl Session {
                 };
                 if effect.fresh {
                     self.dirty.extend_from_slice(&effect.changed);
-                    self.note_mutation(&effect.changed, &effect.new_edge_targets, &effect.renames);
+                    self.note_mutation(&effect.changed, &effect.new_edge_targets);
                     self.stats.delta_rounds += 1;
                 }
-                // Mirror into the retained AST: a later cold fallback
-                // re-grounds from it and must see these facts.
-                let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                for atom in &atoms {
-                    apply_fact_to_ast(ast, atom, &symbols, true);
-                }
+                self.mirror(&fact_rules(&atoms), &symbols, true);
             }
             None => {
                 let mut touched: Vec<AtomId> = Vec::new();
@@ -543,7 +547,7 @@ impl Session {
                     }
                 }
                 if !touched.is_empty() {
-                    self.note_mutation(&touched, &[], &[]);
+                    self.note_mutation(&touched, &[]);
                 }
             }
         }
@@ -560,7 +564,7 @@ impl Session {
         match &mut self.grounder {
             Some(g) => {
                 if g.is_poisoned() {
-                    return self.cold_update(&atoms, &symbols, false);
+                    return self.cold_update(&fact_rules(&atoms), &symbols, false);
                 }
                 let ground_started = Instant::now();
                 let outcome = g.retract_batch(&atoms, &symbols);
@@ -569,32 +573,21 @@ impl Session {
                     RetractOutcome::Applied(effect) => {
                         if effect.fresh {
                             self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(
-                                &effect.changed,
-                                &effect.new_edge_targets,
-                                &effect.renames,
-                            );
+                            self.note_mutation(&effect.changed, &effect.new_edge_targets);
                         }
-                        // Mirror into the retained AST: a later cold
-                        // fallback re-grounds from it and must not
-                        // resurrect these facts.
-                        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                        for atom in &atoms {
-                            apply_fact_to_ast(ast, atom, &symbols, false);
-                        }
+                        self.mirror(&fact_rules(&atoms), &symbols, false);
                     }
                     RetractOutcome::DomainShrunk => {
                         // Instances whose only positive subgoal was a
                         // stripped `$dom` guard would wrongly survive a
                         // warm retract. Apply every edit to the retained
                         // AST and re-ground once.
-                        return self.cold_update(&atoms, &symbols, false);
+                        return self.cold_update(&fact_rules(&atoms), &symbols, false);
                     }
                 }
             }
             None => {
                 let mut touched: Vec<AtomId> = Vec::new();
-                let mut renames: Vec<RuleRename> = Vec::new();
                 for atom in &atoms {
                     let ground = self.fixed.as_mut().expect("fixed or grounder");
                     let Some(id) = find_ast_atom(ground, atom, &symbols) else {
@@ -607,12 +600,12 @@ impl Session {
                     else {
                         continue;
                     };
-                    ground.remove_rule_logged(rid, &mut renames);
+                    ground.remove_rule(rid);
                     self.dirty.push(id);
                     touched.push(id);
                 }
                 if !touched.is_empty() {
-                    self.note_mutation(&touched, &[], &renames);
+                    self.note_mutation(&touched, &[]);
                 }
             }
         }
@@ -638,7 +631,7 @@ impl Session {
         match &mut self.grounder {
             Some(g) => {
                 if !g.supports_incremental() {
-                    return self.cold_rule_update(&parsed.rules, &parsed.symbols, true);
+                    return self.cold_update(&parsed.rules, &parsed.symbols, true);
                 }
                 let ground_started = Instant::now();
                 let outcome = g.assert_rules(&parsed.rules, &parsed.symbols);
@@ -647,23 +640,13 @@ impl Session {
                     Ok(RuleAssertOutcome::Applied(effect)) => {
                         if effect.fresh {
                             self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(
-                                &effect.changed,
-                                &effect.new_edge_targets,
-                                &effect.renames,
-                            );
+                            self.note_mutation(&effect.changed, &effect.new_edge_targets);
                             self.stats.delta_rounds += 1;
                         }
-                        // Mirror into the retained AST: a later cold
-                        // fallback re-grounds from it and must see these
-                        // rules.
-                        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                        for rule in &parsed.rules {
-                            apply_rule_to_ast(ast, rule, &parsed.symbols, true);
-                        }
+                        self.mirror(&parsed.rules, &parsed.symbols, true);
                     }
                     Ok(RuleAssertOutcome::NeedsCold) => {
-                        return self.cold_rule_update(&parsed.rules, &parsed.symbols, true);
+                        return self.cold_update(&parsed.rules, &parsed.symbols, true);
                     }
                     Err(e) => {
                         self.recover_if_poisoned();
@@ -692,7 +675,7 @@ impl Session {
         match &mut self.grounder {
             Some(g) => {
                 if g.is_poisoned() {
-                    return self.cold_rule_update(&parsed.rules, &parsed.symbols, false);
+                    return self.cold_update(&parsed.rules, &parsed.symbols, false);
                 }
                 let ground_started = Instant::now();
                 let outcome = g.retract_rules(&parsed.rules, &parsed.symbols);
@@ -701,19 +684,12 @@ impl Session {
                     RetractOutcome::Applied(effect) => {
                         if effect.fresh {
                             self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(
-                                &effect.changed,
-                                &effect.new_edge_targets,
-                                &effect.renames,
-                            );
+                            self.note_mutation(&effect.changed, &effect.new_edge_targets);
                         }
-                        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-                        for rule in &parsed.rules {
-                            apply_rule_to_ast(ast, rule, &parsed.symbols, false);
-                        }
+                        self.mirror(&parsed.rules, &parsed.symbols, false);
                     }
                     RetractOutcome::DomainShrunk => {
-                        return self.cold_rule_update(&parsed.rules, &parsed.symbols, false);
+                        return self.cold_update(&parsed.rules, &parsed.symbols, false);
                     }
                 }
             }
@@ -735,7 +711,6 @@ impl Session {
         }
         let mut touched: Vec<AtomId> = Vec::new();
         let mut edge_targets: Vec<AtomId> = Vec::new();
-        let mut renames: Vec<RuleRename> = Vec::new();
         for rule in &parsed.rules {
             let ground = self.fixed.as_mut().expect("fixed or grounder");
             let head = intern_ast_atom(ground, &rule.head, &parsed.symbols);
@@ -764,7 +739,7 @@ impl Session {
                     touched.push(head);
                 }
                 (false, Some(rid)) => {
-                    ground.remove_rule_logged(rid, &mut renames);
+                    ground.remove_rule(rid);
                     self.dirty.push(head);
                     touched.push(head);
                 }
@@ -772,39 +747,38 @@ impl Session {
             }
         }
         if !touched.is_empty() {
-            self.note_mutation(&touched, &edge_targets, &renames);
+            self.note_mutation(&touched, &edge_targets);
         }
         Ok(())
     }
 
-    /// Apply a batch of rule updates by editing the retained source
-    /// program and re-grounding cold **once** — the sound fallback where
-    /// a warm rule delta is not. Commit-on-success, like
-    /// [`Session::cold_update`].
-    fn cold_rule_update(
+    /// Mirror a warm batch into the retained source program: a later
+    /// cold fallback re-grounds from it, and checkpoints render it.
+    fn mirror(&mut self, rules: &[Rule], from: &SymbolStore, assert: bool) {
+        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
+        ast.apply(rules, from, assert);
+    }
+
+    /// Apply a batch of updates (facts are bodiless rules) by editing the
+    /// retained source program and re-grounding cold **once** — the
+    /// sound fallback where a warm delta is not. Commit-on-success: on a
+    /// re-ground error (e.g. a budget) the session keeps its previous
+    /// source program and grounder, so the failed update leaves no trace
+    /// a later fallback could resurrect. Atom ids change on success, so
+    /// every piece of warm state is dropped.
+    fn cold_update(
         &mut self,
         rules: &[Rule],
         from: &SymbolStore,
         assert: bool,
     ) -> Result<(), Error> {
-        self.cold_reground(|ast| {
-            for rule in rules {
-                apply_rule_to_ast(ast, rule, from, assert);
-            }
-        })
-    }
-
-    /// The shared cold-fallback protocol: clone the retained AST, let
-    /// `apply_edits` rewrite it, re-ground once, and commit AST +
-    /// grounder together. On a re-ground error (e.g. a budget) the
-    /// session keeps its previous AST and grounder, so the failed update
-    /// leaves no trace a later fallback could resurrect. Atom ids change
-    /// on success, so every piece of warm state is dropped.
-    fn cold_reground(&mut self, apply_edits: impl FnOnce(&mut Program)) -> Result<(), Error> {
         let mut ast = self.ast.clone().expect("grounder sessions retain the AST");
-        apply_edits(&mut ast);
+        ast.apply(rules, from, assert);
         let ground_started = Instant::now();
-        self.grounder = Some(IncrementalGrounder::new(&ast, &self.config.ground)?);
+        self.grounder = Some(IncrementalGrounder::new(
+            ast.program(),
+            &self.config.ground,
+        )?);
         self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
         self.ast = Some(ast);
         self.stats.regrounds += 1;
@@ -1026,23 +1000,6 @@ impl Session {
         })
     }
 
-    /// Apply a batch of fact updates by editing the retained source
-    /// program and re-grounding cold **once** — the sound fallback where
-    /// a warm delta is not (see `assert_facts` / `retract_facts`).
-    /// Commit-on-success; see [`Session::cold_reground`].
-    fn cold_update(
-        &mut self,
-        atoms: &[Atom],
-        from: &SymbolStore,
-        assert: bool,
-    ) -> Result<(), Error> {
-        self.cold_reground(|ast| {
-            for atom in atoms {
-                apply_fact_to_ast(ast, atom, from, assert);
-            }
-        })
-    }
-
     /// Re-ground cold from the retained AST after a mid-delta grounding
     /// error poisoned the grounder. The AST never contains a failed
     /// batch (mirroring happens only after the grounder succeeds), so a
@@ -1052,8 +1009,11 @@ impl Session {
     /// recovery (and surfaces the error) before trusting the grounding;
     /// no path hands a half-extended program to a fixpoint computation.
     fn recover_from_poison(&mut self) -> Result<(), Error> {
-        let ast = self.ast.clone().expect("grounder sessions retain the AST");
-        self.grounder = Some(IncrementalGrounder::new(&ast, &self.config.ground)?);
+        let ast = self.ast.as_ref().expect("grounder sessions retain the AST");
+        self.grounder = Some(IncrementalGrounder::new(
+            ast.program(),
+            &self.config.ground,
+        )?);
         self.stats.regrounds += 1;
         self.clear_warm_state();
         Ok(())
@@ -1092,17 +1052,12 @@ impl Session {
     /// The program mutated in place: models must re-snapshot, the
     /// per-restriction condensation cache is stale, and the memoized
     /// condensation is **repaired** from the delta instead of dropped —
-    /// `touched`, `edge_targets`, and `renames` are the
-    /// [`CondensationDelta`] contract (heads whose rule set changed,
-    /// targets of possibly-new dependency edges, swap-remove rule-id
-    /// renames in order). Warm models stay — the `dirty` set records
-    /// what they may no longer be right about.
-    fn note_mutation(
-        &mut self,
-        touched: &[AtomId],
-        edge_targets: &[AtomId],
-        renames: &[RuleRename],
-    ) {
+    /// `touched` and `edge_targets` are the [`CondensationDelta`]
+    /// contract (heads whose rule set changed, targets of possibly-new
+    /// dependency edges). The repair writes only its window's atoms and
+    /// labels, so it costs the delta, not the program. Warm models stay
+    /// — the `dirty` set records what they may no longer be right about.
+    fn note_mutation(&mut self, touched: &[AtomId], edge_targets: &[AtomId]) {
         self.snapshot = None;
         self.restricted_conds.clear();
         if let Some(mut cond) = self.scc_cond.take() {
@@ -1116,7 +1071,6 @@ impl Session {
                 &CondensationDelta {
                     touched,
                     new_edge_targets: edge_targets,
-                    renames,
                 },
             );
             self.phases.repair_ns += repair_started.elapsed().as_nanos() as u64;
@@ -1124,8 +1078,8 @@ impl Session {
             self.stats.last_repair_atoms = repair.atoms_visited;
             self.stats.last_repair_edges = repair.edges_visited;
             // Differential safety net: in debug builds every repair is
-            // checked against a from-scratch build (same partition, same
-            // rule sets, both orders topologically valid).
+            // checked against a from-scratch build (same partition, both
+            // orders topologically valid by label).
             #[cfg(debug_assertions)]
             {
                 let fresh = Condensation::of(prog);
@@ -1275,44 +1229,9 @@ pub(crate) fn parse_fact_batch(facts: &str) -> Result<(Vec<Atom>, SymbolStore), 
     Ok((atoms, parsed.symbols))
 }
 
-/// Add or remove a ground fact in a retained source program. Idempotent
-/// in both directions; used by the warm update paths (to keep the AST in
-/// lockstep with the grounder) and by the cold fallback itself.
-fn apply_fact_to_ast(
-    ast: &mut Program,
-    atom: &afp_datalog::ast::Atom,
-    from: &afp_datalog::SymbolStore,
-    assert: bool,
-) {
-    let imported = afp_datalog::ast::import_atom(&mut ast.symbols, atom, from);
-    if assert {
-        let present = ast.rules.iter().any(|r| r.is_fact() && r.head == imported);
-        if !present {
-            ast.push(afp_datalog::ast::Rule::fact(imported));
-        }
-    } else {
-        ast.rules.retain(|r| !(r.is_fact() && r.head == imported));
-    }
-}
-
-/// Add or remove a rule in a retained source program. Idempotent in both
-/// directions (rules are matched structurally); used by the warm rule
-/// delta paths to keep the AST in lockstep with the grounder and by the
-/// cold fallback itself.
-fn apply_rule_to_ast(
-    ast: &mut Program,
-    rule: &Rule,
-    from: &afp_datalog::SymbolStore,
-    assert: bool,
-) {
-    let imported = afp_datalog::ast::import_rule(&mut ast.symbols, rule, from);
-    if assert {
-        if !ast.rules.contains(&imported) {
-            ast.push(imported);
-        }
-    } else {
-        ast.rules.retain(|r| *r != imported);
-    }
+/// Ground fact atoms as the bodiless statements the source program holds.
+fn fact_rules(atoms: &[Atom]) -> Vec<Rule> {
+    atoms.iter().cloned().map(Rule::fact).collect()
 }
 
 /// Intern an AST atom (expressed against `from`) into a ground program,

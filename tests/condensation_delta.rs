@@ -16,22 +16,22 @@
 //!   session additionally asserts repair ≡ rebuild after every single
 //!   mutation);
 //! * per-component memoization survives repair: components outside a
-//!   delta's cone are still copied verbatim after the condensation was
-//!   patched (ids inside the window may be renumbered; reuse is keyed by
-//!   atom id);
+//!   delta's cone are still reused after the condensation was patched
+//!   (ids inside the window may be renumbered; reuse is keyed by atom
+//!   id);
 //! * the repair is delta-bounded: a 1-fact delta on a k-knot chain
 //!   visits a small constant number of atoms, not Θ(k);
 //! * the per-restriction condensation cache: repeated
 //!   `solve_restricted` calls with the same query set hit the cache, and
 //!   any mutation invalidates it.
 //!
-//! Component ids are an arbitrary topological labeling (Tarjan renumbers
-//! freely), so "identical to a from-scratch build" means: identical atom
-//! partition, identical per-component rule sets, and a topologically
-//! valid order on both sides — which is what `same_decomposition` +
+//! Component ids and order labels are an arbitrary topological labeling
+//! (Tarjan renumbers freely), so "identical to a from-scratch build"
+//! means: identical atom partition and a topologically valid order on
+//! both sides — which is what `same_decomposition` +
 //! `is_consistent_with` check.
 
-use afp::datalog::depgraph::{Condensation, CondensationDelta, RuleRename};
+use afp::datalog::depgraph::{Condensation, CondensationDelta};
 use afp::datalog::program::parse_ground;
 use afp::datalog::{AtomId, GroundProgram, RuleId};
 use afp::{Engine, Semantics, Strategy, Truth, WfStrategy};
@@ -70,14 +70,12 @@ fn assert_repaired(cond: &Condensation, prog: &GroundProgram, context: &str) {
     );
 }
 
-/// Remove a rule from `prog`, returning the delta bookkeeping the
-/// condensation repair needs (the swap-remove rename, stamped with the
-/// moved rule's head at event time).
-fn remove_with_rename(prog: &mut GroundProgram, rid: RuleId) -> (AtomId, Vec<RuleRename>) {
+/// Remove a rule from `prog`, returning its head and the swap-remove
+/// move (the rule formerly at the returned id now lives at `rid`).
+fn remove_with_rename(prog: &mut GroundProgram, rid: RuleId) -> (AtomId, Option<RuleId>) {
     let head = prog.rule(rid).head;
-    let mut renames = Vec::new();
-    prog.remove_rule_logged(rid, &mut renames);
-    (head, renames)
+    let moved = prog.remove_rule(rid);
+    (head, moved)
 }
 
 /// Condensation-level differential: random add/remove-rule scripts over
@@ -124,7 +122,6 @@ fn random_mutation_scripts_repair_exactly() {
                     &CondensationDelta {
                         touched: &[head],
                         new_edge_targets: &targets,
-                        renames: &[],
                     },
                 );
             } else {
@@ -132,11 +129,11 @@ fn random_mutation_scripts_repair_exactly() {
                 // merged). The swap-remove may rename another added rid.
                 let ix = (rng.next() % added.len() as u64) as usize;
                 let rid = added.swap_remove(ix);
-                let (head, renames) = remove_with_rename(&mut prog, rid);
-                for r in &renames {
+                let (head, moved) = remove_with_rename(&mut prog, rid);
+                if let Some(from) = moved {
                     for a in added.iter_mut() {
-                        if *a == r.from {
-                            *a = r.to;
+                        if *a == from {
+                            *a = rid;
                         }
                     }
                 }
@@ -145,7 +142,6 @@ fn random_mutation_scripts_repair_exactly() {
                     &CondensationDelta {
                         touched: &[head],
                         new_edge_targets: &[],
-                        renames: &renames,
                     },
                 );
             }
@@ -176,7 +172,6 @@ fn chain_collapse_and_split() {
         &CondensationDelta {
             touched: &[first],
             new_edge_targets: &[last],
-            renames: &[],
         },
     );
     assert_repaired(&cond, &prog, "(merge)");
@@ -186,13 +181,12 @@ fn chain_collapse_and_split() {
     assert_eq!(stats.components_recomputed, 1);
 
     // Remove it: the knot splits back into k singletons.
-    let (head, renames) = remove_with_rename(&mut prog, rid);
+    let (head, _) = remove_with_rename(&mut prog, rid);
     let stats = cond.apply_delta(
         &prog,
         &CondensationDelta {
             touched: &[head],
             new_edge_targets: &[],
-            renames: &renames,
         },
     );
     assert_repaired(&cond, &prog, "(split)");
