@@ -8,9 +8,11 @@
 //!
 //! Both intern tables are copy-on-write ([`crate::cow::InternTable`]):
 //! cloning a base is a handful of reference-count bumps, and interning
-//! into a clone copies a few segments, not the base.
+//! into a clone copies a few segments, not the base. An atom's argument
+//! list is a [`SharedSlice`], so copying a key segment is one allocation
+//! and a reference-count bump per key, not an allocation per key.
 
-use crate::cow::{fx_hash, InternTable};
+use crate::cow::{fx_hash, InternTable, SharedSlice};
 use crate::symbol::{Symbol, SymbolStore};
 use std::fmt;
 
@@ -54,7 +56,7 @@ impl AtomId {
 #[derive(Default, Clone)]
 pub struct HerbrandBase {
     terms: InternTable<GroundTerm>,
-    atoms: InternTable<(Symbol, Box<[ConstId]>)>,
+    atoms: InternTable<(Symbol, SharedSlice<ConstId>)>,
 }
 
 impl HerbrandBase {
@@ -79,7 +81,8 @@ impl HerbrandBase {
     }
 
     /// Intern a ground atom `pred(args…)`. Allocates only when the atom
-    /// is new.
+    /// is new: one allocation for a non-empty argument list, plus what
+    /// the table's growth costs.
     pub fn intern_atom(&mut self, pred: Symbol, args: &[ConstId]) -> AtomId {
         let hash = fx_hash(&(pred, args));
         let id = match self.atoms.find(hash, |(p, a)| *p == pred && **a == *args) {

@@ -15,13 +15,147 @@
 //! segment is full ([`SEG_LEN`] elements) except possibly the last, and
 //! the last is non-empty unless the vector is.
 //!
+//! What a segment copy costs depends on the element type. Elements that
+//! are lists use [`SharedSlice`], whose clone is a reference-count bump,
+//! so copying a segment is one allocation (the segment), a memcpy and at
+//! most [`SEG_LEN`] bumps. It is not [`SEG_LEN`] allocations, one per
+//! element, as it would be for `Vec` or `Box<[T]>` elements.
+//!
 //! [`InternTable`] builds the append-only intern tables of the Herbrand
 //! base and the symbol store on two `CowVec`s, so interning after a
 //! snapshot copies a segment, not the table.
 
 use crate::fx::FxHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// An immutable slice shared by reference count: the list-valued element
+/// type of copy-on-write collections.
+///
+/// An empty slice allocates nothing. `clone` is a reference-count bump.
+/// It derefs to `&[T]`, and hashes and compares like `[T]`, so a table
+/// keyed by it can be probed with a borrowed `&[T]` (see [`fx_hash`]).
+/// An edit ([`SharedSlice::extend`], [`SharedSlice::insert`],
+/// [`SharedSlice::swap_remove`], [`SharedSlice::replace`]) builds a new
+/// slice in one allocation and leaves every clone as it was; the lists
+/// it is meant for are short, or edited in batches.
+pub struct SharedSlice<T>(Option<Arc<[T]>>);
+
+impl<T> SharedSlice<T> {
+    /// Collect a non-empty iterator into one allocation. That holds for
+    /// iterators whose exact length the standard library can trust
+    /// (`TrustedLen`: slice iterators under `copied`, `map`, `enumerate`
+    /// and `chain`, as every edit here uses); for others `Arc<[T]>`'s
+    /// `FromIterator` collects through a `Vec` first.
+    fn collect_nonempty(iter: impl Iterator<Item = T>) -> Self {
+        SharedSlice(Some(iter.collect()))
+    }
+}
+
+impl<T: Copy> SharedSlice<T> {
+    /// Append the elements of `extra`: one allocation when its exact
+    /// length is trusted, as for a slice iterator under `map` or `copied`.
+    pub fn extend(&mut self, extra: impl Iterator<Item = T>) {
+        *self = Self::collect_nonempty(self.iter().copied().chain(extra));
+    }
+
+    /// Append `value`.
+    pub fn push(&mut self, value: T) {
+        self.extend(std::iter::once(value));
+    }
+
+    /// Insert `value` at `index`, shifting the later elements right.
+    ///
+    /// # Panics
+    /// Panics if `index > len`.
+    pub fn insert(&mut self, index: usize, value: T) {
+        let (front, back) = self.split_at(index);
+        *self = Self::collect_nonempty(
+            front
+                .iter()
+                .copied()
+                .chain(std::iter::once(value))
+                .chain(back.iter().copied()),
+        );
+    }
+
+    /// Remove element `index` by moving the last element into its place
+    /// (like `Vec::swap_remove`); returns the removed element.
+    ///
+    /// # Panics
+    /// Panics if `index >= len`.
+    pub fn swap_remove(&mut self, index: usize) -> T {
+        let removed = self[index];
+        let last = self.len() - 1;
+        if last == 0 {
+            *self = SharedSlice::default();
+        } else {
+            let tail = self[last];
+            let kept = self[..last].iter().enumerate();
+            *self = Self::collect_nonempty(kept.map(|(i, &x)| if i == index { tail } else { x }));
+        }
+        removed
+    }
+
+    /// Replace element `index` by `value`.
+    ///
+    /// # Panics
+    /// Panics if `index >= len`.
+    pub fn replace(&mut self, index: usize, value: T) {
+        assert!(index < self.len(), "index {index} out of bounds");
+        let all = self.iter().enumerate();
+        *self = Self::collect_nonempty(all.map(|(i, &x)| if i == index { value } else { x }));
+    }
+}
+
+impl<T> Default for SharedSlice<T> {
+    fn default() -> Self {
+        SharedSlice(None)
+    }
+}
+
+impl<T> Clone for SharedSlice<T> {
+    fn clone(&self) -> Self {
+        SharedSlice(self.0.clone())
+    }
+}
+
+impl<T> Deref for SharedSlice<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+/// One allocation for a non-empty slice, none for an empty one.
+impl<T: Clone> From<&[T]> for SharedSlice<T> {
+    fn from(slice: &[T]) -> Self {
+        SharedSlice((!slice.is_empty()).then(|| Arc::from(slice)))
+    }
+}
+
+impl<T: Hash> Hash for SharedSlice<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl<T: PartialEq> PartialEq for SharedSlice<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for SharedSlice<T> {}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for SharedSlice<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// Log₂ of the segment length.
 const SEG_SHIFT: usize = 10;
@@ -198,7 +332,7 @@ impl<T: Clone + std::fmt::Debug> std::fmt::Debug for CowVec<T> {
 /// The [`FxHasher`] hash of `value`. An [`InternTable`] expects every
 /// hash it is handed to be this function of the key (a borrowed probe
 /// form must hash like the owned key: `&str` like `Box<str>`,
-/// `(Symbol, &[ConstId])` like `(Symbol, Box<[ConstId]>)`).
+/// `(Symbol, &[ConstId])` like `(Symbol, SharedSlice<ConstId>)`).
 pub fn fx_hash<Q: Hash + ?Sized>(value: &Q) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);
@@ -501,6 +635,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every edit matches the same edit on a `Vec`, leaves clones as they
+    /// were, and an emptied slice holds no allocation.
+    #[test]
+    fn shared_slice_edits_match_vec() {
+        let mut reference: Vec<u32> = Vec::new();
+        let mut s: SharedSlice<u32> = SharedSlice::default();
+        assert!(s.0.is_none(), "an empty slice allocates nothing");
+        let mut rng = 7u64;
+        for step in 0..400u32 {
+            let before = s.clone();
+            let frozen = reference.clone();
+            let r = splitmix(&mut rng) as usize;
+            match r % 4 {
+                0 | 1 => {
+                    let ix = r / 4 % (reference.len() + 1);
+                    reference.insert(ix, step);
+                    s.insert(ix, step);
+                }
+                2 if !reference.is_empty() => {
+                    let ix = r / 4 % reference.len();
+                    assert_eq!(s.swap_remove(ix), reference.swap_remove(ix));
+                }
+                3 if !reference.is_empty() => {
+                    let ix = r / 4 % reference.len();
+                    reference[ix] = step;
+                    s.replace(ix, step);
+                }
+                _ => {
+                    reference.push(step);
+                    s.push(step);
+                }
+            }
+            assert_eq!(&*s, &reference[..]);
+            assert_eq!(&*before, &frozen[..], "a clone is unaffected by an edit");
+            assert_eq!(fx_hash(&s), fx_hash(&reference[..]), "hashes like [T]");
+            assert_eq!(s.0.is_none(), reference.is_empty());
+        }
+        let mut one = SharedSlice::from(&[5u32][..]);
+        assert_eq!(one.swap_remove(0), 5);
+        assert!(one.0.is_none(), "removing the last element frees the slice");
+        assert!(SharedSlice::<u32>::from(&[][..]).0.is_none());
     }
 
     #[test]

@@ -66,19 +66,21 @@
 
 use crate::ast::{Atom, Program, Rule};
 use crate::atoms::{AtomId, ConstId, HerbrandBase};
+use crate::cow::SEG_LEN;
 use crate::error::GroundError;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::ground::{
     collect_rule_consts, collect_subterms, intern_ground_term, unsafe_variables, GroundOptions,
     SafetyPolicy,
 };
-use crate::program::{GroundProgram, GroundProgramBuilder, RuleId};
+use crate::program::{GroundProgram, GroundProgramBuilder, GroundRule, RuleId};
 use crate::relation::{Database, Relation, Tuple};
 use crate::seminaive::{
     compile_neg_atoms, compile_rule, eval_pat, evaluate_positive, extend_positive, join,
     try_eval_pat, CompiledAtom, CompiledRule, EvalLimits, Pat,
 };
 use crate::symbol::Symbol;
+use std::collections::hash_map::Entry;
 
 /// How one negative literal of an emitted instance resolved against the
 /// envelope at emission time.
@@ -173,6 +175,13 @@ pub struct IncrementalGrounder {
     /// [`IncrementalGrounder::retract_rules`] matches structurally.
     src_rules: Vec<Rule>,
     prog: GroundProgram,
+    /// Rules admitted but not yet appended to `prog`; their ids continue
+    /// `prog`'s. Appended in one [`GroundProgram::extend_rules`] per
+    /// segment's worth and at the end of each mutating call, so an atom
+    /// occurring in many new rules has its occurrence list rebuilt once
+    /// per batch, not once per rule. Nothing reads a pending rule: the
+    /// calls resurrect onto existing instances before they admit new ones.
+    pending: Vec<GroundRule>,
     /// Working-base (pred, args) → final atom id.
     atom_ids: FxHashMap<(Symbol, Tuple), AtomId>,
     /// Variable bindings of every instance ever emitted, grouped by rule
@@ -186,6 +195,11 @@ pub struct IncrementalGrounder {
     instance_src: FxHashMap<RuleId, u32>,
     /// Pruned negative literals by working-base key → instances to patch.
     dropped: FxHashMap<(Symbol, Tuple), Vec<RuleId>>,
+    /// The reverse of `dropped`: instance → the keys pruned from it and
+    /// not resurrected yet (`rid` is listed under a key in `dropped` iff
+    /// the key is listed under `rid` here). A rule move or removal
+    /// patches only the moved or removed instance's keys.
+    pruned_of: FxHashMap<RuleId, Vec<(Symbol, Tuple)>>,
     precise: bool,
     /// Set when a mutating call errored mid-delta (a rule or envelope
     /// budget hit): the ground program may hold a fact whose consequences
@@ -331,10 +345,12 @@ impl IncrementalGrounder {
             negs,
             src_rules,
             prog: GroundProgramBuilder::with_symbols(symbols).finish(),
+            pending: Vec::new(),
             atom_ids: FxHashMap::default(),
             emitted: FxHashMap::default(),
             instance_src: FxHashMap::default(),
             dropped: FxHashMap::default(),
+            pruned_of: FxHashMap::default(),
             precise: true,
             poisoned: false,
             dom_fact_refs,
@@ -360,6 +376,7 @@ impl IncrementalGrounder {
                 grounder.admit(ix as u32, e, &mut initial)?;
             }
         }
+        grounder.flush_rules();
         Ok(grounder)
     }
 
@@ -444,6 +461,7 @@ impl IncrementalGrounder {
         from: &crate::symbol::SymbolStore,
     ) -> Result<DeltaEffect, GroundError> {
         let result = self.assert_batch_inner(atoms, from);
+        self.flush_rules();
         if result.is_err() {
             self.poisoned = true;
         }
@@ -506,20 +524,7 @@ impl IncrementalGrounder {
         )?;
         index_all_columns(&mut self.envelope);
 
-        // Resurrect negative literals whose atom just entered the envelope.
-        for (pred, rel) in delta.iter() {
-            for row in rel.rows() {
-                if let Some(rules) = self.dropped.remove(&(pred, row.clone())) {
-                    let neg_atom = self.intern_final(pred, row);
-                    for rid in rules {
-                        self.prog.add_neg_literal(rid, neg_atom);
-                        effect.changed.push(self.prog.rule(rid).head);
-                        effect.new_edge_targets.push(neg_atom);
-                        effect.resurrected += 1;
-                    }
-                }
-            }
-        }
+        self.resurrect(&delta, &mut effect);
 
         // Instantiate the rules whose body touches a delta relation, with
         // the delta substituted at one focus position at a time; the
@@ -650,11 +655,13 @@ impl IncrementalGrounder {
             // negative literals pruned) — it is not retractable.
             return effect;
         }
+        // The EDB fact rule, not a derived instance that happens to be
+        // bodyless: only instances carry provenance and pruned literals.
         let Some(&rid) = self
             .prog
             .rules_with_head(final_atom)
             .iter()
-            .find(|&&r| self.prog.rule(r).is_fact())
+            .find(|&&r| self.prog.rule(r).is_fact() && !self.instance_src.contains_key(&r))
         else {
             return effect; // the fact rule itself is gone — nothing to do
         };
@@ -735,6 +742,7 @@ impl IncrementalGrounder {
             return Ok(RuleAssertOutcome::NeedsCold);
         };
         let result = self.assert_rules_inner(prepared);
+        self.flush_rules();
         if result.is_err() {
             self.poisoned = true;
         }
@@ -907,20 +915,7 @@ impl IncrementalGrounder {
         )?;
         index_all_columns(&mut self.envelope);
 
-        // Resurrect negative literals whose atom just entered the envelope.
-        for (pred, rel) in delta.iter() {
-            for row in rel.rows() {
-                if let Some(rules) = self.dropped.remove(&(pred, row.clone())) {
-                    let neg_atom = self.intern_final(pred, row);
-                    for rid in rules {
-                        self.prog.add_neg_literal(rid, neg_atom);
-                        effect.changed.push(self.prog.rule(rid).head);
-                        effect.new_edge_targets.push(neg_atom);
-                        effect.resurrected += 1;
-                    }
-                }
-            }
-        }
+        self.resurrect(&delta, &mut effect);
 
         // Instantiate the new rules over the (now extended) envelope …
         for ix in first_new..self.compiled.len() {
@@ -1082,9 +1077,7 @@ impl IncrementalGrounder {
         while let Some(rid) = rids.pop() {
             effect.changed.push(self.prog.rule(rid).head);
             self.instance_src.remove(&rid);
-            for rules in self.dropped.values_mut() {
-                rules.retain(|&r| r != rid);
-            }
+            self.forget_pruned(rid);
             if let Some(moved) = self.prog.remove_rule(rid) {
                 self.fix_moved_rule(moved, rid);
                 for r in rids.iter_mut() {
@@ -1094,7 +1087,6 @@ impl IncrementalGrounder {
                 }
             }
         }
-        self.dropped.retain(|_, rules| !rules.is_empty());
         // 2. Release the rule's pin on the active domain.
         if self.need_dom {
             let rule = self.src_rules[ix].clone();
@@ -1140,18 +1132,64 @@ impl IncrementalGrounder {
     // ---- internals ------------------------------------------------------
 
     /// The swap-remove in [`GroundProgram::remove_rule`] renamed the
-    /// former last rule `moved` to `now`; keep the resurrection records
-    /// and the instance provenance pointing at it.
+    /// former last rule `moved` to `now` (whose own records are already
+    /// gone); keep the resurrection records and the instance provenance
+    /// pointing at it. Touches only the moved instance's pruned keys.
     fn fix_moved_rule(&mut self, moved: RuleId, now: RuleId) {
-        for rules in self.dropped.values_mut() {
-            for r in rules.iter_mut() {
-                if *r == moved {
+        debug_assert!(!self.pruned_of.contains_key(&now) && !self.instance_src.contains_key(&now));
+        if let Some(keys) = self.pruned_of.remove(&moved) {
+            for key in &keys {
+                let rules = self
+                    .dropped
+                    .get_mut(key)
+                    .expect("a recorded pruned literal");
+                for r in rules.iter_mut().filter(|r| **r == moved) {
                     *r = now;
                 }
             }
+            self.pruned_of.insert(now, keys);
         }
         if let Some(src) = self.instance_src.remove(&moved) {
             self.instance_src.insert(now, src);
+        }
+    }
+
+    /// Drop the resurrection records of instance `rid`, which is about
+    /// to be removed.
+    fn forget_pruned(&mut self, rid: RuleId) {
+        for key in self.pruned_of.remove(&rid).into_iter().flatten() {
+            if let Entry::Occupied(mut rules) = self.dropped.entry(key) {
+                rules.get_mut().retain(|&r| r != rid);
+                if rules.get().is_empty() {
+                    rules.remove();
+                }
+            }
+        }
+    }
+
+    /// Resurrect the pruned negative literals whose atom the envelope
+    /// delta `delta` has just brought in.
+    fn resurrect(&mut self, delta: &Database, effect: &mut DeltaEffect) {
+        for (pred, rel) in delta.iter() {
+            for row in rel.rows() {
+                let key = (pred, row.clone());
+                let Some(rules) = self.dropped.remove(&key) else {
+                    continue;
+                };
+                let neg_atom = self.intern_final(pred, row);
+                for rid in rules {
+                    let keys = self.pruned_of.get_mut(&rid).expect("a recorded instance");
+                    let at = keys.iter().position(|k| *k == key).expect("a recorded key");
+                    keys.swap_remove(at);
+                    if keys.is_empty() {
+                        self.pruned_of.remove(&rid);
+                    }
+                    self.prog.add_neg_literal(rid, neg_atom);
+                    effect.changed.push(self.prog.rule(rid).head);
+                    effect.new_edge_targets.push(neg_atom);
+                    effect.resurrected += 1;
+                }
+            }
         }
     }
 
@@ -1293,8 +1331,11 @@ impl IncrementalGrounder {
         effect.new_edge_targets.extend_from_slice(&pos_ids);
         effect.new_edge_targets.extend_from_slice(&neg_ids);
         let rid = self.push_rule_checked(head, pos_ids, neg_ids)?;
-        for key in pruned {
-            self.dropped.entry(key).or_default().push(rid);
+        for key in &pruned {
+            self.dropped.entry(key.clone()).or_default().push(rid);
+        }
+        if !pruned.is_empty() {
+            self.pruned_of.insert(rid, pruned);
         }
         self.emitted.entry(ix).or_default().insert(e.sig);
         self.instance_src.insert(rid, ix);
@@ -1311,12 +1352,24 @@ impl IncrementalGrounder {
         pos: Vec<AtomId>,
         neg: Vec<AtomId>,
     ) -> Result<RuleId, GroundError> {
-        if self.prog.rule_count() + 1 > self.options.max_ground_rules {
+        let rid = self.prog.rule_count() + self.pending.len();
+        if rid + 1 > self.options.max_ground_rules {
             return Err(GroundError::RuleBudgetExceeded {
                 limit: self.options.max_ground_rules,
             });
         }
-        Ok(self.prog.push_rule(head, pos, neg))
+        self.pending.push(GroundRule::new(head, pos, neg));
+        if self.pending.len() == SEG_LEN {
+            self.flush_rules();
+        }
+        Ok(rid as RuleId)
+    }
+
+    /// Append the pending rules to the program.
+    fn flush_rules(&mut self) {
+        if !self.pending.is_empty() {
+            self.prog.extend_rules(std::mem::take(&mut self.pending));
+        }
     }
 }
 
@@ -1867,6 +1920,99 @@ mod tests {
         }
         let rb = g.program().find_atom_by_name("r", &["b"]).unwrap();
         assert!(!g.program().rules_with_head(rb).is_empty());
+    }
+
+    /// `dropped` and `pruned_of` are exact inverses over live instances.
+    fn assert_pruned_records_consistent(g: &IncrementalGrounder) {
+        let mut forward: Vec<(RuleId, &(Symbol, Tuple))> = Vec::new();
+        for (key, rules) in &g.dropped {
+            assert!(!rules.is_empty(), "no empty record lists");
+            for &rid in rules {
+                assert!((rid as usize) < g.prog.rule_count(), "a live instance");
+                assert!(g.instance_src.contains_key(&rid), "an instance, not a fact");
+                forward.push((rid, key));
+            }
+        }
+        let mut reverse: Vec<(RuleId, &(Symbol, Tuple))> = g
+            .pruned_of
+            .iter()
+            .flat_map(|(&rid, keys)| keys.iter().map(move |k| (rid, k)))
+            .collect();
+        forward.sort();
+        reverse.sort();
+        assert_eq!(forward, reverse);
+    }
+
+    fn atoms(program: &mut Program, facts: &[&str]) -> Vec<Atom> {
+        facts
+            .iter()
+            .map(|f| parse_atom_into(f, program).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn resurrection_follows_instances_moved_by_fact_retracts() {
+        // The facts `n0`..`n2` come first and feed no rule; the last rules
+        // are the `wins` instances whose `not wins(c)` / `not wins(f)`
+        // are pruned. Each retract swap-removes a fact, moving the last
+        // instance into the freed slot; the asserts then bring wins(c)
+        // and wins(f) into the envelope, resurrecting the literals on
+        // the moved instances.
+        let rule = "wins(X) :- move(X, Y), not wins(Y).";
+        let mut program =
+            parse_program(&format!("{rule} n0. n1. n2. move(b, c). move(e, f).")).unwrap();
+        let options = GroundOptions::default();
+        let mut g = IncrementalGrounder::new(&program, &options).unwrap();
+        assert_eq!(g.pruned_of.len(), 2);
+        assert_pruned_records_consistent(&g);
+        for fact in ["n0", "n1", "n2"] {
+            let before = g.program().rule_count();
+            let atom = parse_atom_into(fact, &mut program).unwrap();
+            assert!(g.retract_fact(&atom, &program.symbols).unwrap().fresh);
+            assert_eq!(g.program().rule_count(), before - 1);
+            assert_pruned_records_consistent(&g);
+        }
+        let batch = atoms(&mut program, &["move(c, d)", "move(f, g)"]);
+        let effect = g.assert_batch(&batch, &program.symbols).unwrap();
+        assert_eq!(effect.resurrected, 2);
+        for (head, neg) in [("b", "c"), ("e", "f")] {
+            let prog = g.program();
+            let h = prog.find_atom_by_name("wins", &[head]).unwrap();
+            let n = prog.find_atom_by_name("wins", &[neg]).unwrap();
+            assert_eq!(&*prog.rule(prog.rules_with_head(h)[0]).neg, &[n]);
+        }
+        assert_pruned_records_consistent(&g);
+        let cold_src = format!("{rule} move(b, c). move(e, f). move(c, d). move(f, g).");
+        let cold = ground_with(&parse_program(&cold_src).unwrap(), &options).unwrap();
+        assert_same_programs(g.program(), &cold);
+    }
+
+    #[test]
+    fn rule_retract_forgets_the_pruned_literals_of_its_instances() {
+        // Both rules' instances carry the pruned `not q(a)` / `not q(b)`.
+        // Retracting the `p` rule removes its instances, and the
+        // swap-removes move `r` instances into their slots. Asserting
+        // q(a) must then patch the `r(a)` instance only: never a removed
+        // `p` instance, nor whatever rule took over a freed id.
+        let kept = "r(X) :- e(X), not q(X), not s(X).";
+        let src = format!("p(X) :- e(X), not q(X). {kept} e(a). e(b). e(c).");
+        let mut program = parse_program(&src).unwrap();
+        let options = GroundOptions::default();
+        let mut g = IncrementalGrounder::new(&program, &options).unwrap();
+        assert_pruned_records_consistent(&g);
+        let delta = parse_rules("p(X) :- e(X), not q(X).");
+        match g.retract_rules(&delta.rules, &delta.symbols) {
+            RetractOutcome::Applied(e) => assert!(e.fresh),
+            RetractOutcome::DomainShrunk => panic!("no active domain in play"),
+        }
+        assert_pruned_records_consistent(&g);
+        let batch = atoms(&mut program, &["q(a)"]);
+        let effect = g.assert_batch(&batch, &program.symbols).unwrap();
+        assert_eq!(effect.resurrected, 1, "only r(a) carried `not q(a)`");
+        assert_pruned_records_consistent(&g);
+        let cold_src = format!("{kept} e(a). e(b). e(c). q(a).");
+        let cold = ground_with(&parse_program(&cold_src).unwrap(), &options).unwrap();
+        assert_same_programs(g.program(), &cold);
     }
 
     #[test]

@@ -19,7 +19,12 @@
 //! solve loop pays `O(delta)` per cycle, not `O(program)`. That holds
 //! for a delta that interns new atoms too: it copies the last key
 //! segment, one index segment and the segment directories of each table
-//! it grows, not the base. [`GroundProgram::deep_clone`] forces a full
+//! it grows, not the base. Every list-valued element (a rule's body
+//! lists, an atom's occurrence lists, an atom's argument list) is a
+//! [`SharedSlice`], so the first write to a segment after a snapshot
+//! costs one allocation and a memcpy with reference-count bumps, not one
+//! allocation per element, and a one-fact write allocates the same
+//! amount at any program size. [`GroundProgram::deep_clone`] forces a full
 //! copy when genuine structural independence is wanted. The interning
 //! entry points ([`GroundProgram::intern_symbol`],
 //! [`GroundProgram::intern_const`], [`GroundProgram::intern_term`],
@@ -31,7 +36,7 @@
 use crate::ast::{Program, Term};
 use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
 use crate::bitset::AtomSet;
-use crate::cow::CowVec;
+use crate::cow::{CowVec, SharedSlice};
 use crate::symbol::{Symbol, SymbolStore};
 use std::fmt;
 
@@ -47,14 +52,16 @@ pub type RuleId = u32;
 pub struct GroundRule {
     /// Head atom.
     pub head: AtomId,
-    /// Positive body atoms (sorted, deduplicated).
-    pub pos: Box<[AtomId]>,
-    /// Negated body atoms (sorted, deduplicated).
-    pub neg: Box<[AtomId]>,
+    /// Positive body atoms (sorted, deduplicated). Shared by reference
+    /// count: cloning the rule allocates nothing.
+    pub pos: SharedSlice<AtomId>,
+    /// Negated body atoms (sorted, deduplicated). Shared like `pos`.
+    pub neg: SharedSlice<AtomId>,
 }
 
 impl GroundRule {
-    /// Normalize body lists: sort and deduplicate.
+    /// Normalize body lists: sort and deduplicate. Each non-empty list
+    /// costs one allocation.
     pub fn new(head: AtomId, mut pos: Vec<AtomId>, mut neg: Vec<AtomId>) -> Self {
         pos.sort_unstable();
         pos.dedup();
@@ -62,8 +69,8 @@ impl GroundRule {
         neg.dedup();
         GroundRule {
             head,
-            pos: pos.into_boxed_slice(),
-            neg: neg.into_boxed_slice(),
+            pos: SharedSlice::from(&pos[..]),
+            neg: SharedSlice::from(&neg[..]),
         }
     }
 
@@ -84,9 +91,9 @@ pub struct GroundProgram {
     rules: CowVec<GroundRule>,
     base: HerbrandBase,
     symbols: SymbolStore,
-    head_index: CowVec<Vec<RuleId>>,
-    pos_index: CowVec<Vec<RuleId>>,
-    neg_index: CowVec<Vec<RuleId>>,
+    head_index: CowVec<SharedSlice<RuleId>>,
+    pos_index: CowVec<SharedSlice<RuleId>>,
+    neg_index: CowVec<SharedSlice<RuleId>>,
 }
 
 impl GroundProgram {
@@ -195,9 +202,9 @@ impl GroundProgram {
     pub fn intern_atom_ids(&mut self, pred: Symbol, args: &[ConstId]) -> AtomId {
         let id = self.base.intern_atom(pred, args);
         let n = self.base.atom_count();
-        self.head_index.grow_with(n, Vec::new);
-        self.pos_index.grow_with(n, Vec::new);
-        self.neg_index.grow_with(n, Vec::new);
+        self.head_index.grow_with(n, SharedSlice::default);
+        self.pos_index.grow_with(n, SharedSlice::default);
+        self.neg_index.grow_with(n, SharedSlice::default);
         id
     }
 
@@ -291,17 +298,42 @@ impl GroundProgram {
     /// Append a rule, maintaining the occurrence indices. Body lists are
     /// normalized exactly as during initial construction.
     pub fn push_rule(&mut self, head: AtomId, pos: Vec<AtomId>, neg: Vec<AtomId>) -> RuleId {
-        let rule = GroundRule::new(head, pos, neg);
         let id = self.rules.len() as RuleId;
-        self.head_index.get_mut(rule.head.index()).push(id);
-        for &p in rule.pos.iter() {
-            self.pos_index.get_mut(p.index()).push(id);
-        }
-        for &q in rule.neg.iter() {
-            self.neg_index.get_mut(q.index()).push(id);
-        }
-        self.rules.push(rule);
+        self.extend_rules(vec![GroundRule::new(head, pos, neg)]);
         id
+    }
+
+    /// Append `rules`, which take the ids from
+    /// [`GroundProgram::rule_count`] on, maintaining the occurrence
+    /// indices. Each occurrence list the batch touches is rebuilt once,
+    /// in one allocation, however many of the new rules it gains: rules
+    /// appended one at a time would copy the list of an atom occurring in
+    /// `k` of them `k` times.
+    pub(crate) fn extend_rules(&mut self, rules: Vec<GroundRule>) {
+        let first = self.rules.len();
+        type AtomsOf = fn(&GroundRule) -> &[AtomId];
+        let indices: [(_, AtomsOf); 3] = [
+            (&mut self.head_index, |r| std::slice::from_ref(&r.head)),
+            (&mut self.pos_index, |r| &r.pos),
+            (&mut self.neg_index, |r| &r.neg),
+        ];
+        let mut pairs: Vec<(u32, RuleId)> = Vec::new();
+        for (index, atoms_of) in indices {
+            pairs.clear();
+            for (i, r) in rules.iter().enumerate() {
+                let id = (first + i) as RuleId;
+                pairs.extend(atoms_of(r).iter().map(|a| (a.0, id)));
+            }
+            // By atom, and by rule id within an atom: ids stay in order.
+            pairs.sort_unstable();
+            for group in pairs.chunk_by(|x, y| x.0 == y.0) {
+                let list = index.get_mut(group[0].0 as usize);
+                list.extend(group.iter().map(|&(_, id)| id));
+            }
+        }
+        for r in rules {
+            self.rules.push(r);
+        }
     }
 
     /// Add `atom` to the negative body of `rule` (no-op when already
@@ -310,14 +342,9 @@ impl GroundProgram {
     /// while their atom was outside the positive envelope.
     pub fn add_neg_literal(&mut self, rule: RuleId, atom: AtomId) {
         let r = self.rules.get_mut(rule as usize);
-        match r.neg.binary_search(&atom) {
-            Ok(_) => {}
-            Err(ix) => {
-                let mut neg = r.neg.to_vec();
-                neg.insert(ix, atom);
-                r.neg = neg.into_boxed_slice();
-                self.neg_index.get_mut(atom.index()).push(rule);
-            }
+        if let Err(ix) = r.neg.binary_search(&atom) {
+            r.neg.insert(ix, atom);
+            self.neg_index.get_mut(atom.index()).push(rule);
         }
     }
 
@@ -325,16 +352,17 @@ impl GroundProgram {
     /// `id` (the returned value names the rule that moved, if any). All
     /// occurrence indices are patched; other rule ids are unchanged.
     pub fn remove_rule(&mut self, id: RuleId) -> Option<RuleId> {
-        let unlink = |index: &mut CowVec<Vec<RuleId>>, atom: AtomId, rid: RuleId| {
+        let unlink = |index: &mut CowVec<SharedSlice<RuleId>>, atom: AtomId, rid: RuleId| {
             let v = index.get_mut(atom.index());
             let pos = v.iter().position(|&r| r == rid).expect("indexed rule");
             v.swap_remove(pos);
         };
-        let relink = |index: &mut CowVec<Vec<RuleId>>, atom: AtomId, from: RuleId, to: RuleId| {
-            let v = index.get_mut(atom.index());
-            let pos = v.iter().position(|&r| r == from).expect("indexed rule");
-            v[pos] = to;
-        };
+        let relink =
+            |index: &mut CowVec<SharedSlice<RuleId>>, atom: AtomId, from: RuleId, to: RuleId| {
+                let v = index.get_mut(atom.index());
+                let pos = v.iter().position(|&r| r == from).expect("indexed rule");
+                v.replace(pos, to);
+            };
         let gone = self.rules.get(id as usize).clone();
         unlink(&mut self.head_index, gone.head, id);
         for &p in gone.pos.iter() {
@@ -373,27 +401,22 @@ impl GroundProgram {
             .filter(|r| keep.contains(r.head.0))
             .cloned()
             .collect();
-        let n = self.atom_count();
-        let mut head_index = vec![Vec::new(); n];
-        let mut pos_index = vec![Vec::new(); n];
-        let mut neg_index = vec![Vec::new(); n];
-        for (i, r) in rules.iter().enumerate() {
-            let id = i as RuleId;
-            head_index[r.head.index()].push(id);
-            for &p in r.pos.iter() {
-                pos_index[p.index()].push(id);
-            }
-            for &q in r.neg.iter() {
-                neg_index[q.index()].push(id);
-            }
-        }
+        let mut restricted = GroundProgram::without_rules(self.base.clone(), self.symbols.clone());
+        restricted.extend_rules(rules);
+        restricted
+    }
+
+    /// A program over `base` and `symbols` with no rules yet, its
+    /// occurrence indices sized to the base.
+    fn without_rules(base: HerbrandBase, symbols: SymbolStore) -> GroundProgram {
+        let empty = || CowVec::from_vec(vec![SharedSlice::default(); base.atom_count()]);
         GroundProgram {
-            rules: CowVec::from_vec(rules),
-            base: self.base.clone(),
-            symbols: self.symbols.clone(),
-            head_index: CowVec::from_vec(head_index),
-            pos_index: CowVec::from_vec(pos_index),
-            neg_index: CowVec::from_vec(neg_index),
+            rules: CowVec::new(),
+            head_index: empty(),
+            pos_index: empty(),
+            neg_index: empty(),
+            base,
+            symbols,
         }
     }
 }
@@ -512,28 +535,9 @@ impl GroundProgramBuilder {
 
     /// Build the indices and finish.
     pub fn finish(self) -> GroundProgram {
-        let n = self.base.atom_count();
-        let mut head_index = vec![Vec::new(); n];
-        let mut pos_index = vec![Vec::new(); n];
-        let mut neg_index = vec![Vec::new(); n];
-        for (i, r) in self.rules.iter().enumerate() {
-            let id = i as RuleId;
-            head_index[r.head.index()].push(id);
-            for &p in r.pos.iter() {
-                pos_index[p.index()].push(id);
-            }
-            for &q in r.neg.iter() {
-                neg_index[q.index()].push(id);
-            }
-        }
-        GroundProgram {
-            rules: CowVec::from_vec(self.rules),
-            base: self.base,
-            symbols: self.symbols,
-            head_index: CowVec::from_vec(head_index),
-            pos_index: CowVec::from_vec(pos_index),
-            neg_index: CowVec::from_vec(neg_index),
-        }
+        let mut prog = GroundProgram::without_rules(self.base, self.symbols);
+        prog.extend_rules(self.rules);
+        prog
     }
 }
 

@@ -12,8 +12,9 @@
 //! of its layers from [`afp::Session::take_phases`]: grounding,
 //! condensation repair, the source-program mirror (session call wall
 //! time minus ground and repair, as the benchmark's replay measures it)
-//! and the solve. A write whose cone is one knot should cost the same
-//! at every size.
+//! and the solve, and the rest: the write minus those four, the time
+//! no phase accounts for. A write whose cone is one knot should cost the
+//! same at every size.
 
 use afp::Engine;
 use afp_bench::gen::write_edb_src;
@@ -39,9 +40,9 @@ fn main() {
     };
     println!(
         "| keys | load (s) | first solve (ms) | write p50 (us) | ground p50 (us) \
-         | repair p50 (us) | mirror p50 (us) | solve p50 (us) |"
+         | repair p50 (us) | mirror p50 (us) | solve p50 (us) | rest p50 (us) |"
     );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|");
     for keys in sizes {
         let engine = Engine::default();
         let t = Instant::now();
@@ -57,8 +58,8 @@ fn main() {
 
         let mut present: Vec<bool> = (0..keys).map(|i| i % 2 == 0).collect();
         let mut rng = 0x2545_f491_4f6c_dd1d_u64 ^ keys as u64;
-        let (mut write, mut ground, mut repair, mut mirror, mut solve) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let [mut write, mut ground, mut repair, mut mirror, mut solve, mut rest]: [Vec<f64>; 6] =
+            Default::default();
         for _ in 0..WRITES {
             rng ^= rng << 13;
             rng ^= rng >> 7;
@@ -79,19 +80,24 @@ fn main() {
             _alive = session.solve().expect("the write solves");
             let total_ns = t.elapsed().as_nanos() as f64;
             let solved = session.take_phases();
+            let (ground_ns, repair_ns) = (delta.ground_ns as f64, delta.repair_ns as f64);
+            let mirror_ns = (call_ns - ground_ns - repair_ns).max(0.0);
+            let solve_ns = solved.solve_ns as f64;
             write.push(total_ns / 1e3);
-            ground.push(delta.ground_ns as f64 / 1e3);
-            repair.push(delta.repair_ns as f64 / 1e3);
-            mirror.push((call_ns - (delta.ground_ns + delta.repair_ns) as f64).max(0.0) / 1e3);
-            solve.push(solved.solve_ns as f64 / 1e3);
+            ground.push(ground_ns / 1e3);
+            repair.push(repair_ns / 1e3);
+            mirror.push(mirror_ns / 1e3);
+            solve.push(solve_ns / 1e3);
+            rest.push((total_ns - ground_ns - repair_ns - mirror_ns - solve_ns) / 1e3);
         }
         println!(
-            "| {keys} | {load_s:.2} | {first_ms:.1} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} |",
+            "| {keys} | {load_s:.2} | {first_ms:.1} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} |",
             p50(write),
             p50(ground),
             p50(repair),
             p50(mirror),
             p50(solve),
+            p50(rest),
         );
     }
 }

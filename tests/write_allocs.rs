@@ -1,0 +1,111 @@
+//! Allocation bound for a one-fact grounder write: on the `write_edb`
+//! program shape, with a snapshot of the ground program alive (as a
+//! server's published head is), one assert and one retract allocate a
+//! bounded amount at 10³ and at 10⁴ keys.
+//!
+//! A write copies the segments it touches out of the snapshot. That copy
+//! must cost one allocation per segment, not one per list-valued element
+//! in it, so the count stays flat as the EDB grows. The snapshots must
+//! not change: their rendering is byte-identical before and after.
+
+use afp::datalog::{parse_program, GroundOptions, IncrementalGrounder, RetractOutcome};
+use afp_bench::gen::write_edb_src;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Counts every allocation and reallocation made through it.
+struct Counting;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations one write may make, at any EDB size.
+const BUDGET: usize = 256;
+
+/// The allocations of `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
+/// `(assert, retract)` allocation counts on a `keys`-key grounder.
+fn write_allocations(keys: usize) -> (usize, usize) {
+    let program = parse_program(&write_edb_src(keys)).unwrap();
+    let mut grounder = IncrementalGrounder::new(&program, &GroundOptions::default()).unwrap();
+    let odd = keys / 2 + 1;
+    let assert = parse_program(&format!("d(k{odd}).")).unwrap();
+    let assert_atoms: Vec<_> = assert.rules.iter().map(|r| r.head.clone()).collect();
+    let retract = parse_program("d(k0).").unwrap();
+    let retract_atoms: Vec<_> = retract.rules.iter().map(|r| r.head.clone()).collect();
+
+    let first = grounder.program().clone();
+    let first_text = first.to_string();
+    let (asserted, effect) = allocations(|| {
+        grounder
+            .assert_batch(&assert_atoms, &assert.symbols)
+            .unwrap()
+    });
+    assert!(effect.fresh && effect.new_rules > 0, "the assert applies");
+
+    let second = grounder.program().clone();
+    let second_text = second.to_string();
+    let (retracted, outcome) =
+        allocations(|| grounder.retract_batch(&retract_atoms, &retract.symbols));
+    assert!(
+        matches!(outcome, RetractOutcome::Applied(ref e) if e.fresh),
+        "the retract applies"
+    );
+
+    assert_eq!(
+        first.to_string(),
+        first_text,
+        "the first snapshot is unchanged"
+    );
+    assert_eq!(
+        second.to_string(),
+        second_text,
+        "the second snapshot is unchanged"
+    );
+    assert_ne!(grounder.program().to_string(), second_text);
+    (asserted, retracted)
+}
+
+#[test]
+fn a_one_fact_write_allocates_a_bounded_amount_at_any_size() {
+    for keys in [1_000, 10_000] {
+        let (asserted, retracted) = write_allocations(keys);
+        eprintln!("{keys} keys: assert {asserted}, retract {retracted} allocations");
+        assert!(
+            asserted <= BUDGET,
+            "the assert made {asserted} allocations at {keys} keys (budget {BUDGET})"
+        );
+        assert!(
+            retracted <= BUDGET,
+            "the retract made {retracted} allocations at {keys} keys (budget {BUDGET})"
+        );
+    }
+}
