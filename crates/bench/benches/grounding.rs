@@ -1,9 +1,12 @@
 //! Grounder benchmarks: relevance-based instantiation over the positive
 //! envelope (see `afp-datalog::ground`). Measures envelope computation
-//! and full grounding on tc/ntc and win–move workloads.
+//! and full grounding on tc/ntc and win–move workloads, and a cold
+//! `IncrementalGrounder::new` over the `write_edb` EDB (the cost a
+//! server's start and recovery pay per fact).
 
 use afp_bench::gen::{self, Graph};
 use afp_datalog::ground::{positive_envelope, GroundOptions};
+use afp_datalog::{parse_program, IncrementalGrounder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn grounding(c: &mut Criterion) {
@@ -26,6 +29,14 @@ fn grounding(c: &mut Criterion) {
             b.iter(|| afp_datalog::ground(ast).unwrap())
         });
     }
+    group.finish();
+
+    let mut group = c.benchmark_group("grounding/edb_load");
+    let keys = 10_000usize;
+    let ast = parse_program(&gen::write_edb_src(keys)).unwrap();
+    group.bench_with_input(BenchmarkId::new("write_edb", keys), &ast, |b, ast| {
+        b.iter(|| IncrementalGrounder::new(ast, &GroundOptions::default()).unwrap())
+    });
     group.finish();
 }
 

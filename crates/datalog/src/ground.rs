@@ -77,9 +77,9 @@ pub fn ground(program: &Program) -> Result<GroundProgram, GroundError> {
 
 /// Ground with explicit options.
 ///
-/// This is the one-shot entry point; it runs the same three passes as
-/// [`crate::incremental::IncrementalGrounder`] (which it delegates to) and
-/// discards the working state. Callers that will later assert or retract
+/// This is the one-shot entry point; it runs
+/// [`crate::incremental::IncrementalGrounder::new`] and discards the
+/// working state. Callers that will later assert or retract
 /// facts should hold on to the grounder instead.
 pub fn ground_with(
     program: &Program,
@@ -166,7 +166,7 @@ pub fn positive_envelope(
     options: &GroundOptions,
 ) -> Result<Database, GroundError> {
     let mut base = HerbrandBase::new();
-    let mut facts = Vec::new();
+    let mut db = Database::new();
     let mut rules = Vec::new();
     for rule in &program.rules {
         if rule.is_fact() {
@@ -176,19 +176,16 @@ pub fn positive_envelope(
                 .iter()
                 .map(|t| intern_ground_term(t, &mut base))
                 .collect();
-            facts.push((rule.head.pred, tuple.into_boxed_slice()));
+            db.insert(rule.head.pred, &tuple);
         } else {
             rules.push(compile_rule(rule, &[]));
         }
     }
-    evaluate_positive(
-        &rules,
-        &facts,
-        &mut base,
-        &EvalLimits {
-            max_tuples: options.max_envelope_tuples,
-        },
-    )
+    let limits = EvalLimits {
+        max_tuples: options.max_envelope_tuples,
+    };
+    evaluate_positive(&rules, &mut db, &mut base, &limits)?;
+    Ok(db)
 }
 
 #[cfg(test)]
@@ -336,7 +333,17 @@ mod tests {
             .unwrap();
         let env = positive_envelope(&p, &GroundOptions::default()).unwrap();
         let tc = p.symbols.get("tc").unwrap();
-        assert_eq!(env.relation(tc).unwrap().len(), 3);
+        assert_eq!(env.relation(tc, 2).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn one_predicate_at_two_arities_grounds_as_two_relations() {
+        let g = ground_src("p(a). p(a, b). q(X) :- p(X). r(Y) :- p(X, Y), not q(Y).");
+        assert!(g.find_atom_by_name("q", &["a"]).is_some());
+        assert!(g.find_atom_by_name("q", &["b"]).is_none());
+        let rb = g.find_atom_by_name("r", &["b"]).unwrap();
+        let rule = g.rule(g.rules_with_head(rb)[0]);
+        assert!(rule.neg.is_empty(), "q(b) is outside the envelope");
     }
 
     #[test]

@@ -1,25 +1,39 @@
 //! Incremental grounding: keep the grounder's working state alive so new
-//! EDB facts extend an existing [`GroundProgram`] instead of re-running
-//! the whole parse → envelope → instantiate pipeline.
+//! EDB facts and rules extend an existing [`GroundProgram`] instead of
+//! re-running the whole parse → envelope → instantiate pipeline.
 //!
-//! [`IncrementalGrounder`] performs the same three passes as
-//! [`crate::ground::ground_with`] (safety analysis and compilation,
-//! positive-envelope fixpoint, rule instantiation over the envelope) but
-//! retains everything a later delta needs:
+//! [`IncrementalGrounder::new`] grounds a program once:
 //!
-//! * the working [`HerbrandBase`] and envelope [`Database`], so
-//!   [`IncrementalGrounder::assert_fact`] can run the semi-naive rounds
-//!   **from the new tuples only** ([`extend_positive`]);
-//! * the compiled rules, so only rule bodies mentioning a delta predicate
-//!   are re-joined — with the delta relation substituted at one focus
-//!   position at a time, classic semi-naive discipline;
-//! * the set of already-emitted instances (keyed by rule index and
-//!   variable binding), so re-joins never duplicate a ground rule;
+//! 1. it safety-analyzes and compiles the rules, interns the EDB facts'
+//!    terms and atoms straight into the ground program's Herbrand base —
+//!    the only base there is — and seeds the envelope with them;
+//! 2. it computes the positive envelope (the least model with negation
+//!    erased) by semi-naive rounds over an append-only [`Database`];
+//! 3. it instantiates every rule by one join over the envelope.
+//!
+//! It retains everything a later delta needs:
+//!
+//! * the envelope. It only grows, so what a call added is a **row
+//!   range** per relation, starting at the [`Marks`] taken when the call
+//!   began. [`IncrementalGrounder::assert_batch`] seeds it with the new
+//!   facts and runs the semi-naive rounds from those rows only
+//!   ([`extend_positive`]);
+//! * the compiled rules, so only rule bodies mentioning a grown relation
+//!   are re-joined — with the new rows at one focus position, the rows
+//!   from before the call at the positions before it, and all rows at
+//!   the positions after it, classic semi-naive discipline. A binding
+//!   that matches new rows is so found exactly once, at its first new
+//!   row, and a binding with no new row was found by an earlier call:
+//!   no instance is ever emitted twice, with no record of past ones;
 //! * the negative literals that were **pruned** because their atom lay
 //!   outside the envelope (certainly-true at the time). When a delta
 //!   brings such an atom into the envelope, the literal is resurrected
 //!   onto the instances it was pruned from — without this, a warm
 //!   `assert` would silently change the semantics of old instances.
+//!
+//! Terms are interned read-first into the program's base, so a write
+//! that brings no new term or atom copies no segment the base shares
+//! with a published snapshot.
 //!
 //! Retraction ([`IncrementalGrounder::retract_fact`]) removes the fact
 //! rule but deliberately leaves the envelope as a stale **superset**:
@@ -31,8 +45,8 @@
 //!
 //! Updates are **batched**: [`IncrementalGrounder::assert_batch`] /
 //! [`IncrementalGrounder::retract_batch`] apply N facts with one
-//! envelope round, one resurrection pass, and one focused re-join (the
-//! single-fact entry points are one-element batches). Under the
+//! envelope extension, one resurrection pass, and one focused re-join
+//! (the single-fact entry points are one-element batches). Under the
 //! active-domain policy the grounder also keeps per-term fact reference
 //! counts, so `retract_batch` can tell the retractions that *actually*
 //! shrink the domain (cold re-ground required) from the
@@ -40,20 +54,21 @@
 //!
 //! **Rules** are incremental too ([`IncrementalGrounder::assert_rules`] /
 //! [`IncrementalGrounder::retract_rules`]): an asserted rule is
-//! safety-analyzed and compiled exactly as at load time, joined **once
-//! over the existing envelope** to seed the tuples it can already derive,
-//! and then the whole batch runs one semi-naive envelope-delta round in
-//! which old and new rules participate alike. Heads the new rules bring
-//! into the envelope resurrect pruned negative literals on existing
-//! instances, old rules are re-joined focused on the delta, and the new
-//! rules are instantiated over the final envelope. Retraction drops
-//! exactly the ground instances the rule emitted (the grounder keeps
-//! per-instance provenance) and, under the active-domain policy, checks
-//! per-term **rule-constant reference counts** so only a batch that
-//! actually removes a term from the domain forces a cold re-ground —
-//! mirroring the fact-retract discipline. The envelope again stays a
-//! stale superset, which is semantics-preserving by the same argument as
-//! for facts.
+//! safety-analyzed and compiled exactly as at load time, its body
+//! predicates are indexed, and it is joined **once over the existing
+//! envelope** to seed the tuples it can already derive; then the whole
+//! batch runs one semi-naive envelope extension in which old and new
+//! rules participate alike. Heads the new rules bring into the envelope
+//! resurrect pruned negative literals on existing instances, old rules
+//! are re-joined focused on the new rows, and the new rules are
+//! instantiated over the final envelope. Retraction drops exactly the
+//! ground instances the rule emitted (the grounder keeps per-instance
+//! provenance) and, under the active-domain policy, checks per-term
+//! **rule-constant reference counts** so only a batch that actually
+//! removes a term from the domain forces a cold re-ground — mirroring
+//! the fact-retract discipline. The envelope again stays a stale
+//! superset, which is semantics-preserving by the same argument as for
+//! facts.
 //!
 //! One caveat: a negative literal over a term that was never materialized
 //! (possible only with function symbols under the active-domain policy)
@@ -74,32 +89,14 @@ use crate::ground::{
     SafetyPolicy,
 };
 use crate::program::{GroundProgram, GroundProgramBuilder, GroundRule, RuleId};
-use crate::relation::{Database, Relation, Tuple};
+use crate::relation::{Database, Marks, Tuple};
 use crate::seminaive::{
-    compile_neg_atoms, compile_rule, eval_pat, evaluate_positive, extend_positive, join,
-    try_eval_pat, CompiledAtom, CompiledRule, EvalLimits, Pat,
+    compile_neg_atoms, compile_rule, eval_pat, evaluate_positive, extend_positive, focused_scopes,
+    full_scopes, index_bodies, join, try_eval_pat, CompiledAtom, CompiledRule, EvalLimits, Pat,
 };
 use crate::symbol::Symbol;
 use std::collections::hash_map::Entry;
-
-/// How one negative literal of an emitted instance resolved against the
-/// envelope at emission time.
-enum NegResolution {
-    /// In the envelope: a real negative literal.
-    Inside(Vec<ConstId>),
-    /// Resolved to a concrete atom outside the envelope: pruned, but
-    /// recorded so a later envelope growth can resurrect it.
-    Outside(Symbol, Tuple),
-    /// Mentions a term never materialized: pruned and unrecoverable.
-    Unresolved,
-}
-
-struct Emission {
-    sig: Box<[Option<ConstId>]>,
-    head: Vec<ConstId>,
-    pos: Vec<Vec<ConstId>>,
-    neg: Vec<NegResolution>,
-}
+use std::ops::Range;
 
 /// An imported, validated, and compiled `assert_rules` batch — produced
 /// without mutating the grounder's working state, so a rejected batch
@@ -164,8 +161,7 @@ pub struct IncrementalGrounder {
     options: GroundOptions,
     dom_pred: Symbol,
     need_dom: bool,
-    /// Working base: term ids the envelope and compiled rules speak.
-    base: HerbrandBase,
+    /// The positive envelope, over the term ids of `prog`'s base.
     envelope: Database,
     /// Compiled non-fact rules, parallel arrays (with `src_rules`).
     compiled: Vec<CompiledRule>,
@@ -182,18 +178,12 @@ pub struct IncrementalGrounder {
     /// per batch, not once per rule. Nothing reads a pending rule: the
     /// calls resurrect onto existing instances before they admit new ones.
     pending: Vec<GroundRule>,
-    /// Working-base (pred, args) → final atom id.
-    atom_ids: FxHashMap<(Symbol, Tuple), AtomId>,
-    /// Variable bindings of every instance ever emitted, grouped by rule
-    /// index — grouping makes a rule retract's index remap two O(1) map
-    /// moves instead of a rebuild of the whole set.
-    emitted: FxHashMap<u32, FxHashSet<Box<[Option<ConstId>]>>>,
     /// Ground instance → index of the compiled rule it was emitted from
     /// (facts have no entry). This is the provenance
     /// [`IncrementalGrounder::retract_rules`] uses to drop exactly a
     /// retracted rule's instances.
     instance_src: FxHashMap<RuleId, u32>,
-    /// Pruned negative literals by working-base key → instances to patch.
+    /// Pruned negative literals by (pred, args) → instances to patch.
     dropped: FxHashMap<(Symbol, Tuple), Vec<RuleId>>,
     /// The reverse of `dropped`: instance → the keys pruned from it and
     /// not resurrected yet (`rid` is listed under a key in `dropped` iff
@@ -208,7 +198,7 @@ pub struct IncrementalGrounder {
     /// caller re-grounds cold.
     poisoned: bool,
     /// Active-domain bookkeeping (maintained only when `need_dom`): for
-    /// every working-base term, how many current EDB facts contribute it
+    /// every term, how many current EDB facts contribute it
     /// as a subterm. A retraction that drops some term's count to zero
     /// (and the term is not kept alive by a rule constant) shrinks the
     /// active domain and needs a cold re-ground.
@@ -234,59 +224,46 @@ impl IncrementalGrounder {
     pub fn new(program: &Program, options: &GroundOptions) -> Result<Self, GroundError> {
         let mut symbols = program.symbols.clone();
         let dom_pred = symbols.intern_fresh("$dom");
-        let mut base = HerbrandBase::new();
+        let mut g = IncrementalGrounder {
+            options: *options,
+            dom_pred,
+            need_dom: false,
+            envelope: Database::new(),
+            compiled: Vec::new(),
+            negs: Vec::new(),
+            src_rules: Vec::new(),
+            prog: GroundProgramBuilder::with_symbols(symbols).finish(),
+            pending: Vec::new(),
+            instance_src: FxHashMap::default(),
+            dropped: FxHashMap::default(),
+            pruned_of: FxHashMap::default(),
+            precise: true,
+            poisoned: false,
+            dom_fact_refs: FxHashMap::default(),
+            dom_rule_consts: FxHashMap::default(),
+            edb_facts: FxHashSet::default(),
+        };
 
-        // ---- Pass 1: safety analysis & compilation ----------------------
-        let mut compiled: Vec<CompiledRule> = Vec::new();
-        let mut negs: Vec<Vec<CompiledAtom>> = Vec::new();
-        let mut src_rules: Vec<Rule> = Vec::new();
-        let mut facts: Vec<(Symbol, Tuple)> = Vec::new();
-        let mut need_dom = false;
+        // ---- Safety analysis and compilation; EDB facts seed the
+        // envelope and are interned as atoms, in program order ---------
+        let mut fact_atoms: Vec<AtomId> = Vec::new();
+        let mut tuple: Vec<ConstId> = Vec::new();
         for rule in &program.rules {
             if rule.is_fact() {
-                let tuple: Vec<ConstId> = rule
-                    .head
-                    .args
-                    .iter()
-                    .map(|t| intern_ground_term(t, &mut base))
-                    .collect();
-                facts.push((rule.head.pred, tuple.into_boxed_slice()));
+                tuple.clear();
+                let base = g.prog.base_mut();
+                tuple.extend(rule.head.args.iter().map(|t| intern_ground_term(t, base)));
+                g.envelope.insert(rule.head.pred, &tuple);
+                fact_atoms.push(g.prog.intern_atom_ids(rule.head.pred, &tuple));
                 continue;
             }
-            let unsafe_vars = unsafe_variables(rule);
-            let guards: Vec<CompiledAtom> = if unsafe_vars.is_empty() {
-                vec![]
-            } else {
-                match options.safety {
-                    SafetyPolicy::Reject => {
-                        return Err(GroundError::UnsafeRule {
-                            rule: crate::ast::display_rule(rule, &symbols),
-                            variable: symbols.name(unsafe_vars[0]).to_string(),
-                        });
-                    }
-                    SafetyPolicy::ActiveDomain => {
-                        need_dom = true;
-                        // Guards share the rule's slot assignment.
-                        let probe = compile_rule(rule, &[]);
-                        let mut slot_of: FxHashMap<Symbol, usize> = FxHashMap::default();
-                        for (i, v) in probe.var_names.iter().enumerate() {
-                            slot_of.insert(*v, i);
-                        }
-                        unsafe_vars
-                            .iter()
-                            .map(|v| CompiledAtom {
-                                pred: dom_pred,
-                                pats: vec![Pat::Var(slot_of[v])],
-                            })
-                            .collect()
-                    }
-                }
-            };
-            negs.push(compile_neg_atoms(rule));
-            compiled.push(compile_rule(rule, &guards));
+            let guards = g.guards(rule)?;
+            g.need_dom |= !guards.is_empty();
+            g.negs.push(compile_neg_atoms(rule));
+            g.compiled.push(compile_rule(rule, &guards));
             // The grounder's symbol store starts as a clone of the
             // program's, so the rule can be retained verbatim.
-            src_rules.push(rule.clone());
+            g.src_rules.push(rule.clone());
         }
 
         // ---- Active domain facts ----------------------------------------
@@ -294,28 +271,18 @@ impl IncrementalGrounder {
         // decide later whether a retraction shrinks it: per-term fact
         // reference counts, and the terms pinned by non-fact rule
         // constants (which no retraction can remove).
-        let mut dom_fact_refs: FxHashMap<ConstId, u32> = FxHashMap::default();
-        let mut dom_rule_consts: FxHashMap<ConstId, u32> = FxHashMap::default();
-        if need_dom {
+        if g.need_dom {
             let mut dom_terms: Vec<ConstId> = Vec::new();
-            let mut per_fact: Vec<ConstId> = Vec::new();
-            for (_, tuple) in &facts {
-                per_fact.clear();
-                for &t in tuple.iter() {
-                    collect_subterms(t, &base, &mut per_fact);
-                }
-                per_fact.sort_unstable();
-                per_fact.dedup();
-                for &t in &per_fact {
-                    *dom_fact_refs.entry(t).or_insert(0) += 1;
-                }
-                dom_terms.extend_from_slice(&per_fact);
+            for &atom in &fact_atoms {
+                let (_, args) = g.prog.base().atom(atom);
+                let args = args.to_vec();
+                dom_terms.extend(g.count_fact_terms(&args, true));
             }
             for rule in program.rules.iter().filter(|r| !r.is_fact()) {
                 let start = dom_terms.len();
-                collect_rule_consts(rule, &mut base, &mut dom_terms);
+                collect_rule_consts(rule, g.prog.base_mut(), &mut dom_terms);
                 for &t in &dom_terms[start..] {
-                    *dom_rule_consts.entry(t).or_insert(0) += 1;
+                    *g.dom_rule_consts.entry(t).or_insert(0) += 1;
                 }
             }
             dom_terms.sort_unstable();
@@ -324,60 +291,27 @@ impl IncrementalGrounder {
                 return Err(GroundError::EmptyDomain);
             }
             for t in dom_terms {
-                facts.push((dom_pred, vec![t].into_boxed_slice()));
+                g.envelope.insert(dom_pred, &[t]);
             }
         }
 
-        // ---- Pass 2: positive envelope ----------------------------------
-        let limits = EvalLimits {
-            max_tuples: options.max_envelope_tuples,
-        };
-        let mut envelope = evaluate_positive(&compiled, &facts, &mut base, &limits)?;
-        index_all_columns(&mut envelope);
+        // ---- Positive envelope ------------------------------------------
+        let limits = g.limits();
+        evaluate_positive(&g.compiled, &mut g.envelope, g.prog.base_mut(), &limits)?;
 
-        let mut grounder = IncrementalGrounder {
-            options: *options,
-            dom_pred,
-            need_dom,
-            base,
-            envelope,
-            compiled,
-            negs,
-            src_rules,
-            prog: GroundProgramBuilder::with_symbols(symbols).finish(),
-            pending: Vec::new(),
-            atom_ids: FxHashMap::default(),
-            emitted: FxHashMap::default(),
-            instance_src: FxHashMap::default(),
-            dropped: FxHashMap::default(),
-            pruned_of: FxHashMap::default(),
-            precise: true,
-            poisoned: false,
-            dom_fact_refs,
-            dom_rule_consts,
-            edb_facts: FxHashSet::default(),
-        };
-
-        // ---- Pass 3: instantiate over the envelope ----------------------
+        // ---- Instantiate over the envelope ------------------------------
         // EDB facts become bodyless ground rules (the synthetic domain
         // guard is not part of H).
-        for (pred, tuple) in &facts {
-            if *pred == grounder.dom_pred {
-                continue;
-            }
-            let head = grounder.intern_final(*pred, tuple);
-            grounder.edb_facts.insert(head);
-            grounder.push_rule_checked(head, vec![], vec![])?;
+        for head in fact_atoms {
+            g.edb_facts.insert(head);
+            g.push_rule_checked(head, vec![], vec![])?;
         }
         let mut initial = DeltaEffect::default(); // discarded: nothing to repair yet
-        for ix in 0..grounder.compiled.len() {
-            let emissions = grounder.join_rule(ix, None);
-            for e in emissions {
-                grounder.admit(ix as u32, e, &mut initial)?;
-            }
+        for ix in 0..g.compiled.len() {
+            g.instantiate(ix, None, &mut initial)?;
         }
-        grounder.flush_rules();
-        Ok(grounder)
+        g.flush_rules();
+        Ok(g)
     }
 
     /// The ground program in its current state.
@@ -474,17 +408,36 @@ impl IncrementalGrounder {
         from: &crate::symbol::SymbolStore,
     ) -> Result<DeltaEffect, GroundError> {
         let mut effect = DeltaEffect::default();
-        let mut seed: Vec<(Symbol, Tuple)> = Vec::with_capacity(atoms.len());
+        let since = self.envelope.marks();
+        let atoms: Vec<Atom> = atoms.iter().map(|a| self.import_atom(a, from)).collect();
+        self.seed_facts(atoms, &mut effect)?;
+        if !effect.fresh {
+            return Ok(effect); // whole batch was a no-op
+        }
+        self.extend_envelope(&since)?;
+        self.resurrect(&since, &mut effect);
+        self.rejoin(0..self.compiled.len(), &since, &mut effect)?;
+        effect.changed.sort_unstable();
+        effect.changed.dedup();
+        effect.new_edge_targets.sort_unstable();
+        effect.new_edge_targets.dedup();
+        Ok(effect)
+    }
+
+    /// Add imported ground EDB facts: push each new one's bodyless rule
+    /// and insert it, then the active-domain members the batch
+    /// introduces, into the envelope as seed rows for
+    /// [`extend_positive`].
+    fn seed_facts(
+        &mut self,
+        atoms: Vec<Atom>,
+        effect: &mut DeltaEffect,
+    ) -> Result<(), GroundError> {
         let mut dom_terms: Vec<ConstId> = Vec::new();
         for atom in atoms {
-            assert!(atom.is_ground(), "assert_batch needs ground atoms");
-            let atom = self.import_atom(atom, from);
-            let tuple: Tuple = atom
-                .args
-                .iter()
-                .map(|t| intern_ground_term(t, &mut self.base))
-                .collect();
-            let final_atom = self.intern_final(atom.pred, &tuple);
+            assert!(atom.is_ground(), "asserted facts must be ground");
+            let tuple = self.intern_args(&atom);
+            let final_atom = self.prog.intern_atom_ids(atom.pred, &tuple);
             effect.atom = Some(final_atom);
             if !self.edb_facts.insert(final_atom) {
                 continue; // already an EDB fact — no-op
@@ -497,67 +450,23 @@ impl IncrementalGrounder {
                 // domain seed below.
                 dom_terms.extend(self.count_fact_terms(&tuple, true));
             }
-            seed.push((atom.pred, tuple));
+            self.envelope.insert(atom.pred, &tuple);
         }
-        if seed.is_empty() {
-            return Ok(effect); // whole batch was a no-op
+        dom_terms.sort_unstable();
+        dom_terms.dedup();
+        for t in dom_terms {
+            self.envelope.insert(self.dom_pred, &[t]);
         }
+        Ok(())
+    }
 
-        // One envelope delta for the whole batch: the facts plus any new
-        // active-domain members they introduce.
-        if self.need_dom {
-            dom_terms.sort_unstable();
-            dom_terms.dedup();
-            for t in dom_terms {
-                seed.push((self.dom_pred, vec![t].into_boxed_slice()));
-            }
-        }
-        let limits = EvalLimits {
-            max_tuples: self.options.max_envelope_tuples,
-        };
-        let delta = extend_positive(
-            &self.compiled,
-            &mut self.envelope,
-            seed,
-            &mut self.base,
-            &limits,
-        )?;
-        index_all_columns(&mut self.envelope);
-
-        self.resurrect(&delta, &mut effect);
-
-        // Instantiate the rules whose body touches a delta relation, with
-        // the delta substituted at one focus position at a time; the
-        // `emitted` set keeps re-joins from duplicating instances.
-        for ix in 0..self.compiled.len() {
-            let touches = self.compiled[ix]
-                .body
-                .iter()
-                .any(|a| delta.relation(a.pred).is_some_and(|r| !r.is_empty()));
-            if !touches {
-                continue;
-            }
-            for focus in 0..self.compiled[ix].body.len() {
-                let pred = self.compiled[ix].body[focus].pred;
-                if delta.relation(pred).is_none_or(Relation::is_empty) {
-                    continue;
-                }
-                let emissions = self.join_rule(ix, Some((focus, &delta)));
-                for e in emissions {
-                    if self.already_emitted(ix as u32, &e.sig) {
-                        continue;
-                    }
-                    let head = self.admit(ix as u32, e, &mut effect)?;
-                    effect.changed.push(head);
-                    effect.new_rules += 1;
-                }
-            }
-        }
-        effect.changed.sort_unstable();
-        effect.changed.dedup();
-        effect.new_edge_targets.sort_unstable();
-        effect.new_edge_targets.dedup();
-        Ok(effect)
+    /// Intern a ground atom's argument terms.
+    fn intern_args(&mut self, atom: &Atom) -> Vec<ConstId> {
+        let base = self.prog.base_mut();
+        atom.args
+            .iter()
+            .map(|t| intern_ground_term(t, base))
+            .collect()
     }
 
     /// Remove a ground EDB fact (the bodyless rule for its atom), if
@@ -619,14 +528,10 @@ impl IncrementalGrounder {
             if !self.edb_facts.contains(&final_atom) || !seen.insert(final_atom) {
                 continue; // no-op, or the same fact twice in one batch
             }
-            let tuple: Tuple = atom
-                .args
-                .iter()
-                .map(|t| intern_ground_term(t, &mut self.base))
-                .collect();
+            let tuple = self.intern_args(atom);
             let mut terms = Vec::new();
-            for &t in tuple.iter() {
-                collect_subterms(t, &self.base, &mut terms);
+            for &t in &tuple {
+                collect_subterms(t, self.prog.base(), &mut terms);
             }
             terms.sort_unstable();
             terms.dedup();
@@ -669,11 +574,7 @@ impl IncrementalGrounder {
             self.fix_moved_rule(moved, rid);
         }
         if self.need_dom {
-            let tuple: Tuple = atom
-                .args
-                .iter()
-                .map(|t| intern_ground_term(t, &mut self.base))
-                .collect();
+            let tuple = self.intern_args(atom);
             self.count_fact_terms(&tuple, false);
         }
         effect.fresh = true;
@@ -688,7 +589,7 @@ impl IncrementalGrounder {
     fn count_fact_terms(&mut self, tuple: &[ConstId], add: bool) -> Vec<ConstId> {
         let mut terms = Vec::new();
         for &t in tuple {
-            collect_subterms(t, &self.base, &mut terms);
+            collect_subterms(t, self.prog.base(), &mut terms);
         }
         terms.sort_unstable();
         terms.dedup();
@@ -770,40 +671,13 @@ impl IncrementalGrounder {
             if self.src_rules.contains(&rule) || prepared.rules.iter().any(|(r, ..)| *r == rule) {
                 continue; // an identical rule is already present
             }
-            let unsafe_vars = unsafe_variables(&rule);
-            let guards: Vec<CompiledAtom> = if unsafe_vars.is_empty() {
-                vec![]
-            } else {
-                match self.options.safety {
-                    SafetyPolicy::Reject => {
-                        return Err(GroundError::UnsafeRule {
-                            rule: crate::ast::display_rule(&rule, self.prog.symbols()),
-                            variable: self.prog.symbols().name(unsafe_vars[0]).to_string(),
-                        });
-                    }
-                    SafetyPolicy::ActiveDomain => {
-                        if !self.need_dom {
-                            // The load-time grounding had no unsafe rule,
-                            // so none of the active-domain machinery
-                            // (domain facts, refcounts) exists to hang
-                            // the guards on — bootstrap cold.
-                            return Ok(None);
-                        }
-                        let probe = compile_rule(&rule, &[]);
-                        let mut slot_of: FxHashMap<Symbol, usize> = FxHashMap::default();
-                        for (i, v) in probe.var_names.iter().enumerate() {
-                            slot_of.insert(*v, i);
-                        }
-                        unsafe_vars
-                            .iter()
-                            .map(|v| CompiledAtom {
-                                pred: self.dom_pred,
-                                pats: vec![Pat::Var(slot_of[v])],
-                            })
-                            .collect()
-                    }
-                }
-            };
+            let guards = self.guards(&rule)?;
+            if !guards.is_empty() && !self.need_dom {
+                // The load-time grounding had no unsafe rule, so none of
+                // the active-domain machinery (domain facts, refcounts)
+                // exists to hang the guards on — bootstrap cold.
+                return Ok(None);
+            }
             let negs = compile_neg_atoms(&rule);
             let compiled = compile_rule(&rule, &guards);
             prepared.rules.push((rule, compiled, negs));
@@ -814,48 +688,21 @@ impl IncrementalGrounder {
     fn assert_rules_inner(&mut self, prepared: PreparedRules) -> Result<DeltaEffect, GroundError> {
         let PreparedRules { facts, rules } = prepared;
         let mut effect = DeltaEffect::default();
-        let mut seed: Vec<(Symbol, Tuple)> = Vec::new();
-        let mut dom_terms: Vec<ConstId> = Vec::new();
+        let since = self.envelope.marks();
 
         // Fact rules in the batch take the exact EDB-fact assert path.
-        for atom in &facts {
-            let tuple: Tuple = atom
-                .args
-                .iter()
-                .map(|t| intern_ground_term(t, &mut self.base))
-                .collect();
-            let final_atom = self.intern_final(atom.pred, &tuple);
-            effect.atom = Some(final_atom);
-            if !self.edb_facts.insert(final_atom) {
-                continue; // already an EDB fact — no-op
-            }
-            effect.fresh = true;
-            self.push_rule_checked(final_atom, vec![], vec![])?;
-            effect.changed.push(final_atom);
-            if self.need_dom {
-                dom_terms.extend(self.count_fact_terms(&tuple, true));
-            }
-            seed.push((atom.pred, tuple));
-        }
-        if self.need_dom {
-            dom_terms.sort_unstable();
-            dom_terms.dedup();
-            for t in dom_terms {
-                seed.push((self.dom_pred, vec![t].into_boxed_slice()));
-            }
-        }
+        self.seed_facts(facts, &mut effect)?;
 
         // Register the new rules. Their constants extend and pin the
-        // active domain; the corresponding `$dom` tuples join the seed
-        // (`extend_positive` drops tuples already in the envelope).
+        // active domain; the corresponding `$dom` tuples join the seed.
         let first_new = self.compiled.len();
         for (rule, compiled, negs) in rules {
             if self.need_dom {
                 let mut consts = Vec::new();
-                collect_rule_consts(&rule, &mut self.base, &mut consts);
+                collect_rule_consts(&rule, self.prog.base_mut(), &mut consts);
                 for &t in &consts {
                     *self.dom_rule_consts.entry(t).or_insert(0) += 1;
-                    seed.push((self.dom_pred, vec![t].into_boxed_slice()));
+                    self.envelope.insert(self.dom_pred, &[t]);
                 }
             }
             self.src_rules.push(rule);
@@ -867,93 +714,50 @@ impl IncrementalGrounder {
             return Ok(effect); // whole batch was a no-op
         }
 
-        // Seed what the new rules can already derive from the existing
-        // envelope: one full join per new rule. The delta rounds below
-        // re-join focused on *new* tuples only, so derivations over
-        // purely pre-existing tuples must be found here.
-        let empty = Relation::new(0);
+        // Seed what the new rules can already derive from the envelope as
+        // it was before this call: one full join per new rule. The delta
+        // rounds below re-join focused on *new* tuples only, so
+        // derivations over purely pre-existing tuples must be found
+        // here. Their body columns are indexed first: unindexed, the
+        // join would scan a whole relation per outer row.
+        index_bodies(&mut self.envelope, &self.compiled[first_new..]);
         for ix in first_new..self.compiled.len() {
-            let head_pred = self.compiled[ix].head.pred;
-            let head_pats = self.compiled[ix].head.pats.clone();
+            let cr = &self.compiled[ix];
             let mut envs: Vec<Vec<Option<ConstId>>> = Vec::new();
-            if self.compiled[ix].body.is_empty() {
+            if cr.body.is_empty() {
                 // A body-free rule (after compilation) fires once, as in
                 // the initial grounding's zero-body pass.
-                envs.push(vec![None; self.compiled[ix].nvars]);
+                envs.push(vec![None; cr.nvars]);
             } else {
-                let cr = &self.compiled[ix];
-                let rels: Vec<&Relation> = cr
-                    .body
-                    .iter()
-                    .map(|a| self.envelope.relation(a.pred).unwrap_or(&empty))
-                    .collect();
-                let mut env: Vec<Option<ConstId>> = vec![None; cr.nvars];
-                join(&cr.body, &rels, &self.base, &mut env, &mut |e, _| {
-                    envs.push(e.to_vec())
-                });
+                let scopes = full_scopes(&self.envelope, &cr.body, Some(&since));
+                join(
+                    &cr.body,
+                    &scopes,
+                    cr.nvars,
+                    self.prog.base(),
+                    &mut |e, _| envs.push(e.to_vec()),
+                );
             }
+            let (head_pred, head_pats) = (cr.head.pred, cr.head.pats.clone());
             for env in envs {
-                let head: Vec<ConstId> = head_pats
-                    .iter()
-                    .map(|p| eval_pat(p, &env, &mut self.base))
-                    .collect();
-                seed.push((head_pred, head.into_boxed_slice()));
+                let base = self.prog.base_mut();
+                let head: Vec<ConstId> =
+                    head_pats.iter().map(|p| eval_pat(p, &env, base)).collect();
+                self.envelope.insert(head_pred, &head);
             }
         }
 
         // One envelope delta for the whole batch; old and new rules both
         // participate in the semi-naive rounds.
-        let limits = EvalLimits {
-            max_tuples: self.options.max_envelope_tuples,
-        };
-        let delta = extend_positive(
-            &self.compiled,
-            &mut self.envelope,
-            seed,
-            &mut self.base,
-            &limits,
-        )?;
-        index_all_columns(&mut self.envelope);
-
-        self.resurrect(&delta, &mut effect);
+        self.extend_envelope(&since)?;
+        self.resurrect(&since, &mut effect);
 
         // Instantiate the new rules over the (now extended) envelope …
         for ix in first_new..self.compiled.len() {
-            let emissions = self.join_rule(ix, None);
-            for e in emissions {
-                if self.already_emitted(ix as u32, &e.sig) {
-                    continue;
-                }
-                let head = self.admit(ix as u32, e, &mut effect)?;
-                effect.changed.push(head);
-                effect.new_rules += 1;
-            }
+            self.instantiate(ix, None, &mut effect)?;
         }
         // … and re-join the pre-existing rules focused on the delta.
-        for ix in 0..first_new {
-            let touches = self.compiled[ix]
-                .body
-                .iter()
-                .any(|a| delta.relation(a.pred).is_some_and(|r| !r.is_empty()));
-            if !touches {
-                continue;
-            }
-            for focus in 0..self.compiled[ix].body.len() {
-                let pred = self.compiled[ix].body[focus].pred;
-                if delta.relation(pred).is_none_or(Relation::is_empty) {
-                    continue;
-                }
-                let emissions = self.join_rule(ix, Some((focus, &delta)));
-                for e in emissions {
-                    if self.already_emitted(ix as u32, &e.sig) {
-                        continue;
-                    }
-                    let head = self.admit(ix as u32, e, &mut effect)?;
-                    effect.changed.push(head);
-                    effect.new_rules += 1;
-                }
-            }
-        }
+        self.rejoin(0..first_new, &since, &mut effect)?;
         effect.changed.sort_unstable();
         effect.changed.dedup();
         effect.new_edge_targets.sort_unstable();
@@ -1026,14 +830,10 @@ impl IncrementalGrounder {
             if !self.edb_facts.contains(&final_atom) || !seen.insert(final_atom) {
                 continue;
             }
-            let tuple: Tuple = atom
-                .args
-                .iter()
-                .map(|t| intern_ground_term(t, &mut self.base))
-                .collect();
+            let tuple = self.intern_args(atom);
             let mut terms = Vec::new();
-            for &t in tuple.iter() {
-                collect_subterms(t, &self.base, &mut terms);
+            for &t in &tuple {
+                collect_subterms(t, self.prog.base(), &mut terms);
             }
             terms.sort_unstable();
             terms.dedup();
@@ -1045,7 +845,7 @@ impl IncrementalGrounder {
         for &ix in ixs {
             let rule = self.src_rules[ix].clone();
             let mut consts = Vec::new();
-            collect_rule_consts(&rule, &mut self.base, &mut consts);
+            collect_rule_consts(&rule, self.prog.base_mut(), &mut consts);
             for t in consts {
                 *rule_dec.entry(t).or_insert(0) += 1;
             }
@@ -1064,8 +864,8 @@ impl IncrementalGrounder {
     }
 
     /// Drop compiled rule `ix` and every ground instance it emitted,
-    /// patching the instance provenance, the resurrection records, and
-    /// the emission keys of the rule that takes over the freed slot.
+    /// patching the resurrection records, and the instance provenance of
+    /// the rule that takes over the freed slot.
     fn remove_compiled_rule(&mut self, ix: usize, effect: &mut DeltaEffect) {
         // 1. Remove the rule's ground instances.
         let mut rids: Vec<RuleId> = self
@@ -1091,7 +891,7 @@ impl IncrementalGrounder {
         if self.need_dom {
             let rule = self.src_rules[ix].clone();
             let mut consts = Vec::new();
-            collect_rule_consts(&rule, &mut self.base, &mut consts);
+            collect_rule_consts(&rule, self.prog.base_mut(), &mut consts);
             for t in consts {
                 if let Some(n) = self.dom_rule_consts.get_mut(&t) {
                     *n = n.saturating_sub(1);
@@ -1105,11 +905,7 @@ impl IncrementalGrounder {
         self.negs.swap_remove(ix);
         self.src_rules.swap_remove(ix);
         effect.fresh = true;
-        self.emitted.remove(&(ix as u32)); // the rule's emissions are forgotten
         if ix != last {
-            if let Some(sigs) = self.emitted.remove(&(last as u32)) {
-                self.emitted.insert(ix as u32, sigs);
-            }
             for src in self.instance_src.values_mut() {
                 if *src as usize == last {
                     *src = ix as u32;
@@ -1130,6 +926,38 @@ impl IncrementalGrounder {
     }
 
     // ---- internals ------------------------------------------------------
+
+    /// The active-domain guards of `rule`: one `$dom` atom per unsafe
+    /// variable, sharing the rule's slot assignment. None for a safe
+    /// rule; an error for an unsafe one under [`SafetyPolicy::Reject`].
+    fn guards(&self, rule: &Rule) -> Result<Vec<CompiledAtom>, GroundError> {
+        let unsafe_vars = unsafe_variables(rule);
+        if unsafe_vars.is_empty() {
+            return Ok(Vec::new());
+        }
+        if self.options.safety == SafetyPolicy::Reject {
+            let symbols = self.prog.symbols();
+            return Err(GroundError::UnsafeRule {
+                rule: crate::ast::display_rule(rule, symbols),
+                variable: symbols.name(unsafe_vars[0]).to_string(),
+            });
+        }
+        let probe = compile_rule(rule, &[]);
+        let slot_of = |v: &Symbol| {
+            probe
+                .var_names
+                .iter()
+                .position(|n| n == v)
+                .expect("every rule variable has a slot")
+        };
+        Ok(unsafe_vars
+            .iter()
+            .map(|v| CompiledAtom {
+                pred: self.dom_pred,
+                pats: vec![Pat::Var(slot_of(v))],
+            })
+            .collect())
+    }
 
     /// The swap-remove in [`GroundProgram::remove_rule`] renamed the
     /// former last rule `moved` to `now` (whose own records are already
@@ -1167,16 +995,38 @@ impl IncrementalGrounder {
         }
     }
 
-    /// Resurrect the pruned negative literals whose atom the envelope
-    /// delta `delta` has just brought in.
-    fn resurrect(&mut self, delta: &Database, effect: &mut DeltaEffect) {
-        for (pred, rel) in delta.iter() {
-            for row in rel.rows() {
-                let key = (pred, row.clone());
+    /// Run the envelope's semi-naive rounds over the rows seeded since
+    /// the mark `since`.
+    fn extend_envelope(&mut self, since: &Marks) -> Result<(), GroundError> {
+        let limits = self.limits();
+        extend_positive(
+            &self.compiled,
+            &mut self.envelope,
+            since,
+            self.prog.base_mut(),
+            &limits,
+        )
+    }
+
+    fn limits(&self) -> EvalLimits {
+        EvalLimits {
+            max_tuples: self.options.max_envelope_tuples,
+        }
+    }
+
+    /// Resurrect the pruned negative literals whose atom entered the
+    /// envelope since the mark `since`.
+    fn resurrect(&mut self, since: &Marks, effect: &mut DeltaEffect) {
+        if self.dropped.is_empty() {
+            return;
+        }
+        for (pred, rel, rows) in self.envelope.grown(since, None) {
+            for r in rows {
+                let key = (pred, Tuple::from(rel.row(r)));
                 let Some(rules) = self.dropped.remove(&key) else {
                     continue;
                 };
-                let neg_atom = self.intern_final(pred, row);
+                let neg_atom = self.prog.intern_atom_ids(pred, &key.1);
                 for rid in rules {
                     let keys = self.pruned_of.get_mut(&rid).expect("a recorded instance");
                     let at = keys.iter().position(|k| *k == key).expect("a recorded key");
@@ -1193,18 +1043,21 @@ impl IncrementalGrounder {
         }
     }
 
-    fn intern_final(&mut self, pred: Symbol, args: &[ConstId]) -> AtomId {
-        let key = (pred, args.to_vec().into_boxed_slice());
-        if let Some(&id) = self.atom_ids.get(&key) {
-            return id;
+    /// Re-join the compiled rules `ixs` focused on the envelope rows
+    /// added since the mark `since`, one body position at a time, and
+    /// admit the instances found.
+    fn rejoin(
+        &mut self,
+        ixs: Range<usize>,
+        since: &Marks,
+        effect: &mut DeltaEffect,
+    ) -> Result<(), GroundError> {
+        for ix in ixs {
+            for focus in 0..self.compiled[ix].body.len() {
+                self.instantiate(ix, Some((focus, since)), effect)?;
+            }
         }
-        // Read-first reintern: terms already present in the final base
-        // never force a copy of a base shared with a live snapshot.
-        let (prog, base) = (&mut self.prog, &self.base);
-        let new_args: Vec<ConstId> = args.iter().map(|&a| prog.reintern_term(a, base)).collect();
-        let id = self.prog.intern_atom_ids(pred, &new_args);
-        self.atom_ids.insert(key, id);
-        id
+        Ok(())
     }
 
     /// Resolve an AST atom against the **final** base without interning.
@@ -1228,104 +1081,71 @@ impl IncrementalGrounder {
         self.prog.base().find_atom(atom.pred, &args?)
     }
 
-    /// Join rule `ix` over the envelope — or, when `focus` names a body
-    /// position and a delta database, with the delta substituted there —
-    /// and collect the emissions.
-    fn join_rule(&self, ix: usize, focus: Option<(usize, &Database)>) -> Vec<Emission> {
+    /// Join rule `ix` over the whole envelope — or, with a focus
+    /// position and a mark, the semi-naive step over the rows added since
+    /// the mark ([`focused_scopes`]) — and admit every instance found.
+    fn instantiate(
+        &mut self,
+        ix: usize,
+        focus: Option<(usize, &Marks)>,
+        effect: &mut DeltaEffect,
+    ) -> Result<(), GroundError> {
         let cr = &self.compiled[ix];
-        let negs = &self.negs[ix];
-        let empty = Relation::new(0);
-        let rels: Vec<&Relation> = cr
-            .body
-            .iter()
-            .enumerate()
-            .map(|(i, atom)| {
-                let db = match focus {
-                    Some((f, delta)) if i == f => delta,
-                    _ => &self.envelope,
-                };
-                db.relation(atom.pred).unwrap_or(&empty)
-            })
-            .collect();
-        let mut env: Vec<Option<ConstId>> = vec![None; cr.nvars];
-        let mut emissions: Vec<Emission> = Vec::new();
-        let dom_pred = self.dom_pred;
-        let envelope = &self.envelope;
-        join(&cr.body, &rels, &self.base, &mut env, &mut |env, base| {
-            let head: Vec<ConstId> = cr
-                .head
-                .pats
-                .iter()
-                .map(|p| try_eval_pat(p, env, base).expect("head term is in the envelope"))
-                .collect();
-            let pos: Vec<Vec<ConstId>> = cr
-                .body
-                .iter()
-                .filter(|a| a.pred != dom_pred)
-                .map(|a| {
-                    a.pats
-                        .iter()
-                        .map(|p| try_eval_pat(p, env, base).expect("pos body term matched"))
-                        .collect()
-                })
-                .collect();
-            let neg: Vec<NegResolution> = negs
-                .iter()
-                .map(|a| {
-                    let args: Option<Vec<ConstId>> =
-                        a.pats.iter().map(|p| try_eval_pat(p, env, base)).collect();
-                    match args {
-                        None => NegResolution::Unresolved,
-                        Some(args) if envelope.contains(a.pred, &args) => {
-                            NegResolution::Inside(args)
-                        }
-                        Some(args) => NegResolution::Outside(a.pred, args.into_boxed_slice()),
-                    }
-                })
-                .collect();
-            emissions.push(Emission {
-                sig: env.to_vec().into_boxed_slice(),
-                head,
-                pos,
-                neg,
-            });
+        let scopes = match focus {
+            None => full_scopes(&self.envelope, &cr.body, None),
+            Some((f, since)) => focused_scopes(&self.envelope, &cr.body, f, since, None),
+        };
+        if scopes.iter().any(|(_, rows)| rows.is_empty()) {
+            return Ok(()); // some body atom matches no row
+        }
+        // The bindings, flat, `nvars` slots each.
+        let (nvars, mut envs, mut n) = (cr.nvars, Vec::new(), 0usize);
+        join(&cr.body, &scopes, nvars, self.prog.base(), &mut |env, _| {
+            envs.extend_from_slice(env);
+            n += 1;
         });
-        emissions
+        for k in 0..n {
+            let head = self.admit(ix, &envs[k * nvars..(k + 1) * nvars], effect)?;
+            effect.changed.push(head);
+            effect.new_rules += 1;
+        }
+        Ok(())
     }
 
-    /// Intern one emission's atoms and append its ground rule, recording
-    /// the binding signature, any pruned negative literals, and the new
-    /// instance's dependency-edge targets (into `effect`, for the
-    /// caller's condensation repair). Returns the instance's head atom.
+    /// Intern the atoms of rule `ix`'s instance under the binding `env`
+    /// and append it, recording its provenance, any pruned negative
+    /// literals, and the new instance's dependency-edge targets (into
+    /// `effect`, for the caller's condensation repair). A negative
+    /// literal whose atom is outside the envelope is pruned. Returns the
+    /// instance's head atom.
     fn admit(
         &mut self,
-        ix: u32,
-        e: Emission,
+        ix: usize,
+        env: &[Option<ConstId>],
         effect: &mut DeltaEffect,
     ) -> Result<AtomId, GroundError> {
-        let head = self.intern_final(self.compiled[ix as usize].head.pred, &e.head);
-        let body_preds: Vec<Symbol> = self.compiled[ix as usize]
-            .body
-            .iter()
-            .filter(|a| a.pred != self.dom_pred)
-            .map(|a| a.pred)
-            .collect();
-        let mut pos_ids = Vec::with_capacity(e.pos.len());
-        for (pred, args) in body_preds.into_iter().zip(e.pos.iter()) {
-            pos_ids.push(self.intern_final(pred, args));
+        let (cr, negs) = (&self.compiled[ix], &self.negs[ix]);
+        let mut args: Vec<ConstId> = Vec::new();
+        let resolved = eval_args(&cr.head, env, self.prog.base(), &mut args);
+        assert!(resolved, "head terms are in the envelope");
+        let head = self.prog.intern_atom_ids(cr.head.pred, &args);
+        let mut pos_ids = Vec::with_capacity(cr.body.len());
+        for atom in cr.body.iter().filter(|a| a.pred != self.dom_pred) {
+            let resolved = eval_args(atom, env, self.prog.base(), &mut args);
+            assert!(resolved, "body terms matched envelope rows");
+            pos_ids.push(self.prog.intern_atom_ids(atom.pred, &args));
         }
-        let neg_preds: Vec<Symbol> = self.negs[ix as usize].iter().map(|a| a.pred).collect();
         let mut neg_ids = Vec::new();
         let mut pruned: Vec<(Symbol, Tuple)> = Vec::new();
-        for (k, res) in e.neg.into_iter().enumerate() {
-            match res {
-                NegResolution::Inside(args) => {
-                    neg_ids.push(self.intern_final(neg_preds[k], &args));
-                }
-                NegResolution::Outside(pred, args) => pruned.push((pred, args)),
-                NegResolution::Unresolved => {
-                    self.precise = false;
-                }
+        for atom in negs {
+            if !eval_args(atom, env, self.prog.base(), &mut args) {
+                // Mentions a term never materialized: pruned, and no
+                // later growth can be keyed to resurrect it.
+                self.precise = false;
+            } else if self.envelope.contains(atom.pred, &args) {
+                neg_ids.push(self.prog.intern_atom_ids(atom.pred, &args));
+            } else {
+                pruned.push((atom.pred, Tuple::from(&args[..])));
             }
         }
         effect.new_edge_targets.extend_from_slice(&pos_ids);
@@ -1337,13 +1157,8 @@ impl IncrementalGrounder {
         if !pruned.is_empty() {
             self.pruned_of.insert(rid, pruned);
         }
-        self.emitted.entry(ix).or_default().insert(e.sig);
-        self.instance_src.insert(rid, ix);
+        self.instance_src.insert(rid, ix as u32);
         Ok(head)
-    }
-
-    fn already_emitted(&self, ix: u32, sig: &[Option<ConstId>]) -> bool {
-        self.emitted.get(&ix).is_some_and(|sigs| sigs.contains(sig))
     }
 
     fn push_rule_checked(
@@ -1373,17 +1188,22 @@ impl IncrementalGrounder {
     }
 }
 
-fn index_all_columns(db: &mut Database) {
-    let preds: Vec<Symbol> = db.iter().map(|(p, _)| p).collect();
-    for p in preds {
-        if let Some(rel) = db.relation(p) {
-            let arity = rel.arity();
-            let rel = db.relation_mut(p, arity);
-            for col in 0..arity {
-                rel.ensure_index(col);
-            }
+/// `atom`'s arguments under the binding `env`, into `args`; `false` if
+/// one names a term never interned.
+fn eval_args(
+    atom: &CompiledAtom,
+    env: &[Option<ConstId>],
+    base: &HerbrandBase,
+    args: &mut Vec<ConstId>,
+) -> bool {
+    args.clear();
+    for p in &atom.pats {
+        match try_eval_pat(p, env, base) {
+            Some(v) => args.push(v),
+            None => return false,
         }
     }
+    true
 }
 
 #[cfg(test)]
@@ -2011,6 +1831,40 @@ mod tests {
         assert_eq!(effect.resurrected, 1, "only r(a) carried `not q(a)`");
         assert_pruned_records_consistent(&g);
         let cold_src = format!("{kept} e(a). e(b). e(c). q(a).");
+        let cold = ground_with(&parse_program(&cold_src).unwrap(), &options).unwrap();
+        assert_same_programs(g.program(), &cold);
+    }
+
+    #[test]
+    fn a_new_rule_over_head_only_predicates_joins_through_indexes() {
+        // `a` and `b` are head-only at load: no join probes them, so they
+        // are not indexed. `x(K) :- a(K), b(K)` probes `b` with K bound
+        // by `a` in its seed join; `join` refuses to probe an unindexed
+        // column, so this assert panics unless both relations are
+        // indexed before that join (unindexed, a scan of all of `b` per
+        // row of `a` would make the join quadratic).
+        let base_src = "a(K) :- e(K), not b(K). b(K) :- e(K), not a(K), not c(K). \
+                        c(K) :- d(K). e(k0). e(k1). e(k2). d(k0).";
+        let program = parse_program(base_src).unwrap();
+        let options = GroundOptions::default();
+        let mut g = IncrementalGrounder::new(&program, &options).unwrap();
+        let symbol = |name: &str| g.prog.symbols().get(name).unwrap();
+        let (a, b, e) = (symbol("a"), symbol("b"), symbol("e"));
+        let indexed =
+            |g: &IncrementalGrounder, pred| g.envelope.relation(pred, 1).unwrap().is_indexed(0);
+        assert!(indexed(&g, e), "body predicates are indexed at load");
+        assert!(
+            !indexed(&g, a) && !indexed(&g, b),
+            "head-only predicates are not"
+        );
+
+        let delta = parse_rules("x(K) :- a(K), b(K).");
+        match g.assert_rules(&delta.rules, &delta.symbols).unwrap() {
+            RuleAssertOutcome::Applied(effect) => assert_eq!(effect.new_rules, 3),
+            RuleAssertOutcome::NeedsCold => panic!("a safe rule stays warm"),
+        }
+        assert!(indexed(&g, a) && indexed(&g, b));
+        let cold_src = format!("{base_src} x(K) :- a(K), b(K).");
         let cold = ground_with(&parse_program(&cold_src).unwrap(), &options).unwrap();
         assert_same_programs(g.program(), &cold);
     }

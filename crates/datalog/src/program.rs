@@ -225,21 +225,6 @@ impl GroundProgram {
         self.base.intern_term(term)
     }
 
-    /// Copy a term interned in another base (over the **same** symbol
-    /// space) into this program's base, read-first. Replaces the old
-    /// free-function `reintern_term` pattern on the warm update paths,
-    /// where the term almost always exists already.
-    pub fn reintern_term(&mut self, t: ConstId, from: &HerbrandBase) -> ConstId {
-        match from.term(t).clone() {
-            GroundTerm::Const(c) => self.intern_const(c),
-            GroundTerm::App(f, args) => {
-                let new_args: Vec<ConstId> =
-                    args.iter().map(|&a| self.reintern_term(a, from)).collect();
-                self.intern_term(GroundTerm::App(f, new_args.into_boxed_slice()))
-            }
-        }
-    }
-
     /// Translate an AST atom from another symbol store into this
     /// program's, read-first (see [`crate::ast::import_atom`]).
     pub fn import_atom(&mut self, atom: &crate::ast::Atom, from: &SymbolStore) -> crate::ast::Atom {

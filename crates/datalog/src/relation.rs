@@ -2,36 +2,60 @@
 //!
 //! The grounder evaluates the positive part of a program bottom-up over
 //! *relations* — sets of tuples of interned ground terms — exactly the
-//! EDB/IDB view of Section 2.5 (Figure 1). A [`Relation`] stores its tuples
-//! densely with a hash map for deduplication and optional per-column hash
-//! indices for join lookups.
+//! EDB/IDB view of Section 2.5 (Figure 1).
+//!
+//! The positive envelope only grows: a retraction leaves it a stale
+//! superset (see [`crate::incremental`]), so no row is ever removed and
+//! a row number is stable for the life of the [`Database`]. That makes
+//! every "what is new" question a **row range**:
+//!
+//! * a semi-naive round's delta is the range each relation grew by in
+//!   the previous round;
+//! * what one incremental call added is the range since the [`Marks`]
+//!   taken when it began.
+//!
+//! A [`Relation`] stores its tuples once, flat, with an open-addressing
+//! table of row numbers for deduplication and optional per-column
+//! indexes. Index lists are in row order, so restricting a probe to a
+//! row range is a binary search, not a second index.
 
 use crate::atoms::ConstId;
+use crate::cow::fx_hash;
 use crate::fx::FxHashMap;
 use crate::symbol::Symbol;
+use std::ops::Range;
 
 /// A tuple of interned ground terms.
 pub type Tuple = Box<[ConstId]>;
 
-/// A set of tuples of fixed arity with optional per-column indices.
+/// An append-only set of tuples of fixed arity with optional per-column
+/// indexes.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     arity: usize,
-    rows: Vec<Tuple>,
-    map: FxHashMap<Tuple, u32>,
-    /// `indices[col]`, when built, maps a term id to the row numbers whose
-    /// `col`-th component equals it. Maintained incrementally by `insert`.
-    indices: FxHashMap<usize, FxHashMap<ConstId, Vec<u32>>>,
+    len: u32,
+    /// Row `r` is `data[r * arity..(r + 1) * arity]`.
+    data: Vec<ConstId>,
+    /// Open addressing over rows: `row + 1`, or 0 for an empty slot. A
+    /// power of two, at most half full (empty while there are no rows).
+    slots: Vec<u32>,
+    /// `indices[col]`, when built, maps a term id to the rows whose
+    /// `col`-th component equals it, ascending. Maintained by `insert`.
+    indices: Vec<Option<FxHashMap<ConstId, Vec<u32>>>>,
 }
+
+/// The relation an absent predicate joins against.
+static EMPTY: Relation = Relation::new(0);
 
 impl Relation {
     /// An empty relation of the given arity.
-    pub fn new(arity: usize) -> Self {
+    pub const fn new(arity: usize) -> Self {
         Relation {
             arity,
-            rows: Vec::new(),
-            map: FxHashMap::default(),
-            indices: FxHashMap::default(),
+            len: 0,
+            data: Vec::new(),
+            slots: Vec::new(),
+            indices: Vec::new(),
         }
     }
 
@@ -42,73 +66,135 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len as usize
     }
 
     /// True iff no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
+    }
+
+    /// A tuple by row number.
+    pub fn row(&self, row: u32) -> &[ConstId] {
+        let at = row as usize * self.arity;
+        &self.data[at..at + self.arity]
+    }
+
+    /// All tuples, in insertion (row) order.
+    pub fn rows(&self) -> impl Iterator<Item = &[ConstId]> {
+        (0..self.len).map(|r| self.row(r))
+    }
+
+    /// The row holding `tuple`, or the empty slot where it would go.
+    fn find(&self, tuple: &[ConstId], hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = home_slot(hash, self.slots.len());
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                s if self.row(s - 1) == tuple => return Ok(s - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
     }
 
     /// Insert a tuple; returns `true` if it was new.
     ///
     /// # Panics
-    /// Panics in debug builds if the tuple's arity is wrong.
-    pub fn insert(&mut self, tuple: Tuple) -> bool {
-        debug_assert_eq!(tuple.len(), self.arity);
-        if self.map.contains_key(&tuple) {
+    /// Panics if the tuple's arity is wrong.
+    pub fn insert(&mut self, tuple: &[ConstId]) -> bool {
+        assert_eq!(tuple.len(), self.arity, "tuple arity");
+        if 2 * (self.len as usize + 1) > self.slots.len() {
+            self.rehash((2 * (self.len as usize + 1)).next_power_of_two().max(16));
+        }
+        let Err(slot) = self.find(tuple, fx_hash(tuple)) else {
             return false;
+        };
+        let row = self.len;
+        self.slots[slot] = row + 1;
+        for (col, index) in self.indices.iter_mut().enumerate() {
+            if let Some(index) = index {
+                index.entry(tuple[col]).or_default().push(row);
+            }
         }
-        let row = self.rows.len() as u32;
-        for (&col, index) in self.indices.iter_mut() {
-            index.entry(tuple[col]).or_default().push(row);
-        }
-        self.map.insert(tuple.clone(), row);
-        self.rows.push(tuple);
+        self.data.extend_from_slice(tuple);
+        self.len += 1;
         true
+    }
+
+    /// Replace the slot table by one of `n` slots holding every row.
+    fn rehash(&mut self, n: usize) {
+        self.slots = vec![0; n];
+        for row in 0..self.len {
+            let Err(slot) = self.find(self.row(row), fx_hash(self.row(row))) else {
+                unreachable!("rows are distinct");
+            };
+            self.slots[slot] = row + 1;
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, tuple: &[ConstId]) -> bool {
-        self.map.contains_key(tuple)
-    }
-
-    /// All tuples, in insertion order.
-    pub fn rows(&self) -> &[Tuple] {
-        &self.rows
+        tuple.len() == self.arity && !self.is_empty() && self.find(tuple, fx_hash(tuple)).is_ok()
     }
 
     /// Build (if absent) the index for `col`.
     pub fn ensure_index(&mut self, col: usize) {
-        debug_assert!(col < self.arity);
-        if self.indices.contains_key(&col) {
+        assert!(col < self.arity, "index column out of range");
+        if self.indices.len() < self.arity {
+            self.indices.resize_with(self.arity, || None);
+        }
+        if self.indices[col].is_some() {
             return;
         }
         let mut index: FxHashMap<ConstId, Vec<u32>> = FxHashMap::default();
-        for (row, t) in self.rows.iter().enumerate() {
-            index.entry(t[col]).or_default().push(row as u32);
+        for row in 0..self.len {
+            index.entry(self.row(row)[col]).or_default().push(row);
         }
-        self.indices.insert(col, index);
+        self.indices[col] = Some(index);
     }
 
-    /// Row numbers whose `col`-th component is `value`, if that column is
-    /// indexed.
-    pub fn probe(&self, col: usize, value: ConstId) -> Option<&[u32]> {
-        self.indices
-            .get(&col)
-            .map(|ix| ix.get(&value).map(|v| v.as_slice()).unwrap_or(&[]))
+    /// Is column `col` indexed?
+    pub fn is_indexed(&self, col: usize) -> bool {
+        self.indices.get(col).is_some_and(Option::is_some)
     }
 
-    /// A tuple by row number.
-    pub fn row(&self, row: u32) -> &Tuple {
-        &self.rows[row as usize]
+    /// The rows in `rows` whose `col`-th component is `value`, ascending,
+    /// if that column is indexed.
+    pub fn probe(&self, col: usize, value: ConstId, rows: Range<u32>) -> Option<&[u32]> {
+        let index = self.indices.get(col)?.as_ref()?;
+        let list = index.get(&value).map(Vec::as_slice).unwrap_or(&[]);
+        let lo = list.partition_point(|&r| r < rows.start);
+        let hi = list.partition_point(|&r| r < rows.end);
+        Some(&list[lo..hi])
     }
 }
 
-/// A database instance: one relation per predicate symbol.
+/// The home slot of `hash` in a table of `n` slots (a power of two): its
+/// high bits, which the multiply in the Fx hasher mixes best.
+#[inline]
+fn home_slot(hash: u64, n: usize) -> usize {
+    (hash >> (64 - n.trailing_zeros())) as usize
+}
+
+/// Row counts of every relation of a [`Database`] at one moment: the
+/// rows a relation gained after it are a row range starting at its mark.
+#[derive(Debug, Clone, Default)]
+pub struct Marks(Vec<u32>);
+
+impl Marks {
+    /// Rows of relation `slot` at the mark (0 if it did not exist yet).
+    fn at(&self, slot: usize) -> u32 {
+        self.0.get(slot).copied().unwrap_or(0)
+    }
+}
+
+/// A database instance: one relation per predicate and arity, in order
+/// of creation.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    relations: FxHashMap<Symbol, Relation>,
+    relations: Vec<(Symbol, Relation)>,
+    slots: FxHashMap<(Symbol, usize), usize>,
 }
 
 impl Database {
@@ -117,40 +203,80 @@ impl Database {
         Self::default()
     }
 
-    /// The relation for `pred`, creating it (with the given arity) if absent.
-    pub fn relation_mut(&mut self, pred: Symbol, arity: usize) -> &mut Relation {
-        self.relations
-            .entry(pred)
-            .or_insert_with(|| Relation::new(arity))
+    fn slot(&self, pred: Symbol, arity: usize) -> Option<usize> {
+        self.slots.get(&(pred, arity)).copied()
     }
 
-    /// The relation for `pred`, if any tuples or schema were ever recorded.
-    pub fn relation(&self, pred: Symbol) -> Option<&Relation> {
-        self.relations.get(&pred)
+    /// The relation for `pred`/`arity`, creating it if absent.
+    pub fn relation_mut(&mut self, pred: Symbol, arity: usize) -> &mut Relation {
+        let next = self.relations.len();
+        let slot = *self.slots.entry((pred, arity)).or_insert(next);
+        if slot == next {
+            self.relations.push((pred, Relation::new(arity)));
+        }
+        &mut self.relations[slot].1
+    }
+
+    /// The relation for `pred`/`arity`, if it was ever created.
+    pub fn relation(&self, pred: Symbol, arity: usize) -> Option<&Relation> {
+        self.slot(pred, arity).map(|s| &self.relations[s].1)
     }
 
     /// Insert a tuple; creates the relation on first use.
-    pub fn insert(&mut self, pred: Symbol, tuple: Tuple) -> bool {
-        let arity = tuple.len();
-        self.relation_mut(pred, arity).insert(tuple)
+    pub fn insert(&mut self, pred: Symbol, tuple: &[ConstId]) -> bool {
+        self.relation_mut(pred, tuple.len()).insert(tuple)
     }
 
     /// Membership test (false if the relation does not exist).
     pub fn contains(&self, pred: Symbol, tuple: &[ConstId]) -> bool {
-        self.relations
-            .get(&pred)
-            .map(|r| r.contains(tuple))
-            .unwrap_or(false)
+        self.relation(pred, tuple.len())
+            .is_some_and(|r| r.contains(tuple))
     }
 
     /// Total tuple count across relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.iter().map(|(_, r)| r.len()).sum()
     }
 
-    /// Iterate over `(pred, relation)` pairs (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Relation)> {
-        self.relations.iter().map(|(&p, r)| (p, r))
+    /// The row counts of every relation now.
+    pub fn marks(&self) -> Marks {
+        Marks(self.relations.iter().map(|(_, r)| r.len).collect())
+    }
+
+    /// The relation for `pred`/`arity` (an empty one if absent) and its rows
+    /// from the mark `from` (the first row if `None`) up to the mark `to`
+    /// (the last row if `None`).
+    pub fn rows_between(
+        &self,
+        pred: Symbol,
+        arity: usize,
+        from: Option<&Marks>,
+        to: Option<&Marks>,
+    ) -> (&Relation, Range<u32>) {
+        let Some(slot) = self.slot(pred, arity) else {
+            return (&EMPTY, 0..0);
+        };
+        let rel = &self.relations[slot].1;
+        let start = from.map_or(0, |m| m.at(slot));
+        let end = to.map_or(rel.len, |m| m.at(slot));
+        (rel, start..end.max(start))
+    }
+
+    /// Every relation that gained rows between the marks `from` and `to`
+    /// (now if `None`), with that row range, in order of creation.
+    pub fn grown<'a>(
+        &'a self,
+        from: &'a Marks,
+        to: Option<&'a Marks>,
+    ) -> impl Iterator<Item = (Symbol, &'a Relation, Range<u32>)> + 'a {
+        self.relations
+            .iter()
+            .enumerate()
+            .map(move |(slot, (pred, rel))| {
+                let end = to.map_or(rel.len, |m| m.at(slot));
+                (*pred, rel, from.at(slot)..end)
+            })
+            .filter(|(_, _, rows)| !rows.is_empty())
     }
 }
 
@@ -176,26 +302,59 @@ mod tests {
     fn insert_dedup_and_contains() {
         let (_, c, _) = consts(3);
         let mut r = Relation::new(2);
-        assert!(r.insert(vec![c[0], c[1]].into()));
-        assert!(!r.insert(vec![c[0], c[1]].into()));
-        assert!(r.insert(vec![c[1], c[2]].into()));
+        assert!(r.insert(&[c[0], c[1]]));
+        assert!(!r.insert(&[c[0], c[1]]));
+        assert!(r.insert(&[c[1], c[2]]));
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[c[0], c[1]]));
         assert!(!r.contains(&[c[2], c[0]]));
+        assert_eq!(r.row(1), &[c[1], c[2]]);
     }
 
     #[test]
-    fn index_probe_finds_rows() {
+    fn many_rows_survive_rehashing() {
+        let (_, c, _) = consts(64);
+        let mut r = Relation::new(2);
+        for &x in &c {
+            for &y in &c {
+                assert!(r.insert(&[x, y]));
+            }
+        }
+        assert_eq!(r.len(), 64 * 64);
+        for &x in &c {
+            for &y in &c {
+                assert!(!r.insert(&[x, y]));
+                assert!(r.contains(&[x, y]));
+            }
+        }
+        let rows: Vec<&[ConstId]> = r.rows().collect();
+        assert_eq!(rows[65], &[c[1], c[1]]);
+    }
+
+    #[test]
+    fn nullary_relations_hold_one_row() {
+        let mut r = Relation::new(0);
+        assert!(!r.contains(&[]));
+        assert!(r.insert(&[]));
+        assert!(!r.insert(&[]));
+        assert!(r.contains(&[]));
+        assert_eq!(r.rows().count(), 1);
+    }
+
+    #[test]
+    fn index_probe_finds_rows_within_a_range() {
         let (_, c, _) = consts(4);
         let mut r = Relation::new(2);
-        r.insert(vec![c[0], c[1]].into());
-        r.insert(vec![c[0], c[2]].into());
-        r.insert(vec![c[3], c[1]].into());
+        r.insert(&[c[0], c[1]]);
+        r.insert(&[c[0], c[2]]);
+        r.insert(&[c[3], c[1]]);
+        r.insert(&[c[0], c[3]]);
         r.ensure_index(0);
-        let rows = r.probe(0, c[0]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(r.probe(0, c[3]).unwrap().len(), 1);
-        assert!(r.probe(1, c[1]).is_none(), "column 1 not indexed");
+        assert!(r.is_indexed(0) && !r.is_indexed(1));
+        assert_eq!(r.probe(0, c[0], 0..4).unwrap(), &[0, 1, 3]);
+        assert_eq!(r.probe(0, c[0], 1..3).unwrap(), &[1]);
+        assert_eq!(r.probe(0, c[3], 0..2).unwrap(), &[] as &[u32]);
+        assert!(r.probe(1, c[1], 0..4).is_none(), "column 1 not indexed");
     }
 
     #[test]
@@ -203,11 +362,11 @@ mod tests {
         let (_, c, _) = consts(3);
         let mut r = Relation::new(1);
         r.ensure_index(0);
-        r.insert(vec![c[0]].into());
-        r.insert(vec![c[1]].into());
-        assert_eq!(r.probe(0, c[0]).unwrap(), &[0]);
-        assert_eq!(r.probe(0, c[1]).unwrap(), &[1]);
-        assert_eq!(r.probe(0, c[2]).unwrap(), &[] as &[u32]);
+        r.insert(&[c[0]]);
+        r.insert(&[c[1]]);
+        assert_eq!(r.probe(0, c[0], 0..2).unwrap(), &[0]);
+        assert_eq!(r.probe(0, c[1], 0..2).unwrap(), &[1]);
+        assert_eq!(r.probe(0, c[2], 0..2).unwrap(), &[] as &[u32]);
     }
 
     #[test]
@@ -215,13 +374,48 @@ mod tests {
         let (_, c, mut syms) = consts(2);
         let e = syms.intern("e");
         let mut db = Database::new();
-        assert!(db.insert(e, vec![c[0], c[1]].into()));
-        assert!(!db.insert(e, vec![c[0], c[1]].into()));
+        assert!(db.insert(e, &[c[0], c[1]]));
+        assert!(!db.insert(e, &[c[0], c[1]]));
         assert!(db.contains(e, &[c[0], c[1]]));
         assert!(!db.contains(e, &[c[1], c[0]]));
         assert_eq!(db.total_tuples(), 1);
         let missing = syms.intern("missing");
-        assert!(db.relation(missing).is_none());
+        assert!(db.relation(missing, 1).is_none());
         assert!(!db.contains(missing, &[c[0]]));
+    }
+
+    #[test]
+    fn one_predicate_at_two_arities_is_two_relations() {
+        let (_, c, mut syms) = consts(2);
+        let p = syms.intern("p");
+        let mut db = Database::new();
+        assert!(db.insert(p, &[c[0]]));
+        assert!(db.insert(p, &[c[0], c[1]]));
+        assert_eq!(db.relation(p, 1).unwrap().len(), 1);
+        assert_eq!(db.relation(p, 2).unwrap().len(), 1);
+        assert!(!db.contains(p, &[c[1]]));
+    }
+
+    #[test]
+    fn marks_turn_growth_into_row_ranges() {
+        let (_, c, mut syms) = consts(3);
+        let (e, f) = (syms.intern("e"), syms.intern("f"));
+        let mut db = Database::new();
+        db.insert(e, &[c[0]]);
+        let before = db.marks();
+        db.insert(e, &[c[1]]);
+        db.insert(e, &[c[0]]);
+        db.insert(f, &[c[2]]);
+        let grown: Vec<(Symbol, Range<u32>)> = db
+            .grown(&before, None)
+            .map(|(p, _, rows)| (p, rows))
+            .collect();
+        assert_eq!(grown, vec![(e, 1..2), (f, 0..1)]);
+        let (rel, rows) = db.rows_between(e, 1, None, Some(&before));
+        assert_eq!((rel.len(), rows), (2, 0..1));
+        assert_eq!(db.rows_between(f, 1, Some(&before), None).1, 0..1);
+        assert_eq!(db.rows_between(f, 2, None, None).1, 0..0);
+        let now = db.marks();
+        assert_eq!(db.grown(&now, None).count(), 0);
     }
 }

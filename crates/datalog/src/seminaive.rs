@@ -4,7 +4,10 @@
 //! Kowalski computed at the *relational* level: rules are compiled to
 //! backtracking joins over indexed relations, and each round only re-joins
 //! against the tuples newly derived in the previous round (the semi-naive
-//! delta discipline). The grounder ([`mod@crate::ground`]) runs this engine on
+//! delta discipline). The store is append-only, so that delta is the row
+//! range each relation grew by, not a second database, and every body
+//! position of a join carries its own row range. The grounder
+//! ([`mod@crate::ground`]) runs this engine on
 //! the negation-erased program to obtain the *positive envelope* — the set
 //! of atoms with any derivation at all — and then instantiates rules only
 //! over that envelope.
@@ -13,8 +16,10 @@ use crate::ast::{Rule, Term};
 use crate::atoms::{ConstId, GroundTerm, HerbrandBase};
 use crate::error::GroundError;
 use crate::fx::FxHashMap;
-use crate::relation::{Database, Relation, Tuple};
+use crate::relation::{Database, Marks, Relation};
 use crate::symbol::Symbol;
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// A term pattern with rule variables renamed to dense slots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,29 +173,31 @@ fn compile_term_ro(t: &Term, slots: &FxHashMap<Symbol, usize>) -> Pat {
     }
 }
 
-/// Match a pattern against an interned ground term, extending `env`.
-/// Returns false (without fully undoing bindings — the caller snapshots)
-/// when the match fails.
-fn match_pat(pat: &Pat, value: ConstId, env: &mut [Option<ConstId>], base: &HerbrandBase) -> bool {
+/// Match a pattern against an interned ground term, extending `env` and
+/// recording each slot it binds on `trail` (so the caller can undo the
+/// bindings whether or not the match succeeds).
+fn match_pat(
+    pat: &Pat,
+    value: ConstId,
+    env: &mut [Option<ConstId>],
+    trail: &mut Vec<usize>,
+    base: &HerbrandBase,
+) -> bool {
     match pat {
         Pat::Var(slot) => match env[*slot] {
             Some(bound) => bound == value,
             None => {
                 env[*slot] = Some(value);
+                trail.push(*slot);
                 true
             }
         },
-        Pat::Const(c) => match base.find_term(&GroundTerm::Const(*c)) {
-            Some(id) => id == value,
-            None => false,
-        },
+        Pat::Const(c) => base.find_term(&GroundTerm::Const(*c)) == Some(value),
         Pat::App(f, pats) => match base.term(value) {
-            GroundTerm::App(g, args) if g == f && args.len() == pats.len() => {
-                let args = args.clone();
-                pats.iter()
-                    .zip(args.iter())
-                    .all(|(p, &a)| match_pat(p, a, env, base))
-            }
+            GroundTerm::App(g, args) if g == f && args.len() == pats.len() => pats
+                .iter()
+                .zip(args.iter())
+                .all(|(p, &a)| match_pat(p, a, env, trail, base)),
             _ => false,
         },
     }
@@ -225,83 +232,137 @@ pub fn try_eval_pat(pat: &Pat, env: &[Option<ConstId>], base: &HerbrandBase) -> 
     }
 }
 
-/// Backtracking join: enumerate every binding of `body` against the given
-/// relations (one per body atom, parallel arrays) and call `emit` with the
-/// complete environment.
-pub fn join(
+/// Where one body position of a join looks: a relation and the range of
+/// its rows to match.
+pub type Scope<'a> = (&'a Relation, Range<u32>);
+
+/// The scopes of a join of `body` over the rows of `db` before the mark
+/// `to` (all rows if `None`).
+pub fn full_scopes<'a>(
+    db: &'a Database,
     body: &[CompiledAtom],
-    rels: &[&Relation],
-    base: &HerbrandBase,
-    env: &mut Vec<Option<ConstId>>,
-    emit: &mut dyn FnMut(&[Option<ConstId>], &HerbrandBase),
-) {
-    join_rec(body, rels, base, env, 0, emit);
+    to: Option<&Marks>,
+) -> Vec<Scope<'a>> {
+    body.iter()
+        .map(|a| db.rows_between(a.pred, a.pats.len(), None, to))
+        .collect()
 }
 
-fn join_rec(
+/// The scopes of the semi-naive step over `body` focused on position
+/// `focus`: the focus ranges over the rows added between the marks `lo`
+/// and `hi` (now if `None`), the positions before it over the rows
+/// before `lo`, and the positions after it over the rows before `hi`. A
+/// binding that matches new rows at several positions is so enumerated
+/// once, at the first of them.
+pub fn focused_scopes<'a>(
+    db: &'a Database,
     body: &[CompiledAtom],
-    rels: &[&Relation],
+    focus: usize,
+    lo: &Marks,
+    hi: Option<&Marks>,
+) -> Vec<Scope<'a>> {
+    body.iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let (from, to) = match i.cmp(&focus) {
+                Ordering::Less => (None, Some(lo)),
+                Ordering::Equal => (Some(lo), hi),
+                Ordering::Greater => (None, hi),
+            };
+            db.rows_between(a.pred, a.pats.len(), from, to)
+        })
+        .collect()
+}
+
+/// Backtracking join: enumerate every binding of `body` whose atom `i`
+/// matches a row in `scopes[i]`, in row order, and call `emit` with the
+/// complete environment (`nvars` slots).
+///
+/// # Panics
+/// Panics if a column it probes is not indexed: callers index the body
+/// predicates first ([`index_bodies`]).
+pub fn join(
+    body: &[CompiledAtom],
+    scopes: &[Scope<'_>],
+    nvars: usize,
     base: &HerbrandBase,
-    env: &mut Vec<Option<ConstId>>,
-    depth: usize,
     emit: &mut dyn FnMut(&[Option<ConstId>], &HerbrandBase),
 ) {
-    if depth == body.len() {
-        emit(env, base);
-        return;
+    Join {
+        body,
+        scopes,
+        base,
+        env: vec![None; nvars],
+        trail: Vec::new(),
+        emit,
     }
-    let atom = &body[depth];
-    let rel = rels[depth];
-    // Pick an indexed probe if some column's pattern is fully determined.
-    let mut probe: Option<(usize, ConstId)> = None;
-    for (col, pat) in atom.pats.iter().enumerate() {
-        if pat.is_determined(env) {
-            match try_eval_pat(pat, env, base) {
-                Some(v) => {
-                    probe = Some((col, v));
-                    break;
+    .rec(0);
+}
+
+struct Join<'a, 'e> {
+    body: &'a [CompiledAtom],
+    scopes: &'a [Scope<'a>],
+    base: &'a HerbrandBase,
+    env: Vec<Option<ConstId>>,
+    /// Slots bound since the start of the join, innermost last.
+    trail: Vec<usize>,
+    emit: &'e mut dyn FnMut(&[Option<ConstId>], &HerbrandBase),
+}
+
+impl Join<'_, '_> {
+    fn rec(&mut self, depth: usize) {
+        if depth == self.body.len() {
+            (self.emit)(&self.env, self.base);
+            return;
+        }
+        let (rel, rows) = (self.scopes[depth].0, self.scopes[depth].1.clone());
+        if rows.is_empty() {
+            return;
+        }
+        // Probe the first column whose pattern the bindings so far fix.
+        let mut probe: Option<(usize, ConstId)> = None;
+        for (col, pat) in self.body[depth].pats.iter().enumerate() {
+            if pat.is_determined(&self.env) {
+                match try_eval_pat(pat, &self.env, self.base) {
+                    Some(v) => {
+                        probe = Some((col, v));
+                        break;
+                    }
+                    // A determined pattern naming a term that was never
+                    // materialized matches nothing.
+                    None => return,
                 }
-                // A determined pattern naming a term that was never
-                // materialized matches nothing.
-                None => return,
             }
         }
-    }
-    let snapshot = env.clone();
-    let try_row = |row: &Tuple,
-                   env: &mut Vec<Option<ConstId>>,
-                   emit: &mut dyn FnMut(&[Option<ConstId>], &HerbrandBase)| {
-        let mut ok = true;
-        for (pat, &val) in atom.pats.iter().zip(row.iter()) {
-            if !match_pat(pat, val, env, base) {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            join_rec(body, rels, base, env, depth + 1, emit);
-        }
-        env.copy_from_slice(&snapshot);
-    };
-    match probe {
-        Some((col, value)) => match rel.probe(col, value) {
-            Some(rows) => {
-                for &r in rows {
-                    try_row(rel.row(r), env, emit);
+        match probe {
+            Some((col, value)) => {
+                let hits = rel
+                    .probe(col, value, rows)
+                    .expect("callers index every body column before joining");
+                for &r in hits {
+                    self.try_row(depth, rel.row(r));
                 }
             }
             None => {
-                // Column not indexed: fall back to a scan with the
-                // determined column as a filter (match_pat handles it).
-                for row in rel.rows() {
-                    try_row(row, env, emit);
+                for r in rows {
+                    self.try_row(depth, rel.row(r));
                 }
             }
-        },
-        None => {
-            for row in rel.rows() {
-                try_row(row, env, emit);
-            }
+        }
+    }
+
+    fn try_row(&mut self, depth: usize, row: &[ConstId]) {
+        let mark = self.trail.len();
+        let matched = self.body[depth]
+            .pats
+            .iter()
+            .zip(row)
+            .all(|(pat, &val)| match_pat(pat, val, &mut self.env, &mut self.trail, self.base));
+        if matched {
+            self.rec(depth + 1);
+        }
+        for slot in self.trail.drain(mark..) {
+            self.env[slot] = None;
         }
     }
 }
@@ -322,20 +383,29 @@ impl Default for EvalLimits {
     }
 }
 
-/// Compute the least model of a *positive* program (facts plus compiled
-/// rules) by semi-naive iteration.
-///
-/// `facts` are inserted first; `rules` are the compiled non-fact rules.
-/// Returns the full database. Rounds stop when no new tuple is derived.
+/// Index every column of every positive body predicate of `rules`
+/// (creating empty relations as needed), so that joins over them probe
+/// instead of scanning. Head-only predicates stay unindexed.
+pub fn index_bodies(db: &mut Database, rules: &[CompiledRule]) {
+    for atom in rules.iter().flat_map(|r| &r.body) {
+        let arity = atom.pats.len();
+        let rel = db.relation_mut(atom.pred, arity);
+        for col in 0..arity {
+            rel.ensure_index(col);
+        }
+    }
+}
+
+/// Compute the least model of a *positive* program by semi-naive
+/// iteration. `db` holds the facts on entry and the least model on
+/// return; compiled rules with an empty body fire once first.
 pub fn evaluate_positive(
     rules: &[CompiledRule],
-    facts: &[(Symbol, Tuple)],
+    db: &mut Database,
     base: &mut HerbrandBase,
     limits: &EvalLimits,
-) -> Result<Database, GroundError> {
-    let mut full = Database::new();
-    let mut seed: Vec<(Symbol, Tuple)> = facts.to_vec();
-    // Zero-body compiled rules (ground heads after compilation) fire once.
+) -> Result<(), GroundError> {
+    let since = Marks::default();
     for rule in rules.iter().filter(|r| r.body.is_empty()) {
         let env: Vec<Option<ConstId>> = vec![None; rule.nvars];
         let head: Vec<ConstId> = rule
@@ -344,142 +414,74 @@ pub fn evaluate_positive(
             .iter()
             .map(|p| eval_pat(p, &env, base))
             .collect();
-        seed.push((rule.head.pred, head.into_boxed_slice()));
+        db.insert(rule.head.pred, &head);
     }
-    extend_positive(rules, &mut full, seed, base, limits)?;
-    Ok(full)
+    extend_positive(rules, db, &since, base, limits)
 }
 
-/// Extend an existing least-model database with new seed tuples and run
-/// the semi-naive rounds to closure. `full` is updated in place; the
-/// returned database holds **exactly the tuples added by this call** (the
-/// delta-closure), which the incremental grounder uses to instantiate only
-/// the affected rule instances.
+/// Run the semi-naive rounds of `rules` over `db` to closure. The rows
+/// `db` gained since the mark `since` are the first round's delta; each
+/// later round's delta is what the round before it added. On return the
+/// rows since `since` are exactly the tuples this extension added, its
+/// seed included — which the incremental grounder uses to instantiate
+/// only the affected rule instances.
 pub fn extend_positive(
     rules: &[CompiledRule],
-    full: &mut Database,
-    seed: Vec<(Symbol, Tuple)>,
+    db: &mut Database,
+    since: &Marks,
     base: &mut HerbrandBase,
     limits: &EvalLimits,
-) -> Result<Database, GroundError> {
-    let mut added = Database::new();
-    let mut delta = Database::new();
-    for (pred, tuple) in seed {
-        if full.insert(pred, tuple.clone()) {
-            added.insert(pred, tuple.clone());
-            delta.insert(pred, tuple);
-        }
-    }
-    let mut buffer: Vec<(Symbol, Tuple)> = Vec::new();
-
+) -> Result<(), GroundError> {
+    index_bodies(db, rules);
+    let mut lo = since.clone();
+    // The bindings one focused join found, flat, `nvars` slots each.
+    let mut envs: Vec<Option<ConstId>> = Vec::new();
+    let mut head: Vec<ConstId> = Vec::new();
     loop {
-        if full.total_tuples() > limits.max_tuples {
+        if db.total_tuples() > limits.max_tuples {
             return Err(GroundError::AtomBudgetExceeded {
                 limit: limits.max_tuples,
             });
         }
-        // Ensure indices for every column of every relation used in a body.
-        for rule in rules {
-            for atom in &rule.body {
-                for db in [&mut *full, &mut delta] {
-                    if let Some(rel) = db.relation(atom.pred) {
-                        let arity = rel.arity();
-                        let rel = db.relation_mut(atom.pred, arity);
-                        for col in 0..arity {
-                            rel.ensure_index(col);
-                        }
-                    }
-                }
-            }
+        let hi = db.marks();
+        if db.grown(&lo, Some(&hi)).next().is_none() {
+            return Ok(());
         }
-        buffer.clear();
-        let empty = Relation::new(0);
-        for rule in rules.iter().filter(|r| !r.body.is_empty()) {
+        for rule in rules {
             for focus in 0..rule.body.len() {
-                // Occurrence `focus` ranges over the last delta; a derivation
-                // with no delta tuple was already found in an earlier round.
-                let rels: Vec<&Relation> = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .map(|(i, atom)| {
-                        let db: &Database = if i == focus { &delta } else { full };
-                        db.relation(atom.pred).unwrap_or(&empty)
-                    })
-                    .collect();
-                if rels[focus].is_empty() {
+                let scopes = focused_scopes(db, &rule.body, focus, &lo, Some(&hi));
+                if scopes[focus].1.is_empty() {
                     continue;
                 }
-                let mut env: Vec<Option<ConstId>> = vec![None; rule.nvars];
-                let head_pred = rule.head.pred;
-                let head_pats = &rule.head.pats;
-                let mut local: Vec<(Symbol, Vec<ConstId>)> = Vec::new();
-                join(&rule.body, &rels, base, &mut env, &mut |env, base| {
-                    let head: Vec<ConstId> = head_pats
-                        .iter()
-                        .map(|p| try_eval_pat(p, env, base).map(Ok).unwrap_or(Err(())))
-                        .collect::<Result<_, _>>()
-                        .unwrap_or_default();
-                    if head.len() == head_pats.len() {
-                        local.push((head_pred, head));
-                    } else {
-                        // Head mentions a term not yet interned; record
-                        // the env so we can intern outside the borrow.
-                        local.push((head_pred, vec![]));
-                    }
+                envs.clear();
+                let mut n = 0usize;
+                join(&rule.body, &scopes, rule.nvars, base, &mut |env, _| {
+                    envs.extend_from_slice(env);
+                    n += 1;
                 });
-                // Second pass for heads that needed interning: rerun with
-                // mutable base access. To keep the hot path allocation-free
-                // we only rerun when at least one head failed to resolve.
-                if local.iter().any(|(_, h)| h.len() != rule.head.pats.len()) {
-                    local.clear();
-                    let mut envs: Vec<Vec<Option<ConstId>>> = Vec::new();
-                    let mut env2: Vec<Option<ConstId>> = vec![None; rule.nvars];
-                    join(&rule.body, &rels, base, &mut env2, &mut |env, _| {
-                        envs.push(env.to_vec());
-                    });
-                    for env in envs {
-                        let head: Vec<ConstId> = rule
-                            .head
-                            .pats
-                            .iter()
-                            .map(|p| eval_pat(p, &env, base))
-                            .collect();
-                        local.push((head_pred, head));
-                    }
-                }
-                for (pred, head) in local {
-                    buffer.push((pred, head.into_boxed_slice()));
+                // Heads may name terms not interned yet: build them after
+                // the join, which only reads the base.
+                for env in (0..n).map(|k| &envs[k * rule.nvars..(k + 1) * rule.nvars]) {
+                    head.clear();
+                    head.extend(rule.head.pats.iter().map(|p| eval_pat(p, env, base)));
+                    db.insert(rule.head.pred, &head);
                 }
             }
         }
-        let mut next_delta = Database::new();
-        let mut grew = false;
-        for (pred, tuple) in buffer.drain(..) {
-            if !full.contains(pred, &tuple) {
-                full.insert(pred, tuple.clone());
-                added.insert(pred, tuple.clone());
-                next_delta.insert(pred, tuple);
-                grew = true;
-            }
-        }
-        delta = next_delta;
-        if !grew {
-            return Ok(added);
-        }
+        lo = hi;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_program;
+    use crate::parser::{parse_atom_into, parse_program};
 
     /// Helper: run the positive part of a parsed program.
     fn run(src: &str) -> (Database, HerbrandBase, crate::symbol::SymbolStore) {
         let prog = parse_program(src).unwrap();
         let mut base = HerbrandBase::new();
-        let mut facts = Vec::new();
+        let mut db = Database::new();
         let mut rules = Vec::new();
         for rule in &prog.rules {
             if rule.is_fact() {
@@ -489,12 +491,12 @@ mod tests {
                     .iter()
                     .map(|t| intern_ground(t, &mut base))
                     .collect();
-                facts.push((rule.head.pred, tuple.into_boxed_slice()));
+                db.insert(rule.head.pred, &tuple);
             } else {
                 rules.push(compile_rule(rule, &[]));
             }
         }
-        let db = evaluate_positive(&rules, &facts, &mut base, &EvalLimits::default()).unwrap();
+        evaluate_positive(&rules, &mut db, &mut base, &EvalLimits::default()).unwrap();
         (db, base, prog.symbols)
     }
 
@@ -515,7 +517,7 @@ mod tests {
              tc(X,Y) :- e(X,Y).
              tc(X,Y) :- e(X,Z), tc(Z,Y).");
         let tc = syms.get("tc").unwrap();
-        let rel = db.relation(tc).unwrap();
+        let rel = db.relation(tc, 2).unwrap();
         assert_eq!(rel.len(), 6); // ab ac ad bc bd cd
         let a = base
             .find_term(&GroundTerm::Const(syms.get("a").unwrap()))
@@ -531,13 +533,16 @@ mod tests {
     fn join_with_repeated_variables() {
         let (db, _, syms) = run("e(a,a). e(a,b). loop(X) :- e(X,X).");
         let l = syms.get("loop").unwrap();
-        assert_eq!(db.relation(l).unwrap().len(), 1);
+        assert_eq!(db.relation(l, 1).unwrap().len(), 1);
     }
 
     #[test]
     fn constants_in_rule_bodies() {
         let (db, _, syms) = run("e(a,b). e(b,c). from_a(Y) :- e(a,Y).");
-        assert_eq!(db.relation(syms.get("from_a").unwrap()).unwrap().len(), 1);
+        assert_eq!(
+            db.relation(syms.get("from_a").unwrap(), 1).unwrap().len(),
+            1
+        );
     }
 
     #[test]
@@ -548,7 +553,7 @@ mod tests {
              small(z). small(s(z)).");
         let n = syms.get("n").unwrap();
         // z, s(z), s(s(z)) — growth stops because small/1 is finite.
-        assert_eq!(db.relation(n).unwrap().len(), 3);
+        assert_eq!(db.relation(n, 1).unwrap().len(), 3);
         assert!(base.term_count() >= 3);
     }
 
@@ -556,7 +561,7 @@ mod tests {
     fn budget_stops_runaway_programs() {
         let prog = parse_program("n(z). n(s(X)) :- n(X).").unwrap();
         let mut base = HerbrandBase::new();
-        let mut facts = Vec::new();
+        let mut db = Database::new();
         let mut rules = Vec::new();
         for rule in &prog.rules {
             if rule.is_fact() {
@@ -566,13 +571,13 @@ mod tests {
                     .iter()
                     .map(|t| intern_ground(t, &mut base))
                     .collect();
-                facts.push((rule.head.pred, t.into_boxed_slice()));
+                db.insert(rule.head.pred, &t);
             } else {
                 rules.push(compile_rule(rule, &[]));
             }
         }
-        let err = evaluate_positive(&rules, &facts, &mut base, &EvalLimits { max_tuples: 100 })
-            .unwrap_err();
+        let limits = EvalLimits { max_tuples: 100 };
+        let err = evaluate_positive(&rules, &mut db, &mut base, &limits).unwrap_err();
         assert!(matches!(err, GroundError::AtomBudgetExceeded { .. }));
     }
 
@@ -582,13 +587,245 @@ mod tests {
              tc(X,Y) :- e(X,Y).
              tc(X,Y) :- e(X,Z), tc(Z,Y).");
         // {a,b}² — cycles must terminate.
-        assert_eq!(db.relation(syms.get("tc").unwrap()).unwrap().len(), 4);
+        assert_eq!(db.relation(syms.get("tc").unwrap(), 2).unwrap().len(), 4);
     }
 
     #[test]
     fn propositional_rules_work() {
         let (db, _, syms) = run("p. q :- p. r :- q, p.");
         assert!(db.contains(syms.get("r").unwrap(), &[]));
+    }
+
+    /// Every tuple of `db`, rendered, as a set.
+    fn rendered(
+        db: &Database,
+        base: &HerbrandBase,
+        syms: &crate::symbol::SymbolStore,
+    ) -> std::collections::BTreeSet<String> {
+        db.grown(&Marks::default(), None)
+            .flat_map(|(pred, rel, rows)| rows.map(move |r| (pred, rel.row(r))))
+            .map(|(pred, row)| render(pred, row, base, syms))
+            .collect()
+    }
+
+    fn render(
+        pred: Symbol,
+        row: &[ConstId],
+        base: &HerbrandBase,
+        syms: &crate::symbol::SymbolStore,
+    ) -> String {
+        let args: Vec<String> = row.iter().map(|&t| base.display_term(t, syms)).collect();
+        format!("{}({})", syms.name(pred), args.join(","))
+    }
+
+    /// The reference: naive `T_P` iteration, every rule matched against
+    /// every combination of rows (no indexes, no row ranges), until
+    /// nothing new is derived.
+    fn naive_fixpoint(rules: &[CompiledRule], db: &mut Database, base: &mut HerbrandBase) {
+        loop {
+            let mut derived: Vec<(Symbol, Vec<ConstId>)> = Vec::new();
+            for rule in rules {
+                let rels: Vec<Vec<Vec<ConstId>>> = rule
+                    .body
+                    .iter()
+                    .map(|a| match db.relation(a.pred, a.pats.len()) {
+                        Some(rel) => rel.rows().map(<[ConstId]>::to_vec).collect(),
+                        None => Vec::new(),
+                    })
+                    .collect();
+                let mut pick = vec![0usize; rels.len()];
+                if rels.iter().any(Vec::is_empty) {
+                    continue;
+                }
+                loop {
+                    let mut env = vec![None; rule.nvars];
+                    let mut trail = Vec::new();
+                    let matched = rule.body.iter().zip(&pick).enumerate().all(|(i, (a, &k))| {
+                        a.pats
+                            .iter()
+                            .zip(&rels[i][k])
+                            .all(|(p, &v)| match_pat(p, v, &mut env, &mut trail, base))
+                    });
+                    if matched {
+                        let head = rule.head.pats.iter().map(|p| eval_pat(p, &env, base));
+                        derived.push((rule.head.pred, head.collect()));
+                    }
+                    // Next combination, odometer style.
+                    let mut i = 0;
+                    while i < pick.len() {
+                        pick[i] += 1;
+                        if pick[i] < rels[i].len() {
+                            break;
+                        }
+                        pick[i] = 0;
+                        i += 1;
+                    }
+                    if i == pick.len() {
+                        break;
+                    }
+                }
+            }
+            let mut grew = false;
+            for (pred, tuple) in derived {
+                grew |= db.insert(pred, &tuple);
+            }
+            if !grew {
+                return;
+            }
+        }
+    }
+
+    /// A seeded random positive program: transitive closure with the
+    /// recursive predicate at both body positions, a function term built
+    /// in one head and matched in another body, and a few random rules
+    /// over constants and variables. Returns the rules and the facts.
+    fn random_positive_program(seed: u64) -> (String, Vec<String>) {
+        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut rules = String::from(
+            "path(X, Y) :- e(X, Y).\n\
+             path(X, Z) :- path(X, Y), path(Y, Z).\n\
+             w(f(X)) :- path(X, a).\n\
+             v(X) :- w(f(X)), path(X, X).\n",
+        );
+        let preds = [("e", 2), ("path", 2), ("p", 2), ("q", 1), ("v", 1)];
+        let terms = ["X", "Y", "Z", "a", "b", "c"];
+        for _ in 0..2 + next(3) {
+            let mut body = Vec::new();
+            let mut vars = Vec::new();
+            for _ in 0..1 + next(3) {
+                let (pred, arity) = preds[next(preds.len() as u64) as usize];
+                let args: Vec<&str> = (0..arity)
+                    .map(|_| terms[next(terms.len() as u64) as usize])
+                    .collect();
+                vars.extend(args.iter().filter(|t| t.starts_with(char::is_uppercase)));
+                body.push(format!("{pred}({})", args.join(", ")));
+            }
+            let (head, arity) = [("p", 2), ("q", 1), ("path", 2)][next(3) as usize];
+            let args: Vec<&str> = (0..arity)
+                .map(|_| match vars.len() {
+                    0 => terms[3 + next(3) as usize],
+                    n => vars[next(n as u64) as usize],
+                })
+                .collect();
+            rules.push_str(&format!(
+                "{head}({}) :- {}.\n",
+                args.join(", "),
+                body.join(", ")
+            ));
+        }
+        let consts = ["a", "b", "c", "d", "f(a)"];
+        let facts = (0..4 + next(8))
+            .map(|_| {
+                let x = consts[next(5) as usize];
+                let y = consts[next(5) as usize];
+                match next(4) {
+                    0 => format!("q({x})."),
+                    _ => format!("e({x}, {y})."),
+                }
+            })
+            .collect();
+        (rules, facts)
+    }
+
+    /// Parse `src`, compile its rules and seed a database with its facts.
+    fn load_positive(
+        src: &str,
+    ) -> (
+        Vec<CompiledRule>,
+        Database,
+        HerbrandBase,
+        crate::ast::Program,
+    ) {
+        let prog = parse_program(src).unwrap();
+        let mut base = HerbrandBase::new();
+        let mut db = Database::new();
+        let mut rules = Vec::new();
+        for rule in &prog.rules {
+            if rule.is_fact() {
+                let t: Vec<ConstId> = rule
+                    .head
+                    .args
+                    .iter()
+                    .map(|t| intern_ground(t, &mut base))
+                    .collect();
+                db.insert(rule.head.pred, &t);
+            } else {
+                rules.push(compile_rule(rule, &[]));
+            }
+        }
+        (rules, db, base, prog)
+    }
+
+    #[test]
+    fn row_range_rounds_equal_the_naive_fixpoint() {
+        for seed in 0..150 {
+            let (rules, facts) = random_positive_program(seed);
+            let src = format!("{rules}{}", facts.join(" "));
+            let (compiled, mut db, mut base, prog) = load_positive(&src);
+            evaluate_positive(&compiled, &mut db, &mut base, &EvalLimits::default()).unwrap();
+            let (compiled, mut naive, mut nbase, nprog) = load_positive(&src);
+            naive_fixpoint(&compiled, &mut naive, &mut nbase);
+            assert_eq!(
+                rendered(&db, &base, &prog.symbols),
+                rendered(&naive, &nbase, &nprog.symbols),
+                "seed {seed}:\n{src}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_warm_extension_reports_exactly_the_rows_it_added() {
+        for seed in 0..150 {
+            let (rules, facts) = random_positive_program(seed);
+            let (old_facts, new_facts) = facts.split_at(facts.len() / 2);
+            let src = format!("{rules}{}", old_facts.join(" "));
+            let (compiled, mut db, mut base, mut prog) = load_positive(&src);
+            evaluate_positive(&compiled, &mut db, &mut base, &EvalLimits::default()).unwrap();
+            let old = rendered(&db, &base, &prog.symbols);
+
+            let since = db.marks();
+            for fact in new_facts {
+                let atom = parse_atom_into(fact.trim_end_matches('.'), &mut prog).unwrap();
+                let t: Vec<ConstId> = atom
+                    .args
+                    .iter()
+                    .map(|t| intern_ground(t, &mut base))
+                    .collect();
+                db.insert(atom.pred, &t);
+            }
+            let syms = &prog.symbols;
+            extend_positive(
+                &compiled,
+                &mut db,
+                &since,
+                &mut base,
+                &EvalLimits::default(),
+            )
+            .unwrap();
+            let new = rendered(&db, &base, syms);
+            let added: Vec<String> = db
+                .grown(&since, None)
+                .flat_map(|(pred, rel, rows)| rows.map(move |r| (pred, rel.row(r))))
+                .map(|(pred, row)| render(pred, row, &base, syms))
+                .collect();
+            let expected: Vec<&String> = new.difference(&old).collect();
+            let mut sorted: Vec<&String> = added.iter().collect();
+            sorted.sort();
+            assert_eq!(sorted, expected, "seed {seed}");
+            assert_eq!(added.len(), expected.len(), "no row is reported twice");
+
+            let all = format!("{rules}{}", facts.join(" "));
+            let (compiled, mut cold, mut cbase, cprog) = load_positive(&all);
+            evaluate_positive(&compiled, &mut cold, &mut cbase, &EvalLimits::default()).unwrap();
+            let cold = rendered(&cold, &cbase, &cprog.symbols);
+            assert_eq!(new, cold, "seed {seed}: warm = cold");
+        }
     }
 
     #[test]

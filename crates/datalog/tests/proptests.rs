@@ -177,7 +177,7 @@ proptest! {
         ).unwrap();
         let tc = ast.symbols.get("tc");
         let seminaive_count = tc
-            .and_then(|t| env.relation(t))
+            .and_then(|t| env.relation(t, 2))
             .map(|r| r.len())
             .unwrap_or(0);
 

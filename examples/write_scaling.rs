@@ -7,7 +7,9 @@
 //! cargo run --release --example write_scaling -- 10000 100000 400000
 //! ```
 //!
-//! Columns: `Engine::load` wall time, the first solve, the p50 of a
+//! Columns: `Engine::load` wall time, and the same per key (the load of
+//! a program whose cost grows only with its EDB should be flat per
+//! key), the first solve, the p50 of a
 //! whole write (the session call plus the solve after it), and the p50
 //! of its layers from [`afp::Session::take_phases`]: grounding,
 //! condensation repair, the source-program mirror (session call wall
@@ -39,10 +41,10 @@ fn main() {
         }
     };
     println!(
-        "| keys | load (s) | first solve (ms) | write p50 (us) | ground p50 (us) \
+        "| keys | load (s) | load µs/key | first solve (ms) | write p50 (us) | ground p50 (us) \
          | repair p50 (us) | mirror p50 (us) | solve p50 (us) | rest p50 (us) |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     for keys in sizes {
         let engine = Engine::default();
         let t = Instant::now();
@@ -91,7 +93,8 @@ fn main() {
             rest.push((total_ns - ground_ns - repair_ns - mirror_ns - solve_ns) / 1e3);
         }
         println!(
-            "| {keys} | {load_s:.2} | {first_ms:.1} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} |",
+            "| {keys} | {load_s:.2} | {:.1} | {first_ms:.1} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} |",
+            load_s * 1e6 / keys as f64,
             p50(write),
             p50(ground),
             p50(repair),

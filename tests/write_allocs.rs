@@ -1,17 +1,22 @@
-//! Allocation bound for a one-fact grounder write: on the `write_edb`
-//! program shape, with a snapshot of the ground program alive (as a
-//! server's published head is), one assert and one retract allocate a
-//! bounded amount at 10³ and at 10⁴ keys.
+//! Allocation bounds on the `write_edb` program shape.
 //!
-//! A write copies the segments it touches out of the snapshot. That copy
-//! must cost one allocation per segment, not one per list-valued element
-//! in it, so the count stays flat as the EDB grows. The snapshots must
-//! not change: their rendering is byte-identical before and after.
+//! * A one-fact grounder write: with a snapshot of the ground program
+//!   alive (as a server's published head is), one assert and one retract
+//!   allocate a bounded amount at 10³ and at 10⁴ keys. A write copies the
+//!   segments it touches out of the snapshot. That copy must cost one
+//!   allocation per segment, not one per list-valued element in it, so
+//!   the count stays flat as the EDB grows. The snapshots must not
+//!   change: their rendering is byte-identical before and after.
+//! * A cold load: `Engine::load` allocates a bounded, flat amount per
+//!   EDB fact, so nothing in parsing, the envelope or instantiation keeps
+//!   a per-tuple copy it could share.
 
 use afp::datalog::{parse_program, GroundOptions, IncrementalGrounder, RetractOutcome};
+use afp::Engine;
 use afp_bench::gen::write_edb_src;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Counts every allocation and reallocation made through it.
 struct Counting;
@@ -44,6 +49,12 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations one write may make, at any EDB size.
 const BUDGET: usize = 256;
+
+/// Allocations a cold load may make per EDB fact.
+const LOAD_BUDGET_PER_FACT: f64 = 32.0;
+
+/// The counter is process-wide: tests that read it run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The allocations of `f`.
 fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
@@ -96,6 +107,7 @@ fn write_allocations(keys: usize) -> (usize, usize) {
 
 #[test]
 fn a_one_fact_write_allocates_a_bounded_amount_at_any_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for keys in [1_000, 10_000] {
         let (asserted, retracted) = write_allocations(keys);
         eprintln!("{keys} keys: assert {asserted}, retract {retracted} allocations");
@@ -108,4 +120,31 @@ fn a_one_fact_write_allocates_a_bounded_amount_at_any_size() {
             "the retract made {retracted} allocations at {keys} keys (budget {BUDGET})"
         );
     }
+}
+
+#[test]
+fn a_cold_load_allocates_a_flat_amount_per_fact() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let per_fact: Vec<f64> = [1_000, 10_000]
+        .into_iter()
+        .map(|keys| {
+            let src = write_edb_src(keys);
+            let (n, session) = allocations(|| Engine::default().load(&src));
+            session.expect("the program loads");
+            // `e(kI)` for every key and `d(kI)` for every other one.
+            let facts = keys + keys.div_ceil(2);
+            let per_fact = n as f64 / facts as f64;
+            eprintln!("{keys} keys: load {n} allocations, {per_fact:.2} per EDB fact");
+            assert!(
+                per_fact <= LOAD_BUDGET_PER_FACT,
+                "{per_fact:.2} allocations per fact at {keys} keys (budget {LOAD_BUDGET_PER_FACT})"
+            );
+            per_fact
+        })
+        .collect();
+    let ratio = per_fact[1] / per_fact[0];
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "allocations per fact grew {ratio:.3}× from 10³ to 10⁴ keys"
+    );
 }
