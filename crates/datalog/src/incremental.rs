@@ -15,9 +15,9 @@
 //!
 //! * the envelope. It only grows, so what a call added is a **row
 //!   range** per relation, starting at the [`Marks`] taken when the call
-//!   began. [`IncrementalGrounder::assert_batch`] seeds it with the new
-//!   facts and runs the semi-naive rounds from those rows only
-//!   ([`extend_positive`]);
+//!   began. [`IncrementalGrounder::assert_rules`] seeds it with the new
+//!   facts and what the new rules derive, and runs the semi-naive rounds
+//!   from those rows only ([`extend_positive`]);
 //! * the compiled rules, so only rule bodies mentioning a grown relation
 //!   are re-joined — with the new rows at one focus position, the rows
 //!   from before the call at the positions before it, and all rows at
@@ -35,40 +35,35 @@
 //! that brings no new term or atom copies no segment the base shares
 //! with a published snapshot.
 //!
-//! Retraction ([`IncrementalGrounder::retract_fact`]) removes the fact
-//! rule but deliberately leaves the envelope as a stale **superset**:
-//! instances whose positive body mentions underivable atoms can never
-//! fire, and negative literals kept against a larger envelope just
-//! evaluate against atoms that are false — both semantics-preserving, at
-//! the cost of a slightly larger ground program than a cold re-ground
-//! would produce.
+//! There is one entry point per direction, and a fact is a rule with an
+//! empty body: [`IncrementalGrounder::assert_rules`] and
+//! [`IncrementalGrounder::retract_rules`] take any mix of facts and
+//! rules, and each call is one **batch**, with one envelope extension,
+//! one resurrection pass and one focused re-join however many
+//! statements it carries.
 //!
-//! Updates are **batched**: [`IncrementalGrounder::assert_batch`] /
-//! [`IncrementalGrounder::retract_batch`] apply N facts with one
-//! envelope extension, one resurrection pass, and one focused re-join
-//! (the single-fact entry points are one-element batches). Under the
-//! active-domain policy the grounder also keeps per-term fact reference
-//! counts, so `retract_batch` can tell the retractions that *actually*
-//! shrink the domain (cold re-ground required) from the
-//! domain-preserving majority (warm).
-//!
-//! **Rules** are incremental too ([`IncrementalGrounder::assert_rules`] /
-//! [`IncrementalGrounder::retract_rules`]): an asserted rule is
-//! safety-analyzed and compiled exactly as at load time, its body
+//! An asserted fact seeds the envelope as an EDB row. An asserted rule
+//! is safety-analyzed and compiled exactly as at load time, its body
 //! predicates are indexed, and it is joined **once over the existing
-//! envelope** to seed the tuples it can already derive; then the whole
-//! batch runs one semi-naive envelope extension in which old and new
-//! rules participate alike. Heads the new rules bring into the envelope
-//! resurrect pruned negative literals on existing instances, old rules
-//! are re-joined focused on the new rows, and the new rules are
-//! instantiated over the final envelope. Retraction drops exactly the
-//! ground instances the rule emitted (the grounder keeps per-instance
-//! provenance) and, under the active-domain policy, checks per-term
-//! **rule-constant reference counts** so only a batch that actually
-//! removes a term from the domain forces a cold re-ground — mirroring
-//! the fact-retract discipline. The envelope again stays a stale
-//! superset, which is semantics-preserving by the same argument as for
-//! facts.
+//! envelope** to seed the tuples it can already derive. The batch then
+//! runs one semi-naive envelope extension in which old and new rules
+//! participate alike. Heads entering the envelope resurrect pruned
+//! negative literals on existing instances, old rules are re-joined
+//! focused on the new rows, and the new rules are instantiated over the
+//! final envelope.
+//!
+//! A retracted fact loses its bodyless rule; a retracted rule loses
+//! exactly the ground instances it emitted (the grounder keeps
+//! per-instance provenance). The envelope deliberately stays a stale
+//! **superset**: instances whose positive body mentions underivable
+//! atoms can never fire, and negative literals kept against a larger
+//! envelope just evaluate against atoms that are false — both
+//! semantics-preserving, at the cost of a slightly larger ground program
+//! than a cold re-ground would produce. Under the active-domain policy
+//! the grounder keeps per-term reference counts of facts and of rule
+//! constants, so a retract can tell the batches that *actually* shrink
+//! the domain (cold re-ground required) from the domain-preserving
+//! majority (warm).
 //!
 //! One caveat: a negative literal over a term that was never materialized
 //! (possible only with function symbols under the active-domain policy)
@@ -106,16 +101,14 @@ struct PreparedRules {
     rules: Vec<(Rule, CompiledRule, Vec<CompiledAtom>)>,
 }
 
-/// What an [`IncrementalGrounder::assert_batch`] /
-/// [`IncrementalGrounder::retract_batch`] call (or their single-fact
-/// wrappers) did to the ground program.
+/// What an [`IncrementalGrounder::assert_rules`] /
+/// [`IncrementalGrounder::retract_rules`] call did to the ground program.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaEffect {
-    /// The last fact's atom id in the ground program (when it resolved).
-    pub atom: Option<AtomId>,
-    /// `false` when the call was a no-op (facts already present / absent).
+    /// `false` when the call was a no-op (every statement already present
+    /// / absent).
     pub fresh: bool,
-    /// Heads of rules added or patched, plus the fact atom itself — the
+    /// Heads of rules added, removed or patched, facts included — the
     /// atoms whose truth value may differ from the previous solve.
     /// Everything *outside* the dependency ancestors of these atoms
     /// provably keeps its truth value (relevance / splitting).
@@ -132,8 +125,7 @@ pub struct DeltaEffect {
     pub resurrected: usize,
 }
 
-/// Outcome of [`IncrementalGrounder::retract_batch`] and
-/// [`IncrementalGrounder::retract_rules`].
+/// Outcome of [`IncrementalGrounder::retract_rules`].
 #[derive(Debug, Clone)]
 pub enum RetractOutcome {
     /// The batch was applied warm; the effect describes the delta.
@@ -349,81 +341,6 @@ impl IncrementalGrounder {
         self.need_dom
     }
 
-    /// Translate an atom expressed against a foreign
-    /// [`SymbolStore`](crate::SymbolStore) into this grounder's symbol
-    /// space (mapping by name, interning as needed). The grounder's store
-    /// starts as a clone of the source program's but the two diverge as
-    /// soon as either side interns new names, so assert/retract go
-    /// through this translation.
-    pub fn import_atom(&mut self, atom: &Atom, from: &crate::symbol::SymbolStore) -> Atom {
-        // Read-first: known names never force a copy of a symbol store
-        // shared with a live program snapshot.
-        self.prog.import_atom(atom, from)
-    }
-
-    /// Add one ground EDB fact — [`IncrementalGrounder::assert_batch`]
-    /// with a single element.
-    ///
-    /// # Panics
-    /// Panics if `atom` is not ground.
-    pub fn assert_fact(
-        &mut self,
-        atom: &Atom,
-        from: &crate::symbol::SymbolStore,
-    ) -> Result<DeltaEffect, GroundError> {
-        self.assert_batch(std::slice::from_ref(atom), from)
-    }
-
-    /// Add a batch of ground EDB facts, extending the envelope and the
-    /// ground program by exactly the affected instances — with **one**
-    /// semi-naive envelope round and one focused re-join pass for the
-    /// whole batch, not one per fact. `from` is the symbol store the
-    /// atoms were parsed against (see
-    /// [`IncrementalGrounder::import_atom`]).
-    ///
-    /// On an error (rule or envelope budget), the grounder is left
-    /// **poisoned**: the program may hold facts whose consequences were
-    /// never instantiated, [`IncrementalGrounder::supports_incremental`]
-    /// turns false, and the caller must re-ground cold from its source
-    /// program before solving again.
-    ///
-    /// # Panics
-    /// Panics if any atom is not ground.
-    pub fn assert_batch(
-        &mut self,
-        atoms: &[Atom],
-        from: &crate::symbol::SymbolStore,
-    ) -> Result<DeltaEffect, GroundError> {
-        let result = self.assert_batch_inner(atoms, from);
-        self.flush_rules();
-        if result.is_err() {
-            self.poisoned = true;
-        }
-        result
-    }
-
-    fn assert_batch_inner(
-        &mut self,
-        atoms: &[Atom],
-        from: &crate::symbol::SymbolStore,
-    ) -> Result<DeltaEffect, GroundError> {
-        let mut effect = DeltaEffect::default();
-        let since = self.envelope.marks();
-        let atoms: Vec<Atom> = atoms.iter().map(|a| self.import_atom(a, from)).collect();
-        self.seed_facts(atoms, &mut effect)?;
-        if !effect.fresh {
-            return Ok(effect); // whole batch was a no-op
-        }
-        self.extend_envelope(&since)?;
-        self.resurrect(&since, &mut effect);
-        self.rejoin(0..self.compiled.len(), &since, &mut effect)?;
-        effect.changed.sort_unstable();
-        effect.changed.dedup();
-        effect.new_edge_targets.sort_unstable();
-        effect.new_edge_targets.dedup();
-        Ok(effect)
-    }
-
     /// Add imported ground EDB facts: push each new one's bodyless rule
     /// and insert it, then the active-domain members the batch
     /// introduces, into the envelope as seed rows for
@@ -438,7 +355,6 @@ impl IncrementalGrounder {
             assert!(atom.is_ground(), "asserted facts must be ground");
             let tuple = self.intern_args(&atom);
             let final_atom = self.prog.intern_atom_ids(atom.pred, &tuple);
-            effect.atom = Some(final_atom);
             if !self.edb_facts.insert(final_atom) {
                 continue; // already an EDB fact — no-op
             }
@@ -469,96 +385,18 @@ impl IncrementalGrounder {
             .collect()
     }
 
-    /// Remove a ground EDB fact (the bodyless rule for its atom), if
-    /// present — **unconditionally warm**. The envelope intentionally
-    /// stays a stale superset (see the module docs for why this is
-    /// semantics-preserving), but under the active-domain policy a
-    /// retraction that shrinks the domain is *not* preserved this way:
-    /// use [`IncrementalGrounder::retract_batch`], which detects that
-    /// case, unless the caller re-grounds cold on every retract anyway.
-    pub fn retract_fact(
-        &mut self,
-        atom: &Atom,
-        from: &crate::symbol::SymbolStore,
-    ) -> Result<DeltaEffect, GroundError> {
-        let atom = self.import_atom(atom, from);
-        Ok(self.retract_one(&atom))
-    }
-
-    /// Remove a batch of ground EDB facts with one dirty-set merge —
-    /// after checking that the batch keeps the active domain intact.
-    /// When the batch would shrink the domain (some term of a retracted
-    /// fact no longer occurs in any remaining fact or non-fact rule),
-    /// **nothing is applied** and [`RetractOutcome::DomainShrunk`] is
-    /// returned: the caller must re-ground cold from its edited source
-    /// program. Programs grounded without active-domain guards never
-    /// shrink.
-    pub fn retract_batch(
-        &mut self,
-        atoms: &[Atom],
-        from: &crate::symbol::SymbolStore,
-    ) -> RetractOutcome {
-        let atoms: Vec<Atom> = atoms.iter().map(|a| self.import_atom(a, from)).collect();
-        if self.need_dom && self.batch_shrinks_domain(&atoms) {
-            return RetractOutcome::DomainShrunk;
-        }
-        let mut effect = DeltaEffect::default();
-        for atom in &atoms {
-            let one = self.retract_one(atom);
-            effect.fresh |= one.fresh;
-            effect.atom = one.atom.or(effect.atom);
-            effect.changed.extend(one.changed);
-        }
-        effect.changed.sort_unstable();
-        effect.changed.dedup();
-        RetractOutcome::Applied(effect)
-    }
-
-    /// Would retracting every (present) fact of `atoms` remove some term
-    /// from the active domain? Simulates the batch's reference-count
-    /// decrements so that two facts jointly holding a term's last two
-    /// references are detected even though each alone would not shrink.
-    fn batch_shrinks_domain(&mut self, atoms: &[Atom]) -> bool {
-        let mut dec: FxHashMap<ConstId, u32> = FxHashMap::default();
-        let mut seen: FxHashSet<AtomId> = FxHashSet::default();
-        for atom in atoms {
-            let Some(final_atom) = self.find_final_atom(atom) else {
-                continue; // never materialized — retract is a no-op
-            };
-            if !self.edb_facts.contains(&final_atom) || !seen.insert(final_atom) {
-                continue; // no-op, or the same fact twice in one batch
-            }
-            let tuple = self.intern_args(atom);
-            let mut terms = Vec::new();
-            for &t in &tuple {
-                collect_subterms(t, self.prog.base(), &mut terms);
-            }
-            terms.sort_unstable();
-            terms.dedup();
-            for t in terms {
-                *dec.entry(t).or_insert(0) += 1;
-            }
-        }
-        dec.iter().any(|(t, &d)| {
-            self.dom_rule_consts.get(t).copied().unwrap_or(0) == 0
-                && self.dom_fact_refs.get(t).copied().unwrap_or(0) <= d
-        })
-    }
-
     /// Warm-retract one imported fact atom, maintaining the resurrection
     /// records and (under the active-domain policy) the term refcounts.
-    fn retract_one(&mut self, atom: &Atom) -> DeltaEffect {
+    fn retract_one(&mut self, atom: &Atom, effect: &mut DeltaEffect) {
         assert!(atom.is_ground(), "retract needs a ground atom");
-        let mut effect = DeltaEffect::default();
         let Some(final_atom) = self.find_final_atom(atom) else {
-            return effect; // never materialized — nothing to retract
+            return; // never materialized — nothing to retract
         };
-        effect.atom = Some(final_atom);
         if !self.edb_facts.remove(&final_atom) {
             // Not an EDB fact. A bodyless *rule* with this head may well
             // exist (a derived instance whose guards were stripped and
             // negative literals pruned) — it is not retractable.
-            return effect;
+            return;
         }
         // The EDB fact rule, not a derived instance that happens to be
         // bodyless: only instances carry provenance and pruned literals.
@@ -568,7 +406,7 @@ impl IncrementalGrounder {
             .iter()
             .find(|&&r| self.prog.rule(r).is_fact() && !self.instance_src.contains_key(&r))
         else {
-            return effect; // the fact rule itself is gone — nothing to do
+            return; // the fact rule itself is gone — nothing to do
         };
         if let Some(moved) = self.prog.remove_rule(rid) {
             self.fix_moved_rule(moved, rid);
@@ -579,7 +417,6 @@ impl IncrementalGrounder {
         }
         effect.fresh = true;
         effect.changed.push(final_atom);
-        effect
     }
 
     /// Adjust the active-domain refcounts for one fact's subterms
@@ -605,12 +442,15 @@ impl IncrementalGrounder {
     }
 
     /// Translate a rule expressed against a foreign [`SymbolStore`] into
-    /// this grounder's symbol space (the rule-level analogue of
-    /// [`IncrementalGrounder::import_atom`]).
+    /// this grounder's symbol space (mapping by name, interning as
+    /// needed). The grounder's store starts as a clone of the source
+    /// program's but the two diverge as soon as either side interns new
+    /// names, so assert/retract go through this translation.
     ///
     /// [`SymbolStore`]: crate::symbol::SymbolStore
     pub fn import_rule(&mut self, rule: &Rule, from: &crate::symbol::SymbolStore) -> Rule {
-        // Read-first, like `import_atom`.
+        // Read-first: known names never force a copy of a symbol store
+        // shared with a live program snapshot.
         self.prog.import_rule(rule, from)
     }
 
@@ -630,8 +470,11 @@ impl IncrementalGrounder {
     /// was grounded without the active-domain machinery. Validation
     /// errors (an unsafe rule under [`SafetyPolicy::Reject`]) also leave
     /// the grounder untouched; errors during the delta itself (rule or
-    /// envelope budget) **poison** it, exactly like
-    /// [`IncrementalGrounder::assert_batch`].
+    /// envelope budget) **poison** it: the program may hold facts whose
+    /// consequences were never instantiated,
+    /// [`IncrementalGrounder::supports_incremental`] turns false, and the
+    /// caller must re-ground cold from its source program before solving
+    /// again.
     pub fn assert_rules(
         &mut self,
         rules: &[Rule],
@@ -781,13 +624,13 @@ impl IncrementalGrounder {
         rules: &[Rule],
         from: &crate::symbol::SymbolStore,
     ) -> RetractOutcome {
-        let imported: Vec<Rule> = rules.iter().map(|r| self.import_rule(r, from)).collect();
         let mut fact_atoms: Vec<Atom> = Vec::new();
         let mut ixs: Vec<usize> = Vec::new();
-        for rule in &imported {
+        for rule in rules {
+            let rule = self.import_rule(rule, from);
             if rule.is_fact() {
-                fact_atoms.push(rule.head.clone());
-            } else if let Some(ix) = self.src_rules.iter().position(|r| r == rule) {
+                fact_atoms.push(rule.head);
+            } else if let Some(ix) = self.src_rules.iter().position(|r| *r == rule) {
                 if !ixs.contains(&ix) {
                     ixs.push(ix);
                 }
@@ -798,10 +641,7 @@ impl IncrementalGrounder {
         }
         let mut effect = DeltaEffect::default();
         for atom in &fact_atoms {
-            let one = self.retract_one(atom);
-            effect.fresh |= one.fresh;
-            effect.atom = one.atom.or(effect.atom);
-            effect.changed.extend(one.changed);
+            self.retract_one(atom, &mut effect);
         }
         // Highest index first: each swap-remove fills the freed slot from
         // the end, which in descending order is never an index still
@@ -816,10 +656,10 @@ impl IncrementalGrounder {
     }
 
     /// Would retracting these facts *and* rules jointly remove some term
-    /// from the active domain? Mirrors
-    /// [`IncrementalGrounder::batch_shrinks_domain`], additionally
-    /// simulating the rule-constant refcount decrements, so a fact and a
-    /// rule jointly holding a term's last references are detected.
+    /// from the active domain? Simulates the batch's fact and
+    /// rule-constant refcount decrements, so that several statements
+    /// jointly holding a term's last references are detected even though
+    /// each alone would not shrink it.
     fn rule_batch_shrinks_domain(&mut self, fact_atoms: &[Atom], ixs: &[usize]) -> bool {
         let mut fact_dec: FxHashMap<ConstId, u32> = FxHashMap::default();
         let mut seen: FxHashSet<AtomId> = FxHashSet::default();
@@ -1210,7 +1050,7 @@ fn eval_args(
 mod tests {
     use super::*;
     use crate::ground::{ground_with, GroundOptions};
-    use crate::parser::{parse_atom_into, parse_program};
+    use crate::parser::parse_program;
 
     fn assert_same_programs(a: &GroundProgram, b: &GroundProgram) {
         // Compare as (displayed) rule sets — atom id assignment may differ
@@ -1220,6 +1060,37 @@ mod tests {
         ra.sort();
         rb.sort();
         assert_eq!(ra, rb);
+    }
+
+    fn parse_rules(src: &str) -> Program {
+        parse_program(src).unwrap()
+    }
+
+    /// Assert the facts and rules of `src` through the one assert entry
+    /// point. None of these batches brings an unsafe rule, so none needs
+    /// the cold bootstrap.
+    fn assert_src(g: &mut IncrementalGrounder, src: &str) -> Result<DeltaEffect, GroundError> {
+        let delta = parse_rules(src);
+        let outcome = g.assert_rules(&delta.rules, &delta.symbols)?;
+        match outcome {
+            RuleAssertOutcome::Applied(effect) => Ok(effect),
+            RuleAssertOutcome::NeedsCold => panic!("no unsafe rule in {src:?}"),
+        }
+    }
+
+    /// Retract the facts and rules of `src` through the one retract
+    /// entry point.
+    fn retract_src(g: &mut IncrementalGrounder, src: &str) -> RetractOutcome {
+        let delta = parse_rules(src);
+        g.retract_rules(&delta.rules, &delta.symbols)
+    }
+
+    /// The effect of a retract that must stay warm.
+    fn applied(outcome: RetractOutcome) -> DeltaEffect {
+        match outcome {
+            RetractOutcome::Applied(effect) => effect,
+            RetractOutcome::DomainShrunk => panic!("no active-domain shrink in play"),
+        }
     }
 
     #[test]
@@ -1240,16 +1111,15 @@ mod tests {
     #[test]
     fn assert_equals_cold_ground_of_concatenated_text() {
         let base_src = "wins(X) :- move(X, Y), not wins(Y). move(a, b). move(b, a).";
-        let mut program = parse_program(base_src).unwrap();
+        let program = parse_program(base_src).unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
         assert!(g.supports_incremental());
 
         // move(b, c) resurrects nothing; move(c, d) must resurrect the
         // pruned `not wins(c)` on the wins(b) :- move(b,c) instance.
-        for fact in ["move(b, c)", "move(c, d)"] {
-            let atom = parse_atom_into(fact, &mut program).unwrap();
-            let effect = g.assert_fact(&atom, &program.symbols).unwrap();
+        for fact in ["move(b, c).", "move(c, d)."] {
+            let effect = assert_src(&mut g, fact).unwrap();
             assert!(effect.fresh);
         }
         let cold_src = format!("{base_src} move(b, c). move(c, d).");
@@ -1259,7 +1129,7 @@ mod tests {
 
     #[test]
     fn resurrection_restores_pruned_negative_literals() {
-        let mut program = parse_program("wins(X) :- move(X, Y), not wins(Y). move(b, c).").unwrap();
+        let program = parse_program("wins(X) :- move(X, Y), not wins(Y). move(b, c).").unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
         // Initially `not wins(c)` is pruned: wins(c) has no derivation.
@@ -1267,8 +1137,7 @@ mod tests {
         let rb = g.program().rules_with_head(wb)[0];
         assert!(g.program().rule(rb).neg.is_empty());
 
-        let atom = parse_atom_into("move(c, d)", &mut program).unwrap();
-        let effect = g.assert_fact(&atom, &program.symbols).unwrap();
+        let effect = assert_src(&mut g, "move(c, d).").unwrap();
         assert!(effect.resurrected >= 1);
         let wc = g.program().find_atom_by_name("wins", &["c"]).unwrap();
         let rb = g.program().rules_with_head(wb)[0];
@@ -1277,28 +1146,26 @@ mod tests {
 
     #[test]
     fn assert_is_idempotent() {
-        let mut program = parse_program("p(X) :- e(X). e(a).").unwrap();
+        let program = parse_program("p(X) :- e(X). e(a).").unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let atom = parse_atom_into("e(b)", &mut program).unwrap();
-        assert!(g.assert_fact(&atom, &program.symbols).unwrap().fresh);
+        assert!(assert_src(&mut g, "e(b).").unwrap().fresh);
         let before = g.program().rule_count();
-        assert!(!g.assert_fact(&atom, &program.symbols).unwrap().fresh);
+        assert!(!assert_src(&mut g, "e(b).").unwrap().fresh);
         assert_eq!(g.program().rule_count(), before);
     }
 
     #[test]
     fn retract_removes_the_fact_rule_only() {
-        let mut program = parse_program("p(X) :- e(X). e(a). e(b).").unwrap();
+        let program = parse_program("p(X) :- e(X). e(a). e(b).").unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let atom = parse_atom_into("e(a)", &mut program).unwrap();
-        let effect = g.retract_fact(&atom, &program.symbols).unwrap();
+        let effect = applied(retract_src(&mut g, "e(a)."));
         assert!(effect.fresh);
         let ea = g.program().find_atom_by_name("e", &["a"]).unwrap();
         assert!(g.program().rules_with_head(ea).is_empty());
         // Retracting again is a no-op.
-        assert!(!g.retract_fact(&atom, &program.symbols).unwrap().fresh);
+        assert!(!applied(retract_src(&mut g, "e(a).")).fresh);
         // The instance p(a) :- e(a) survives but can never fire.
         let pa = g.program().find_atom_by_name("p", &["a"]).unwrap();
         assert_eq!(g.program().rules_with_head(pa).len(), 1);
@@ -1306,12 +1173,11 @@ mod tests {
 
     #[test]
     fn retract_then_assert_round_trips() {
-        let mut program = parse_program("p(X) :- e(X). e(a).").unwrap();
+        let program = parse_program("p(X) :- e(X). e(a).").unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let atom = parse_atom_into("e(a)", &mut program).unwrap();
-        assert!(g.retract_fact(&atom, &program.symbols).unwrap().fresh);
-        assert!(g.assert_fact(&atom, &program.symbols).unwrap().fresh);
+        assert!(applied(retract_src(&mut g, "e(a).")).fresh);
+        assert!(assert_src(&mut g, "e(a).").unwrap().fresh);
         let ea = g.program().find_atom_by_name("e", &["a"]).unwrap();
         let facts = g
             .program()
@@ -1325,14 +1191,10 @@ mod tests {
     #[test]
     fn batch_assert_equals_cold_ground_of_concatenated_text() {
         let base_src = "wins(X) :- move(X, Y), not wins(Y). move(a, b).";
-        let mut program = parse_program(base_src).unwrap();
+        let program = parse_program(base_src).unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let batch: Vec<_> = ["move(b, c)", "move(c, d)", "move(d, e)"]
-            .iter()
-            .map(|f| parse_atom_into(f, &mut program).unwrap())
-            .collect();
-        let effect = g.assert_batch(&batch, &program.symbols).unwrap();
+        let effect = assert_src(&mut g, "move(b, c). move(c, d). move(d, e).").unwrap();
         assert!(effect.fresh);
         assert!(effect.new_rules >= 3);
         let cold_src = format!("{base_src} move(b, c). move(c, d). move(d, e).");
@@ -1342,14 +1204,10 @@ mod tests {
 
     #[test]
     fn batch_with_duplicates_and_noops_is_idempotent() {
-        let mut program = parse_program("p(X) :- e(X). e(a).").unwrap();
+        let program = parse_program("p(X) :- e(X). e(a).").unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let batch: Vec<_> = ["e(a)", "e(b)", "e(b)"]
-            .iter()
-            .map(|f| parse_atom_into(f, &mut program).unwrap())
-            .collect();
-        let effect = g.assert_batch(&batch, &program.symbols).unwrap();
+        let effect = assert_src(&mut g, "e(a). e(b). e(b).").unwrap();
         assert!(effect.fresh);
         let cold = ground_with(
             &parse_program("p(X) :- e(X). e(a). e(b).").unwrap(),
@@ -1363,18 +1221,14 @@ mod tests {
     fn budget_error_mid_batch_poisons_the_grounder() {
         // Budget: the base program grounds in 4 rules; the batch would
         // need many more, erroring partway through instantiation.
-        let mut program = parse_program("p(X, Y) :- d(X), d(Y). d(a).").unwrap();
+        let program = parse_program("p(X, Y) :- d(X), d(Y). d(a).").unwrap();
         let options = GroundOptions {
             max_ground_rules: 6,
             ..Default::default()
         };
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
         assert!(g.supports_incremental());
-        let batch: Vec<_> = ["d(b)", "d(c)", "d(e)"]
-            .iter()
-            .map(|f| parse_atom_into(f, &mut program).unwrap())
-            .collect();
-        let err = g.assert_batch(&batch, &program.symbols);
+        let err = assert_src(&mut g, "d(b). d(c). d(e).");
         assert!(err.is_err());
         assert!(g.is_poisoned());
         assert!(!g.supports_incremental(), "poisoned ⇒ no more warm deltas");
@@ -1382,21 +1236,19 @@ mod tests {
 
     #[test]
     fn domain_preserving_retraction_stays_warm() {
-        let mut program = parse_program("p(X) :- not q(X). r(c). r(d). s(d).").unwrap();
+        let program = parse_program("p(X) :- not q(X). r(c). r(d). s(d).").unwrap();
         let options = GroundOptions {
             safety: SafetyPolicy::ActiveDomain,
             ..Default::default()
         };
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
         // d is still held by s(d): retracting r(d) keeps the domain.
-        let atom = parse_atom_into("r(d)", &mut program).unwrap();
-        match g.retract_batch(std::slice::from_ref(&atom), &program.symbols) {
+        match retract_src(&mut g, "r(d).") {
             RetractOutcome::Applied(effect) => assert!(effect.fresh),
             RetractOutcome::DomainShrunk => panic!("d is kept alive by s(d)"),
         }
         // Now s(d) holds the last reference: retracting it shrinks.
-        let atom = parse_atom_into("s(d)", &mut program).unwrap();
-        match g.retract_batch(std::slice::from_ref(&atom), &program.symbols) {
+        match retract_src(&mut g, "s(d).") {
             RetractOutcome::DomainShrunk => {}
             RetractOutcome::Applied(_) => panic!("last reference to d must shrink the domain"),
         }
@@ -1414,25 +1266,23 @@ mod tests {
         // `p :- not q.` grounds to the bodyless rule `p.` because q is
         // outside the envelope and the literal is pruned — but p is
         // DERIVED, not an EDB fact, and retracting it must be a no-op.
-        let mut program = parse_program("p :- not q. r.").unwrap();
+        let program = parse_program("p :- not q. r.").unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let atom = parse_atom_into("p", &mut program).unwrap();
-        let effect = g.retract_fact(&atom, &program.symbols).unwrap();
+        let effect = applied(retract_src(&mut g, "p."));
         assert!(!effect.fresh, "derived conclusions cannot be retracted");
         let p = g.program().find_atom_by_name("p", &[]).unwrap();
         assert_eq!(g.program().rules_with_head(p).len(), 1);
 
         // The same under the active-domain policy, where the stripped
         // `$dom` guard also empties the body.
-        let mut program = parse_program("p(X) :- not q(X). ok :- p(c). r(c).").unwrap();
+        let program = parse_program("p(X) :- not q(X). ok :- p(c). r(c).").unwrap();
         let options = GroundOptions {
             safety: SafetyPolicy::ActiveDomain,
             ..Default::default()
         };
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let atom = parse_atom_into("p(c)", &mut program).unwrap();
-        match g.retract_batch(std::slice::from_ref(&atom), &program.symbols) {
+        match retract_src(&mut g, "p(c).") {
             RetractOutcome::Applied(effect) => {
                 assert!(!effect.fresh, "p(c) was never stated or asserted")
             }
@@ -1449,14 +1299,13 @@ mod tests {
     fn rule_constants_pin_the_domain() {
         // c occurs syntactically in a non-fact rule: retracting r(c)
         // cannot shrink the domain.
-        let mut program = parse_program("p(X) :- not q(X). ok :- p(c). r(c). r(d).").unwrap();
+        let program = parse_program("p(X) :- not q(X). ok :- p(c). r(c). r(d).").unwrap();
         let options = GroundOptions {
             safety: SafetyPolicy::ActiveDomain,
             ..Default::default()
         };
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let atom = parse_atom_into("r(c)", &mut program).unwrap();
-        match g.retract_batch(std::slice::from_ref(&atom), &program.symbols) {
+        match retract_src(&mut g, "r(c).") {
             RetractOutcome::Applied(effect) => assert!(effect.fresh),
             RetractOutcome::DomainShrunk => panic!("c is pinned by `ok :- p(c)`"),
         }
@@ -1464,24 +1313,16 @@ mod tests {
 
     #[test]
     fn joint_last_references_shrink_even_when_each_alone_would_not() {
-        let mut program = parse_program("p(X) :- not q(X). r(d). s(d).").unwrap();
+        let program = parse_program("p(X) :- not q(X). r(d). s(d).").unwrap();
         let options = GroundOptions {
             safety: SafetyPolicy::ActiveDomain,
             ..Default::default()
         };
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let batch: Vec<_> = ["r(d)", "s(d)"]
-            .iter()
-            .map(|f| parse_atom_into(f, &mut program).unwrap())
-            .collect();
-        match g.retract_batch(&batch, &program.symbols) {
+        match retract_src(&mut g, "r(d). s(d).") {
             RetractOutcome::DomainShrunk => {}
             RetractOutcome::Applied(_) => panic!("the batch drops d's last two references"),
         }
-    }
-
-    fn parse_rules(src: &str) -> Program {
-        parse_program(src).unwrap()
     }
 
     #[test]
@@ -1720,9 +1561,7 @@ mod tests {
             RetractOutcome::Applied(e) => assert!(e.fresh),
             RetractOutcome::DomainShrunk => panic!(),
         }
-        let mut program2 = parse_program("").unwrap();
-        let ea = parse_atom_into("e(a)", &mut program2).unwrap();
-        assert!(g.retract_fact(&ea, &program2.symbols).unwrap().fresh);
+        assert!(applied(retract_src(&mut g, "e(a).")).fresh);
         let rule2 = parse_rules("r(X) :- e(X).");
         match g.assert_rules(&rule2.rules, &rule2.symbols).unwrap() {
             RuleAssertOutcome::Applied(e) => assert!(e.fresh),
@@ -1763,13 +1602,6 @@ mod tests {
         assert_eq!(forward, reverse);
     }
 
-    fn atoms(program: &mut Program, facts: &[&str]) -> Vec<Atom> {
-        facts
-            .iter()
-            .map(|f| parse_atom_into(f, program).unwrap())
-            .collect()
-    }
-
     #[test]
     fn resurrection_follows_instances_moved_by_fact_retracts() {
         // The facts `n0`..`n2` come first and feed no rule; the last rules
@@ -1779,21 +1611,19 @@ mod tests {
         // and wins(f) into the envelope, resurrecting the literals on
         // the moved instances.
         let rule = "wins(X) :- move(X, Y), not wins(Y).";
-        let mut program =
+        let program =
             parse_program(&format!("{rule} n0. n1. n2. move(b, c). move(e, f).")).unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
         assert_eq!(g.pruned_of.len(), 2);
         assert_pruned_records_consistent(&g);
-        for fact in ["n0", "n1", "n2"] {
+        for fact in ["n0.", "n1.", "n2."] {
             let before = g.program().rule_count();
-            let atom = parse_atom_into(fact, &mut program).unwrap();
-            assert!(g.retract_fact(&atom, &program.symbols).unwrap().fresh);
+            assert!(applied(retract_src(&mut g, fact)).fresh);
             assert_eq!(g.program().rule_count(), before - 1);
             assert_pruned_records_consistent(&g);
         }
-        let batch = atoms(&mut program, &["move(c, d)", "move(f, g)"]);
-        let effect = g.assert_batch(&batch, &program.symbols).unwrap();
+        let effect = assert_src(&mut g, "move(c, d). move(f, g).").unwrap();
         assert_eq!(effect.resurrected, 2);
         for (head, neg) in [("b", "c"), ("e", "f")] {
             let prog = g.program();
@@ -1816,7 +1646,7 @@ mod tests {
         // `p` instance, nor whatever rule took over a freed id.
         let kept = "r(X) :- e(X), not q(X), not s(X).";
         let src = format!("p(X) :- e(X), not q(X). {kept} e(a). e(b). e(c).");
-        let mut program = parse_program(&src).unwrap();
+        let program = parse_program(&src).unwrap();
         let options = GroundOptions::default();
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
         assert_pruned_records_consistent(&g);
@@ -1826,8 +1656,7 @@ mod tests {
             RetractOutcome::DomainShrunk => panic!("no active domain in play"),
         }
         assert_pruned_records_consistent(&g);
-        let batch = atoms(&mut program, &["q(a)"]);
-        let effect = g.assert_batch(&batch, &program.symbols).unwrap();
+        let effect = assert_src(&mut g, "q(a).").unwrap();
         assert_eq!(effect.resurrected, 1, "only r(a) carried `not q(a)`");
         assert_pruned_records_consistent(&g);
         let cold_src = format!("{kept} e(a). e(b). e(c). q(a).");
@@ -1871,14 +1700,13 @@ mod tests {
 
     #[test]
     fn active_domain_asserts_extend_the_domain() {
-        let mut program = parse_program("p(X) :- not q(X). q(a). r(b).").unwrap();
+        let program = parse_program("p(X) :- not q(X). q(a). r(b).").unwrap();
         let options = GroundOptions {
             safety: SafetyPolicy::ActiveDomain,
             ..Default::default()
         };
         let mut g = IncrementalGrounder::new(&program, &options).unwrap();
-        let atom = parse_atom_into("r(c)", &mut program).unwrap();
-        g.assert_fact(&atom, &program.symbols).unwrap();
+        assert_src(&mut g, "r(c).").unwrap();
         let cold_src = "p(X) :- not q(X). q(a). r(b). r(c).";
         let cold = ground_with(&parse_program(cold_src).unwrap(), &options).unwrap();
         assert_same_programs(g.program(), &cold);

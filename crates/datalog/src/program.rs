@@ -28,10 +28,10 @@
 //! copy when genuine structural independence is wanted. The interning
 //! entry points ([`GroundProgram::intern_symbol`],
 //! [`GroundProgram::intern_const`], [`GroundProgram::intern_term`],
-//! [`GroundProgram::intern_atom_ids`], [`GroundProgram::import_atom`] /
-//! [`GroundProgram::import_rule`]) probe before they write: re-interning
-//! something already present never copies a shared segment, which keeps
-//! steady-state update loops allocation-free on the shared storage.
+//! [`GroundProgram::intern_atom_ids`], [`GroundProgram::import_rule`])
+//! probe before they write: re-interning something already present never
+//! copies a shared segment, which keeps steady-state update loops
+//! allocation-free on the shared storage.
 
 use crate::ast::{Program, Term};
 use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
@@ -223,12 +223,6 @@ impl GroundProgram {
     /// read-first.
     pub fn intern_term(&mut self, term: GroundTerm) -> ConstId {
         self.base.intern_term(term)
-    }
-
-    /// Translate an AST atom from another symbol store into this
-    /// program's, read-first (see [`crate::ast::import_atom`]).
-    pub fn import_atom(&mut self, atom: &crate::ast::Atom, from: &SymbolStore) -> crate::ast::Atom {
-        crate::ast::import_atom_with(&mut |name| self.intern_symbol(name), atom, from)
     }
 
     /// Translate an AST rule from another symbol store into this

@@ -65,8 +65,8 @@
 //! at VERSION ATOM       truth of ATOM in a cached earlier version
 //! assert TEXT           submit rules/facts; prints the published version
 //! retract TEXT          remove rules/facts; prints the published version
-//! assert-facts TEXT     submit ground facts (fact fast path)
-//! retract-facts TEXT    remove ground facts (fact fast path)
+//! assert-facts TEXT     as `assert`, but refuses anything not a ground fact
+//! retract-facts TEXT    as `retract`, but refuses anything not a ground fact
 //! model                 print the current version's full model
 //! version               print the current version number
 //! log [SINCE]           applied deltas with version > SINCE

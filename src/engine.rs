@@ -67,7 +67,7 @@
 use afp_core::afp::{alternating_fixpoint_from, AfpOptions, AfpTrace};
 use afp_core::interp::{PartialModel, Truth};
 use afp_core::Strategy;
-use afp_datalog::ast::{Atom, Program, Rule};
+use afp_datalog::ast::{Program, Rule};
 use afp_datalog::atoms::AtomId;
 use afp_datalog::bitset::AtomSet;
 use afp_datalog::depgraph::{Condensation, CondensationDelta};
@@ -79,6 +79,7 @@ use afp_datalog::{
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::service::DeltaKind;
 use crate::source::SourceProgram;
 use crate::telemetry::{stat_set, SessionPhases};
 use crate::Error;
@@ -494,64 +495,10 @@ impl Session {
     /// scratch, no instance re-join outside the delta — and the whole
     /// batch runs **one** envelope/delta round (or, when a warm delta
     /// would be unsound, at most one cold re-ground), however many facts
-    /// it carries.
+    /// it carries. Anything but a ground fact is refused with
+    /// [`Error::NotAFact`] before the session changes.
     pub fn assert_facts(&mut self, facts: &str) -> Result<(), Error> {
-        let (atoms, symbols) = parse_fact_batch(facts)?;
-        self.stats.asserts += atoms.len() as u64;
-        match &mut self.grounder {
-            Some(g) => {
-                if !g.supports_incremental() {
-                    // A pruned negative literal could not be keyed for
-                    // resurrection (or the grounder is poisoned by an
-                    // earlier mid-delta error); a warm delta could
-                    // silently change old instances' semantics. Apply
-                    // every edit to the retained AST and re-ground once.
-                    return self.cold_update(&fact_rules(&atoms), &symbols, true);
-                }
-                let ground_started = Instant::now();
-                let outcome = g.assert_batch(&atoms, &symbols);
-                self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
-                let effect = match outcome {
-                    Ok(effect) => effect,
-                    Err(e) => {
-                        // The grounder is poisoned: some consequence of a
-                        // partially applied batch may be missing. Restore
-                        // a consistent session by re-grounding cold from
-                        // the retained AST, which does not contain the
-                        // failed batch; the original error still
-                        // surfaces.
-                        self.recover_if_poisoned();
-                        return Err(e.into());
-                    }
-                };
-                if effect.fresh {
-                    self.dirty.extend_from_slice(&effect.changed);
-                    self.note_mutation(&effect.changed, &effect.new_edge_targets);
-                    self.stats.delta_rounds += 1;
-                }
-                self.mirror(&fact_rules(&atoms), &symbols, true);
-            }
-            None => {
-                let mut touched: Vec<AtomId> = Vec::new();
-                for atom in &atoms {
-                    let ground = self.fixed.as_mut().expect("fixed or grounder");
-                    let id = intern_ast_atom(ground, atom, &symbols);
-                    let already = ground
-                        .rules_with_head(id)
-                        .iter()
-                        .any(|&r| ground.rule(r).is_fact());
-                    if !already {
-                        ground.push_rule(id, vec![], vec![]);
-                        self.dirty.push(id);
-                        touched.push(id);
-                    }
-                }
-                if !touched.is_empty() {
-                    self.note_mutation(&touched, &[]);
-                }
-            }
-        }
-        Ok(())
+        self.apply(&Delta::parse(DeltaKind::AssertFacts, facts)?)
     }
 
     /// Retract ground facts previously stated in the program or asserted.
@@ -559,104 +506,21 @@ impl Session {
     /// a batch that actually shrinks the active domain falls back to a
     /// (single) cold re-ground.
     pub fn retract_facts(&mut self, facts: &str) -> Result<(), Error> {
-        let (atoms, symbols) = parse_fact_batch(facts)?;
-        self.stats.retracts += atoms.len() as u64;
-        match &mut self.grounder {
-            Some(g) => {
-                if g.is_poisoned() {
-                    return self.cold_update(&fact_rules(&atoms), &symbols, false);
-                }
-                let ground_started = Instant::now();
-                let outcome = g.retract_batch(&atoms, &symbols);
-                self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
-                match outcome {
-                    RetractOutcome::Applied(effect) => {
-                        if effect.fresh {
-                            self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(&effect.changed, &effect.new_edge_targets);
-                        }
-                        self.mirror(&fact_rules(&atoms), &symbols, false);
-                    }
-                    RetractOutcome::DomainShrunk => {
-                        // Instances whose only positive subgoal was a
-                        // stripped `$dom` guard would wrongly survive a
-                        // warm retract. Apply every edit to the retained
-                        // AST and re-ground once.
-                        return self.cold_update(&fact_rules(&atoms), &symbols, false);
-                    }
-                }
-            }
-            None => {
-                let mut touched: Vec<AtomId> = Vec::new();
-                for atom in &atoms {
-                    let ground = self.fixed.as_mut().expect("fixed or grounder");
-                    let Some(id) = find_ast_atom(ground, atom, &symbols) else {
-                        continue;
-                    };
-                    let Some(&rid) = ground
-                        .rules_with_head(id)
-                        .iter()
-                        .find(|&&r| ground.rule(r).is_fact())
-                    else {
-                        continue;
-                    };
-                    ground.remove_rule(rid);
-                    self.dirty.push(id);
-                    touched.push(id);
-                }
-                if !touched.is_empty() {
-                    self.note_mutation(&touched, &[]);
-                }
-            }
-        }
-        Ok(())
+        self.apply(&Delta::parse(DeltaKind::RetractFacts, facts)?)
     }
 
     /// Assert a batch of **rules**, written as source text (facts are
-    /// allowed and take the fact path). The existing grounding is
-    /// extended in place: each new rule is compiled and joined once over
-    /// the retained envelope, the whole batch runs **one** envelope-delta
-    /// round, pruned negative literals whose atoms the new rules derive
-    /// are resurrected, and only the new/changed heads' forward
-    /// dependency cone is re-solved on the next warm solve. Falls back to
-    /// at most one cold re-ground where a warm delta would be unsound
-    /// (first unsafe rule of a previously-safe active-domain program, or
-    /// a grounder that already lost precision).
+    /// allowed). The existing grounding is extended in place: each new
+    /// rule is compiled and joined once over the retained envelope, the
+    /// whole batch runs **one** envelope-delta round, pruned negative
+    /// literals whose atoms the new rules derive are resurrected, and
+    /// only the new/changed heads' forward dependency cone is re-solved
+    /// on the next warm solve. Falls back to at most one cold re-ground
+    /// where a warm delta would be unsound (first unsafe rule of a
+    /// previously-safe active-domain program, or a grounder that already
+    /// lost precision).
     pub fn assert_rules(&mut self, rules: &str) -> Result<(), Error> {
-        let parsed = afp_datalog::parse_program(rules)?;
-        if parsed.rules.is_empty() {
-            return Ok(());
-        }
-        self.stats.rule_asserts += parsed.rules.len() as u64;
-        match &mut self.grounder {
-            Some(g) => {
-                if !g.supports_incremental() {
-                    return self.cold_update(&parsed.rules, &parsed.symbols, true);
-                }
-                let ground_started = Instant::now();
-                let outcome = g.assert_rules(&parsed.rules, &parsed.symbols);
-                self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
-                match outcome {
-                    Ok(RuleAssertOutcome::Applied(effect)) => {
-                        if effect.fresh {
-                            self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(&effect.changed, &effect.new_edge_targets);
-                            self.stats.delta_rounds += 1;
-                        }
-                        self.mirror(&parsed.rules, &parsed.symbols, true);
-                    }
-                    Ok(RuleAssertOutcome::NeedsCold) => {
-                        return self.cold_update(&parsed.rules, &parsed.symbols, true);
-                    }
-                    Err(e) => {
-                        self.recover_if_poisoned();
-                        return Err(e.into());
-                    }
-                }
-            }
-            None => return self.apply_ground_rules(&parsed, true),
-        }
-        Ok(())
+        self.apply(&Delta::parse(DeltaKind::AssertRules, rules)?)
     }
 
     /// Retract a batch of rules previously stated in the program or
@@ -667,39 +531,87 @@ impl Session {
     /// the active domain (its facts and rule constants jointly hold some
     /// term's last references) falls back to a single cold re-ground.
     pub fn retract_rules(&mut self, rules: &str) -> Result<(), Error> {
-        let parsed = afp_datalog::parse_program(rules)?;
-        if parsed.rules.is_empty() {
+        self.apply(&Delta::parse(DeltaKind::RetractRules, rules)?)
+    }
+
+    /// Apply one parsed delta: the single update path behind the four
+    /// public wrappers, the service's write cycles and journal replay.
+    /// Facts are bodiless rules, so every kind takes the grounder's rule
+    /// entry points; the fact kinds differ only in what
+    /// [`Delta::parse`] admitted and in which counter they bump.
+    pub(crate) fn apply(&mut self, delta: &Delta) -> Result<(), Error> {
+        let Program { rules, symbols } = &delta.program;
+        if rules.is_empty() {
             return Ok(());
         }
-        self.stats.rule_retracts += parsed.rules.len() as u64;
-        match &mut self.grounder {
-            Some(g) => {
-                if g.is_poisoned() {
-                    return self.cold_update(&parsed.rules, &parsed.symbols, false);
-                }
-                let ground_started = Instant::now();
-                let outcome = g.retract_rules(&parsed.rules, &parsed.symbols);
-                self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
-                match outcome {
-                    RetractOutcome::Applied(effect) => {
-                        if effect.fresh {
-                            self.dirty.extend_from_slice(&effect.changed);
-                            self.note_mutation(&effect.changed, &effect.new_edge_targets);
-                        }
-                        self.mirror(&parsed.rules, &parsed.symbols, false);
-                    }
-                    RetractOutcome::DomainShrunk => {
-                        return self.cold_update(&parsed.rules, &parsed.symbols, false);
-                    }
-                }
-            }
-            None => return self.apply_ground_rules(&parsed, false),
+        let (counter, assert) = match delta.kind {
+            DeltaKind::AssertFacts => (&mut self.stats.asserts, true),
+            DeltaKind::RetractFacts => (&mut self.stats.retracts, false),
+            DeltaKind::AssertRules => (&mut self.stats.rule_asserts, true),
+            DeltaKind::RetractRules => (&mut self.stats.rule_retracts, false),
+        };
+        *counter += rules.len() as u64;
+        let Some(g) = &mut self.grounder else {
+            return self.apply_ground_rules(&delta.program, assert);
+        };
+        // An assert needs a precise, unpoisoned grounder: a pruned
+        // negative literal that could not be keyed for resurrection would
+        // let a warm delta silently change old instances' semantics. A
+        // retract needs only an unpoisoned one. Otherwise apply the edit
+        // to the retained AST and re-ground once.
+        let warm = if assert {
+            g.supports_incremental()
+        } else {
+            !g.is_poisoned()
+        };
+        if !warm {
+            return self.cold_update(rules, symbols, assert);
         }
+        // `None` asks for the cold path: an assert bootstrapping the
+        // active-domain machinery, or a retract that shrinks the domain
+        // (instances whose only positive subgoal was a stripped `$dom`
+        // guard would wrongly survive it warm).
+        let ground_started = Instant::now();
+        let outcome = if assert {
+            g.assert_rules(rules, symbols).map(|o| match o {
+                RuleAssertOutcome::Applied(effect) => Some(effect),
+                RuleAssertOutcome::NeedsCold => None,
+            })
+        } else {
+            Ok(match g.retract_rules(rules, symbols) {
+                RetractOutcome::Applied(effect) => Some(effect),
+                RetractOutcome::DomainShrunk => None,
+            })
+        };
+        self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
+        let effect = match outcome {
+            Ok(Some(effect)) => effect,
+            Ok(None) => return self.cold_update(rules, symbols, assert),
+            Err(e) => {
+                // The grounder is poisoned: some consequence of a
+                // partially applied batch may be missing. Restore a
+                // consistent session by re-grounding cold from the
+                // retained AST, which does not contain the failed batch;
+                // the original error still surfaces.
+                self.recover_if_poisoned();
+                return Err(e.into());
+            }
+        };
+        if effect.fresh {
+            self.dirty.extend_from_slice(&effect.changed);
+            self.note_mutation(&effect.changed, &effect.new_edge_targets);
+            if assert {
+                self.stats.delta_rounds += 1;
+            }
+        }
+        self.mirror(rules, symbols, assert);
         Ok(())
     }
 
-    /// Rule deltas on a grounder-less session ([`Engine::load_ground`]):
-    /// exact for ground rules, rejected otherwise.
+    /// Deltas on a grounder-less session ([`Engine::load_ground`]):
+    /// exact for ground rules, rejected otherwise. A retract resolves its
+    /// atoms without interning them: an atom the program never held means
+    /// the rule is absent, and the retract leaves the program untouched.
     fn apply_ground_rules(&mut self, parsed: &Program, assert: bool) -> Result<(), Error> {
         for rule in &parsed.rules {
             if !rule.head.is_ground() || rule.body.iter().any(|l| !l.atom.is_ground()) {
@@ -713,11 +625,23 @@ impl Session {
         let mut edge_targets: Vec<AtomId> = Vec::new();
         for rule in &parsed.rules {
             let ground = self.fixed.as_mut().expect("fixed or grounder");
-            let head = intern_ast_atom(ground, &rule.head, &parsed.symbols);
+            let ids: Option<Vec<AtomId>> = std::iter::once(&rule.head)
+                .chain(rule.body.iter().map(|l| &l.atom))
+                .map(|atom| {
+                    if assert {
+                        Some(intern_ast_atom(ground, atom, &parsed.symbols))
+                    } else {
+                        find_ast_atom(ground, atom, &parsed.symbols)
+                    }
+                })
+                .collect();
+            let Some(ids) = ids else {
+                continue;
+            };
+            let head = ids[0];
             let mut pos = Vec::new();
             let mut neg = Vec::new();
-            for lit in &rule.body {
-                let id = intern_ast_atom(ground, &lit.atom, &parsed.symbols);
+            for (lit, &id) in rule.body.iter().zip(&ids[1..]) {
                 if lit.positive {
                     pos.push(id);
                 } else {
@@ -1212,26 +1136,37 @@ pub(crate) fn restricted_wfs_model(
     })
 }
 
-/// Parse update text into a batch of ground fact atoms, rejecting
-/// anything that is not a ground fact. All facts are validated before any
-/// is applied, so a rejected batch leaves the session untouched.
-pub(crate) fn parse_fact_batch(facts: &str) -> Result<(Vec<Atom>, SymbolStore), Error> {
-    let parsed = afp_datalog::parse_program(facts)?;
-    for rule in &parsed.rules {
-        if !rule.is_fact() || !rule.head.is_ground() {
-            return Err(Error::NotAFact(afp_datalog::ast::display_rule(
-                rule,
-                &parsed.symbols,
-            )));
-        }
-    }
-    let atoms = parsed.rules.into_iter().map(|r| r.head).collect();
-    Ok((atoms, parsed.symbols))
+/// One write, parsed once where it enters: its kind, the submitted text
+/// verbatim (what the journal and the changelog record), and the parsed
+/// statements [`Session::apply`] takes. A delta merged from a run of
+/// same-kind submissions carries no text of its own; its members'
+/// texts are what gets recorded.
+pub(crate) struct Delta {
+    pub(crate) kind: DeltaKind,
+    pub(crate) text: String,
+    pub(crate) program: Program,
 }
 
-/// Ground fact atoms as the bodiless statements the source program holds.
-fn fact_rules(atoms: &[Atom]) -> Vec<Rule> {
-    atoms.iter().cloned().map(Rule::fact).collect()
+impl Delta {
+    /// Parse `text` as a `kind` delta — the only parser of write text.
+    /// The fact kinds refuse any statement that is not a ground fact,
+    /// so a refused batch leaves every session untouched.
+    pub(crate) fn parse(kind: DeltaKind, text: &str) -> Result<Delta, Error> {
+        let program = afp_datalog::parse_program(text)?;
+        if matches!(kind, DeltaKind::AssertFacts | DeltaKind::RetractFacts) {
+            if let Some(rule) = program.rules.iter().find(|r| !r.is_fact()) {
+                return Err(Error::NotAFact(afp_datalog::ast::display_rule(
+                    rule,
+                    &program.symbols,
+                )));
+            }
+        }
+        Ok(Delta {
+            kind,
+            text: text.to_string(),
+            program,
+        })
+    }
 }
 
 /// Intern an AST atom (expressed against `from`) into a ground program,

@@ -6,10 +6,10 @@
 //! ```text
 //! query ATOM            truth of ATOM in the current version
 //! at VERSION ATOM       truth of ATOM in a cached earlier version
-//! assert TEXT           submit rules/facts (rule path); prints the version
-//! retract TEXT          remove rules/facts (rule path)
-//! assert-facts TEXT     submit ground facts (fact fast path)
-//! retract-facts TEXT    remove ground facts (fact fast path)
+//! assert TEXT           submit rules/facts; prints the version
+//! retract TEXT          remove rules/facts
+//! assert-facts TEXT     as `assert`, but refuses anything not a ground fact
+//! retract-facts TEXT    as `retract`, but refuses anything not a ground fact
 //! model                 the current version's full model
 //! version               the current version number
 //! log SINCE             applied deltas with version > SINCE

@@ -24,18 +24,23 @@
 //!   relevance-restricted subqueries ([`ModelSnapshot::subquery`]) run on
 //!   reader threads without touching the writer;
 //! * writes are **submissions** to a bounded queue
-//!   ([`ServiceOptions::queue_depth`]). [`Service::submit`] returns a
-//!   [`SubmitHandle`] at once — a futures-free promise that can be
-//!   waited, polled or waited with a timeout — and the blocking
+//!   ([`ServiceOptions::queue_depth`]). [`Service::submit`] parses the
+//!   delta on the submitting thread, the only parse a write gets, so a
+//!   malformed one is refused before it can reach a shared batch. It
+//!   returns a [`SubmitHandle`] at once — a futures-free promise that can
+//!   be waited, polled or waited with a timeout — and the blocking
 //!   [`Service::assert_facts`] family is `submit(…)?.wait()`. A full
 //!   queue refuses with [`Error::Overloaded`] immediately; a queued
 //!   submission whose deadline ([`ServiceOptions::submit_deadline`])
 //!   passes before the writer picks it up fails with
 //!   [`Error::SubmitTimeout`] without being applied;
 //! * concurrent submissions **coalesce**: the writer thread takes the
-//!   whole queue per cycle and applies it as one batched warm update
-//!   (adjacent same-kind deltas merge into one batch call, i.e. one
-//!   envelope-delta round). Under write contention the solve cost is
+//!   whole queue per cycle and applies it as one batched warm update.
+//!   Each run of adjacent same-kind deltas merges into one parsed
+//!   program (the statements are imported into one symbol store; no text
+//!   is joined or re-parsed) and takes one session call, i.e. one
+//!   envelope-delta round. The journal and the changelog still record
+//!   each submission's own text. Under write contention the solve cost is
 //!   paid per *cycle*, not per submission — [`ServiceStats::write_cycles`]
 //!   vs [`ServiceStats::submissions`] shows the ratio;
 //! * a small version-keyed cache ([`Service::at_version`]) serves repeat
@@ -104,10 +109,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::restricted_wfs_model;
+use crate::engine::{restricted_wfs_model, Delta};
 use crate::journal::{self, CrashPoint, Journal, JournalOptions, JournalStats};
 use crate::telemetry::{stat_set, PhaseBreakdown, Telemetry};
-use crate::{Engine, Error, Model, NetStats, Session, SessionStats, Truth};
+use crate::{Engine, Error, Model, NetStats, Program, Session, SessionStats, Truth};
+use afp_datalog::ast::import_rule;
 
 /// Lock a mutex, recovering the data on poison: the service's shared
 /// state is kept consistent by construction (publishing happens after a
@@ -202,7 +208,7 @@ pub struct ServiceStats {
     /// submission (the coalescing win; `0` under purely sequential
     /// writers).
     pub coalesced: u64,
-    /// Submissions that failed, whichever step refused them: validation,
+    /// Submissions that failed, whichever step refused them: parse,
     /// admission, deadline, shutdown, apply, solve or journal.
     pub rejected: u64,
     /// Snapshots pinned through [`Service::snapshot`].
@@ -403,8 +409,7 @@ impl SubmitHandle {
 /// submitter waits on until the cycle that applies it publishes (or
 /// fails).
 struct Queued {
-    kind: DeltaKind,
-    text: String,
+    delta: Delta,
     slot: Arc<Slot>,
     deadline: Option<Instant>,
     enqueued: Instant,
@@ -634,8 +639,8 @@ impl Service {
 
     /// Bring a journaled service back after a crash: load the newest
     /// valid checkpoint, replay the journal tail **through the normal
-    /// warm-update path** (the same [`Session`] delta entry points live
-    /// writes use), and publish the recovered head — whose version
+    /// warm-update path** (the same parse and [`Session`] entry point
+    /// live writes use), and publish the recovered head — whose version
     /// continues exactly where the durable history ends. A torn tail
     /// (crash mid-append) is truncated; mid-journal corruption is a loud
     /// [`Error::JournalCorrupt`]. The changelog is seeded from the
@@ -654,12 +659,14 @@ impl Service {
         let mut session = engine.load(&recovered.checkpoint_text)?;
         let mut entries = Vec::with_capacity(recovered.records.len());
         for record in &recovered.records {
-            apply_delta(&mut session, record.kind, &record.text).map_err(|e| {
-                Error::Journal(format!(
-                    "replaying journal record for version {}: {e}",
-                    record.version
-                ))
-            })?;
+            Delta::parse(record.kind, &record.text)
+                .and_then(|delta| session.apply(&delta))
+                .map_err(|e| {
+                    Error::Journal(format!(
+                        "replaying journal record for version {}: {e}",
+                        record.version
+                    ))
+                })?;
             entries.push(AppliedDelta {
                 version: record.version,
                 kind: record.kind,
@@ -945,9 +952,10 @@ impl Service {
     /// deadline from [`ServiceOptions::submit_deadline`]. Returns
     /// immediately: `Ok(handle)` once admitted, or the admission
     /// verdict — [`Error::Overloaded`] on a full queue (never blocks),
-    /// [`Error::ServiceStopped`] after shutdown, or a validation error
-    /// for a textually malformed delta, which fails here on the
-    /// submitting thread before it can reach a shared batch.
+    /// [`Error::ServiceStopped`] after shutdown, or the parse error of a
+    /// malformed delta ([`Error::NotAFact`] for a non-fact on a fact
+    /// kind). The delta is parsed here, on the submitting thread, once:
+    /// the writer applies the parsed form.
     pub fn submit(&self, kind: DeltaKind, text: &str) -> Result<SubmitHandle, Error> {
         self.submit_with_deadline(kind, text, self.shared.options.submit_deadline)
     }
@@ -962,7 +970,7 @@ impl Service {
     ) -> Result<SubmitHandle, Error> {
         let s = &self.shared;
         s.submissions.fetch_add(1, Ordering::Relaxed);
-        let admitted = validate(kind, text).and_then(|()| {
+        let admitted = Delta::parse(kind, text).and_then(|delta| {
             let mut q = lock(&s.queue);
             if !matches!(q.state, QueueState::Running) {
                 return Err(Error::ServiceStopped);
@@ -974,8 +982,7 @@ impl Service {
             let slot = Arc::new(Slot::default());
             let now = Instant::now();
             q.items.push_back(Queued {
-                kind,
-                text: text.to_string(),
+                delta,
                 slot: Arc::clone(&slot),
                 deadline: deadline.map(|d| now + d),
                 enqueued: now,
@@ -1172,7 +1179,7 @@ impl Shared {
     }
 
     /// One write cycle: apply the whole batch to the writer session
-    /// (adjacent same-kind deltas merged into one batched call), solve
+    /// (each run of adjacent same-kind deltas merged into one), solve
     /// once, and publish the new version. Returns each submission's
     /// outcome, in batch order; the caller fills the slots.
     fn run_cycle(&self, batch: &[Queued], telemetry: &Telemetry) -> Vec<Result<u64, Error>> {
@@ -1190,38 +1197,33 @@ impl Shared {
         // attributed to this one.
         let _ = writer.session.take_phases();
 
-        // Apply, in submission order, merging adjacent same-kind runs
-        // into a single batched call (one envelope-delta round per run).
-        // A failed *merged* call is retried delta by delta, so each
+        // Apply, in submission order, merging each run of adjacent
+        // same-kind deltas into one (one envelope-delta round per run).
+        // A failed *merged* run is retried delta by delta, so each
         // submitter gets its own verdict — one semantically invalid
         // delta (unsafe rule, budget trip) must not take down its
         // cycle-mates. Session updates are commit-on-success, so the
-        // failed merged call left no partial state behind.
+        // failed merged run left no partial state behind.
         // `outcomes[i]` is `Ok(())` iff delta `i` is in the session now.
         let mut outcomes: Vec<Result<(), Error>> = Vec::with_capacity(batch.len());
-        let mut start = 0;
-        while start < batch.len() {
-            let kind = batch[start].kind;
-            let mut end = start + 1;
-            while end < batch.len() && batch[end].kind == kind {
-                end += 1;
-            }
-            let run = &batch[start..end];
-            let merged: String = run
-                .iter()
-                .map(|p| p.text.as_str())
-                .collect::<Vec<_>>()
-                .join("\n");
-            match apply_delta(&mut writer.session, kind, &merged) {
+        for run in batch.chunk_by(|a, b| a.delta.kind == b.delta.kind) {
+            let merged;
+            let delta = match run {
+                [one] => &one.delta,
+                _ => {
+                    merged = merge(run);
+                    &merged
+                }
+            };
+            match writer.session.apply(delta) {
                 Ok(()) => outcomes.extend(run.iter().map(|_| Ok(()))),
                 Err(e) if run.len() == 1 => outcomes.push(Err(e)),
                 Err(_) => {
                     for pending in run {
-                        outcomes.push(apply_delta(&mut writer.session, kind, &pending.text));
+                        outcomes.push(writer.session.apply(&pending.delta));
                     }
                 }
             }
-            start = end;
         }
 
         // Every delta in the session but not yet in a published version
@@ -1230,7 +1232,7 @@ impl Shared {
             if outcome.is_ok() {
                 writer
                     .unpublished
-                    .push((pending.kind, pending.text.clone()));
+                    .push((pending.delta.kind, pending.delta.text.clone()));
             }
         }
 
@@ -1441,30 +1443,23 @@ impl Shared {
     }
 }
 
-/// Route one delta to the matching [`Session`] update entry point.
-fn apply_delta(session: &mut Session, kind: DeltaKind, text: &str) -> Result<(), Error> {
-    match kind {
-        DeltaKind::AssertFacts => session.assert_facts(text),
-        DeltaKind::RetractFacts => session.retract_facts(text),
-        DeltaKind::AssertRules => session.assert_rules(text),
-        DeltaKind::RetractRules => session.retract_rules(text),
+/// One delta carrying every statement of a same-kind `run`, each
+/// imported into one symbol store. It carries no text: the journal and
+/// the changelog record each member's own.
+fn merge(run: &[Queued]) -> Delta {
+    let mut program = Program::new();
+    for pending in run {
+        let from = &pending.delta.program;
+        for rule in &from.rules {
+            let rule = import_rule(&mut program.symbols, rule, &from.symbols);
+            program.rules.push(rule);
+        }
     }
-}
-
-/// Pre-validate a submission so that a *textually* malformed delta fails
-/// fast on the submitting thread, before it can reach a merged batch:
-/// the fact paths run the same batch validation the session applies
-/// ([`crate::engine::parse_fact_batch`]), the rule paths the same parse.
-/// Semantic failures that need the live session (safety, budgets) are
-/// caught in the cycle, where a failed merged run is retried delta by
-/// delta for exact attribution.
-fn validate(kind: DeltaKind, text: &str) -> Result<(), Error> {
-    if matches!(kind, DeltaKind::AssertFacts | DeltaKind::RetractFacts) {
-        crate::engine::parse_fact_batch(text)?;
-    } else {
-        afp_datalog::parse_program(text)?;
+    Delta {
+        kind: run[0].delta.kind,
+        text: String::new(),
+        program,
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1493,8 +1488,7 @@ mod tests {
         // than leaving it on the condvar forever.
         let slot = Arc::new(Slot::default());
         let pending = Queued {
-            kind: DeltaKind::AssertFacts,
-            text: "a.".into(),
+            delta: Delta::parse(DeltaKind::AssertFacts, "a.").unwrap(),
             slot: Arc::clone(&slot),
             deadline: None,
             enqueued: Instant::now(),

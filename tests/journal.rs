@@ -610,3 +610,68 @@ fn create_refuses_existing_journal_dir() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The WAL format is pinned: a fixed submission sequence, including a
+/// coalesced cycle and a refused delta, writes exactly these bytes.
+/// Each record is `[u32 len][u32 crc32][u64 version][u8 kind][text]`,
+/// big-endian, and the text is the submitted text verbatim — a merged
+/// run journals each member's own.
+#[test]
+fn wal_records_hold_the_submitted_text_byte_for_byte() {
+    let eng = engine(SCC);
+    let dir = temp_journal_dir("pin");
+    let service = fresh_service(&eng, &dir, JournalOptions::default());
+    assert_eq!(service.assert_facts("move(n2, n3)."), Ok(1));
+    service.hold_writer(true);
+    let handles = [
+        (DeltaKind::AssertRules, "reach(X) :- move(n0, X)."),
+        (
+            DeltaKind::AssertRules,
+            "reach(X)  :-  move(Y, X), reach(Y).",
+        ),
+        (DeltaKind::RetractFacts, "move(n2, n3)."),
+    ]
+    .map(|(kind, text)| service.submit(kind, text).unwrap());
+    service.hold_writer(false);
+    for handle in &handles {
+        assert_eq!(handle.wait(), Ok(2));
+    }
+    assert!(service.assert_rules("r(X) :- not s(X).").is_err());
+    assert_eq!(service.retract_rules("reach(X) :- move(n0, X)."), Ok(3));
+    drop(service);
+
+    let records: [(u64, u8, &str); 5] = [
+        (1, 0, "move(n2, n3)."),
+        (2, 2, "reach(X) :- move(n0, X)."),
+        (2, 2, "reach(X)  :-  move(Y, X), reach(Y)."),
+        (2, 1, "move(n2, n3)."),
+        (3, 3, "reach(X) :- move(n0, X)."),
+    ];
+    let mut expected = b"AFPWAL1\n".to_vec();
+    for (version, kind, text) in records {
+        let mut payload = version.to_be_bytes().to_vec();
+        payload.push(kind);
+        payload.extend_from_slice(text.as_bytes());
+        expected.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        expected.extend_from_slice(&afp::journal::crc32(&payload).to_be_bytes());
+        expected.extend_from_slice(&payload);
+    }
+    assert_eq!(std::fs::read(wal_file(&dir)).unwrap(), expected);
+
+    // The same bytes replay to the same history.
+    let recovered = Service::recover(
+        &eng,
+        &dir,
+        ServiceOptions::default(),
+        JournalOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(recovered.version(), 3);
+    let log = recovered.changelog().unwrap();
+    let replayed: Vec<(u64, &str)> = log.iter().map(|e| (e.version, e.text.as_str())).collect();
+    let written: Vec<(u64, &str)> = records.iter().map(|&(v, _, t)| (v, t)).collect();
+    assert_eq!(replayed, written);
+    assert_head_matches_cold(&eng, &recovered, &log);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}

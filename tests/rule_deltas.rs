@@ -331,6 +331,30 @@ fn ground_sessions_take_ground_rule_deltas() {
     assert!(matches!(err, Error::NotGroundRule(_)), "got {err:?}");
 }
 
+/// Regression: on a grounder-less session, retracting a rule that is
+/// not present must leave the program as it was. Resolving the rule's
+/// atoms used to intern them, so the warm model listed atoms no cold
+/// load of the same program has.
+#[test]
+fn ground_session_retract_of_an_absent_rule_interns_nothing() {
+    let engine = Engine::default();
+    let mut session = engine.load_ground(afp::datalog::parse_ground("a. b :- a, not c."));
+    let atoms = session.ground().atom_count();
+    session.retract_rules("z :- y, not w.").unwrap();
+    session.retract_facts("z.").unwrap();
+    assert_eq!(session.ground().atom_count(), atoms);
+    session.assert_facts("c.").unwrap();
+    let warm = session.solve().unwrap();
+    let cold = engine
+        .load_ground(afp::datalog::parse_ground("a. b :- a, not c. c."))
+        .solve()
+        .unwrap();
+    assert_eq!(
+        afp::net::codec::model_json(0, &warm),
+        afp::net::codec::model_json(0, &cold)
+    );
+}
+
 /// Regression (satellite): a relevance-restricted solve must not evict
 /// the memoized condensation — one restricted query used to force a full
 /// `Condensation::of` rebuild on the next unrestricted solve.

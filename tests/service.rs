@@ -422,50 +422,53 @@ fn service_read_path_rides_the_session_memo() {
 
 /// Review regression: a semantically invalid delta (valid text, unsafe
 /// rule) that lands in the same coalesced cycle as valid deltas must
-/// fail **alone** — its cycle-mates' deltas apply and publish.
+/// fail **alone** — its cycle-mates' deltas apply and publish. The
+/// writer is held while the four submissions queue, so they share one
+/// cycle and one merged run, which fails and is retried delta by delta.
 #[test]
 fn invalid_delta_does_not_fail_its_cycle_mates() {
-    use std::sync::Barrier;
     let service = Engine::default().serve(&base_src()).unwrap();
-    // Hold the leader role with a long-running first submission? Not
-    // needed: drive contention with a barrier so several submissions
-    // race into shared cycles, some of them unsafe.
-    let barrier = Barrier::new(3);
-    let (good1, bad, good2) = thread::scope(|s| {
-        let b = &barrier;
-        let service = &service;
-        let good1 = s.spawn(move || {
-            b.wait();
-            service.assert_rules("reach(X) :- move(n0, X).")
-        });
-        let bad = s.spawn(move || {
-            b.wait();
-            service.assert_rules("r(X) :- not s(X).") // unsafe: passes parse
-        });
-        let good2 = s.spawn(move || {
-            b.wait();
-            service.assert_facts("move(n2, n3).")
-        });
-        (
-            good1.join().unwrap(),
-            bad.join().unwrap(),
-            good2.join().unwrap(),
-        )
-    });
-    assert!(matches!(bad, Err(afp::Error::Ground(_))), "{bad:?}");
-    let v1 = good1.expect("valid rule must apply despite the unsafe cycle-mate");
-    let v2 = good2.expect("valid fact must apply despite the unsafe cycle-mate");
+    // Each delta names constants no other one uses.
+    let deltas = [
+        "reach(X) :- move(n0, X).",
+        "bonus(n3) :- move(n1, n2).",
+        "r(X) :- not s(X).", // unsafe: passes parse
+        "bonus(n4).",
+    ];
+    let cycles = service.stats().write_cycles;
+    service.hold_writer(true);
+    let handles: Vec<_> = deltas
+        .iter()
+        .map(|text| service.submit(afp::DeltaKind::AssertRules, text).unwrap())
+        .collect();
+    service.hold_writer(false);
+    let results: Vec<_> = handles.iter().map(|h| h.wait()).collect();
+
+    let stats = service.stats();
+    assert_eq!(stats.write_cycles, cycles + 1, "one write cycle");
+    assert_eq!(stats.last_cycle_width, 4);
+    assert!(
+        matches!(results[2], Err(afp::Error::Ground(_))),
+        "{:?}",
+        results[2]
+    );
+    let v = results[0]
+        .clone()
+        .expect("valid rule despite the unsafe cycle-mate");
+    assert_eq!(results[1], Ok(v));
+    assert_eq!(results[3], Ok(v));
+
+    let log = service.changelog().unwrap();
+    let texts: Vec<&str> = log.iter().map(|e| e.text.as_str()).collect();
+    assert_eq!(texts, [deltas[0], deltas[1], deltas[3]], "verbatim");
+    assert!(log.iter().all(|e| e.version == v));
     let head = service.snapshot();
-    assert!(head.version() >= v1.max(v2));
-    assert_eq!(head.truth("reach", &["n1"]), Truth::True);
-    assert_eq!(head.truth("move", &["n2", "n3"]), Truth::True);
-    // The changelog records exactly the two applied deltas.
-    assert_eq!(service.changelog().unwrap().len(), 2);
-    // And the differential still holds for the final version.
-    let cold = Engine::default()
-        .solve(&reconstruct(&service.changelog().unwrap(), head.version()))
-        .unwrap();
-    assert_eq!(digest(head.model()), digest(&cold));
+    assert_eq!(head.version(), v);
+    let cold = Engine::default().solve(&reconstruct(&log, v)).unwrap();
+    assert_eq!(
+        afp::net::codec::model_json(v, head.model()),
+        afp::net::codec::model_json(v, &cold)
+    );
 }
 
 /// Review regression: a delta that applies but whose cycle's *solve*

@@ -11,7 +11,9 @@
 //!   EDB fact, so nothing in parsing, the envelope or instantiation keeps
 //!   a per-tuple copy it could share.
 
-use afp::datalog::{parse_program, GroundOptions, IncrementalGrounder, RetractOutcome};
+use afp::datalog::{
+    parse_program, GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome,
+};
 use afp::Engine;
 use afp_bench::gen::write_edb_src;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,23 +71,24 @@ fn write_allocations(keys: usize) -> (usize, usize) {
     let mut grounder = IncrementalGrounder::new(&program, &GroundOptions::default()).unwrap();
     let odd = keys / 2 + 1;
     let assert = parse_program(&format!("d(k{odd}).")).unwrap();
-    let assert_atoms: Vec<_> = assert.rules.iter().map(|r| r.head.clone()).collect();
     let retract = parse_program("d(k0).").unwrap();
-    let retract_atoms: Vec<_> = retract.rules.iter().map(|r| r.head.clone()).collect();
 
     let first = grounder.program().clone();
     let first_text = first.to_string();
-    let (asserted, effect) = allocations(|| {
+    let (asserted, outcome) = allocations(|| {
         grounder
-            .assert_batch(&assert_atoms, &assert.symbols)
+            .assert_rules(&assert.rules, &assert.symbols)
             .unwrap()
     });
-    assert!(effect.fresh && effect.new_rules > 0, "the assert applies");
+    assert!(
+        matches!(outcome, RuleAssertOutcome::Applied(ref e) if e.fresh && e.new_rules > 0),
+        "the assert applies"
+    );
 
     let second = grounder.program().clone();
     let second_text = second.to_string();
     let (retracted, outcome) =
-        allocations(|| grounder.retract_batch(&retract_atoms, &retract.symbols));
+        allocations(|| grounder.retract_rules(&retract.rules, &retract.symbols));
     assert!(
         matches!(outcome, RetractOutcome::Applied(ref e) if e.fresh),
         "the retract applies"

@@ -16,7 +16,9 @@
 //! they were: no suffix of the order is rewritten.
 
 use afp::datalog::depgraph::{Condensation, CondensationDelta};
-use afp::datalog::{parse_program, AtomId, GroundOptions, GroundProgram, IncrementalGrounder};
+use afp::datalog::{
+    parse_program, AtomId, GroundOptions, GroundProgram, IncrementalGrounder, RuleAssertOutcome,
+};
 use afp::Engine;
 use afp_bench::gen::write_edb_src;
 
@@ -114,8 +116,11 @@ fn repair_keeps_the_rest_of_the_order(keys: usize) -> usize {
 
     let odd = keys / 2 + 1;
     let delta = parse_program(&format!("d(k{odd}).")).unwrap();
-    let atoms: Vec<_> = delta.rules.iter().map(|r| r.head.clone()).collect();
-    let effect = grounder.assert_batch(&atoms, &delta.symbols).unwrap();
+    let RuleAssertOutcome::Applied(effect) =
+        grounder.assert_rules(&delta.rules, &delta.symbols).unwrap()
+    else {
+        panic!("a fact batch applies warm");
+    };
     let prog = grounder.program();
     assert_eq!(
         prog.atom_count(),
