@@ -3,8 +3,9 @@
 //!
 //! * `write_path_*` — one fact-toggle write cycle per iteration through
 //!   a journaled service, parameterized by fsync policy: `none` is the
-//!   unjournaled PR 4 baseline (the 181 µs `service_inproc` figure in
-//!   BENCH_net.json), `never` adds the append without any syncing
+//!   unjournaled baseline (over the wire, perfbench's
+//!   `server.request_us` and `writer.queue_wait_*` figures time the same
+//!   write path), `never` adds the append without any syncing
 //!   (framing + CRC + one `write(2)` per record), `every8` amortizes
 //!   one `fdatasync` over 8 records, and `always` pays the sync on the
 //!   publish path of every cycle. The deltas between the four are the

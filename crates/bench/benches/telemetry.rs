@@ -16,7 +16,7 @@
 //! On the 1-core CI runner these are indicative medians from the
 //! criterion shim, not statistics — see vendor/README.md.
 
-use afp::{Engine, PhaseBreakdown, Service, Telemetry, TraceSink};
+use afp::{Engine, MetricsRegistry, PhaseBreakdown, Service, Telemetry, TraceSink};
 use afp_bench::gen::hard_knot_chain_src;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -77,7 +77,8 @@ fn record(c: &mut Criterion) {
                     "disabled" => Telemetry::disabled(),
                     _ => Telemetry::new(),
                 };
-                b.iter(|| telemetry.record_cycle(std::hint::black_box(breakdown)))
+                let registry = MetricsRegistry::default();
+                b.iter(|| telemetry.record_cycle(&registry, std::hint::black_box(breakdown)))
             },
         );
     }

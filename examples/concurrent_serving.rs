@@ -110,9 +110,12 @@ fn main() {
         pinned_v0.truth("wins", &["b"])
     );
 
-    let stats = service.stats();
+    let m = service.metrics();
     println!(
         "service: {} versions, {} submissions over {} write cycles, {} pins",
-        stats.version, stats.submissions, stats.write_cycles, stats.pins
+        m.version.get(),
+        m.submissions.get(),
+        m.write_cycles.get(),
+        m.pins.get()
     );
 }

@@ -12,7 +12,8 @@
 //!   -j, --json            machine-readable output on stdout
 //!       --assert <TEXT>   apply rules/facts to the loaded session (repeatable)
 //!       --retract <TEXT>  remove rules/facts from the session (repeatable)
-//!       --stats           print session (and serve-mode service) counters as JSON
+//!       --stats           print session counters as JSON at exit (serve mode: the
+//!                         final `stats` frame)
 //!       --serve           serve FILE: read update/query commands from stdin
 //!       --listen <ADDR>   also serve the framed protocol over TCP (implies --serve;
 //!                         port 0 picks an ephemeral port, announced on stdout)
@@ -21,7 +22,7 @@
 //!       --queue-depth <N> bound the one write queue (default 64), stdin and
 //!                         listeners alike; a full queue rejects submissions
 //!                         with an overloaded error
-//!       --max-conns <N>   connection limit per listener (default 32)
+//!       --max-conns <N>   open-connection limit over all listeners (default 32)
 //!       --submit-timeout-ms <N>  deadline for queued submissions (default: none)
 //!       --journal <DIR>   durable serve mode (implies --serve): write-ahead
 //!                         journal + checkpoints in DIR; a DIR that already
@@ -31,8 +32,6 @@
 //!                         (sync every N records)
 //!       --checkpoint-every <N>  checkpoint + compact the journal every N
 //!                         versions (default 0 = only on the checkpoint command)
-//!       --ack-durable     resolve submissions only after their journal record
-//!                         is synced, whatever --fsync says
 //!       --changelog-cap <N>  bound changelog retention (default 1024); reads
 //!                         behind the evicted horizon get a version-evicted
 //!                         error
@@ -70,10 +69,13 @@
 //! model                 print the current version's full model
 //! version               print the current version number
 //! log [SINCE]           applied deltas with version > SINCE
-//! stats                 print service + session (+ net/journal) counters as JSON
+//! stats                 session, service and net counters (+ journal with
+//!                       --journal) as one JSON object; every front end
+//!                       reports the same totals
 //! metrics               telemetry exposition: per-phase write-cycle histograms,
-//!                       counters and recent cycles (--metrics-format picks
-//!                       JSON or Prometheus text)
+//!                       counters and recent cycles as JSON, or with
+//!                       --metrics-format prom every `stats` counter too, as
+//!                       Prometheus text
 //! ping                  readiness probe: version + writer liveness + uptime
 //! checkpoint            write a durability checkpoint now (needs --journal)
 //! quit                  exit (EOF works too)
@@ -98,8 +100,9 @@
 
 use afp::net::codec::{self, Request, Response};
 use afp::{
-    Engine, Error, FsyncPolicy, Journal, JournalOptions, MetricsFormat, Model, NetOptions,
-    NetServer, NetStats, Semantics, Service, ServiceOptions, Shutdown, Telemetry, TraceSink, Truth,
+    Engine, Error, FsyncPolicy, Journal, JournalOptions, MetricsFormat, MetricsRegistry, Model,
+    NetOptions, NetServer, Semantics, Service, ServiceOptions, Shutdown, Telemetry, TraceSink,
+    Truth,
 };
 use std::io::{BufRead, Read};
 use std::process::ExitCode;
@@ -108,9 +111,8 @@ use std::time::Duration;
 const USAGE_HINT: &str = "usage: afp [-s wfs|stable|fitting|perfect|ifp] [-q ATOM] [-t] [-a] \
      [-n N] [-j] [--assert TEXT] [--retract TEXT] [--stats] [--serve] [--listen ADDR] \
      [--socket PATH] [--queue-depth N] [--max-conns N] [--submit-timeout-ms N] \
-     [--journal DIR] [--fsync always|never|N] [--checkpoint-every N] [--ack-durable] \
-     [--changelog-cap N] [--metrics-format json|prom] [--trace FILE] [--slow-cycle-ms N] \
-     [--ground] [FILE]";
+     [--journal DIR] [--fsync always|never|N] [--checkpoint-every N] [--changelog-cap N] \
+     [--metrics-format json|prom] [--trace FILE] [--slow-cycle-ms N] [--ground] [FILE]";
 
 struct Options {
     semantics: String,
@@ -130,7 +132,6 @@ struct Options {
     journal: Option<String>,
     fsync: FsyncPolicy,
     checkpoint_every: u64,
-    ack_durable: bool,
     changelog_cap: Option<usize>,
     metrics_format: MetricsFormat,
     /// Serve-mode trace stream target (`--trace FILE`); distinct from
@@ -166,7 +167,6 @@ fn parse_args() -> Options {
         journal: None,
         fsync: FsyncPolicy::Always,
         checkpoint_every: 0,
-        ack_durable: false,
         changelog_cap: None,
         metrics_format: MetricsFormat::Json,
         trace_file: None,
@@ -240,7 +240,6 @@ fn parse_args() -> Options {
                 let n = args.next().unwrap_or_else(|| usage());
                 options.checkpoint_every = n.parse().unwrap_or_else(|_| usage());
             }
-            "--ack-durable" => options.ack_durable = true,
             "--changelog-cap" => {
                 let n = args.next().unwrap_or_else(|| usage());
                 options.changelog_cap = Some(n.parse().unwrap_or_else(|_| usage()));
@@ -405,7 +404,7 @@ fn main() -> ExitCode {
     };
     if options.stats {
         print_stats(
-            &codec::stats_json(session.stats(), None, None, None),
+            &MetricsRegistry::session_json(session.stats()),
             options.json,
         );
     }
@@ -476,7 +475,6 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
     let journal_options = JournalOptions {
         fsync: options.fsync,
         checkpoint_every: options.checkpoint_every,
-        ack_durable: options.ack_durable,
     };
     // With `--journal`, a directory that already holds a journal wins
     // over FILE: the service is rebuilt from the newest checkpoint plus
@@ -577,12 +575,6 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
             }
         }
     }
-    // The `net` section appears exactly when listeners are up.
-    let full_stats = || {
-        let net = (!servers.is_empty()).then(|| merged_net_stats(&service, &servers));
-        codec::service_stats_json(&service, net.as_ref())
-    };
-
     let mut transport_failed = false;
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
@@ -600,9 +592,6 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
         }
         let response = match codec::parse_command(line) {
             Ok(Request::Quit) => break,
-            // `stats` is answered here, not in `execute`, so the CLI can
-            // fold in connection counters from its listeners.
-            Ok(Request::Stats) => Response::Stats { json: full_stats() },
             Ok(request) => codec::execute(&service, &request),
             Err(message) => Response::protocol_error(message),
         };
@@ -623,7 +612,7 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
     // `--stats` reports the final counters at exit, like one-shot mode
     // (the interactive `stats` command reports them mid-session).
     if options.stats {
-        print_stats(&full_stats(), options.json);
+        print_stats(&service.metrics().stats_json(), options.json);
     }
     if transport_failed {
         ExitCode::from(2)
@@ -656,27 +645,10 @@ fn announce_recovery(version: u64, json: bool) {
     }
 }
 
-/// Queue/latency counters from the service plus connection counters
-/// from every listener (queue stats leave connection fields zero, so
-/// the sum never double-counts).
-fn merged_net_stats(service: &Service, servers: &[NetServer]) -> NetStats {
-    let mut net = service.queue_stats();
-    for server in servers {
-        let s = server.stats();
-        net.conns_accepted += s.conns_accepted;
-        net.conns_rejected += s.conns_rejected;
-        net.conns_open += s.conns_open;
-        net.frames_in += s.frames_in;
-        net.frames_out += s.frames_out;
-    }
-    net
-}
-
-/// Print session (and, in serve mode, service + net) counters as one
-/// JSON object — serialized by [`codec::stats_json`], the same helper
-/// behind the interactive `stats` command and the wire protocol, so the
-/// shapes cannot drift. Plain (non-`--json`) output prefixes it as a
-/// `%` comment so downstream fact parsers stay happy.
+/// Print a `stats` frame rendered by [`MetricsRegistry`], the listing
+/// behind the interactive `stats` command and the wire protocol too.
+/// Plain (non-`--json`) output prefixes it as a `%` comment so
+/// downstream fact parsers stay happy.
 fn print_stats(body: &str, as_json: bool) {
     if as_json {
         println!("{body}");

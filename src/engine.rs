@@ -81,7 +81,7 @@ use std::time::Instant;
 
 use crate::service::DeltaKind;
 use crate::source::SourceProgram;
-use crate::telemetry::{stat_set, SessionPhases};
+use crate::telemetry::SessionPhases;
 use crate::Error;
 
 /// How a well-founded solve is evaluated.
@@ -378,34 +378,6 @@ pub struct SessionStats {
     pub snapshot_reuses: u64,
 }
 
-// Wire serialization of the `stats` section: every field, in the frame's
-// historical key order (which predates this impl and differs from the
-// struct's declaration order). The exhaustive pattern inside the macro
-// means a field added above without a line here is a compile error — a
-// counter can no longer silently miss the wire frame.
-stat_set!(SessionStats {
-    solves,
-    warm_solves,
-    snapshot_clones,
-    snapshot_reuses,
-    regrounds,
-    asserts,
-    retracts,
-    rule_asserts,
-    rule_retracts,
-    delta_rounds,
-    condensation_builds,
-    condensation_repairs,
-    last_repair_atoms,
-    last_repair_edges,
-    restricted_cond_hits,
-    scc_solves,
-    last_components,
-    last_components_evaluated,
-    last_components_reused,
-    last_seed_size,
-});
-
 /// A loaded program: interned symbols, ground rules, and (for programs
 /// loaded from text or AST) the live grounder state for incremental fact
 /// updates. Produced by [`Engine::load`].
@@ -538,21 +510,28 @@ impl Session {
     /// public wrappers, the service's write cycles and journal replay.
     /// Facts are bodiless rules, so every kind takes the grounder's rule
     /// entry points; the fact kinds differ only in what
-    /// [`Delta::parse`] admitted and in which counter they bump.
+    /// [`Delta::parse`] admitted and in which counter they bump, once per
+    /// statement and only once the delta applied.
     pub(crate) fn apply(&mut self, delta: &Delta) -> Result<(), Error> {
-        let Program { rules, symbols } = &delta.program;
+        let assert = matches!(delta.kind, DeltaKind::AssertFacts | DeltaKind::AssertRules);
+        self.apply_statements(&delta.program, assert)?;
+        *match delta.kind {
+            DeltaKind::AssertFacts => &mut self.stats.asserts,
+            DeltaKind::RetractFacts => &mut self.stats.retracts,
+            DeltaKind::AssertRules => &mut self.stats.rule_asserts,
+            DeltaKind::RetractRules => &mut self.stats.rule_retracts,
+        } += delta.program.rules.len() as u64;
+        Ok(())
+    }
+
+    /// The body of [`Session::apply`], short of its statement counters.
+    fn apply_statements(&mut self, program: &Program, assert: bool) -> Result<(), Error> {
+        let Program { rules, symbols } = program;
         if rules.is_empty() {
             return Ok(());
         }
-        let (counter, assert) = match delta.kind {
-            DeltaKind::AssertFacts => (&mut self.stats.asserts, true),
-            DeltaKind::RetractFacts => (&mut self.stats.retracts, false),
-            DeltaKind::AssertRules => (&mut self.stats.rule_asserts, true),
-            DeltaKind::RetractRules => (&mut self.stats.rule_retracts, false),
-        };
-        *counter += rules.len() as u64;
         let Some(g) = &mut self.grounder else {
-            return self.apply_ground_rules(&delta.program, assert);
+            return self.apply_ground_rules(program, assert);
         };
         // An assert needs a precise, unpoisoned grounder: a pruned
         // negative literal that could not be keyed for resurrection would

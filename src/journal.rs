@@ -100,11 +100,6 @@ pub struct JournalOptions {
     /// checkpoints (the `checkpoint` command still works). Bounds
     /// recovery replay to at most this many deltas.
     pub checkpoint_every: u64,
-    /// Ack-after-durable: force a sync before any submitter of the
-    /// cycle is acknowledged, regardless of [`FsyncPolicy`] — a
-    /// [`crate::SubmitHandle`] then resolves only once its record is
-    /// on disk.
-    pub ack_durable: bool,
 }
 
 impl Default for JournalOptions {
@@ -112,7 +107,6 @@ impl Default for JournalOptions {
         JournalOptions {
             fsync: FsyncPolicy::Always,
             checkpoint_every: 0,
-            ack_durable: false,
         }
     }
 }
@@ -139,8 +133,8 @@ pub enum CrashPoint {
 }
 
 /// Cumulative journal counters; snapshot them with
-/// [`crate::Service::journal_stats`] (also surfaced in the `stats`
-/// protocol output).
+/// [`crate::Service::journal_stats`]. The service mirrors them into its
+/// [`crate::MetricsRegistry`], the `journal` section of `stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// WAL records appended.
@@ -168,21 +162,6 @@ pub struct JournalStats {
     /// the cost the [`FsyncPolicy`] trades against durability.
     pub sync_ns: u64,
 }
-
-// Wire serialization of the `journal` stats section, in frame key
-// order; see `crate::telemetry::StatSet`.
-crate::telemetry::stat_set!(JournalStats {
-    records_appended,
-    bytes_appended,
-    syncs,
-    checkpoints,
-    compacted_records,
-    records_replayed,
-    torn_truncations,
-    failed_ops,
-    append_ns,
-    sync_ns,
-});
 
 /// One replayed WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -509,15 +488,15 @@ impl Journal {
         }
     }
 
-    /// Sync the WAL if the policy (or ack-after-durable) demands it
-    /// before this cycle publishes and acks.
+    /// Sync the WAL if the policy demands it before this cycle publishes
+    /// and acks.
     pub fn sync_for_publish(&mut self) -> Result<(), Error> {
         self.check_poisoned()?;
         let due = match self.options.fsync {
             FsyncPolicy::Always => true,
             FsyncPolicy::EveryN(n) => self.unsynced >= n,
             FsyncPolicy::Never => false,
-        } || (self.options.ack_durable && self.unsynced > 0);
+        };
         if due {
             let started = Instant::now();
             if let Err(e) = self.wal.sync_data() {
@@ -1235,17 +1214,15 @@ mod tests {
         journal.sync_for_publish().unwrap();
         assert_eq!(journal.stats().syncs, 1);
 
-        // ack_durable overrides a lazy policy.
-        let dir2 = temp_dir("fsync-ack");
+        let dir2 = temp_dir("fsync-never");
         let opts2 = JournalOptions {
             fsync: FsyncPolicy::Never,
-            ack_durable: true,
             ..JournalOptions::default()
         };
         let mut journal2 = Journal::create(&dir2, opts2, "base.\n").unwrap();
         journal2.append(1, DeltaKind::AssertFacts, "p(a).").unwrap();
         journal2.sync_for_publish().unwrap();
-        assert_eq!(journal2.stats().syncs, 1, "ack-durable forces the sync");
+        assert_eq!(journal2.stats().syncs, 0, "never leaves syncing to the OS");
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&dir2);
     }

@@ -77,10 +77,9 @@ pub use engine::{Engine, EngineBuilder, Model, Semantics, Session, SessionStats,
 pub use journal::{CrashPoint, FsyncPolicy, Journal, JournalOptions, JournalStats};
 #[doc(hidden)]
 pub use net::{AsyncOptions, AsyncService};
-pub use net::{NetOptions, NetServer, NetStats};
+pub use net::{NetOptions, NetServer};
 pub use service::{
-    AppliedDelta, DeltaKind, ModelSnapshot, Service, ServiceOptions, ServiceStats, Shutdown,
-    SubmitHandle,
+    AppliedDelta, DeltaKind, ModelSnapshot, Service, ServiceOptions, Shutdown, SubmitHandle,
 };
 pub use telemetry::{
     MetricsFormat, MetricsRegistry, PhaseBreakdown, SessionPhases, Telemetry, TraceSink,

@@ -13,7 +13,7 @@
 //! model                 the current version's full model
 //! version               the current version number
 //! log SINCE             applied deltas with version > SINCE
-//! stats                 session + service + net counters as JSON
+//! stats                 session + service + net (+ journal) counters as JSON
 //! metrics               telemetry exposition: phase histograms + counters
 //! ping                  readiness probe: version + writer liveness + uptime
 //! checkpoint            write a durability checkpoint now (journaled services)
@@ -32,18 +32,15 @@
 //! ([`write_frame`] / [`read_frame`]); the stdin front end frames by
 //! newline. Nothing else differs.
 //!
-//! [`stats_json`] is the single serializer behind every `--stats` and
-//! `stats` output, JSON and `%`-comment plain mode alike — the two
-//! cannot drift because there is only one.
+//! [`execute`] answers every command for every front end, `stats`
+//! included: the frame is rendered from the service's
+//! [`crate::MetricsRegistry`], the one listing behind `stats`, `metrics`
+//! and the one-shot `--stats`, so the outputs cannot drift.
 
 use std::io::{self, Read, Write};
 
 use crate::service::ModelSnapshot;
-use crate::telemetry::stat_object;
-use crate::{
-    AppliedDelta, DeltaKind, Error, JournalStats, Model, NetStats, Service, ServiceStats,
-    SessionStats, Truth,
-};
+use crate::{AppliedDelta, DeltaKind, Error, Model, Service, Truth};
 
 // ---------------------------------------------------------------------
 // Requests
@@ -249,7 +246,8 @@ pub enum Response {
         /// The pinned snapshot.
         snapshot: ModelSnapshot,
     },
-    /// Counters, already serialized by [`stats_json`].
+    /// Counters, already serialized by
+    /// [`crate::MetricsRegistry::stats_json`].
     Stats {
         /// The JSON object.
         json: String,
@@ -460,9 +458,6 @@ pub fn model_json(version: u64, model: &Model) -> String {
 /// Run one parsed command against a service. [`Request::Quit`] is the
 /// caller's to handle (it ends the *session*, not a computation); this
 /// function answers it like `version` so misrouted quits stay harmless.
-/// [`Request::Stats`] is answered without a `net` section: a front end
-/// that owns connection counters answers `stats` itself through
-/// [`service_stats_json`].
 pub fn execute(service: &Service, request: &Request) -> Response {
     match request {
         Request::Query { atom } => match parse_query(atom) {
@@ -508,10 +503,10 @@ pub fn execute(service: &Service, request: &Request) -> Response {
             Err(e) => Response::from_error(&e),
         },
         Request::Stats => Response::Stats {
-            json: service_stats_json(service, None),
+            json: service.metrics().stats_json(),
         },
         Request::Metrics => Response::Metrics {
-            body: service.telemetry().render(),
+            body: service.telemetry().render(service.metrics()),
         },
         Request::Ping => Response::Pong {
             version: service.version(),
@@ -526,55 +521,6 @@ pub fn execute(service: &Service, request: &Request) -> Response {
             version: service.version(),
         },
     }
-}
-
-// ---------------------------------------------------------------------
-// Stats serialization — the one helper behind every --stats output
-// ---------------------------------------------------------------------
-
-/// Serialize session (+ optional service + optional net + optional
-/// journal) counters as one JSON object:
-/// `{"stats":{…}[,"service":{…}][,"net":{…}][,"journal":{…}]}`.
-///
-/// This is the **only** serializer for these counters — CLI `--json`
-/// mode prints the string as-is, plain mode prefixes it with `% stats `
-/// (a comment, so downstream fact parsers stay happy), and the wire
-/// `stats` command ships it verbatim — so the outputs cannot drift.
-///
-/// Each section is driven by its stat set's
-/// [`crate::telemetry::StatSet`] registration (the `stat_set!` macro
-/// next to each struct), whose exhaustive destructuring makes adding a
-/// counter without exporting it a compile error — no hand-maintained
-/// key list to fall behind.
-pub fn stats_json(
-    session: &SessionStats,
-    service: Option<&ServiceStats>,
-    net: Option<&NetStats>,
-    journal: Option<&JournalStats>,
-) -> String {
-    let mut body = format!("\"stats\":{}", stat_object(session));
-    if let Some(s) = service {
-        body.push_str(&format!(",\"service\":{}", stat_object(s)));
-    }
-    if let Some(n) = net {
-        body.push_str(&format!(",\"net\":{}", stat_object(n)));
-    }
-    if let Some(j) = journal {
-        body.push_str(&format!(",\"journal\":{}", stat_object(j)));
-    }
-    format!("{{{body}}}")
-}
-
-/// [`stats_json`] for a running service: its session, service and
-/// journal counters, plus the `net` section when the caller is a
-/// transport front end that owns connection counters.
-pub fn service_stats_json(service: &Service, net: Option<&NetStats>) -> String {
-    stats_json(
-        &service.session_stats(),
-        Some(&service.stats()),
-        net,
-        service.journal_stats().as_ref(),
-    )
 }
 
 // ---------------------------------------------------------------------

@@ -16,10 +16,11 @@
 //!   single-writer/coalescing semantics of in-process callers.
 //!   Connection limits and read/write timeouts bound resource use.
 //!
-//! * **The codec** ([`codec`]) both front ends share — one grammar, one
-//!   response shape, one error shape, and one stats serializer
-//!   ([`codec::stats_json`]) so the `--stats` JSON and plain outputs
-//!   cannot drift.
+//! * **The codec** ([`codec`]) every front end shares — one grammar, one
+//!   response shape, one error shape, and one `stats` answer: every
+//!   listener of a service counts into the service's
+//!   [`crate::MetricsRegistry`], so `stats` reports the same connection
+//!   and frame totals over stdin, TCP and unix.
 //!
 //! ```
 //! use afp::net::codec::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
@@ -47,72 +48,6 @@ pub mod server;
 pub use server::{NetOptions, NetServer};
 
 use crate::Service;
-
-/// Counters for the networked tier, merged across the service's write
-/// queue ([`Service::queue_stats`]) and the transport ([`NetServer`]);
-/// surfaced through the `stats` protocol command and CLI `--stats` via
-/// [`codec::stats_json`]. Connection fields stay zero in
-/// [`Service::queue_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Submissions accepted into the write queue.
-    pub submitted: u64,
-    /// Submissions whose cycle completed (successfully or not).
-    pub completed: u64,
-    /// Submissions refused at admission because the queue was full
-    /// ([`crate::Error::Overloaded`]).
-    pub overloaded: u64,
-    /// Queued submissions expired by their deadline before their cycle
-    /// ran ([`crate::Error::SubmitTimeout`]).
-    pub timed_out: u64,
-    /// Submissions failed by shutdown ([`crate::Error::ServiceStopped`])
-    /// or a writer panic ([`crate::Error::WriterAborted`]).
-    pub aborted: u64,
-    /// Current queue depth (instantaneous).
-    pub queue_depth: u64,
-    /// High-water mark of the queue depth since start.
-    pub queue_depth_hwm: u64,
-    /// Submissions in the writer thread's most recent cycle batch (the
-    /// per-cycle coalesce width).
-    pub last_cycle_width: u64,
-    /// Largest cycle batch the writer thread has run.
-    pub max_cycle_width: u64,
-    /// p50 of submit→completion latency over the recent-write window,
-    /// in microseconds (0 until the first completion).
-    pub write_p50_us: u64,
-    /// p99 of submit→completion latency over the recent-write window,
-    /// in microseconds.
-    pub write_p99_us: u64,
-    /// Connections accepted by the transport.
-    pub conns_accepted: u64,
-    /// Connections refused at the connection limit.
-    pub conns_rejected: u64,
-    /// Connections currently open.
-    pub conns_open: u64,
-    /// Request frames read off all connections.
-    pub frames_in: u64,
-    /// Response frames written to all connections.
-    pub frames_out: u64,
-}
-
-crate::telemetry::stat_set!(NetStats {
-    submitted,
-    completed,
-    overloaded,
-    timed_out,
-    aborted,
-    queue_depth,
-    queue_depth_hwm,
-    last_cycle_width,
-    max_cycle_width,
-    write_p50_us,
-    write_p99_us,
-    conns_accepted,
-    conns_rejected,
-    conns_open,
-    frames_in,
-    frames_out,
-});
 
 /// Compatibility name for a [`Service`], kept for existing callers. It
 /// adds nothing: every method is the [`Service`]'s, through `Deref`.

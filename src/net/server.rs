@@ -15,21 +15,22 @@
 //! readers. Write commands funnel into the service's one write queue
 //! and block their own connection only; admission-control verdicts
 //! ([`crate::Error::Overloaded`], [`crate::Error::SubmitTimeout`]) come
-//! back as structured error frames. Connections beyond
-//! [`NetOptions::max_conns`] are refused with one error frame; idle
-//! connections are dropped after [`NetOptions::read_timeout`].
+//! back as structured error frames. A connection arriving while the
+//! service already has [`NetOptions::max_conns`] open is refused with
+//! one error frame; idle connections are dropped after
+//! [`NetOptions::read_timeout`]. Every listener counts connections and
+//! frames into the service's [`crate::MetricsRegistry`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use super::codec::{self, execute, parse_command, render_json, write_frame, Request, Response};
-use super::NetStats;
 use crate::Service;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -39,9 +40,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetOptions {
-    /// Maximum concurrently open connections. Arrivals beyond the limit
-    /// receive one `{"error":{"kind":"overloaded",…}}` frame and are
-    /// closed — refused loudly, not queued silently.
+    /// Maximum concurrently open connections, counted over every
+    /// listener of the service. Arrivals beyond the limit receive one
+    /// `{"error":{"kind":"overloaded",…}}` frame and are closed — refused
+    /// loudly, not queued silently.
     pub max_conns: usize,
     /// Drop a connection that sends no complete request for this long.
     /// `None` = wait forever (shutdown can still force-close it).
@@ -127,27 +129,10 @@ struct Inner {
     service: Service,
     options: NetOptions,
     stop: AtomicBool,
-    conns_accepted: AtomicU64,
-    conns_rejected: AtomicU64,
-    conns_open: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
     /// Clones of every accepted stream, so shutdown can force blocked
     /// reads to return.
     conns: Mutex<Vec<Box<dyn Conn>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl Inner {
-    fn net_stats(&self) -> NetStats {
-        let mut stats = self.service.queue_stats();
-        stats.conns_accepted = self.conns_accepted.load(Ordering::Relaxed);
-        stats.conns_rejected = self.conns_rejected.load(Ordering::Relaxed);
-        stats.conns_open = self.conns_open.load(Ordering::Relaxed);
-        stats.frames_in = self.frames_in.load(Ordering::Relaxed);
-        stats.frames_out = self.frames_out.load(Ordering::Relaxed);
-        stats
-    }
 }
 
 /// One listening socket (TCP or unix) serving the framed protocol over
@@ -238,11 +223,6 @@ impl NetServer {
             service,
             options,
             stop: AtomicBool::new(false),
-            conns_accepted: AtomicU64::new(0),
-            conns_rejected: AtomicU64::new(0),
-            conns_open: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
         });
@@ -265,11 +245,6 @@ impl NetServer {
     /// when bound to port 0), the socket path for unix.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// Transport + write-queue counters, merged.
-    pub fn stats(&self) -> NetStats {
-        self.inner.net_stats()
     }
 
     /// Stop accepting, force-close every open connection, and join all
@@ -303,7 +278,6 @@ impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
             .field("addr", &self.addr)
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -333,8 +307,12 @@ fn accept_loop(listener: Box<dyn Listener>, inner: &Arc<Inner>) {
 }
 
 fn admit(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
-    if inner.conns_open.load(Ordering::Relaxed) >= inner.options.max_conns as u64 {
-        inner.conns_rejected.fetch_add(1, Ordering::Relaxed);
+    let m = inner.service.metrics();
+    // Claim the slot first, so listeners admitting at once cannot
+    // overshoot the limit between them.
+    if m.conns_open.add(1) > inner.options.max_conns as i64 {
+        m.conns_open.add(-1);
+        m.conns_rejected.add(1);
         let refusal = Response::Error {
             kind: "overloaded",
             message: format!(
@@ -348,11 +326,11 @@ fn admit(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
         return;
     }
     if conn.configure(&inner.options).is_err() {
+        m.conns_open.add(-1);
         conn.shutdown_both();
         return;
     }
-    inner.conns_accepted.fetch_add(1, Ordering::Relaxed);
-    inner.conns_open.fetch_add(1, Ordering::Relaxed);
+    m.conns_accepted.add(1);
     if let Ok(clone) = conn.try_clone_conn() {
         lock(&inner.conns).push(clone);
     }
@@ -362,7 +340,7 @@ fn admit(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
             .name("afp-net-conn".into())
             .spawn(move || {
                 serve_conn(conn, &inner);
-                inner.conns_open.fetch_sub(1, Ordering::Relaxed);
+                inner.service.metrics().conns_open.add(-1);
             })
             .expect("spawn connection thread")
     };
@@ -374,7 +352,7 @@ fn admit(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
 /// (mid-frame EOF, timeouts, oversized frames, broken pipes) end the
 /// connection.
 fn serve_conn(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
-    let telemetry = inner.service.telemetry();
+    let (m, telemetry) = (inner.service.metrics(), inner.service.telemetry());
     loop {
         if inner.stop.load(Ordering::SeqCst) {
             break;
@@ -383,26 +361,21 @@ fn serve_conn(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => break,
         };
-        inner.frames_in.fetch_add(1, Ordering::Relaxed);
+        m.frames_in.add(1);
         // Request latency: frame parsed → response frame written. Read
         // idle time (the client thinking) is deliberately excluded.
         let started = std::time::Instant::now();
         let line = String::from_utf8_lossy(&payload);
         let response = match parse_command(&line) {
             Ok(Request::Quit) => break,
-            // `stats` is answered here, not in `execute`: only the
-            // transport knows its connection counters.
-            Ok(Request::Stats) => Response::Stats {
-                json: codec::service_stats_json(&inner.service, Some(&inner.net_stats())),
-            },
             Ok(request) => execute(&inner.service, &request),
             Err(message) => Response::protocol_error(message),
         };
         if write_frame(&mut *conn, render_json(&response).as_bytes()).is_err() {
             break;
         }
-        inner.frames_out.fetch_add(1, Ordering::Relaxed);
-        telemetry.record_request(started.elapsed().as_nanos() as u64);
+        m.frames_out.add(1);
+        telemetry.record_request(m, started.elapsed().as_nanos() as u64);
     }
     conn.shutdown_both();
 }
@@ -465,10 +438,10 @@ mod tests {
             .map(|f| f.is_none())
             .unwrap_or(true));
 
-        let stats = server.stats();
-        assert_eq!(stats.conns_accepted, 1);
-        assert_eq!(stats.frames_in, 8);
-        assert_eq!(stats.frames_out, 7, "quit is unanswered");
+        let m = service.metrics();
+        assert_eq!(m.conns_accepted.get(), 1);
+        assert_eq!(m.frames_in.get(), 8);
+        assert_eq!(m.frames_out.get(), 7, "quit is unanswered");
         server.shutdown();
         service.shutdown(Shutdown::Drain);
     }
@@ -495,9 +468,9 @@ mod tests {
             "{refusal}"
         );
 
-        let stats = server.stats();
-        assert_eq!(stats.conns_accepted, 1);
-        assert_eq!(stats.conns_rejected, 1);
+        let m = service.metrics();
+        assert_eq!(m.conns_accepted.get(), 1);
+        assert_eq!(m.conns_rejected.get(), 1);
         server.shutdown();
         service.shutdown(Shutdown::Drain);
     }

@@ -41,8 +41,8 @@
 //!   is joined or re-parsed) and takes one session call, i.e. one
 //!   envelope-delta round. The journal and the changelog still record
 //!   each submission's own text. Under write contention the solve cost is
-//!   paid per *cycle*, not per submission — [`ServiceStats::write_cycles`]
-//!   vs [`ServiceStats::submissions`] shows the ratio;
+//!   paid per *cycle*, not per submission — the `write_cycles` and
+//!   `submissions` counters of [`Service::metrics`] show the ratio;
 //! * a small version-keyed cache ([`Service::at_version`]) serves repeat
 //!   requests for recent versions as pointer copies, and a bounded
 //!   changelog ([`Service::changelog`]) records which deltas produced
@@ -111,8 +111,8 @@ use std::time::{Duration, Instant};
 
 use crate::engine::{restricted_wfs_model, Delta};
 use crate::journal::{self, CrashPoint, Journal, JournalOptions, JournalStats};
-use crate::telemetry::{stat_set, PhaseBreakdown, Telemetry};
-use crate::{Engine, Error, Model, NetStats, Program, Session, SessionStats, Truth};
+use crate::telemetry::{MetricsRegistry, PhaseBreakdown, Telemetry};
+use crate::{Engine, Error, Model, Program, Session, SessionStats, Truth};
 use afp_datalog::ast::import_rule;
 
 /// Lock a mutex, recovering the data on poison: the service's shared
@@ -191,57 +191,6 @@ impl Default for ServiceOptions {
         }
     }
 }
-
-/// Cumulative counters for a [`Service`]; snapshot them with
-/// [`Service::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Latest published version.
-    pub version: u64,
-    /// Deltas submitted (successful or not).
-    pub submissions: u64,
-    /// Write cycles run — batched warm update + solve + publish. Under
-    /// write contention this stays below `submissions`: queued deltas
-    /// share a cycle.
-    pub write_cycles: u64,
-    /// Submissions that shared their write cycle with at least one other
-    /// submission (the coalescing win; `0` under purely sequential
-    /// writers).
-    pub coalesced: u64,
-    /// Submissions that failed, whichever step refused them: parse,
-    /// admission, deadline, shutdown, apply, solve or journal.
-    pub rejected: u64,
-    /// Snapshots pinned through [`Service::snapshot`].
-    pub pins: u64,
-    /// [`Service::at_version`] hits served from the version cache.
-    pub cache_hits: u64,
-    /// [`Service::at_version`] requests for versions outside the cache.
-    pub cache_misses: u64,
-    /// Changelog entries dropped by bounded retention
-    /// ([`ServiceOptions::changelog_capacity`]). Non-zero means full
-    /// history reconstruction is no longer possible and
-    /// [`Service::changelog`] returns [`Error::VersionEvicted`].
-    pub changelog_evicted: u64,
-    /// Submissions in the most recent write cycle (the coalesce width:
-    /// `1` for a lone writer, larger under contention).
-    pub last_cycle_width: u64,
-    /// Largest write-cycle batch so far.
-    pub max_cycle_width: u64,
-}
-
-stat_set!(ServiceStats {
-    version,
-    submissions,
-    write_cycles,
-    coalesced,
-    rejected,
-    pins,
-    cache_hits,
-    cache_misses,
-    changelog_evicted,
-    last_cycle_width,
-    max_cycle_width,
-});
 
 /// A pinned, immutable view of one published program version. Cloning is
 /// two pointer copies; all queries are lock-free reads of shared
@@ -444,43 +393,6 @@ struct SubmitQueue {
     held: bool,
 }
 
-/// Sliding window of recent submit→completion latencies (microseconds).
-struct LatencyRing {
-    samples: Vec<u64>,
-    next: usize,
-}
-
-const LATENCY_WINDOW: usize = 4096;
-
-impl LatencyRing {
-    fn new() -> Self {
-        LatencyRing {
-            samples: Vec::with_capacity(LATENCY_WINDOW),
-            next: 0,
-        }
-    }
-
-    fn record(&mut self, us: u64) {
-        if self.samples.len() < LATENCY_WINDOW {
-            self.samples.push(us);
-        } else {
-            self.samples[self.next] = us;
-        }
-        self.next = (self.next + 1) % LATENCY_WINDOW;
-    }
-
-    /// (p50, p99) over the window; (0, 0) before the first completion.
-    fn percentiles(&self) -> (u64, u64) {
-        if self.samples.is_empty() {
-            return (0, 0);
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let at = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
-        (at(0.50), at(0.99))
-    }
-}
-
 /// The writer session plus the deltas applied to it that no published
 /// version carries yet. Normally `unpublished` drains into the changelog
 /// at the very next publish; it stays non-empty only across cycles whose
@@ -504,8 +416,9 @@ struct Shared {
     /// changes; the writer thread waits on it.
     work: Condvar,
     /// The single writer. Write cycles run on the writer thread; the
-    /// lock is also taken briefly by `checkpoint` and the stats
-    /// accessors.
+    /// lock is also taken briefly by `checkpoint` and the
+    /// `session_stats`/`journal_stats` accessors, never by `stats` or
+    /// `metrics`.
     writer: Mutex<Writer>,
     /// The published head. Readers take the read side for one `Arc`
     /// bump; only a publishing cycle takes the write side, briefly.
@@ -525,28 +438,14 @@ struct Shared {
     /// crash-recovery test suite.
     crash_seam: Mutex<Option<CrashPoint>>,
     options: ServiceOptions,
-    latencies: Mutex<LatencyRing>,
-    submissions: AtomicU64,
-    write_cycles: AtomicU64,
-    coalesced: AtomicU64,
-    rejected: AtomicU64,
-    pins: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    changelog_evicted: AtomicU64,
-    last_cycle_width: AtomicU64,
-    max_cycle_width: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    overloaded: AtomicU64,
-    timed_out: AtomicU64,
-    aborted: AtomicU64,
-    queue_depth_hwm: AtomicU64,
+    /// Every counter of the service and its listeners, for the service's
+    /// whole life.
+    metrics: MetricsRegistry,
     /// Phase-timing sink for write cycles. Enabled (but unconfigured —
     /// no trace file, no slow-cycle threshold) by default so `metrics`
     /// works out of the box; [`Service::set_telemetry`] swaps in a
     /// configured or disabled handle. The mutex guards only the handle
-    /// swap — cycles clone the handle out and record through atomics.
+    /// swap — cycles clone the handle out and record into `metrics`.
     telemetry: Mutex<Telemetry>,
     /// Construction instant, for `ping`'s `uptime_ms`.
     started: Instant,
@@ -708,13 +607,18 @@ impl Service {
         if options.cache_capacity > 0 {
             cache.push_back(head.clone());
         }
+        let metrics = MetricsRegistry::new(journal.is_some());
+        metrics.version.set(head_version as i64);
+        metrics.mirror(session.stats());
+        if let Some(journal) = &journal {
+            metrics.mirror(&journal.stats());
+        }
         let mut changelog: VecDeque<AppliedDelta> = entries.into();
         let mut horizon = horizon;
-        let mut evicted = 0u64;
         while changelog.len() > options.changelog_capacity {
             if let Some(entry) = changelog.pop_front() {
                 horizon = horizon.max(entry.version);
-                evicted += 1;
+                metrics.changelog_evicted.add(1);
             }
         }
         let shared = Arc::new(Shared {
@@ -736,23 +640,7 @@ impl Service {
             log_horizon: AtomicU64::new(horizon),
             crash_seam: Mutex::new(None),
             options,
-            latencies: Mutex::new(LatencyRing::new()),
-            submissions: AtomicU64::new(0),
-            write_cycles: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            pins: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            changelog_evicted: AtomicU64::new(evicted),
-            last_cycle_width: AtomicU64::new(0),
-            max_cycle_width: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            queue_depth_hwm: AtomicU64::new(0),
+            metrics,
             telemetry: Mutex::new(Telemetry::new()),
             started: Instant::now(),
         });
@@ -779,7 +667,7 @@ impl Service {
     /// Pin the current version. One `RwLock` read acquisition; every
     /// query against the returned snapshot is lock-free.
     pub fn snapshot(&self) -> ModelSnapshot {
-        self.shared.pins.fetch_add(1, Ordering::Relaxed);
+        self.shared.metrics.pins.add(1);
         self.shared
             .head
             .read()
@@ -802,11 +690,11 @@ impl Service {
         let cache = lock(&self.shared.cache);
         match cache.iter().find(|s| s.version == version) {
             Some(snapshot) => {
-                self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.shared.metrics.cache_hits.add(1);
                 Ok(snapshot.clone())
             }
             None => {
-                self.shared.cache_misses.fetch_add(1, Ordering::Relaxed);
+                self.shared.metrics.cache_misses.add(1);
                 Err(Error::VersionEvicted {
                     requested: version,
                     retained_from: cache.front().map_or(0, |s| s.version),
@@ -844,44 +732,11 @@ impl Service {
         Ok(log.iter().filter(|e| e.version > since).cloned().collect())
     }
 
-    /// Cumulative service counters.
-    pub fn stats(&self) -> ServiceStats {
-        let s = &self.shared;
-        ServiceStats {
-            version: s.version.load(Ordering::Acquire),
-            submissions: s.submissions.load(Ordering::Relaxed),
-            write_cycles: s.write_cycles.load(Ordering::Relaxed),
-            coalesced: s.coalesced.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            pins: s.pins.load(Ordering::Relaxed),
-            cache_hits: s.cache_hits.load(Ordering::Relaxed),
-            cache_misses: s.cache_misses.load(Ordering::Relaxed),
-            changelog_evicted: s.changelog_evicted.load(Ordering::Relaxed),
-            last_cycle_width: s.last_cycle_width.load(Ordering::Relaxed),
-            max_cycle_width: s.max_cycle_width.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Write-queue and latency counters, in the [`NetStats`] shape the
-    /// `net` stats section uses. The connection fields stay zero;
-    /// [`crate::NetServer::stats`] fills them.
-    pub fn queue_stats(&self) -> NetStats {
-        let s = &self.shared;
-        let (write_p50_us, write_p99_us) = lock(&s.latencies).percentiles();
-        NetStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            overloaded: s.overloaded.load(Ordering::Relaxed),
-            timed_out: s.timed_out.load(Ordering::Relaxed),
-            aborted: s.aborted.load(Ordering::Relaxed),
-            queue_depth: lock(&s.queue).items.len() as u64,
-            queue_depth_hwm: s.queue_depth_hwm.load(Ordering::Relaxed),
-            last_cycle_width: s.last_cycle_width.load(Ordering::Relaxed),
-            max_cycle_width: s.max_cycle_width.load(Ordering::Relaxed),
-            write_p50_us,
-            write_p99_us,
-            ..NetStats::default()
-        }
+    /// Every counter of the service and of the listeners fronting it —
+    /// the registry behind `stats` and `metrics`. It lives as long as the
+    /// service; reading it takes no lock.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.shared.metrics
     }
 
     /// The writer session's own reuse counters (briefly locks the
@@ -893,14 +748,15 @@ impl Service {
     /// Install a telemetry handle — a configured one (trace stream,
     /// Prometheus format, slow-cycle threshold) or
     /// [`Telemetry::disabled`] to make every recording call a no-op.
-    /// Cycles already in flight finish recording into the handle they
-    /// cloned at cycle start.
+    /// Cycles already in flight finish recording through the handle they
+    /// cloned at cycle start. The counters live in [`Service::metrics`],
+    /// so a new handle resets none of them.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
         *lock(&self.shared.telemetry) = telemetry;
     }
 
-    /// A clone of the current telemetry handle (shares the same
-    /// registry, ring and trace sink).
+    /// A clone of the current telemetry handle (shares the same ring and
+    /// trace sink).
     pub fn telemetry(&self) -> Telemetry {
         self.shared.telemetry()
     }
@@ -914,11 +770,7 @@ impl Service {
     /// liveness half of the protocol's `ping` readiness probe. `false`
     /// once the service is draining, aborting, or stopped (shutdown or
     /// a writer panic): queries still answer from published snapshots,
-    /// but new submissions are refused. When the service journals with
-    /// [`crate::JournalOptions::ack_durable`], a live writer also means
-    /// every handle it has resolved was acked **after** its journal
-    /// record synced (slots are filled only after the cycle's sync
-    /// step).
+    /// but new submissions are refused.
     pub fn writer_live(&self) -> bool {
         matches!(lock(&self.shared.queue).state, QueueState::Running)
     }
@@ -969,14 +821,15 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<SubmitHandle, Error> {
         let s = &self.shared;
-        s.submissions.fetch_add(1, Ordering::Relaxed);
+        let m = &s.metrics;
+        m.submissions.add(1);
         let admitted = Delta::parse(kind, text).and_then(|delta| {
             let mut q = lock(&s.queue);
             if !matches!(q.state, QueueState::Running) {
                 return Err(Error::ServiceStopped);
             }
             if q.items.len() >= s.options.queue_depth {
-                s.overloaded.fetch_add(1, Ordering::Relaxed);
+                m.overloaded.add(1);
                 return Err(Error::Overloaded);
             }
             let slot = Arc::new(Slot::default());
@@ -987,9 +840,9 @@ impl Service {
                 deadline: deadline.map(|d| now + d),
                 enqueued: now,
             });
-            s.submitted.fetch_add(1, Ordering::Relaxed);
-            s.queue_depth_hwm
-                .fetch_max(q.items.len() as u64, Ordering::Relaxed);
+            m.submitted.add(1);
+            m.queue_depth.set(q.items.len() as i64);
+            m.queue_depth_hwm.max(q.items.len() as i64);
             Ok(slot)
         });
         match admitted {
@@ -998,7 +851,7 @@ impl Service {
                 Ok(SubmitHandle { slot })
             }
             Err(e) => {
-                s.rejected.fetch_add(1, Ordering::Relaxed);
+                m.rejected.add(1);
                 Err(e)
             }
         }
@@ -1036,8 +889,9 @@ impl Service {
     pub fn checkpoint(&self) -> Result<u64, Error> {
         let mut writer = lock(&self.shared.writer);
         let version = self.shared.version.load(Ordering::Acquire);
-        self.shared.checkpoint_writer(&mut writer, version)?;
-        Ok(version)
+        let checkpointed = self.shared.checkpoint_writer(&mut writer, version);
+        self.shared.mirror(&writer);
+        checkpointed.map(|()| version)
     }
 
     /// Journal counters, `None` on an unjournaled service. Briefly locks
@@ -1066,7 +920,6 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("version", &self.version())
-            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -1076,6 +929,7 @@ impl std::fmt::Debug for Service {
 /// resolve every submitter. Counters move before a slot is filled, so a
 /// waiter released by the fill already sees its outcome in the stats.
 fn writer_loop(shared: &Shared) {
+    let m = &shared.metrics;
     while let Some(batch) = next_batch(shared) {
         // Expire submissions whose deadline passed while queued: they
         // cost nothing beyond the queue slot they held.
@@ -1084,8 +938,8 @@ fn writer_loop(shared: &Shared) {
             .into_iter()
             .partition(|item| item.deadline.is_some_and(|d| d <= now));
         for item in expired {
-            shared.timed_out.fetch_add(1, Ordering::Relaxed);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
+            m.timed_out.add(1);
+            m.rejected.add(1);
             item.slot.fill(Err(Error::SubmitTimeout));
         }
         if live.is_empty() {
@@ -1093,11 +947,11 @@ fn writer_loop(shared: &Shared) {
         }
 
         // Queue-wait latency: enqueue → writer pickup, per submission
-        // (distinct from the submit→completion window, which includes
+        // (distinct from the submit→completion latency, which includes
         // the cycle itself).
         let telemetry = shared.telemetry();
         for item in &live {
-            telemetry.record_queue_wait(now.duration_since(item.enqueued).as_nanos() as u64);
+            telemetry.record_queue_wait(m, now.duration_since(item.enqueued).as_nanos() as u64);
         }
 
         let cycle = catch_unwind(AssertUnwindSafe(|| shared.run_cycle(&live, &telemetry)));
@@ -1112,18 +966,12 @@ fn writer_loop(shared: &Shared) {
         }
 
         let finished = Instant::now();
-        {
-            let mut ring = lock(&shared.latencies);
-            for item in &live {
-                ring.record(finished.duration_since(item.enqueued).as_micros() as u64);
-            }
-        }
-        shared
-            .completed
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
+        m.completed.add(live.len() as u64);
         for (item, outcome) in live.iter().zip(outcomes) {
+            m.write
+                .record(finished.duration_since(item.enqueued).as_micros() as u64);
             if outcome.is_err() {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
+                m.rejected.add(1);
             }
             item.slot.fill(outcome);
         }
@@ -1160,16 +1008,19 @@ fn next_batch(shared: &Shared) -> Option<Vec<Queued>> {
             QueueState::Stopped => return None,
         }
     }
+    shared.metrics.queue_depth.set(0);
     Some(q.items.drain(..).collect())
 }
 
 /// Stop the queue and fail everything still in it with `err`.
 fn stop_queue(shared: &Shared, q: &mut SubmitQueue, err: Error) {
+    let m = &shared.metrics;
     for item in q.items.drain(..) {
-        shared.aborted.fetch_add(1, Ordering::Relaxed);
-        shared.rejected.fetch_add(1, Ordering::Relaxed);
+        m.aborted.add(1);
+        m.rejected.add(1);
         item.slot.fill(Err(err.clone()));
     }
+    m.queue_depth.set(0);
     q.state = QueueState::Stopped;
 }
 
@@ -1178,18 +1029,27 @@ impl Shared {
         lock(&self.telemetry).clone()
     }
 
+    /// Copy the writer's session and journal counters into the registry.
+    /// Called with the writer lock held, so `stats` reads them without it.
+    fn mirror(&self, writer: &Writer) {
+        self.metrics.mirror(writer.session.stats());
+        if let Some(journal) = &writer.journal {
+            self.metrics.mirror(&journal.stats());
+        }
+    }
+
     /// One write cycle: apply the whole batch to the writer session
     /// (each run of adjacent same-kind deltas merged into one), solve
     /// once, and publish the new version. Returns each submission's
     /// outcome, in batch order; the caller fills the slots.
     fn run_cycle(&self, batch: &[Queued], telemetry: &Telemetry) -> Vec<Result<u64, Error>> {
         let cycle_started = Instant::now();
-        let width = batch.len() as u64;
-        self.write_cycles.fetch_add(1, Ordering::Relaxed);
-        self.last_cycle_width.store(width, Ordering::Relaxed);
-        self.max_cycle_width.fetch_max(width, Ordering::Relaxed);
+        let (m, width) = (&self.metrics, batch.len() as u64);
+        m.write_cycles.add(1);
+        m.last_cycle_width.set(width as i64);
+        m.max_cycle_width.max(width as i64);
         if width > 1 {
-            self.coalesced.fetch_add(width, Ordering::Relaxed);
+            m.coalesced.add(width);
         }
         let mut writer = lock(&self.writer);
         // Phase accounting starts fresh each cycle: anything the session
@@ -1236,16 +1096,15 @@ impl Shared {
             }
         }
 
-        if writer.unpublished.is_empty() {
-            // Nothing changed; no new version. Report each failure.
-            return outcomes
-                .into_iter()
-                .map(|o| Err(o.expect_err("cycle with no applied delta")))
-                .collect();
-        }
         // A solve or journal failure fails every applied delta of the
-        // cycle with that error; apply failures keep their own.
-        let verdict = self.commit(&mut writer, telemetry, cycle_started);
+        // cycle with that error; apply failures keep their own. With no
+        // delta applied nothing publishes, and the verdict reaches no one.
+        let verdict = if writer.unpublished.is_empty() {
+            Ok(self.version.load(Ordering::Acquire))
+        } else {
+            self.commit(&mut writer, telemetry, cycle_started)
+        };
+        self.mirror(&writer);
         outcomes
             .into_iter()
             .map(|o| o.and_then(|()| verdict.clone()))
@@ -1289,18 +1148,21 @@ impl Shared {
         self.publish(&snapshot, applied);
         let publish_ns = publish_started.elapsed().as_nanos() as u64;
         self.maybe_checkpoint(writer, version);
-        telemetry.record_cycle(&PhaseBreakdown {
-            version,
-            width,
-            total_ns: cycle_started.elapsed().as_nanos() as u64,
-            ground_ns: phases.ground_ns,
-            repair_ns: phases.repair_ns,
-            condense_ns: phases.condense_ns,
-            solve_ns: phases.solve_ns,
-            journal_append_ns,
-            fsync_ns,
-            publish_ns,
-        });
+        telemetry.record_cycle(
+            &self.metrics,
+            &PhaseBreakdown {
+                version,
+                width,
+                total_ns: cycle_started.elapsed().as_nanos() as u64,
+                ground_ns: phases.ground_ns,
+                repair_ns: phases.repair_ns,
+                condense_ns: phases.condense_ns,
+                solve_ns: phases.solve_ns,
+                journal_append_ns,
+                fsync_ns,
+                publish_ns,
+            },
+        );
         Ok(version)
     }
 
@@ -1314,6 +1176,7 @@ impl Shared {
             *head = snapshot.clone();
         }
         self.version.store(snapshot.version, Ordering::Release);
+        self.metrics.version.set(snapshot.version as i64);
         if self.options.cache_capacity > 0 {
             let mut cache = lock(&self.cache);
             cache.push_back(snapshot.clone());
@@ -1336,7 +1199,7 @@ impl Shared {
                 // `Error::VersionEvicted` instead of a gapped replay.
                 self.log_horizon
                     .fetch_max(evicted.version, Ordering::AcqRel);
-                self.changelog_evicted.fetch_add(1, Ordering::Relaxed);
+                self.metrics.changelog_evicted.add(1);
             }
         }
     }
@@ -1524,15 +1387,15 @@ mod tests {
             before.elapsed() < Duration::from_secs(1),
             "admission control must answer immediately"
         );
-        assert_eq!(service.queue_stats().overloaded, 1);
-        assert_eq!(service.queue_stats().queue_depth_hwm, 2);
+        assert_eq!(service.metrics().overloaded.get(), 1);
+        assert_eq!(service.metrics().queue_depth_hwm.get(), 2);
         // Still pending while held...
         assert!(h1.try_result().is_none());
         service.hold_writer(false);
         // ...then both complete (one coalesced cycle).
         assert!(h1.wait().is_ok());
         assert!(h2.wait().is_ok());
-        assert_eq!(service.queue_stats().last_cycle_width, 2);
+        assert_eq!(service.metrics().last_cycle_width.get(), 2);
         service.shutdown(Shutdown::Drain);
     }
 
@@ -1550,7 +1413,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         service.hold_writer(false);
         assert!(matches!(h.wait(), Err(Error::SubmitTimeout)));
-        assert_eq!(service.queue_stats().timed_out, 1);
+        assert_eq!(service.metrics().timed_out.get(), 1);
         assert_eq!(service.version(), 0, "expired delta never applied");
         service.shutdown(Shutdown::Drain);
     }
@@ -1586,7 +1449,7 @@ mod tests {
         assert!(matches!(h1.wait(), Err(Error::ServiceStopped)));
         assert!(matches!(h2.wait(), Err(Error::ServiceStopped)));
         assert_eq!(service.version(), 0, "aborted deltas never applied");
-        assert_eq!(service.queue_stats().aborted, 2);
+        assert_eq!(service.metrics().aborted.get(), 2);
         // Shutdown is idempotent.
         service.shutdown(Shutdown::Abort);
         service.shutdown(Shutdown::Drain);
@@ -1653,9 +1516,9 @@ mod tests {
                 retained_to: 2,
             })
         ));
-        let stats = service.stats();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.cache_misses, 1);
+        let m = service.metrics();
+        assert_eq!(m.cache_hits.get(), 1);
+        assert_eq!(m.cache_misses.get(), 1);
     }
 
     #[test]
@@ -1706,13 +1569,13 @@ mod tests {
             vec![3, 4, 5],
             "anchored at the horizon, the retained tail replays exactly"
         );
-        assert_eq!(service.stats().changelog_evicted, 2);
+        assert_eq!(service.metrics().changelog_evicted.get(), 2);
         // Memory stays bounded: a long write burst cannot grow the log.
         for i in 0..20 {
             service.assert_facts(&format!("more(m{i}).")).unwrap();
         }
         assert_eq!(service.changelog_since(service.version()).unwrap().len(), 0);
-        assert_eq!(service.stats().changelog_evicted, 22);
+        assert_eq!(service.metrics().changelog_evicted.get(), 22);
     }
 
     #[test]
@@ -1725,7 +1588,7 @@ mod tests {
         let err = service.assert_rules("r(X) :- not s(X).").unwrap_err();
         assert!(matches!(err, Error::Ground(_)), "unsafe rule");
         assert_eq!(service.version(), 0, "nothing published");
-        assert_eq!(service.stats().rejected, 3);
+        assert_eq!(service.metrics().rejected.get(), 3);
         assert_eq!(service.snapshot().truth("wins", &["b"]), Truth::True);
     }
 

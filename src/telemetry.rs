@@ -1,7 +1,8 @@
 //! Dependency-free telemetry: counters, gauges, log2-bucket latency
-//! histograms, a bounded ring of per-cycle [`PhaseBreakdown`]s, a JSONL
-//! trace stream, and the exposition formats behind the `metrics`
-//! command.
+//! histograms, the [`MetricsRegistry`] that holds every one of them a
+//! service keeps, a bounded ring of per-cycle [`PhaseBreakdown`]s, a
+//! JSONL trace stream, and the renderings behind the `stats` and
+//! `metrics` commands.
 //!
 //! Design constraints, in order:
 //!
@@ -19,11 +20,12 @@
 //!   most 2× the true quantile), and both JSON and Prometheus text are
 //!   rendered by hand like the rest of the wire tier.
 //!
-//! The module also hosts the [`StatSet`] trait and `stat_set!` macro
-//! behind the registry-driven `stats` frame: each stats struct declares
-//! its serialized fields exactly once, with an exhaustive destructuring
-//! that turns "added a counter but forgot the wire frame" into a
-//! compile error.
+//! The registry is declared in one listing of `(section, key, kind)`.
+//! That listing is the only serializer: it renders the `stats` JSON
+//! frame, the `metrics` JSON frame and the Prometheus exposition, so the
+//! three cannot drift. The service owns the registry for its whole life;
+//! a [`Telemetry`] handle holds only the optional parts (format, trace
+//! sink, slow-cycle threshold, recent-cycle ring).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -34,6 +36,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
+
+use crate::{JournalStats, SessionStats};
 
 /// Recover a poisoned guard: telemetry must never take the service
 /// down, and every protected structure is valid after a panic.
@@ -55,6 +59,11 @@ impl Counter {
         self.0.fetch_add(n, Relaxed);
     }
 
+    /// Overwrite with the value of a counter kept elsewhere (a mirror).
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Relaxed);
+    }
+
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
     }
@@ -67,6 +76,16 @@ pub struct Gauge(AtomicI64);
 impl Gauge {
     pub fn set(&self, v: i64) {
         self.0.store(v, Relaxed);
+    }
+
+    /// Add `n` (negative to subtract); returns the new value.
+    pub fn add(&self, n: i64) -> i64 {
+        self.0.fetch_add(n, Relaxed) + n
+    }
+
+    /// Raise to `v` if it is below (a high-water mark).
+    pub fn max(&self, v: i64) {
+        self.0.fetch_max(v, Relaxed);
     }
 
     pub fn get(&self) -> i64 {
@@ -199,94 +218,299 @@ impl HistogramSnapshot {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// Every instrument the engine exports, as plain struct fields: hot
-/// paths record through a direct field access (no name lookup), and
-/// the exhaustive destructuring in `MetricsRegistry::parts` makes it
-/// a compile error to add an instrument without exposing it.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    /// Whole write cycle: batch applied to snapshot published.
-    pub cycle_total_ns: Histogram,
-    /// Grounding the submitted deltas (rule bodies instantiated).
-    pub ground_ns: Histogram,
-    /// In-place condensation repair after the delta.
-    pub repair_ns: Histogram,
-    /// Condensation (re)build.
-    pub condense_ns: Histogram,
-    /// Scheduled component evaluation, wall clock.
-    pub solve_ns: Histogram,
-    /// Journal record appends for the cycle.
-    pub journal_append_ns: Histogram,
-    /// The pre-publish durability sync.
-    pub fsync_ns: Histogram,
-    /// Snapshot/version/changelog publication.
-    pub publish_ns: Histogram,
-    /// Submission enqueue to writer-thread pickup.
-    pub queue_wait_ns: Histogram,
-    /// One framed request: read to response written (net tier).
-    pub request_ns: Histogram,
-    /// Write cycles recorded.
-    pub cycles: Counter,
-    /// Cycles at or over the `--slow-cycle-ms` threshold.
-    pub slow_cycles: Counter,
-    /// Trace events discarded because the bounded buffer was full.
-    pub trace_dropped: Counter,
-    /// Phase breakdowns currently held in the recent-cycle ring.
-    pub recent_cycles: Gauge,
-    /// Trace events buffered and not yet written.
-    pub trace_buffered: Gauge,
+/// A histogram of microsecond latencies that the `stats` frame shows as
+/// two gauges, `<key>_p50_us` and `<key>_p99_us`.
+pub type Latency = Histogram;
+
+/// One listed instrument, as the renderings see it.
+enum Instrument<'a> {
+    Counter(&'a Counter),
+    Gauge(&'a Gauge),
+    Histogram(&'a Histogram),
+    Latency(&'a Latency),
 }
 
-struct RegistryParts<'a> {
-    histograms: Vec<(&'static str, &'a Histogram)>,
-    counters: Vec<(&'static str, &'a Counter)>,
-    gauges: Vec<(&'static str, &'a Gauge)>,
+impl Instrument<'_> {
+    /// The `(name, value, Prometheus type)` scalars the instrument shows
+    /// under `name`; a histogram shows none (it renders as a summary).
+    fn scalars(&self, name: &str) -> Vec<(String, String, &'static str)> {
+        match self {
+            Instrument::Counter(c) => vec![(name.into(), c.get().to_string(), "counter")],
+            Instrument::Gauge(g) => vec![(name.into(), g.get().to_string(), "gauge")],
+            Instrument::Latency(h) => {
+                let s = h.snapshot();
+                vec![
+                    (format!("{name}_p50_us"), s.p50.to_string(), "gauge"),
+                    (format!("{name}_p99_us"), s.p99.to_string(), "gauge"),
+                ]
+            }
+            Instrument::Histogram(_) => Vec::new(),
+        }
+    }
+}
+
+/// A stats struct kept by one owner under the writer lock (the session,
+/// the journal) and copied into the registry by
+/// [`MetricsRegistry::mirror`].
+pub(crate) trait Mirrored {
+    fn mirror_into(&self, registry: &MetricsRegistry);
+}
+
+/// Declare [`MetricsRegistry`] from one listing of
+/// `"section" [mirrors Struct] { key: Kind, … }`. The struct, the
+/// `(section, key, instrument)` listing behind every rendering and, for a
+/// section that mirrors a stats struct, the copy from that struct all
+/// come from this one table. The copy destructures the struct without
+/// `..`, so a stats field that is not listed is a compile error.
+macro_rules! registry {
+    ($($section:literal $(mirrors $src:ident)? {
+        $($(#[$doc:meta])* $key:ident: $kind:ident,)+
+    })+) => {
+        /// Every counter, gauge and histogram a running service keeps, as
+        /// plain fields: hot paths record through a direct field access,
+        /// and the `stats` frame, the `metrics` frame and Prometheus all
+        /// render from the one listing the fields are declared in.
+        #[derive(Debug, Default)]
+        pub struct MetricsRegistry {
+            /// Whether the `journal` section is exported.
+            journaled: bool,
+            $($($(#[$doc])* pub $key: $kind,)+)+
+        }
+
+        impl MetricsRegistry {
+            /// Every instrument as `(section, key, instrument)`, in frame order.
+            fn listing(&self) -> Vec<(&'static str, &'static str, Instrument<'_>)> {
+                vec![$($(($section, stringify!($key), Instrument::$kind(&self.$key)),)+)+]
+            }
+        }
+
+        $(mirror!($($src)?; $($key),+);)+
+    };
+}
+
+macro_rules! mirror {
+    (; $($key:ident),+) => {};
+    ($src:ident; $($key:ident),+) => {
+        impl Mirrored for $src {
+            fn mirror_into(&self, r: &MetricsRegistry) {
+                let $src { $($key),+ } = *self;
+                $(r.$key.set($key as _);)+
+            }
+        }
+    };
+}
+
+registry! {
+    // The writer session's counters: see `SessionStats` for each.
+    "stats" mirrors SessionStats {
+        solves: Counter,
+        warm_solves: Counter,
+        snapshot_clones: Counter,
+        snapshot_reuses: Counter,
+        regrounds: Counter,
+        asserts: Counter,
+        retracts: Counter,
+        rule_asserts: Counter,
+        rule_retracts: Counter,
+        delta_rounds: Counter,
+        condensation_builds: Counter,
+        condensation_repairs: Counter,
+        last_repair_atoms: Gauge,
+        last_repair_edges: Gauge,
+        restricted_cond_hits: Counter,
+        scc_solves: Counter,
+        last_components: Gauge,
+        last_components_evaluated: Gauge,
+        last_components_reused: Gauge,
+        last_seed_size: Gauge,
+    }
+    "service" {
+        /// Latest published version.
+        version: Gauge,
+        /// Deltas submitted, successful or not.
+        submissions: Counter,
+        /// Write cycles run; below `submissions` when deltas share one.
+        write_cycles: Counter,
+        /// Submissions that shared their write cycle with another.
+        coalesced: Counter,
+        /// Submissions that failed, whichever step refused them.
+        rejected: Counter,
+        /// Snapshots pinned through `Service::snapshot`.
+        pins: Counter,
+        /// `Service::at_version` requests served from the version cache.
+        cache_hits: Counter,
+        /// `Service::at_version` requests outside the version cache.
+        cache_misses: Counter,
+        /// Changelog entries dropped by bounded retention.
+        changelog_evicted: Counter,
+        /// Submissions in the most recent write cycle.
+        last_cycle_width: Gauge,
+        /// Largest write-cycle batch so far.
+        max_cycle_width: Gauge,
+    }
+    "net" {
+        /// Submissions accepted into the write queue.
+        submitted: Counter,
+        /// Submissions whose cycle completed, successfully or not.
+        completed: Counter,
+        /// Submissions refused at a full queue (`Error::Overloaded`).
+        overloaded: Counter,
+        /// Queued submissions whose deadline passed (`Error::SubmitTimeout`).
+        timed_out: Counter,
+        /// Submissions failed by shutdown or a writer panic.
+        aborted: Counter,
+        /// Current write-queue depth.
+        queue_depth: Gauge,
+        /// High-water mark of the write-queue depth.
+        queue_depth_hwm: Gauge,
+        /// Submit→completion latency of each submission, µs.
+        write: Latency,
+        /// Connections accepted by every listener of the service.
+        conns_accepted: Counter,
+        /// Connections refused at the connection limit.
+        conns_rejected: Counter,
+        /// Connections open now.
+        conns_open: Gauge,
+        /// Request frames read.
+        frames_in: Counter,
+        /// Response frames written.
+        frames_out: Counter,
+    }
+    // The journal's counters: see `JournalStats` for each.
+    "journal" mirrors JournalStats {
+        records_appended: Counter,
+        bytes_appended: Counter,
+        syncs: Counter,
+        checkpoints: Counter,
+        compacted_records: Counter,
+        records_replayed: Counter,
+        torn_truncations: Counter,
+        failed_ops: Counter,
+        append_ns: Counter,
+        sync_ns: Counter,
+    }
+    // Recorded only through an enabled `Telemetry` handle.
+    "telemetry" {
+        /// Whole write cycle: batch applied to snapshot published.
+        cycle_total_ns: Histogram,
+        /// Grounding the submitted deltas (rule bodies instantiated).
+        ground_ns: Histogram,
+        /// In-place condensation repair after the delta.
+        repair_ns: Histogram,
+        /// Condensation (re)build.
+        condense_ns: Histogram,
+        /// Scheduled component evaluation, wall clock.
+        solve_ns: Histogram,
+        /// Journal record appends for the cycle.
+        journal_append_ns: Histogram,
+        /// The pre-publish durability sync.
+        fsync_ns: Histogram,
+        /// Snapshot/version/changelog publication.
+        publish_ns: Histogram,
+        /// Submission enqueue to writer-thread pickup.
+        queue_wait_ns: Histogram,
+        /// One framed request: read to response written (net tier).
+        request_ns: Histogram,
+        /// Write cycles recorded.
+        cycles: Counter,
+        /// Cycles at or over the `--slow-cycle-ms` threshold.
+        slow_cycles: Counter,
+        /// Trace events discarded because the bounded buffer was full.
+        trace_dropped: Counter,
+        /// Phase breakdowns currently held in the recent-cycle ring.
+        recent_cycles: Gauge,
+        /// Trace events buffered and not yet written.
+        trace_buffered: Gauge,
+    }
 }
 
 impl MetricsRegistry {
-    fn parts(&self) -> RegistryParts<'_> {
-        // Exhaustive: a new field fails this pattern until it is
-        // routed into one of the three exposition lists.
-        let MetricsRegistry {
-            cycle_total_ns,
-            ground_ns,
-            repair_ns,
-            condense_ns,
-            solve_ns,
-            journal_append_ns,
-            fsync_ns,
-            publish_ns,
-            queue_wait_ns,
-            request_ns,
-            cycles,
-            slow_cycles,
-            trace_dropped,
-            recent_cycles,
-            trace_buffered,
-        } = self;
-        RegistryParts {
-            histograms: vec![
-                ("cycle_total_ns", cycle_total_ns),
-                ("ground_ns", ground_ns),
-                ("repair_ns", repair_ns),
-                ("condense_ns", condense_ns),
-                ("solve_ns", solve_ns),
-                ("journal_append_ns", journal_append_ns),
-                ("fsync_ns", fsync_ns),
-                ("publish_ns", publish_ns),
-                ("queue_wait_ns", queue_wait_ns),
-                ("request_ns", request_ns),
-            ],
-            counters: vec![
-                ("cycles", cycles),
-                ("slow_cycles", slow_cycles),
-                ("trace_dropped", trace_dropped),
-            ],
-            gauges: vec![
-                ("recent_cycles", recent_cycles),
-                ("trace_buffered", trace_buffered),
-            ],
+    /// A service's registry; `journaled` exports the `journal` section.
+    pub(crate) fn new(journaled: bool) -> MetricsRegistry {
+        MetricsRegistry {
+            journaled,
+            ..MetricsRegistry::default()
         }
+    }
+
+    /// Copy the current values of a stats struct in.
+    pub(crate) fn mirror(&self, stats: &impl Mirrored) {
+        stats.mirror_into(self);
+    }
+
+    /// The `stats` frame's sections, in frame order.
+    fn stats_sections(&self) -> &'static [&'static str] {
+        if self.journaled {
+            &["stats", "service", "net", "journal"]
+        } else {
+            &["stats", "service", "net"]
+        }
+    }
+
+    /// The `stats` frame:
+    /// `{"stats":{…},"service":{…},"net":{…}[,"journal":{…}]}`. It reads
+    /// atomics only, so it never waits behind a running write cycle.
+    pub fn stats_json(&self) -> String {
+        self.sections_json(self.stats_sections())
+    }
+
+    /// The `stats` frame of a session outside any service (the one-shot
+    /// `--stats`): its `stats` section alone.
+    pub fn session_json(stats: &SessionStats) -> String {
+        let registry = MetricsRegistry::default();
+        registry.mirror(stats);
+        registry.sections_json(&["stats"])
+    }
+
+    fn sections_json(&self, sections: &[&str]) -> String {
+        let listing = self.listing();
+        let body: Vec<String> = sections
+            .iter()
+            .map(|&section| {
+                let fields: Vec<String> = listing
+                    .iter()
+                    .filter(|(s, ..)| *s == section)
+                    .flat_map(|(_, key, instrument)| instrument.scalars(key))
+                    .map(|(key, value, _)| format!("{key:?}:{value}"))
+                    .collect();
+                format!("{section:?}:{{{}}}", fields.join(","))
+            })
+            .collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    /// Prometheus text exposition of every exported instrument: the
+    /// `stats` keys as `afp_<section>_<key>` (counters with `_total`),
+    /// the telemetry instruments under their bare `afp_<key>` names,
+    /// each histogram as a summary plus an `_max` gauge.
+    fn prometheus(&self) -> String {
+        let sections = self.stats_sections();
+        let mut out = String::new();
+        for (section, key, instrument) in self.listing() {
+            let name = match section {
+                "telemetry" => format!("afp_{key}"),
+                s if sections.contains(&s) => format!("afp_{s}_{key}"),
+                _ => continue,
+            };
+            if let Instrument::Histogram(h) = instrument {
+                let s = h.snapshot();
+                out.push_str(&format!("# TYPE {name} summary\n"));
+                for (q, v) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
+                    out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));
+                }
+                out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", s.sum, s.count));
+                out.push_str(&format!("# TYPE {name}_max gauge\n{name}_max {}\n", s.max));
+            }
+            for (name, value, kind) in instrument.scalars(&name) {
+                let name = if kind == "counter" {
+                    name + "_total"
+                } else {
+                    name
+                };
+                out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
+            }
+        }
+        out
     }
 }
 
@@ -546,7 +770,6 @@ const RING: usize = 64;
 const RECENT_SHOWN: usize = 8;
 
 struct TelemetryInner {
-    registry: MetricsRegistry,
     ring: Mutex<VecDeque<PhaseBreakdown>>,
     trace: Option<TraceSink>,
     format: MetricsFormat,
@@ -556,8 +779,10 @@ struct TelemetryInner {
 }
 
 /// The cloneable recording handle threaded through the service, its
-/// writer thread and the net tier. [`Telemetry::disabled`] carries no
-/// state and makes every record call a single branch.
+/// writer thread and the net tier: the optional half of the metrics tier,
+/// recording into the service's [`MetricsRegistry`].
+/// [`Telemetry::disabled`] carries no state and makes every record call
+/// a single branch.
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Option<Arc<TelemetryInner>>,
@@ -605,7 +830,6 @@ impl Telemetry {
     ) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(TelemetryInner {
-                registry: MetricsRegistry::default(),
                 ring: Mutex::new(VecDeque::with_capacity(RING)),
                 trace,
                 format,
@@ -626,18 +850,11 @@ impl Telemetry {
             .unwrap_or(MetricsFormat::Json)
     }
 
-    /// Direct instrument access (tests and benches); `None` when
-    /// disabled.
-    pub fn registry(&self) -> Option<&MetricsRegistry> {
-        self.inner.as_ref().map(|i| &i.registry)
-    }
-
-    /// Record one completed write cycle: histograms, the cycle
+    /// Record one completed write cycle into `r`: histograms, the cycle
     /// counter, the recent ring, the trace stream, and the slow-cycle
     /// log line.
-    pub fn record_cycle(&self, b: &PhaseBreakdown) {
+    pub fn record_cycle(&self, r: &MetricsRegistry, b: &PhaseBreakdown) {
         let Some(inner) = &self.inner else { return };
-        let r = &inner.registry;
         r.cycles.add(1);
         r.cycle_total_ns.record(b.total_ns);
         r.ground_ns.record(b.ground_ns);
@@ -673,16 +890,16 @@ impl Telemetry {
     }
 
     /// Async-tier submission latency: enqueue to writer pickup.
-    pub fn record_queue_wait(&self, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.queue_wait_ns.record(ns);
+    pub fn record_queue_wait(&self, r: &MetricsRegistry, ns: u64) {
+        if self.enabled() {
+            r.queue_wait_ns.record(ns);
         }
     }
 
     /// Net-tier request latency: frame read to response written.
-    pub fn record_request(&self, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.request_ns.record(ns);
+    pub fn record_request(&self, r: &MetricsRegistry, ns: u64) {
+        if self.enabled() {
+            r.request_ns.record(ns);
         }
     }
 
@@ -694,39 +911,32 @@ impl Telemetry {
         }
     }
 
-    /// The `metrics` frame body in the handle's configured format —
-    /// the same bytes over stdin, TCP, and unix transports.
-    pub fn render(&self) -> String {
-        let Some(inner) = &self.inner else {
-            return match self.format() {
-                MetricsFormat::Json => "{\"telemetry\":{\"enabled\":false}}".into(),
-                MetricsFormat::Prom => "# telemetry disabled\n".into(),
-            };
-        };
-        match inner.format {
-            MetricsFormat::Json => render_json(inner),
-            MetricsFormat::Prom => render_prom(inner),
+    /// The `metrics` frame body over `registry`, in the handle's
+    /// configured format: the same bytes over stdin, TCP, and unix
+    /// transports.
+    pub fn render(&self, registry: &MetricsRegistry) -> String {
+        match &self.inner {
+            None => "{\"telemetry\":{\"enabled\":false}}".into(),
+            Some(inner) if inner.format == MetricsFormat::Prom => registry.prometheus(),
+            Some(inner) => render_json(inner, registry),
         }
     }
 }
 
-fn render_json(inner: &TelemetryInner) -> String {
-    let parts = inner.registry.parts();
-    let counters: Vec<String> = parts
-        .counters
-        .iter()
-        .map(|(k, c)| format!("{k:?}:{}", c.get()))
-        .collect();
-    let gauges: Vec<String> = parts
-        .gauges
-        .iter()
-        .map(|(k, g)| format!("{k:?}:{}", g.get()))
-        .collect();
-    let hists: Vec<String> = parts
-        .histograms
-        .iter()
-        .map(|(k, h)| format!("{k:?}:{}", h.snapshot().to_json()))
-        .collect();
+/// The JSON `metrics` frame: the `telemetry` section of the listing,
+/// grouped by kind, plus the newest recent cycles.
+fn render_json(inner: &TelemetryInner, registry: &MetricsRegistry) -> String {
+    let (mut counters, mut gauges, mut hists) = (Vec::new(), Vec::new(), Vec::new());
+    for (section, key, instrument) in registry.listing() {
+        match instrument {
+            _ if section != "telemetry" => {}
+            Instrument::Counter(c) => counters.push(format!("{key:?}:{}", c.get())),
+            Instrument::Gauge(g) => gauges.push(format!("{key:?}:{}", g.get())),
+            Instrument::Histogram(h) | Instrument::Latency(h) => {
+                hists.push(format!("{key:?}:{}", h.snapshot().to_json()));
+            }
+        }
+    }
     let ring = lock(&inner.ring);
     let skip = ring.len().saturating_sub(RECENT_SHOWN);
     let recent: Vec<String> = ring.iter().skip(skip).map(|b| b.to_json()).collect();
@@ -742,69 +952,6 @@ fn render_json(inner: &TelemetryInner) -> String {
         recent.join(","),
     )
 }
-
-fn render_prom(inner: &TelemetryInner) -> String {
-    let parts = inner.registry.parts();
-    let mut out = String::new();
-    for (k, c) in &parts.counters {
-        out.push_str(&format!("# TYPE afp_{k}_total counter\n"));
-        out.push_str(&format!("afp_{k}_total {}\n", c.get()));
-    }
-    for (k, g) in &parts.gauges {
-        out.push_str(&format!("# TYPE afp_{k} gauge\n"));
-        out.push_str(&format!("afp_{k} {}\n", g.get()));
-    }
-    for (k, h) in &parts.histograms {
-        let s = h.snapshot();
-        out.push_str(&format!("# TYPE afp_{k} summary\n"));
-        out.push_str(&format!("afp_{k}{{quantile=\"0.5\"}} {}\n", s.p50));
-        out.push_str(&format!("afp_{k}{{quantile=\"0.9\"}} {}\n", s.p90));
-        out.push_str(&format!("afp_{k}{{quantile=\"0.99\"}} {}\n", s.p99));
-        out.push_str(&format!("afp_{k}_sum {}\n", s.sum));
-        out.push_str(&format!("afp_{k}_count {}\n", s.count));
-        out.push_str(&format!("# TYPE afp_{k}_max gauge\n"));
-        out.push_str(&format!("afp_{k}_max {}\n", s.max));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Registry-driven stats serialization
-// ---------------------------------------------------------------------------
-
-/// A stats struct whose counters are serialized generically: every
-/// field in declaration order, as `(json_key, value)`. Implement via
-/// `stat_set!`, whose exhaustive destructuring makes a field added to
-/// the struct but missing from the wire frame a compile error.
-pub trait StatSet {
-    fn stat_fields(&self) -> Vec<(&'static str, u64)>;
-}
-
-/// Render a [`StatSet`] as a JSON object, keys in declaration order.
-pub fn stat_object(stats: &dyn StatSet) -> String {
-    let body: Vec<String> = stats
-        .stat_fields()
-        .iter()
-        .map(|(k, v)| format!("{k:?}:{v}"))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-/// Implement [`StatSet`] for a struct by listing every field once, in
-/// the order the wire frame should carry them. The `let Self {{ … }}`
-/// pattern has no `..`, so the impl stops compiling the moment a field
-/// is added to the struct without being listed here.
-macro_rules! stat_set {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::telemetry::StatSet for $ty {
-            fn stat_fields(&self) -> Vec<(&'static str, u64)> {
-                let Self { $($field),+ } = self;
-                vec![$((stringify!($field), *$field as u64)),+]
-            }
-        }
-    };
-}
-pub(crate) use stat_set;
 
 #[cfg(test)]
 mod tests {
@@ -851,29 +998,35 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
+        let r = MetricsRegistry::default();
         assert!(!t.enabled());
-        t.record_cycle(&PhaseBreakdown::default());
-        t.record_queue_wait(5);
-        t.record_request(5);
+        t.record_cycle(&r, &PhaseBreakdown::default());
+        t.record_queue_wait(&r, 5);
+        t.record_request(&r, 5);
         assert!(t.recent_cycles().is_empty());
-        assert_eq!(t.render(), "{\"telemetry\":{\"enabled\":false}}");
+        assert_eq!(r.cycles.get(), 0);
+        assert_eq!(r.queue_wait_ns.snapshot().count, 0);
+        assert_eq!(t.render(&r), "{\"telemetry\":{\"enabled\":false}}");
     }
 
     #[test]
     fn ring_is_bounded_and_ordered() {
         let t = Telemetry::new();
+        let r = MetricsRegistry::default();
         for v in 0..(RING as u64 + 10) {
-            t.record_cycle(&PhaseBreakdown {
-                version: v,
-                total_ns: 1_000,
-                ..PhaseBreakdown::default()
-            });
+            t.record_cycle(
+                &r,
+                &PhaseBreakdown {
+                    version: v,
+                    total_ns: 1_000,
+                    ..PhaseBreakdown::default()
+                },
+            );
         }
         let recent = t.recent_cycles();
         assert_eq!(recent.len(), RING);
         assert_eq!(recent.first().unwrap().version, 10);
         assert_eq!(recent.last().unwrap().version, RING as u64 + 9);
-        let r = t.registry().unwrap();
         assert_eq!(r.cycles.get(), RING as u64 + 10);
         assert_eq!(r.recent_cycles.get(), RING as i64);
     }
@@ -881,14 +1034,18 @@ mod tests {
     #[test]
     fn json_render_has_every_section() {
         let t = Telemetry::new();
-        t.record_cycle(&PhaseBreakdown {
-            version: 1,
-            width: 2,
-            total_ns: 10_000,
-            solve_ns: 7_000,
-            ..PhaseBreakdown::default()
-        });
-        let body = t.render();
+        let r = MetricsRegistry::default();
+        t.record_cycle(
+            &r,
+            &PhaseBreakdown {
+                version: 1,
+                width: 2,
+                total_ns: 10_000,
+                solve_ns: 7_000,
+                ..PhaseBreakdown::default()
+            },
+        );
+        let body = t.render(&r);
         for key in [
             "\"enabled\":true",
             "\"counters\":{",
@@ -908,12 +1065,22 @@ mod tests {
     #[test]
     fn prom_render_is_typed_text() {
         let t = Telemetry::configured(MetricsFormat::Prom, None, None);
-        t.record_cycle(&PhaseBreakdown {
-            total_ns: 2_000,
-            ..PhaseBreakdown::default()
-        });
-        let body = t.render();
+        let r = MetricsRegistry::default();
+        t.record_cycle(
+            &r,
+            &PhaseBreakdown {
+                total_ns: 2_000,
+                ..PhaseBreakdown::default()
+            },
+        );
+        r.pins.add(3);
+        r.write.record(40);
+        let body = t.render(&r);
         assert!(body.contains("# TYPE afp_cycles_total counter"));
+        assert!(body.contains("afp_service_pins_total 3"));
+        assert!(body.contains("# TYPE afp_net_write_p99_us gauge"));
+        assert!(body.contains("afp_net_write_p99_us 40"));
+        assert!(!body.contains("afp_journal_syncs"), "unjournaled: {body}");
         assert!(body.contains("afp_cycles_total 1"));
         assert!(body.contains("# TYPE afp_cycle_total_ns summary"));
         assert!(body.contains("afp_cycle_total_ns{quantile=\"0.99\"}"));
@@ -929,13 +1096,17 @@ mod tests {
         ));
         let trace = TraceSink::create(&path).expect("create trace");
         let t = Telemetry::configured(MetricsFormat::Json, Some(trace), None);
+        let r = MetricsRegistry::default();
         for v in 0..5u64 {
-            t.record_cycle(&PhaseBreakdown {
-                version: v,
-                total_ns: 3_000,
-                solve_ns: 2_000,
-                ..PhaseBreakdown::default()
-            });
+            t.record_cycle(
+                &r,
+                &PhaseBreakdown {
+                    version: v,
+                    total_ns: 3_000,
+                    solve_ns: 2_000,
+                    ..PhaseBreakdown::default()
+                },
+            );
         }
         drop(t); // joins the writer thread, flushing everything
         let body = std::fs::read_to_string(&path).expect("read trace");
@@ -952,25 +1123,55 @@ mod tests {
     #[test]
     fn slow_cycle_threshold_counts() {
         let t = Telemetry::configured(MetricsFormat::Json, None, Some(1));
-        t.record_cycle(&PhaseBreakdown {
-            total_ns: 500_000, // 0.5ms: under threshold
-            ..PhaseBreakdown::default()
-        });
-        t.record_cycle(&PhaseBreakdown {
-            total_ns: 2_000_000, // 2ms: over
-            ..PhaseBreakdown::default()
-        });
-        assert_eq!(t.registry().unwrap().slow_cycles.get(), 1);
+        let r = MetricsRegistry::default();
+        t.record_cycle(
+            &r,
+            &PhaseBreakdown {
+                total_ns: 500_000, // 0.5ms: under threshold
+                ..PhaseBreakdown::default()
+            },
+        );
+        t.record_cycle(
+            &r,
+            &PhaseBreakdown {
+                total_ns: 2_000_000, // 2ms: over
+                ..PhaseBreakdown::default()
+            },
+        );
+        assert_eq!(r.slow_cycles.get(), 1);
     }
 
     #[test]
-    fn stat_set_serializes_in_declaration_order() {
-        struct Demo {
-            alpha: u64,
-            beta: usize,
+    fn stats_frame_keeps_the_listing_order() {
+        let stats = SessionStats {
+            solves: 7,
+            last_seed_size: 9,
+            ..SessionStats::default()
+        };
+        let frame = MetricsRegistry::session_json(&stats);
+        assert!(
+            frame.starts_with("{\"stats\":{\"solves\":7,\"warm_solves\":0,\"snapshot_clones\":0,"),
+            "{frame}"
+        );
+        assert!(frame.ends_with(",\"last_seed_size\":9}}"), "{frame}");
+
+        let r = MetricsRegistry::new(true);
+        r.write.record(5);
+        let frame = r.stats_json();
+        for section in [
+            "{\"stats\":{",
+            "},\"service\":{\"version\":0,",
+            "},\"net\":{",
+            "},\"journal\":{",
+        ] {
+            assert!(frame.contains(section), "{section} in {frame}");
         }
-        stat_set!(Demo { alpha, beta });
-        let d = Demo { alpha: 7, beta: 9 };
-        assert_eq!(super::stat_object(&d), "{\"alpha\":7,\"beta\":9}");
+        assert!(
+            frame.contains(
+                "\"queue_depth_hwm\":0,\"write_p50_us\":5,\"write_p99_us\":5,\"conns_accepted\":0,"
+            ),
+            "{frame}"
+        );
+        assert!(!MetricsRegistry::default().stats_json().contains("journal"));
     }
 }

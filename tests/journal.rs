@@ -543,32 +543,29 @@ fn torn_tails_truncate_but_mid_journal_corruption_refuses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every fsync policy recovers a cleanly closed journal; `ack_durable`
-/// forces syncs even under `FsyncPolicy::Never`.
+/// Every fsync policy recovers a cleanly closed journal; `Always` syncs
+/// each cycle and `Never` leaves syncing to the OS.
 #[test]
 fn all_fsync_policies_recover() {
-    for (label, fsync, ack_durable) in [
-        ("always", FsyncPolicy::Always, false),
-        ("every3", FsyncPolicy::EveryN(3), false),
-        ("never", FsyncPolicy::Never, false),
-        ("ackdur", FsyncPolicy::Never, true),
+    for (label, fsync) in [
+        ("always", FsyncPolicy::Always),
+        ("every3", FsyncPolicy::EveryN(3)),
+        ("never", FsyncPolicy::Never),
     ] {
         let eng = engine(SCC);
         let dir = temp_journal_dir(&format!("fsync-{label}"));
         let options = JournalOptions {
             fsync,
-            ack_durable,
             ..JournalOptions::default()
         };
         let service = fresh_service(&eng, &dir, options);
         run_script(&service, &mut Rng(0xF5F5 ^ fsync_tag(fsync)), 10);
         let pre_version = service.version();
         let stats = service.journal_stats().unwrap();
-        if ack_durable {
-            assert!(stats.syncs >= 1, "ack-durable must sync: {stats:?}");
-        }
-        if matches!(fsync, FsyncPolicy::Never) && !ack_durable {
-            assert_eq!(stats.syncs, 0, "{stats:?}");
+        match fsync {
+            FsyncPolicy::Always => assert!(stats.syncs >= 1, "always must sync: {stats:?}"),
+            FsyncPolicy::Never => assert_eq!(stats.syncs, 0, "{stats:?}"),
+            FsyncPolicy::EveryN(_) => {}
         }
         drop(service);
 

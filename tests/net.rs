@@ -252,9 +252,9 @@ fn wire_differential(semantics: Semantics, label: &str, unix: bool) {
     }
     assert!(checked > 0, "connections observed nothing ({label})");
 
-    let stats = server.stats();
-    assert_eq!(stats.conns_accepted, CONNS as u64, "({label})");
-    assert!(stats.frames_in >= stats.frames_out, "({label})");
+    let m = service.metrics();
+    assert_eq!(m.conns_accepted.get(), CONNS as u64, "({label})");
+    assert!(m.frames_in.get() >= m.frames_out.get(), "({label})");
     server.shutdown();
     service.shutdown(Shutdown::Drain);
     let _ = std::fs::remove_file(&socket_path);
@@ -314,7 +314,7 @@ fn wire_overload_rejection_is_immediate_and_structured() {
     // The connection survived the rejection and the service still accepts.
     let resp = send(&mut conn, "assert-facts move(d, e).");
     assert!(resp.starts_with("{\"ok\":true,"), "{resp}");
-    assert!(service.queue_stats().overloaded >= 1);
+    assert!(service.metrics().overloaded.get() >= 1);
     server.shutdown();
     service.shutdown(Shutdown::Drain);
 }
@@ -345,7 +345,7 @@ fn wire_submission_deadline_expires_without_applying() {
         "{resp}"
     );
     assert_eq!(service.version(), 0, "expired delta never applied");
-    assert!(service.queue_stats().timed_out >= 1);
+    assert!(service.metrics().timed_out.get() >= 1);
     server.shutdown();
     service.shutdown(Shutdown::Drain);
 }
@@ -362,7 +362,7 @@ fn wire_drain_shutdown_resolves_accepted_work() {
     write_frame(&mut conn, b"assert-facts move(c, d).").unwrap();
     // Wait until the submission is actually queued (not just written to
     // the socket) so the drain provably covers it.
-    while service.queue_stats().queue_depth == 0 {
+    while service.metrics().queue_depth.get() == 0 {
         thread::yield_now();
     }
     service.shutdown(Shutdown::Drain);

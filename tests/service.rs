@@ -270,17 +270,17 @@ fn concurrent_writers_coalesce_into_batched_cycles() {
         }
     });
 
-    let stats = service.stats();
-    assert_eq!(stats.submissions, (WRITERS * PER_WRITER) as u64);
-    assert_eq!(stats.rejected, 0);
+    let m = service.metrics();
+    let (submissions, write_cycles) = (m.submissions.get(), m.write_cycles.get());
+    assert_eq!(submissions, (WRITERS * PER_WRITER) as u64);
+    assert_eq!(m.rejected.get(), 0);
     assert!(
-        stats.write_cycles <= stats.submissions,
-        "cycles {} > submissions {}",
-        stats.write_cycles,
-        stats.submissions
+        write_cycles <= submissions,
+        "cycles {write_cycles} > submissions {submissions}"
     );
     assert_eq!(
-        stats.version, stats.write_cycles,
+        m.version.get() as u64,
+        write_cycles,
         "every cycle published exactly one version"
     );
     assert_eq!(service.changelog().unwrap().len(), WRITERS * PER_WRITER);
@@ -417,7 +417,7 @@ fn service_read_path_rides_the_session_memo() {
     // A rejected delta leaves version and memo untouched.
     assert!(service.assert_facts("win(X) :- p.").is_err());
     assert_eq!(service.version(), 1);
-    assert_eq!(service.stats().rejected, 1);
+    assert_eq!(service.metrics().rejected.get(), 1);
 }
 
 /// Review regression: a semantically invalid delta (valid text, unsafe
@@ -435,7 +435,7 @@ fn invalid_delta_does_not_fail_its_cycle_mates() {
         "r(X) :- not s(X).", // unsafe: passes parse
         "bonus(n4).",
     ];
-    let cycles = service.stats().write_cycles;
+    let cycles = service.metrics().write_cycles.get();
     service.hold_writer(true);
     let handles: Vec<_> = deltas
         .iter()
@@ -444,9 +444,9 @@ fn invalid_delta_does_not_fail_its_cycle_mates() {
     service.hold_writer(false);
     let results: Vec<_> = handles.iter().map(|h| h.wait()).collect();
 
-    let stats = service.stats();
-    assert_eq!(stats.write_cycles, cycles + 1, "one write cycle");
-    assert_eq!(stats.last_cycle_width, 4);
+    let m = service.metrics();
+    assert_eq!(m.write_cycles.get(), cycles + 1, "one write cycle");
+    assert_eq!(m.last_cycle_width.get(), 4);
     assert!(
         matches!(results[2], Err(afp::Error::Ground(_))),
         "{:?}",
@@ -469,6 +469,29 @@ fn invalid_delta_does_not_fail_its_cycle_mates() {
         afp::net::codec::model_json(v, head.model()),
         afp::net::codec::model_json(v, &cold)
     );
+}
+
+/// Statement counters count applied statements once each: the unsafe
+/// delta of a held, coalesced run counts nothing, and the delta-by-delta
+/// retry of the failed merged run does not count its cycle-mates twice.
+#[test]
+fn rule_asserts_count_only_applied_statements() {
+    let service = Engine::default().serve(&base_src()).unwrap();
+    service.hold_writer(true);
+    let handles: Vec<_> = [
+        "win(n5) :- move(n0, n1).",
+        "bonus(n6).",
+        "r(X) :- not s(X).", // unsafe: passes parse, fails to ground
+        "bonus(n7).",
+    ]
+    .iter()
+    .map(|text| service.submit(afp::DeltaKind::AssertRules, text).unwrap())
+    .collect();
+    service.hold_writer(false);
+    let applied = handles.iter().filter(|h| h.wait().is_ok()).count();
+    assert_eq!(applied, 3);
+    assert_eq!(service.session_stats().rule_asserts, 3);
+    assert_eq!(service.metrics().rule_asserts.get(), 3, "mirrored");
 }
 
 /// Review regression: a delta that applies but whose cycle's *solve*

@@ -7,8 +7,8 @@
 //! deliberate schema change (update the lists here), renaming or
 //! dropping one is a wire break this file catches.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Write};
+use std::process::{Child, ChildStdout, Command, Stdio};
 
 use afp::{Engine, MetricsFormat, Service, Telemetry};
 
@@ -104,64 +104,88 @@ fn keys_of(json: &str, key: &str) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Golden key sets — the wire schema, pinned. Order-independent (sets),
-// values unchecked.
+// Golden key lists — the wire schema, pinned. The `stats` sections are
+// pinned in frame order, each key with its Prometheus type (README's
+// counter table); the `metrics` sections are key sets.
 // ---------------------------------------------------------------------------
 
-const SESSION_KEYS: &[&str] = &[
-    "asserts",
-    "condensation_builds",
-    "condensation_repairs",
-    "delta_rounds",
-    "last_components",
-    "last_components_evaluated",
-    "last_components_reused",
-    "last_repair_atoms",
-    "last_repair_edges",
-    "last_seed_size",
-    "regrounds",
-    "restricted_cond_hits",
-    "retracts",
-    "rule_asserts",
-    "rule_retracts",
-    "scc_solves",
-    "snapshot_clones",
-    "snapshot_reuses",
-    "solves",
-    "warm_solves",
+const C: &str = "counter";
+const G: &str = "gauge";
+
+const SESSION_KEYS: &[(&str, &str)] = &[
+    ("solves", C),
+    ("warm_solves", C),
+    ("snapshot_clones", C),
+    ("snapshot_reuses", C),
+    ("regrounds", C),
+    ("asserts", C),
+    ("retracts", C),
+    ("rule_asserts", C),
+    ("rule_retracts", C),
+    ("delta_rounds", C),
+    ("condensation_builds", C),
+    ("condensation_repairs", C),
+    ("last_repair_atoms", G),
+    ("last_repair_edges", G),
+    ("restricted_cond_hits", C),
+    ("scc_solves", C),
+    ("last_components", G),
+    ("last_components_evaluated", G),
+    ("last_components_reused", G),
+    ("last_seed_size", G),
 ];
 
-const SERVICE_KEYS: &[&str] = &[
-    "cache_hits",
-    "cache_misses",
-    "changelog_evicted",
-    "coalesced",
-    "last_cycle_width",
-    "max_cycle_width",
-    "pins",
-    "rejected",
-    "submissions",
-    "version",
-    "write_cycles",
+const SERVICE_KEYS: &[(&str, &str)] = &[
+    ("version", G),
+    ("submissions", C),
+    ("write_cycles", C),
+    ("coalesced", C),
+    ("rejected", C),
+    ("pins", C),
+    ("cache_hits", C),
+    ("cache_misses", C),
+    ("changelog_evicted", C),
+    ("last_cycle_width", G),
+    ("max_cycle_width", G),
 ];
 
-const NET_KEYS: &[&str] = &[
-    "aborted",
-    "completed",
-    "conns_accepted",
-    "conns_open",
-    "conns_rejected",
-    "frames_in",
-    "frames_out",
-    "last_cycle_width",
-    "max_cycle_width",
-    "overloaded",
-    "queue_depth",
-    "queue_depth_hwm",
-    "submitted",
-    "timed_out",
-    "write_p50_us",
-    "write_p99_us",
+const NET_KEYS: &[(&str, &str)] = &[
+    ("submitted", C),
+    ("completed", C),
+    ("overloaded", C),
+    ("timed_out", C),
+    ("aborted", C),
+    ("queue_depth", G),
+    ("queue_depth_hwm", G),
+    ("write_p50_us", G),
+    ("write_p99_us", G),
+    ("conns_accepted", C),
+    ("conns_rejected", C),
+    ("conns_open", G),
+    ("frames_in", C),
+    ("frames_out", C),
+];
+
+const JOURNAL_KEYS: &[(&str, &str)] = &[
+    ("records_appended", C),
+    ("bytes_appended", C),
+    ("syncs", C),
+    ("checkpoints", C),
+    ("compacted_records", C),
+    ("records_replayed", C),
+    ("torn_truncations", C),
+    ("failed_ops", C),
+    ("append_ns", C),
+    ("sync_ns", C),
+];
+
+/// The `stats` frame's sections in frame order; `journal` only on a
+/// journaled service.
+const STATS_SECTIONS: &[(&str, &[(&str, &str)])] = &[
+    ("stats", SESSION_KEYS),
+    ("service", SERVICE_KEYS),
+    ("net", NET_KEYS),
+    ("journal", JOURNAL_KEYS),
 ];
 
 const HISTOGRAM_KEYS: &[&str] = &[
@@ -181,11 +205,18 @@ const COUNTER_KEYS: &[&str] = &["cycles", "slow_cycles", "trace_dropped"];
 
 const GAUGE_KEYS: &[&str] = &["recent_cycles", "trace_buffered"];
 
-fn assert_stats_schema(frame: &str) {
-    assert_eq!(sorted(object_keys(frame)), vec!["net", "service", "stats"]);
-    assert_eq!(keys_of(frame, "stats"), SESSION_KEYS, "{frame}");
-    assert_eq!(keys_of(frame, "service"), SERVICE_KEYS, "{frame}");
-    assert_eq!(keys_of(frame, "net"), NET_KEYS, "{frame}");
+fn assert_stats_schema(frame: &str, journaled: bool) {
+    let sections = &STATS_SECTIONS[..if journaled { 4 } else { 3 }];
+    let names: Vec<&str> = sections.iter().map(|(name, _)| *name).collect();
+    assert_eq!(object_keys(frame), names, "{frame}");
+    for (name, keys) in sections {
+        let expected: Vec<&str> = keys.iter().map(|(key, _)| *key).collect();
+        assert_eq!(
+            object_keys(section(frame, name)),
+            expected,
+            "{name}: {frame}"
+        );
+    }
 }
 
 fn assert_metrics_schema(frame: &str) {
@@ -211,6 +242,27 @@ fn assert_metrics_schema(frame: &str) {
         vec!["count", "max", "p50", "p90", "p99", "sum"],
         "{frame}"
     );
+}
+
+/// The number at a dotted path (`"net.frames_in"`) of a JSON frame.
+fn number_at(json: &str, dotted: &str) -> f64 {
+    let (parents, leaf) = dotted.rsplit_once('.').unwrap_or(("", dotted));
+    let obj = parents
+        .split('.')
+        .filter(|p| !p.is_empty())
+        .fold(json, section);
+    let pat = format!("{leaf:?}:");
+    let start = obj
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {dotted} in {json}"))
+        + pat.len();
+    let digits: String = obj[start..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || matches!(c, '-' | '.'))
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{dotted} is not a number in {json}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -270,48 +322,54 @@ fn send(conn: &mut (impl std::io::Read + std::io::Write), line: &str) -> String 
 // Golden schema over TCP and unix — one process fronting both.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn stats_and_metrics_schemas_match_over_tcp_and_unix() {
-    use std::io::{BufRead, BufReader};
-
-    let dir = temp_dir("wire-schema");
-    let file = dir.join("program.afp");
+/// `afp --serve --json ARGS FILE` behind `listeners` listeners: the
+/// child and its stdout, past the announce lines, and the announced
+/// addresses in announce order.
+fn spawn_listening(
+    tag: &str,
+    args: &[&str],
+    listeners: usize,
+) -> (Child, BufReader<ChildStdout>, Vec<String>) {
+    let file = temp_dir(tag).join("program.afp");
     std::fs::write(&file, SERVE_SRC).unwrap();
-    let socket = dir.join("afp.sock");
-    let _ = std::fs::remove_file(&socket);
-
     let mut child = Command::new(env!("CARGO_BIN_EXE_afp"))
-        .args([
-            "--serve",
-            "--json",
-            "--listen",
-            "127.0.0.1:0",
-            "--socket",
-            socket.to_str().unwrap(),
-            file.to_str().unwrap(),
-        ])
+        .args(["--serve", "--json"])
+        .args(args)
+        .arg(&file)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary runs");
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let addrs = (0..listeners)
+        .map(|_| {
+            let mut line = String::new();
+            stdout.read_line(&mut line).unwrap();
+            let (_, addr) = line
+                .trim()
+                .split_once(",\"addr\":\"")
+                .unwrap_or_else(|| panic!("bad announce line: {line}"));
+            addr.strip_suffix("\"}}").unwrap().to_string()
+        })
+        .collect();
+    (child, stdout, addrs)
+}
 
-    let mut line = String::new();
-    stdout.read_line(&mut line).unwrap();
-    let addr = line
-        .trim()
-        .strip_prefix("{\"listening\":{\"transport\":\"tcp\",\"addr\":\"")
-        .unwrap_or_else(|| panic!("bad announce line: {line}"))
-        .strip_suffix("\"}}")
-        .unwrap()
-        .to_string();
-    line.clear();
-    stdout.read_line(&mut line).unwrap();
-    assert!(line.starts_with("{\"listening\":{\"transport\":\"unix\","));
+#[test]
+fn stats_and_metrics_schemas_match_over_tcp_and_unix() {
+    let socket = temp_dir("wire-schema").join("afp.sock");
+    let _ = std::fs::remove_file(&socket);
+    let socket = socket.to_str().unwrap();
+    let (mut child, _stdout, addrs) = spawn_listening(
+        "wire-schema",
+        &["--listen", "127.0.0.1:0", "--socket", socket],
+        2,
+    );
+    assert_eq!(addrs[1], socket);
 
-    let mut tcp = std::net::TcpStream::connect(&addr).unwrap();
-    let mut unix = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    let mut tcp = std::net::TcpStream::connect(&addrs[0]).unwrap();
+    let mut unix = std::os::unix::net::UnixStream::connect(socket).unwrap();
 
     // A write so the histograms have a recorded cycle behind them.
     assert_eq!(
@@ -321,8 +379,8 @@ fn stats_and_metrics_schemas_match_over_tcp_and_unix() {
 
     let tcp_stats = send(&mut tcp, "stats");
     let unix_stats = send(&mut unix, "stats");
-    assert_stats_schema(&tcp_stats);
-    assert_stats_schema(&unix_stats);
+    assert_stats_schema(&tcp_stats, false);
+    assert_stats_schema(&unix_stats, false);
 
     let tcp_metrics = send(&mut tcp, "metrics");
     let unix_metrics = send(&mut unix, "metrics");
@@ -349,6 +407,171 @@ fn stats_and_metrics_schemas_match_over_tcp_and_unix() {
     drop(unix);
     drop(child.stdin.take());
     assert_eq!(child.wait().expect("wait").code(), Some(0));
+}
+
+/// Every front end answers `stats` from the one registry: with one
+/// connection to each listener, TCP reports both connections, and stdin
+/// reports the same frame count as TCP did.
+#[test]
+fn every_front_end_reports_the_same_connection_totals() {
+    let socket = temp_dir("fronts").join("afp.sock");
+    let _ = std::fs::remove_file(&socket);
+    let socket = socket.to_str().unwrap();
+    let (mut child, mut stdout, addrs) = spawn_listening(
+        "fronts",
+        &["--listen", "127.0.0.1:0", "--socket", socket],
+        2,
+    );
+    let mut tcp = std::net::TcpStream::connect(&addrs[0]).unwrap();
+    let mut unix = std::os::unix::net::UnixStream::connect(socket).unwrap();
+    assert_eq!(send(&mut unix, "version"), "{\"version\":0}");
+
+    let tcp_stats = send(&mut tcp, "stats");
+    assert_stats_schema(&tcp_stats, false);
+    assert_eq!(
+        number_at(&tcp_stats, "net.conns_accepted"),
+        2.0,
+        "{tcp_stats}"
+    );
+    assert_eq!(number_at(&tcp_stats, "net.conns_open"), 2.0, "{tcp_stats}");
+    assert_eq!(number_at(&tcp_stats, "net.frames_in"), 2.0, "{tcp_stats}");
+
+    let stdin = child.stdin.as_mut().expect("stdin piped");
+    stdin.write_all(b"stats\n").unwrap();
+    stdin.flush().unwrap();
+    let mut stdin_stats = String::new();
+    stdout.read_line(&mut stdin_stats).unwrap();
+    assert_stats_schema(stdin_stats.trim(), false);
+    // (`frames_out` is left out: the TCP reply is counted just after it
+    // is written, which may land after stdin renders.)
+    for path in ["net.conns_accepted", "net.frames_in"] {
+        assert_eq!(
+            number_at(&stdin_stats, path),
+            number_at(&tcp_stats, path),
+            "{path}: {stdin_stats} vs {tcp_stats}"
+        );
+    }
+
+    drop((tcp, unix));
+    drop(child.stdin.take());
+    assert_eq!(child.wait().expect("wait").code(), Some(0));
+}
+
+/// perfbench scrapes these paths and reads a missing one as 0, so a
+/// renamed key would silently zero a per-layer metric: pin each one as
+/// present and numeric on a journaled `--listen` server after one write.
+#[test]
+fn perfbench_scrape_paths_are_present_and_numeric() {
+    let journal = temp_dir("scrape").join("journal");
+    let _ = std::fs::remove_dir_all(&journal);
+    let (mut child, _stdout, addrs) = spawn_listening(
+        "scrape",
+        &[
+            "--listen",
+            "127.0.0.1:0",
+            "--journal",
+            journal.to_str().unwrap(),
+        ],
+        1,
+    );
+    let mut tcp = std::net::TcpStream::connect(&addrs[0]).unwrap();
+    assert_eq!(
+        send(&mut tcp, "assert-facts move(c, d)."),
+        "{\"ok\":true,\"version\":1}"
+    );
+    let stats = send(&mut tcp, "stats");
+    let metrics = send(&mut tcp, "metrics");
+    assert_stats_schema(&stats, true);
+    for path in [
+        "stats.regrounds",
+        "service.submissions",
+        "service.write_cycles",
+        "service.cache_hits",
+        "service.cache_misses",
+        "journal.records_appended",
+        "journal.bytes_appended",
+        "journal.records_replayed",
+        "net.overloaded",
+        "net.timed_out",
+    ] {
+        number_at(&stats, path);
+    }
+    assert_eq!(
+        number_at(&stats, "journal.records_appended"),
+        1.0,
+        "{stats}"
+    );
+    number_at(&metrics, "telemetry.counters.trace_dropped");
+    assert!(
+        number_at(&metrics, "telemetry.histograms.request_ns.p50") > 0.0,
+        "{metrics}"
+    );
+
+    drop(tcp);
+    drop(child.stdin.take());
+    assert_eq!(child.wait().expect("wait").code(), Some(0));
+    let _ = std::fs::remove_dir_all(&journal);
+}
+
+/// The Prometheus exposition carries exactly the `stats` frame's keys,
+/// per section, plus the `metrics` counters, gauges and histograms, each
+/// typed as README's counter table says, and each with a sample.
+#[test]
+fn prometheus_carries_exactly_the_stats_and_metrics_keys() {
+    let journal = temp_dir("prom-golden").join("journal");
+    let _ = std::fs::remove_dir_all(&journal);
+    let (stdout, stderr, code) = run_serve(
+        "prom-golden",
+        &[
+            "--metrics-format",
+            "prom",
+            "--journal",
+            journal.to_str().unwrap(),
+        ],
+        "assert move(c, d).\nstats\nmetrics\nquit\n",
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let mut lines = stdout.lines();
+    assert_eq!(lines.next(), Some("ok 1"), "{stdout}");
+    assert_stats_schema(lines.next().unwrap(), true);
+
+    let mut types = std::collections::BTreeMap::new();
+    let mut samples = std::collections::BTreeSet::new();
+    for line in lines.filter(|l| !l.is_empty()) {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').unwrap();
+            assert!(
+                types.insert(name.to_string(), kind.to_string()).is_none(),
+                "{name} twice"
+            );
+        } else {
+            let (series, value) = line.rsplit_once(' ').unwrap();
+            assert!(value.parse::<f64>().is_ok(), "{line}");
+            samples.insert(series.split('{').next().unwrap().to_string());
+        }
+    }
+    let mut expected = std::collections::BTreeMap::new();
+    for (section, keys) in STATS_SECTIONS {
+        for (key, kind) in *keys {
+            let suffix = if *kind == C { "_total" } else { "" };
+            expected.insert(format!("afp_{section}_{key}{suffix}"), kind.to_string());
+        }
+    }
+    for key in COUNTER_KEYS {
+        expected.insert(format!("afp_{key}_total"), C.into());
+    }
+    for key in GAUGE_KEYS {
+        expected.insert(format!("afp_{key}"), G.into());
+    }
+    for key in HISTOGRAM_KEYS {
+        expected.insert(format!("afp_{key}"), "summary".into());
+        expected.insert(format!("afp_{key}_max"), G.into());
+    }
+    assert_eq!(types, expected);
+    for name in types.keys() {
+        assert!(samples.contains(name), "{name} has no sample: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&journal);
 }
 
 // ---------------------------------------------------------------------------
@@ -539,7 +762,7 @@ fn service_records_phase_breakdowns_per_cycle() {
         assert_eq!(b.journal_append_ns, 0);
         assert_eq!(b.fsync_ns, 0);
     }
-    let registry = telemetry.registry().unwrap();
+    let registry = service.metrics();
     assert_eq!(registry.cycles.get(), 2);
     assert_eq!(registry.cycle_total_ns.snapshot().count, 2);
     assert!(registry.cycle_total_ns.snapshot().p50 > 0);
@@ -579,11 +802,17 @@ fn disabled_telemetry_records_nothing_and_says_so() {
 
     let telemetry = service.telemetry();
     assert!(!telemetry.enabled());
-    assert!(telemetry.registry().is_none());
+    assert_eq!(service.metrics().cycles.get(), 0);
+    assert_eq!(service.metrics().cycle_total_ns.snapshot().count, 0);
     assert!(telemetry.recent_cycles().is_empty());
-    assert_eq!(telemetry.render(), "{\"telemetry\":{\"enabled\":false}}");
-    // The write itself still worked.
+    assert_eq!(
+        telemetry.render(service.metrics()),
+        "{\"telemetry\":{\"enabled\":false}}"
+    );
+    // The write itself still worked, and the service counters, which
+    // belong to the service rather than the handle, still count.
     assert_eq!(service.version(), 1);
+    assert_eq!(service.metrics().write_cycles.get(), 1);
 }
 
 #[test]
