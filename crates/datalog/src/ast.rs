@@ -235,11 +235,12 @@ impl Program {
         out
     }
 
-    /// Render the whole program in re-parseable syntax.
+    /// Render the whole program in re-parseable syntax, one rule per
+    /// line.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         for r in &self.rules {
-            s.push_str(&display_rule(r, &self.symbols));
+            write_rule(&mut s, r, &self.symbols);
             s.push('\n');
         }
         s
@@ -311,58 +312,102 @@ pub fn import_rule_with(
 
 /// Render a term.
 pub fn display_term(t: &Term, store: &SymbolStore) -> String {
-    match t {
-        Term::Var(v) => store.name(*v).to_string(),
-        Term::Const(c) => quote_if_needed(store.name(*c)),
-        Term::App(f, args) => {
-            let inner: Vec<String> = args.iter().map(|a| display_term(a, store)).collect();
-            format!("{}({})", store.name(*f), inner.join(", "))
-        }
-    }
+    let mut out = String::new();
+    write_term(&mut out, t, store);
+    out
 }
 
 /// Render an atom.
 pub fn display_atom(a: &Atom, store: &SymbolStore) -> String {
-    if a.args.is_empty() {
-        store.name(a.pred).to_string()
-    } else {
-        let inner: Vec<String> = a.args.iter().map(|t| display_term(t, store)).collect();
-        format!("{}({})", store.name(a.pred), inner.join(", "))
-    }
+    let mut out = String::new();
+    write_atom(&mut out, a, store);
+    out
 }
 
 /// Render a literal.
 pub fn display_literal(l: &Literal, store: &SymbolStore) -> String {
-    if l.positive {
-        display_atom(&l.atom, store)
-    } else {
-        format!("not {}", display_atom(&l.atom, store))
-    }
+    let mut out = String::new();
+    write_literal(&mut out, l, store);
+    out
 }
 
 /// Render a rule, terminated with `.`.
 pub fn display_rule(r: &Rule, store: &SymbolStore) -> String {
-    if r.body.is_empty() {
-        format!("{}.", display_atom(&r.head, store))
-    } else {
-        let body: Vec<String> = r.body.iter().map(|l| display_literal(l, store)).collect();
-        format!("{} :- {}.", display_atom(&r.head, store), body.join(", "))
+    let mut out = String::new();
+    write_rule(&mut out, r, store);
+    out
+}
+
+/// Append the rendering of `t` to `out`.
+fn write_term(out: &mut String, t: &Term, store: &SymbolStore) {
+    match t {
+        Term::Var(v) => out.push_str(store.name(*v)),
+        Term::Const(c) => write_constant(out, store.name(*c)),
+        Term::App(f, args) => {
+            out.push_str(store.name(*f));
+            write_args(out, args, store);
+        }
     }
 }
 
-/// Quote a constant name when it would not re-parse as a bare constant.
-fn quote_if_needed(name: &str) -> String {
-    let bare = !name.is_empty()
-        && name
-            .chars()
-            .next()
-            .map(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
-            .unwrap_or(false)
-        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+/// Append `(t₁, …, tₖ)` to `out`.
+fn write_args(out: &mut String, args: &[Term], store: &SymbolStore) {
+    out.push('(');
+    for (i, t) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_term(out, t, store);
+    }
+    out.push(')');
+}
+
+/// Append the rendering of `a` to `out`.
+fn write_atom(out: &mut String, a: &Atom, store: &SymbolStore) {
+    out.push_str(store.name(a.pred));
+    if !a.args.is_empty() {
+        write_args(out, &a.args, store);
+    }
+}
+
+/// Append the rendering of `l` to `out`.
+fn write_literal(out: &mut String, l: &Literal, store: &SymbolStore) {
+    if !l.positive {
+        out.push_str("not ");
+    }
+    write_atom(out, &l.atom, store);
+}
+
+/// Append the rendering of `r`, terminated with `.`, to `out`.
+fn write_rule(out: &mut String, r: &Rule, store: &SymbolStore) {
+    write_atom(out, &r.head, store);
+    for (i, l) in r.body.iter().enumerate() {
+        out.push_str(if i == 0 { " :- " } else { ", " });
+        write_literal(out, l, store);
+    }
+    out.push('.');
+}
+
+/// Append a constant name to `out`, quoted when it would not re-parse
+/// as a bare constant (`not` would read as negation).
+fn write_constant(out: &mut String, name: &str) {
+    let bare = name
+        .chars()
+        .next()
+        .is_some_and(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        && name != "not";
     if bare {
-        name.to_string()
+        out.push_str(name);
     } else {
-        format!("'{}'", name.replace('\\', "\\\\").replace('\'', "\\'"))
+        out.push('\'');
+        for c in name.chars() {
+            if c == '\\' || c == '\'' {
+                out.push('\\');
+            }
+            out.push(c);
+        }
+        out.push('\'');
     }
 }
 
@@ -431,12 +476,21 @@ mod tests {
 
     #[test]
     fn quoting_non_bare_constants() {
-        assert_eq!(quote_if_needed("abc"), "abc");
-        assert_eq!(quote_if_needed("a_b1"), "a_b1");
-        assert_eq!(quote_if_needed("Abc"), "'Abc'");
-        assert_eq!(quote_if_needed("two words"), "'two words'");
-        assert_eq!(quote_if_needed("it's"), "'it\\'s'");
-        assert_eq!(quote_if_needed("42"), "42");
+        let quoted = |name: &str| {
+            let mut out = String::new();
+            write_constant(&mut out, name);
+            out
+        };
+        assert_eq!(quoted("abc"), "abc");
+        assert_eq!(quoted("a_b1"), "a_b1");
+        assert_eq!(quoted("Abc"), "'Abc'");
+        assert_eq!(quoted("two words"), "'two words'");
+        assert_eq!(quoted("it's"), "'it\\'s'");
+        assert_eq!(quoted("42"), "42");
+        assert_eq!(quoted(""), "''");
+        assert_eq!(quoted("not"), "'not'");
+        assert_eq!(quoted("nota"), "nota");
+        assert_eq!(quoted("a\\b"), "'a\\\\b'");
     }
 
     #[test]

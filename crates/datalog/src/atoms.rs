@@ -92,6 +92,13 @@ impl HerbrandBase {
         AtomId(id)
     }
 
+    /// Size the term and atom indexes for `terms` and `atoms` more
+    /// keys ([`InternTable::reserve`]), ahead of a bulk load.
+    pub fn reserve(&mut self, terms: usize, atoms: usize) {
+        self.terms.reserve(terms);
+        self.atoms.reserve(atoms);
+    }
+
     /// Look up an atom without interning. Never allocates.
     pub fn find_atom(&self, pred: Symbol, args: &[ConstId]) -> Option<AtomId> {
         self.atoms

@@ -20,13 +20,13 @@
 //! row range is a binary search, not a second index.
 
 use crate::atoms::ConstId;
-use crate::cow::fx_hash;
+use crate::cow::{fx_hash, SharedSlice};
 use crate::fx::FxHashMap;
 use crate::symbol::Symbol;
 use std::ops::Range;
 
-/// A tuple of interned ground terms.
-pub type Tuple = Box<[ConstId]>;
+/// A tuple of interned ground terms, held in place when short.
+pub type Tuple = SharedSlice<ConstId>;
 
 /// An append-only set of tuples of fixed arity with optional per-column
 /// indexes.

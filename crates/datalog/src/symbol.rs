@@ -7,10 +7,12 @@
 //!
 //! The store is a copy-on-write [`InternTable`]: cloning it is a handful
 //! of reference-count bumps, and interning into a clone copies a few
-//! segments, not the store.
+//! segments, not the store. Each name is an `Arc<str>`, so copying a
+//! segment of names bumps reference counts and allocates no name.
 
 use crate::cow::{fx_hash, InternTable};
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned string. Cheap to copy and compare; resolve through the
 /// [`SymbolStore`] that produced it.
@@ -41,7 +43,7 @@ impl fmt::Debug for Symbol {
 /// An append-only intern table mapping strings to [`Symbol`]s.
 #[derive(Default, Clone)]
 pub struct SymbolStore {
-    names: InternTable<Box<str>>,
+    names: InternTable<Arc<str>>,
 }
 
 impl SymbolStore {

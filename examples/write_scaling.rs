@@ -16,7 +16,9 @@
 //! time minus ground and repair, as the benchmark's replay measures it)
 //! and the solve, and the rest: the write minus those four, the time
 //! no phase accounts for. A write whose cone is one knot should cost the
-//! same at every size.
+//! same at every size. The last column is the process's peak resident
+//! set so far (`VmHWM`, Linux only): with key counts in ascending order,
+//! the peak of the largest size run yet.
 
 use afp::Engine;
 use afp_bench::gen::write_edb_src;
@@ -42,9 +44,9 @@ fn main() {
     };
     println!(
         "| keys | load (s) | load µs/key | first solve (ms) | write p50 (us) | ground p50 (us) \
-         | repair p50 (us) | mirror p50 (us) | solve p50 (us) | rest p50 (us) |"
+         | repair p50 (us) | mirror p50 (us) | solve p50 (us) | rest p50 (us) | peak RSS (MiB) |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
     for keys in sizes {
         let engine = Engine::default();
         let t = Instant::now();
@@ -93,7 +95,7 @@ fn main() {
             rest.push((total_ns - ground_ns - repair_ns - mirror_ns - solve_ns) / 1e3);
         }
         println!(
-            "| {keys} | {load_s:.2} | {:.1} | {first_ms:.1} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} |",
+            "| {keys} | {load_s:.2} | {:.1} | {first_ms:.1} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {} |",
             load_s * 1e6 / keys as f64,
             p50(write),
             p50(ground),
@@ -101,6 +103,15 @@ fn main() {
             p50(mirror),
             p50(solve),
             p50(rest),
+            peak_rss_mib().map_or("-".to_string(), |mib| format!("{mib:.0}")),
         );
     }
+}
+
+/// The process's peak resident set so far, from `/proc/self/status`.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }

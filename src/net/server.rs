@@ -25,7 +25,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -129,10 +129,14 @@ struct Inner {
     service: Service,
     options: NetOptions,
     stop: AtomicBool,
-    /// Clones of every accepted stream, so shutdown can force blocked
-    /// reads to return.
-    conns: Mutex<Vec<Box<dyn Conn>>>,
+    /// A clone of every open connection's stream, by connection id, so
+    /// shutdown can force blocked reads to return. A connection's thread
+    /// removes its clone as it ends, closing it.
+    conns: Mutex<Vec<(u64, Box<dyn Conn>)>>,
+    /// Connection threads not joined yet; the accept loop joins the
+    /// finished ones.
     workers: Mutex<Vec<JoinHandle<()>>>,
+    next_id: AtomicU64,
 }
 
 /// One listening socket (TCP or unix) serving the framed protocol over
@@ -225,6 +229,7 @@ impl NetServer {
             stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(0),
         });
         let accept = {
             let inner = Arc::clone(&inner);
@@ -256,7 +261,7 @@ impl NetServer {
         if let Some(handle) = lock(&self.accept).take() {
             let _ = handle.join();
         }
-        for conn in lock(&self.inner.conns).drain(..) {
+        for (_, conn) in lock(&self.inner.conns).drain(..) {
             conn.shutdown_both();
         }
         for handle in lock(&self.inner.workers).drain(..) {
@@ -265,6 +270,17 @@ impl NetServer {
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
+    }
+
+    /// The stream clones and connection threads the server still holds:
+    /// both fall to zero once every connection has ended and the accept
+    /// loop has joined its thread.
+    #[doc(hidden)]
+    pub fn held_for_testing(&self) -> (usize, usize) {
+        (
+            lock(&self.inner.conns).len(),
+            lock(&self.inner.workers).len(),
+        )
     }
 }
 
@@ -284,12 +300,19 @@ impl std::fmt::Debug for NetServer {
 
 /// Accept until told to stop. The listener runs nonblocking with a
 /// short sleep so a stop flag is noticed promptly without a wake-up
-/// channel; accepted streams are switched back to blocking mode.
+/// channel; accepted streams are switched back to blocking mode. Each
+/// turn joins the connection threads that have finished.
 fn accept_loop(listener: Box<dyn Listener>, inner: &Arc<Inner>) {
     let _ = listener.set_nonblocking(true);
     loop {
         if inner.stop.load(Ordering::SeqCst) {
             return;
+        }
+        let finished: Vec<_> = lock(&inner.workers)
+            .extract_if(.., |worker| worker.is_finished())
+            .collect();
+        for worker in finished {
+            let _ = worker.join();
         }
         match listener.accept_conn() {
             Ok(conn) => admit(conn, inner),
@@ -331,8 +354,9 @@ fn admit(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
         return;
     }
     m.conns_accepted.add(1);
+    let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = conn.try_clone_conn() {
-        lock(&inner.conns).push(clone);
+        lock(&inner.conns).push((id, clone));
     }
     let worker = {
         let inner = Arc::clone(inner);
@@ -340,6 +364,7 @@ fn admit(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
             .name("afp-net-conn".into())
             .spawn(move || {
                 serve_conn(conn, &inner);
+                lock(&inner.conns).retain(|(conn_id, _)| *conn_id != id);
                 inner.service.metrics().conns_open.add(-1);
             })
             .expect("spawn connection thread")

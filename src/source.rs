@@ -32,20 +32,26 @@ pub(crate) struct SourceProgram {
 
 impl SourceProgram {
     /// Index `program`, dropping repeated statements (the first
-    /// occurrence stays, in source order).
+    /// occurrence stays, in source order). The statements stay in their
+    /// list: the ones kept so far are a prefix of it, and the table
+    /// indexes only that prefix, so each new statement moves down to its
+    /// end.
     pub(crate) fn new(program: Program) -> SourceProgram {
-        let Program { rules, symbols } = program;
+        let slots = vec![EMPTY; table_len(program.rules.len())];
         let mut source = SourceProgram {
-            slots: vec![EMPTY; table_len(rules.len())],
+            program,
+            slots,
             hasher: RandomState::new(),
-            program: Program {
-                rules: Vec::with_capacity(rules.len()),
-                symbols,
-            },
         };
-        for rule in rules {
-            source.insert(rule);
+        let mut kept = 0;
+        for i in 0..source.program.rules.len() {
+            if let Err(free) = source.find(&source.program.rules[i]) {
+                source.slots[free] = kept as u32;
+                source.program.rules.swap(kept, i);
+                kept += 1;
+            }
         }
+        source.program.rules.truncate(kept);
         source
     }
 

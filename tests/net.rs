@@ -464,3 +464,62 @@ fn wire_ping_reports_version_and_writer_liveness() {
     );
     server.shutdown();
 }
+
+/// A finished connection is released: 50 sequential connect, `version`,
+/// close cycles leave the server holding no stream clone and no
+/// connection thread, and the process as many open files as before.
+/// The cycles run alone in a child process of this test binary, so the
+/// sockets of tests running beside this one cannot move the count.
+#[test]
+fn finished_connections_are_released() {
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "connection_cycles_release_their_files"])
+        .args(["--ignored", "--test-threads", "1"])
+        .output()
+        .expect("run the cycles in a child process");
+    assert!(
+        child.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&child.stdout),
+        String::from_utf8_lossy(&child.stderr)
+    );
+}
+
+#[test]
+#[ignore = "run alone, in a child process, by finished_connections_are_released"]
+fn connection_cycles_release_their_files() {
+    let (service, server) = serve_with(ServiceOptions::default());
+    let open_files = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+    let cycle = || {
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        assert_eq!(send(&mut conn, "version"), "{\"version\":0}");
+    };
+    let released = || {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.held_for_testing() != (0, 0) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "still held (stream clones, threads): {:?}",
+                server.held_for_testing()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    };
+    // One cycle first, so whatever the process opens once is in the
+    // baseline.
+    cycle();
+    released();
+    let baseline = open_files();
+    for _ in 0..50 {
+        cycle();
+    }
+    released();
+    let after = open_files();
+    assert!(
+        after.abs_diff(baseline) <= 2,
+        "{baseline} open files before the cycles, {after} after"
+    );
+    assert_eq!(service.metrics().conns_open.get(), 0);
+    server.shutdown();
+    service.shutdown(Shutdown::Drain);
+}
