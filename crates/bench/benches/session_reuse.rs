@@ -10,13 +10,11 @@
 //! * `win_move_path_*` — the original warm-vs-cold single-fact loop;
 //! * `leaf_update_*` / `mid_update_*` — update a knot of a chain of
 //!   knots: the per-SCC warm path re-evaluates only the knot's forward
-//!   dependency cone and copies every other component, versus the global
-//!   strategy's seed-restart, which re-pays the cone's full alternation
-//!   depth over the whole program;
+//!   dependency cone and copies every other component;
 //! * `batched_asserts_*` — assert N facts in one call (one envelope
 //!   delta round) versus N calls (N rounds).
 
-use afp::{Engine, Semantics, Strategy, WfStrategy};
+use afp::Engine;
 use afp_bench::gen::{hard_knot_chain_src, node_name, Graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -62,32 +60,23 @@ fn knot_update(c: &mut Criterion) {
     for k in [64usize, 256] {
         let src = hard_knot_chain_src(k);
         // A leaf update dirties one knot; a mid-chain update dirties the
-        // upper half of the chain — the global strategy then pays the
-        // full alternation depth of that cone again, while the per-SCC
-        // path pays one small alternating fixpoint per affected knot.
+        // upper half of the chain, and the per-SCC path pays one small
+        // alternating fixpoint per affected knot.
         for (site, fact) in [
             ("leaf", format!("e(k{}).", k - 1)),
             ("mid", format!("e(k{}).", k / 2)),
         ] {
             let mut group = c.benchmark_group(format!("session_reuse/{site}_update_{k}"));
-            for (name, strategy) in [
-                ("scc_warm", WfStrategy::SccStratified),
-                ("global_warm", WfStrategy::Global(Strategy::Naive)),
-            ] {
-                let engine = Engine::builder()
-                    .semantics(Semantics::WellFounded { strategy })
-                    .build();
-                let mut session = engine.load(&src).unwrap();
-                session.solve().unwrap();
-                group.bench_function(BenchmarkId::new(name, k), |b| {
-                    b.iter(|| {
-                        session.retract_facts(&fact).unwrap();
-                        session.solve().unwrap();
-                        session.assert_facts(&fact).unwrap();
-                        session.solve().unwrap()
-                    })
-                });
-            }
+            let mut session = Engine::default().load(&src).unwrap();
+            session.solve().unwrap();
+            group.bench_function(BenchmarkId::new("scc_warm", k), |b| {
+                b.iter(|| {
+                    session.retract_facts(&fact).unwrap();
+                    session.solve().unwrap();
+                    session.assert_facts(&fact).unwrap();
+                    session.solve().unwrap()
+                })
+            });
             group.finish();
         }
     }

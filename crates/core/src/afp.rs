@@ -115,41 +115,9 @@ pub fn alternating_fixpoint(prog: &GroundProgram) -> AfpResult {
 
 /// Compute the alternating fixpoint partial model.
 pub fn alternating_fixpoint_with(prog: &GroundProgram, options: &AfpOptions) -> AfpResult {
-    alternating_fixpoint_from(prog, options, &prog.empty_set())
-}
-
-/// Compute the alternating fixpoint starting the underestimate chain from
-/// `seed` instead of `∅` — the warm re-solve entry point.
-///
-/// # Soundness
-/// `seed` must be a subset of the well-founded negative conclusions `W̃`
-/// (equivalently, of `lfp(A_P)`). Any such seed works: the iteration uses
-/// the inflationary form `Ĩ_{k+2} = Ĩ_k ∪ A_P(Ĩ_k)`, whose iterates from a
-/// point below the least fixpoint of the monotone `A_P` stay below it,
-/// grow strictly until stationary, and can only become stationary *at*
-/// `lfp(A_P)`. With `seed = ∅` the union is a no-op and the computation is
-/// the paper's verbatim.
-///
-/// Callers obtain a valid seed from a previous solve via relevance: after
-/// a program delta, atoms that cannot reach any changed atom in the
-/// dependency graph keep their truth values, so the old `W̃` restricted to
-/// unaffected atoms is `⊆` the new `W̃` (see `afp::Session`).
-///
-/// # Panics
-/// Panics if `seed`'s universe differs from the program's atom count.
-pub fn alternating_fixpoint_from(
-    prog: &GroundProgram,
-    options: &AfpOptions,
-    seed: &AtomSet,
-) -> AfpResult {
-    assert_eq!(
-        seed.universe(),
-        prog.atom_count(),
-        "seed universe must match the program"
-    );
     match options.strategy {
-        Strategy::Naive => run(prog, options, NaiveCursor::new(prog), seed),
-        Strategy::IncrementalUnder => run(prog, options, IncrementalCursor::new(prog), seed),
+        Strategy::Naive => run(prog, options, NaiveCursor::new(prog)),
+        Strategy::IncrementalUnder => run(prog, options, IncrementalCursor::new(prog)),
     }
 }
 
@@ -195,14 +163,9 @@ impl UnderChainCursor for IncrementalCursor<'_> {
     }
 }
 
-fn run(
-    prog: &GroundProgram,
-    options: &AfpOptions,
-    mut cursor: impl UnderChainCursor,
-    seed: &AtomSet,
-) -> AfpResult {
+fn run(prog: &GroundProgram, options: &AfpOptions, mut cursor: impl UnderChainCursor) -> AfpResult {
     let mut trace = options.record_trace.then(AfpTrace::default);
-    let mut under = seed.clone(); // Ĩ₀ (∅ for a cold solve)
+    let mut under = prog.empty_set(); // Ĩ₀ = ∅
     let mut k = 0usize;
     let mut iterations = 0usize;
     let mut stable_fixpoint = false;
@@ -235,12 +198,8 @@ fn run(
                 s_p: sp_over.clone(),
             });
         }
-        // Ĩ_{2m+2} = Ĩ_{2m} ∪ S̃_P(Ĩ_{2m+1}) — next underestimate. The
-        // union makes the chain inflationary, which a warm seed needs for
-        // convergence (see `alternating_fixpoint_from`); on the cold path
-        // A_P's iterates already ascend and the union changes nothing.
-        let mut next_under = sp_over.complement();
-        next_under.union_with(&under);
+        // Ĩ_{2m+2} = S̃_P(Ĩ_{2m+1}) — next underestimate.
+        let next_under = sp_over.complement();
         iterations += 1;
         if next_under == under {
             // Least fixpoint of A_P reached. Record the convergence row as
@@ -462,54 +421,6 @@ mod tests {
                 "AFP model must satisfy every rule of {src}"
             );
         }
-    }
-
-    #[test]
-    fn warm_seed_below_the_fixpoint_reaches_the_same_model() {
-        // Seed the chain with every subset of the cold Ã; all must land on
-        // the same model, under both strategies.
-        for src in [
-            "p(a) :- p(c), not p(b). p(b) :- not p(a). p(c).
-             p(d) :- p(e), not p(f). p(d) :- p(f), not p(g). p(d) :- p(h).
-             p(e) :- p(d). p(f) :- p(e). p(f) :- not p(c).
-             p(i) :- p(c), not p(d).",
-            "a. b :- a, not c. c :- not b. d :- c, not a.",
-            "p :- not q. q :- not p. r :- p. r :- q.",
-        ] {
-            let g = parse_ground(src);
-            let cold = alternating_fixpoint(&g);
-            let negatives: Vec<u32> = cold.negative_fixpoint.iter().collect();
-            for mask in 0..(1u32 << negatives.len().min(6)) {
-                let seed = AtomSet::from_iter(
-                    g.atom_count(),
-                    negatives
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| mask & (1 << i) != 0)
-                        .map(|(_, &a)| a),
-                );
-                for strategy in [Strategy::Naive, Strategy::IncrementalUnder] {
-                    let warm = alternating_fixpoint_from(
-                        &g,
-                        &AfpOptions {
-                            strategy,
-                            record_trace: false,
-                        },
-                        &seed,
-                    );
-                    assert_eq!(warm.model, cold.model, "seed {seed:?} on {src}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn warm_seed_of_the_full_fixpoint_converges_immediately() {
-        let g = example_5_1();
-        let cold = alternating_fixpoint(&g);
-        let warm = alternating_fixpoint_from(&g, &AfpOptions::default(), &cold.negative_fixpoint);
-        assert_eq!(warm.model, cold.model);
-        assert!(warm.iterations <= 2, "seeded at lfp: one round to confirm");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod ops;
 pub mod relevance;
 
 pub use afp::{
-    alternating_fixpoint, alternating_fixpoint_from, alternating_fixpoint_with, AfpOptions,
-    AfpResult, AfpTrace, Strategy, TraceStep,
+    alternating_fixpoint, alternating_fixpoint_with, AfpOptions, AfpResult, AfpTrace, Strategy,
+    TraceStep,
 };
 pub use interp::{PartialModel, Truth};

@@ -882,18 +882,18 @@ impl IncrementalGrounder {
                     continue;
                 };
                 let neg_atom = self.prog.intern_atom_ids(pred, &key.1);
-                for rid in rules {
+                for &rid in &rules {
                     let keys = self.pruned_of.get_mut(&rid).expect("a recorded instance");
                     let at = keys.iter().position(|k| *k == key).expect("a recorded key");
                     keys.swap_remove(at);
                     if keys.is_empty() {
                         self.pruned_of.remove(&rid);
                     }
-                    self.prog.add_neg_literal(rid, neg_atom);
                     effect.changed.push(self.prog.rule(rid).head);
                     effect.new_edge_targets.push(neg_atom);
                     effect.resurrected += 1;
                 }
+                self.prog.add_neg_literals(neg_atom, &rules);
             }
         }
     }

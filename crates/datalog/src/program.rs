@@ -326,17 +326,26 @@ impl GroundProgram {
         self.rules.append(rules);
     }
 
-    /// Add `atom` to the negative body of `rule` (no-op when already
-    /// present), maintaining the occurrence indices. Used by the
-    /// incremental grounder to resurrect negative literals it had pruned
-    /// while their atom was outside the positive envelope.
-    pub fn add_neg_literal(&mut self, rule: RuleId, atom: AtomId) {
-        let r = self.rules.get_mut(rule as usize);
-        if let Err(ix) = r.neg.binary_search(&atom) {
-            r.neg.insert(ix, atom);
+    /// Add `atom` to the negative body of each of `rules` (a rule that
+    /// already has it is skipped), maintaining the occurrence indices
+    /// with one edit of `atom`'s list, however many rules there are. Used
+    /// by the incremental grounder to resurrect negative literals it had
+    /// pruned while their atom was outside the positive envelope.
+    pub fn add_neg_literals(&mut self, atom: AtomId, rules: &[RuleId]) {
+        let mut added = Vec::with_capacity(rules.len());
+        for &rule in rules {
+            let r = self.rules.get_mut(rule as usize);
+            if let Err(ix) = r.neg.binary_search(&atom) {
+                r.neg.insert(ix, atom);
+                added.push(rule);
+            }
+        }
+        if !added.is_empty() {
             let atoms = self.base.atom_count();
             self.neg_index.grow_with(atoms, SharedSlice::default);
-            self.neg_index.get_mut(atom.index()).push(rule);
+            self.neg_index
+                .get_mut(atom.index())
+                .extend(added.iter().copied());
         }
     }
 

@@ -37,8 +37,8 @@
 //! against the global partial model
 //! ([`afp_semantics::modular_wfs_update`]), so the `O(|H|·|P_H|)`
 //! worst case is paid per component, not per program. The global
-//! alternating fixpoint ([`WfStrategy::Global`]) remains available for
-//! differential testing and is what trace recording (Table I) uses.
+//! alternating fixpoint ([`WfStrategy::Global`]) is the differential
+//! oracle and what trace recording (Table I) uses; it always solves cold.
 //!
 //! A [`Session`] keeps the incremental grounder
 //! ([`afp_datalog::IncrementalGrounder`]) alive: `assert_facts` /
@@ -50,21 +50,20 @@
 //! exactly its ground instances, and only a delta the warm machinery
 //! cannot express soundly (a real active-domain shrink, the bootstrap of
 //! the domain machinery itself) falls back to a single cold re-ground of
-//! the mirrored source program. Re-solves are warm in both strategies,
-//! via the relevance/splitting argument (atoms that cannot reach any
-//! changed atom in the dependency graph keep their truth values):
-//!
-//! * per-SCC (the default): the solve starts from a word copy of the
-//!   previous model and evaluates **only the components of the delta's
-//!   forward dependency cone**, in topological order; every other
-//!   component keeps its stored truth values without being visited;
-//! * global: the previous negative fixpoint restricted to unaffected
-//!   atoms seeds the under-chain of
-//!   [`afp_core::alternating_fixpoint_from`].
+//! the mirrored source program. There is one warm solve: the default
+//! well-founded one (per-SCC, no trace, no restriction). Via the
+//! relevance/splitting argument (atoms that cannot reach any changed
+//! atom in the dependency graph keep their truth values), it starts from
+//! a word copy of the previous model and evaluates **only the components
+//! of the delta's forward dependency cone**, in topological order; every
+//! other component keeps its stored truth values without being visited.
+//! Every other solve (the global oracle, trace recording, restricted
+//! solves and the other semantics) runs cold and leaves the warm state
+//! alone.
 //!
 //! [`Session::stats`] reports every reuse channel.
 
-use afp_core::afp::{alternating_fixpoint_from, AfpOptions, AfpTrace};
+use afp_core::afp::{alternating_fixpoint_with, AfpOptions, AfpTrace};
 use afp_core::interp::{PartialModel, Truth};
 use afp_core::Strategy;
 use afp_datalog::ast::{Program, Rule};
@@ -96,11 +95,16 @@ pub enum WfStrategy {
     /// the alternating sequence of Table I is a global object.
     #[default]
     SccStratified,
-    /// The paper's global alternating fixpoint, with the given
-    /// under-chain closure strategy. Retained for differential testing
-    /// and for trace/Table-I output.
+    /// The paper's global alternating fixpoint from `Ĩ₀ = ∅`, with the
+    /// given under-chain closure strategy: always cold, the differential
+    /// oracle for the per-SCC path, and the trace/Table-I output.
     Global(Strategy),
 }
+
+/// The semantics of the one warm solve.
+const WARM: Semantics = Semantics::WellFounded {
+    strategy: WfStrategy::SccStratified,
+};
 
 /// Which of the paper's semantics a solve computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +159,6 @@ pub struct EngineBuilder {
     semantics: Semantics,
     ground: GroundOptions,
     record_trace: bool,
-    relevance: Vec<String>,
     /// Search-node cap for stable-model enumeration (`None` = unlimited).
     stable_search_nodes: Option<usize>,
 }
@@ -206,20 +209,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Restrict solving to the dependency cone of these ground query
-    /// atoms (written as text, e.g. `"wins(a)"`). Atoms outside the cone
-    /// have no rules in the restricted program and report `False`; only
-    /// query truth values within the cone are meaningful. Disables warm
-    /// seeding.
-    pub fn relevance<I, S>(mut self, queries: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.relevance = queries.into_iter().map(Into::into).collect();
-        self
-    }
-
     /// Build the engine.
     pub fn build(self) -> Engine {
         Engine { config: self }
@@ -263,7 +252,6 @@ impl Engine {
             dirty: Vec::new(),
             last_model: None,
             scc_cond: None,
-            restricted_conds: Vec::new(),
             stats: SessionStats::default(),
             phases: SessionPhases::default(),
         })
@@ -282,7 +270,6 @@ impl Engine {
             dirty: Vec::new(),
             last_model: None,
             scc_cond: None,
-            restricted_conds: Vec::new(),
             stats: SessionStats::default(),
             phases: SessionPhases::default(),
         }
@@ -310,12 +297,11 @@ impl Engine {
 pub struct SessionStats {
     /// Total solves.
     pub solves: u64,
-    /// Well-founded solves that reused previous conclusions: a non-empty
-    /// under-chain seed (global strategy) or at least one copied
-    /// component (per-SCC strategy).
+    /// Warm well-founded solves that reused previous conclusions: a memo
+    /// hit or at least one copied component. Cold solves never count.
     pub warm_solves: u64,
-    /// Atoms whose truth values were carried over into the last
-    /// well-founded solve (seed atoms or atoms of reused components).
+    /// Atoms of the components the last warm solve copied from the
+    /// previous model.
     pub last_seed_size: usize,
     /// Full re-groundings since load. Stays `0` on the pure incremental
     /// path; counts the cold fallbacks the session takes where a warm
@@ -333,11 +319,12 @@ pub struct SessionStats {
     pub rule_asserts: u64,
     /// Rules retracted through [`Session::retract_rules`].
     pub rule_retracts: u64,
-    /// Condensations built **from scratch** since load. The memoized
-    /// condensation is *repaired* in place across warm mutations
-    /// (`condensation_repairs`), so this stays at `1` across any warm
-    /// delta script — it counts only the first build, restricted-cone
-    /// cache misses, and rebuilds after a cold re-ground.
+    /// Condensations the warm path built **from scratch** since load.
+    /// The memoized condensation is *repaired* in place across warm
+    /// mutations (`condensation_repairs`), so this stays at `1` across
+    /// any warm delta script — it counts only the first build and
+    /// rebuilds after a cold re-ground. A cold solve's private
+    /// condensation is not counted.
     pub condensation_builds: u64,
     /// In-place condensation repairs ([`Condensation::apply_delta`]):
     /// one per warm mutation batch that found a memoized condensation to
@@ -350,11 +337,7 @@ pub struct SessionStats {
     pub last_repair_atoms: usize,
     /// Dependency edges the last condensation repair inspected.
     pub last_repair_edges: usize,
-    /// Relevance-restricted solves that found their restricted
-    /// condensation in the session's per-restriction cache (keyed by the
-    /// resolved query atom set; invalidated by any mutation).
-    pub restricted_cond_hits: u64,
-    /// Well-founded solves taken by the SCC-stratified path.
+    /// Solves taken by the warm SCC-stratified path (memo hits excluded).
     pub scc_solves: u64,
     /// Components in the condensation at the last SCC-stratified solve.
     pub last_components: usize,
@@ -394,12 +377,9 @@ pub struct Session {
     dirty: Vec<AtomId>,
     /// Full model of the last well-founded solve, shared (`Arc`) with the
     /// [`Model`]s handed out for that program version — retention is a
-    /// pointer copy, not a bitset clone. The SCC-stratified strategy
-    /// copies unaffected components from it; the global strategy seeds
-    /// its under-chain from its negative half (`AfpResult` sets
-    /// `negative_fixpoint == model.neg`, so nothing else needs storing);
-    /// and a re-solve with **no** pending deltas returns it outright
-    /// (`SessionStats::snapshot_reuses`).
+    /// pointer copy, not a bitset clone. The warm solve copies unaffected
+    /// components from it, and a re-solve with **no** pending deltas
+    /// returns it outright (`SessionStats::snapshot_reuses`).
     last_model: Option<Arc<PartialModel>>,
     /// Condensation of the current ground program. Built (linear time)
     /// on the first SCC solve, then **repaired in place** across warm
@@ -410,22 +390,12 @@ pub struct Session {
     /// the components of the affected cone by label and evaluates those
     /// alone.
     scc_cond: Option<Condensation>,
-    /// Condensations of relevance-restricted programs
-    /// ([`Session::solve_restricted`]), keyed by the resolved seed atom
-    /// set (sorted, deduplicated — compared by value, so equal keys
-    /// really mean an identical restricted program); cleared on any
-    /// mutation (the restricted cone's rules may change) and bounded to
-    /// a handful of entries.
-    restricted_conds: Vec<(Vec<AtomId>, Condensation)>,
     stats: SessionStats,
     /// Phase wall-clock accumulated since the last
     /// [`Session::take_phases`] — the raw material of the service's
     /// per-cycle [`crate::telemetry::PhaseBreakdown`].
     phases: SessionPhases,
 }
-
-/// Entries kept in the per-restriction condensation cache.
-const RESTRICTED_COND_CACHE_CAP: usize = 16;
 
 impl Session {
     /// The current ground program.
@@ -695,212 +665,112 @@ impl Session {
     }
 
     /// Solve under an explicit semantics, sharing the session's grounding.
+    /// Only the default well-founded solve ([`WfStrategy::SccStratified`],
+    /// no trace) is warm; every other solve, the global oracle included,
+    /// starts from nothing and leaves the session's warm state as it was.
     pub fn solve_with(&mut self, semantics: Semantics) -> Result<Model, Error> {
-        let relevance = self.config.relevance.clone();
-        self.solve_inner(semantics, &relevance)
+        self.begin_solve()?;
+        if semantics == WARM && !self.config.record_trace {
+            return Ok(self.solve_warm());
+        }
+        let ground = self.snapshot();
+        let solve_started = Instant::now();
+        let model = solve_cold(ground, semantics, &self.config);
+        self.phases.solve_ns += solve_started.elapsed().as_nanos() as u64;
+        model
     }
 
     /// Solve under the session's default semantics, restricted to the
     /// dependency cone of these ground query atoms (written as text, e.g.
-    /// `"wins(a)"`) — a per-solve version of [`EngineBuilder::relevance`].
-    /// Atoms outside the cone have no rules in the restricted program and
-    /// report `False`; only query truth values within the cone are
-    /// meaningful. The solve is never warm-seeded, and it neither uses
-    /// nor evicts the session's cached condensation and memoized model —
-    /// a later unrestricted solve picks them up where it left them.
-    /// Repeated restricted solves of the **same** query set reuse a
-    /// per-restriction condensation cache
-    /// ([`SessionStats::restricted_cond_hits`]), invalidated by any
-    /// mutation.
+    /// `"wins(a)"`). Atoms outside the cone have no rules in the
+    /// restricted program and report `False`; only query truth values
+    /// within the cone are meaningful. The solve is always cold: it
+    /// neither uses nor changes the session's condensation and memoized
+    /// model, so a later unrestricted solve picks them up where it left
+    /// them.
     pub fn solve_restricted<I, S>(&mut self, queries: I) -> Result<Model, Error>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        self.begin_solve()?;
         let queries: Vec<String> = queries.into_iter().map(Into::into).collect();
-        self.solve_inner(self.config.semantics, &queries)
+        solve_restricted_cold(self.ground(), &queries, &self.config)
     }
 
-    fn solve_inner(&mut self, semantics: Semantics, relevance: &[String]) -> Result<Model, Error> {
+    /// Re-ground a grounder that a previous batch poisoned mid-delta (the
+    /// grounding may be missing consequences), then count the solve.
+    fn begin_solve(&mut self) -> Result<(), Error> {
         if self.grounder.as_ref().is_some_and(|g| g.is_poisoned()) {
-            // A previous batch errored mid-delta; the current grounding
-            // may be missing consequences. Re-ground cold before solving.
             self.recover_from_poison()?;
         }
         self.stats.solves += 1;
-        let record_trace = self.config.record_trace;
-        let warm_wfs = matches!(semantics, Semantics::WellFounded { .. }) && relevance.is_empty();
-        // Memoized read path: a well-founded re-solve with no pending
-        // deltas returns the previous snapshot and model as pure pointer
-        // copies — zero deep clones, zero fixpoint work. (`snapshot` is
-        // cleared by every mutation, so its presence certifies that
-        // `last_model` still describes the current program; trace
-        // recording recomputes, because the memo keeps no trace.)
-        if warm_wfs && !record_trace && self.dirty.is_empty() {
+        Ok(())
+    }
+
+    /// The one warm path: the default well-founded solve. It starts from
+    /// the previous model and re-evaluates only the components of the
+    /// pending deltas' forward cone, over the condensation kept current
+    /// by in-place repair.
+    fn solve_warm(&mut self) -> Model {
+        // Memoized read path: a re-solve with no pending deltas returns
+        // the previous snapshot and model as pure pointer copies — zero
+        // deep clones, zero fixpoint work. (`snapshot` is cleared by every
+        // mutation, so its presence certifies that `last_model` still
+        // describes the current program.)
+        if self.dirty.is_empty() {
             if let (Some(snap), Some(model)) = (&self.snapshot, &self.last_model) {
                 self.stats.snapshot_reuses += 1;
                 self.stats.warm_solves += 1;
-                return Ok(Model {
+                return Model {
                     ground: Arc::clone(snap),
-                    semantics,
+                    semantics: WARM,
                     assignment: Arc::clone(model),
                     stable: Vec::new(),
                     complete: true,
                     trace: None,
-                });
+                };
             }
         }
-        // The affected cone of the pending deltas — what both warm paths
-        // need — computed before the program is borrowed for solving.
-        let affected = warm_wfs.then(|| self.affected_cone());
+        // The affected cone is computed before the program is borrowed
+        // for solving.
+        let affected = self.affected_cone();
         let ground = self.snapshot();
-        let restricted = self.restrict_for_relevance(relevance, &ground)?;
-        let solve_on: &GroundProgram = restricted.as_ref().map(|(p, _)| p).unwrap_or(&ground);
-
-        let mut trace: Option<AfpTrace> = None;
-        let mut stable: Vec<AtomSet> = Vec::new();
-        let mut complete = true;
-        let assignment = match semantics {
-            // Trace recording needs the global alternating sequence, so
-            // `SccStratified` falls back to the global path there.
-            Semantics::WellFounded {
-                strategy: WfStrategy::SccStratified,
-            } if !record_trace => {
-                let condense_started = Instant::now();
-                let cond = match &restricted {
-                    None => {
-                        // Reuse the memoized condensation of the full
-                        // program — kept current across mutations by
-                        // in-place repair, so its presence means it
-                        // condenses exactly the program being solved.
-                        match self.scc_cond.take() {
-                            Some(cond) => cond,
-                            None => {
-                                self.stats.condensation_builds += 1;
-                                Condensation::of(solve_on)
-                            }
-                        }
-                    }
-                    Some((_, key)) => {
-                        // A restricted solve condenses the *restricted*
-                        // program; the session's full-program memo must
-                        // survive untouched, but repeated solves of the
-                        // same restriction hit their own cache (cleared
-                        // on any mutation).
-                        match self.restricted_conds.iter().position(|(k, _)| k == key) {
-                            Some(i) => {
-                                self.stats.restricted_cond_hits += 1;
-                                self.restricted_conds.swap_remove(i).1
-                            }
-                            None => {
-                                self.stats.condensation_builds += 1;
-                                Condensation::of(solve_on)
-                            }
-                        }
-                    }
-                };
-                self.phases.condense_ns += condense_started.elapsed().as_nanos() as u64;
-                let previous = match (&restricted, &self.last_model, &affected) {
-                    (None, Some(model), Some(aff)) => Some((model.as_ref(), aff)),
-                    _ => None,
-                };
-                let solve_started = Instant::now();
-                let result = afp_semantics::modular_wfs_update(solve_on, &cond, previous);
-                self.phases.solve_ns += solve_started.elapsed().as_nanos() as u64;
-                self.stats.scc_solves += 1;
-                self.stats.last_components = result.components;
-                self.stats.last_components_evaluated = result.evaluated;
-                self.stats.last_components_reused = result.reused;
-                self.stats.last_seed_size = result.reused_atoms;
-                if result.reused > 0 {
-                    self.stats.warm_solves += 1;
-                }
-                let model = Arc::new(result.model);
-                match &restricted {
-                    None => {
-                        self.scc_cond = Some(cond);
-                        // Retention is a pointer copy: the session and the
-                        // returned `Model` share one allocation.
-                        self.last_model = Some(Arc::clone(&model));
-                        self.dirty.clear();
-                    }
-                    Some((_, key)) => {
-                        if self.restricted_conds.len() >= RESTRICTED_COND_CACHE_CAP {
-                            self.restricted_conds.remove(0); // oldest entry
-                        }
-                        self.restricted_conds.push((key.clone(), cond));
-                    }
-                }
-                model
-            }
-            Semantics::WellFounded { strategy } => {
-                let chain = match strategy {
-                    WfStrategy::Global(chain) => chain,
-                    WfStrategy::SccStratified => Strategy::default(),
-                };
-                let seed = match (&self.last_model, &affected, &restricted) {
-                    (Some(old), Some(aff), None) => AtomSet::from_iter(
-                        solve_on.atom_count(),
-                        old.neg.iter().filter(|&a| !aff.contains(a)),
-                    ),
-                    _ => solve_on.empty_set(),
-                };
-                if !seed.is_empty() {
-                    self.stats.warm_solves += 1;
-                }
-                self.stats.last_seed_size = seed.count();
-                let solve_started = Instant::now();
-                let result = alternating_fixpoint_from(
-                    solve_on,
-                    &AfpOptions {
-                        strategy: chain,
-                        record_trace,
-                    },
-                    &seed,
-                );
-                self.phases.solve_ns += solve_started.elapsed().as_nanos() as u64;
-                trace = result.trace;
-                let model = Arc::new(result.model);
-                if restricted.is_none() {
-                    self.last_model = Some(Arc::clone(&model));
-                    self.dirty.clear();
-                }
-                model
-            }
-            Semantics::Stable { max_models } => {
-                let result = afp_semantics::enumerate_stable(
-                    solve_on,
-                    &afp_semantics::EnumerateOptions {
-                        max_models,
-                        max_nodes: self.config.stable_search_nodes.unwrap_or(usize::MAX),
-                    },
-                );
-                complete = result.complete;
-                stable = result.models;
-                Arc::new(afp_semantics::cautious_consequences(
-                    &stable,
-                    solve_on.atom_count(),
-                ))
-            }
-            Semantics::Fitting => Arc::new(afp_semantics::fitting_model(solve_on).model),
-            Semantics::Perfect => match afp_semantics::perfect_model(solve_on) {
-                Some(r) => Arc::new(r.model),
-                None => return Err(Error::NotLocallyStratified),
-            },
-            Semantics::Inflationary => {
-                let r = afp_semantics::inflationary_fixpoint(solve_on);
-                let neg = r.model.complement();
-                Arc::new(PartialModel::new(r.model, neg))
-            }
-        };
-        Ok(Model {
-            ground: restricted.map(|(p, _)| Arc::new(p)).unwrap_or(ground),
-            semantics,
-            assignment,
-            stable,
-            complete,
-            trace,
-        })
+        let condense_started = Instant::now();
+        // The memoized condensation is kept current across mutations by
+        // in-place repair, so its presence means it condenses exactly the
+        // program being solved.
+        let cond = self.scc_cond.take().unwrap_or_else(|| {
+            self.stats.condensation_builds += 1;
+            Condensation::of(&ground)
+        });
+        self.phases.condense_ns += condense_started.elapsed().as_nanos() as u64;
+        let previous = self.last_model.as_deref().map(|model| (model, &affected));
+        let solve_started = Instant::now();
+        let result = afp_semantics::modular_wfs_update(&ground, &cond, previous);
+        self.phases.solve_ns += solve_started.elapsed().as_nanos() as u64;
+        self.stats.scc_solves += 1;
+        self.stats.last_components = result.components;
+        self.stats.last_components_evaluated = result.evaluated;
+        self.stats.last_components_reused = result.reused;
+        self.stats.last_seed_size = result.reused_atoms;
+        if result.reused > 0 {
+            self.stats.warm_solves += 1;
+        }
+        self.scc_cond = Some(cond);
+        // Retention is a pointer copy: the session and the returned
+        // `Model` share one allocation.
+        let model = Arc::new(result.model);
+        self.last_model = Some(Arc::clone(&model));
+        self.dirty.clear();
+        Model {
+            ground,
+            semantics: WARM,
+            assignment: model,
+            stable: Vec::new(),
+            complete: true,
+            trace: None,
+        }
     }
 
     /// Re-ground cold from the retained AST after a mid-delta grounding
@@ -952,9 +822,8 @@ impl Session {
         }
     }
 
-    /// The program mutated in place: models must re-snapshot, the
-    /// per-restriction condensation cache is stale, and the memoized
-    /// condensation is **repaired** from the delta instead of dropped —
+    /// The program mutated in place: models must re-snapshot, and the
+    /// memoized condensation is **repaired** from the delta instead of dropped —
     /// `touched` and `edge_targets` are the [`CondensationDelta`]
     /// contract (heads whose rule set changed, targets of possibly-new
     /// dependency edges). The repair writes only its window's atoms and
@@ -962,7 +831,6 @@ impl Session {
     /// — the `dirty` set records what they may no longer be right about.
     fn note_mutation(&mut self, touched: &[AtomId], edge_targets: &[AtomId]) {
         self.snapshot = None;
-        self.restricted_conds.clear();
         if let Some(mut cond) = self.scc_cond.take() {
             let repair_started = Instant::now();
             let prog = match &self.grounder {
@@ -999,7 +867,6 @@ impl Session {
     fn clear_warm_state(&mut self) {
         self.last_model = None;
         self.scc_cond = None;
-        self.restricted_conds.clear();
         self.dirty.clear();
         self.snapshot = None;
     }
@@ -1007,8 +874,8 @@ impl Session {
     /// The forward dependency cone of the pending deltas: the dirty atoms
     /// closed under "some rule's body mentions it → the rule's head".
     /// Everything outside provably keeps its truth value (the
-    /// relevance/splitting argument), which is what both warm re-solve
-    /// paths rely on.
+    /// relevance/splitting argument), which is what the warm solve relies
+    /// on.
     fn affected_cone(&self) -> AtomSet {
         let prog = self.ground();
         let n = prog.atom_count();
@@ -1045,31 +912,6 @@ impl Session {
         }
         Arc::clone(self.snapshot.as_ref().expect("just set"))
     }
-
-    /// Apply a relevance restriction (the engine's configured one or a
-    /// [`Session::solve_restricted`] query set). Queries that fail to
-    /// parse are an error; queries naming atoms the grounder never
-    /// materialized resolve to nothing (such atoms are false in every
-    /// semantics, and the empty cone answers exactly that). Alongside the
-    /// restricted program, returns the resolved seed atom set (sorted,
-    /// deduplicated) — the key of the per-restriction condensation cache
-    /// (atom ids are stable between mutations, and any mutation clears
-    /// the cache, so an equal seed set means an identical restricted
-    /// program).
-    fn restrict_for_relevance(
-        &self,
-        queries: &[String],
-        ground: &GroundProgram,
-    ) -> Result<Option<(GroundProgram, Vec<AtomId>)>, Error> {
-        if queries.is_empty() {
-            return Ok(None);
-        }
-        let mut seeds = relevance_seeds(queries, ground)?;
-        seeds.sort_unstable();
-        seeds.dedup();
-        let restricted = afp_core::relevance::restrict_to_query(ground, &seeds);
-        Ok(Some((restricted, seeds)))
-    }
 }
 
 /// Parse query atoms (text) and resolve them against a ground program.
@@ -1088,31 +930,88 @@ fn relevance_seeds(queries: &[String], ground: &GroundProgram) -> Result<Vec<Ato
     Ok(seeds)
 }
 
-/// Solve the well-founded model of `ground` restricted to the dependency
-/// cone of `queries` — the session-free, read-side counterpart of
-/// [`Session::solve_restricted`], used by [`crate::service::ModelSnapshot`]
-/// to answer relevance-restricted subqueries against a pinned immutable
-/// snapshot from any reader thread. Atoms outside the cone have no rules
-/// in the restricted program and report `False`; only query truth values
-/// within the cone are meaningful.
-pub(crate) fn restricted_wfs_model(
+/// Solve `ground` under `semantics` from nothing: no memo, no seed, and
+/// a condensation of its own. Every solve but the session's warm one runs
+/// here: the global oracle, trace recording, restricted solves and the
+/// other semantics. Taking no session makes the oracle an oracle: it
+/// cannot read, or be served from, the warm state it checks.
+fn solve_cold(
+    ground: Arc<GroundProgram>,
+    semantics: Semantics,
+    config: &EngineBuilder,
+) -> Result<Model, Error> {
+    let mut trace: Option<AfpTrace> = None;
+    let mut stable: Vec<AtomSet> = Vec::new();
+    let mut complete = true;
+    let assignment = match semantics {
+        // Trace recording needs the global alternating sequence, so
+        // `SccStratified` falls back to the global path there.
+        Semantics::WellFounded {
+            strategy: WfStrategy::SccStratified,
+        } if !config.record_trace => afp_semantics::modular_wfs(&ground).model,
+        Semantics::WellFounded { strategy } => {
+            let chain = match strategy {
+                WfStrategy::Global(chain) => chain,
+                WfStrategy::SccStratified => Strategy::default(),
+            };
+            let result = alternating_fixpoint_with(
+                &ground,
+                &AfpOptions {
+                    strategy: chain,
+                    record_trace: config.record_trace,
+                },
+            );
+            trace = result.trace;
+            result.model
+        }
+        Semantics::Stable { max_models } => {
+            let result = afp_semantics::enumerate_stable(
+                &ground,
+                &afp_semantics::EnumerateOptions {
+                    max_models,
+                    max_nodes: config.stable_search_nodes.unwrap_or(usize::MAX),
+                },
+            );
+            complete = result.complete;
+            stable = result.models;
+            afp_semantics::cautious_consequences(&stable, ground.atom_count())
+        }
+        Semantics::Fitting => afp_semantics::fitting_model(&ground).model,
+        Semantics::Perfect => match afp_semantics::perfect_model(&ground) {
+            Some(r) => r.model,
+            None => return Err(Error::NotLocallyStratified),
+        },
+        Semantics::Inflationary => {
+            let r = afp_semantics::inflationary_fixpoint(&ground);
+            let neg = r.model.complement();
+            PartialModel::new(r.model, neg)
+        }
+    };
+    Ok(Model {
+        ground,
+        semantics,
+        assignment: Arc::new(assignment),
+        stable,
+        complete,
+        trace,
+    })
+}
+
+/// Restrict `ground` to the dependency cone of `queries` (ground atoms as
+/// text) and solve the restricted program cold under the semantics of
+/// `config`: the one restricted solve, behind both
+/// [`Session::solve_restricted`] and
+/// [`crate::service::ModelSnapshot::subquery`]. Atoms outside the cone
+/// have no rules in the restricted program and report `False`; only
+/// query truth values within the cone are meaningful.
+pub(crate) fn solve_restricted_cold(
     ground: &GroundProgram,
     queries: &[String],
+    config: &EngineBuilder,
 ) -> Result<Model, Error> {
     let seeds = relevance_seeds(queries, ground)?;
     let restricted = afp_core::relevance::restrict_to_query(ground, &seeds);
-    let cond = Condensation::of(&restricted);
-    let result = afp_semantics::modular_wfs_with(&restricted, &cond);
-    Ok(Model {
-        ground: Arc::new(restricted),
-        semantics: Semantics::WellFounded {
-            strategy: WfStrategy::SccStratified,
-        },
-        assignment: Arc::new(result.model),
-        stable: Vec::new(),
-        complete: true,
-        trace: None,
-    })
+    solve_cold(Arc::new(restricted), config.semantics, config)
 }
 
 /// One write, parsed once where it enters: its kind, the submitted text

@@ -43,16 +43,16 @@
 //! ```
 //!
 //! See [`engine`] for the full API: [`EngineBuilder`] (semantics,
-//! [`SafetyPolicy`], tracing, relevance restriction), [`Session`]
-//! (`assert_facts` / `retract_facts` / warm re-solve), and the unified
-//! three-valued [`Model`].
+//! [`SafetyPolicy`], tracing), [`Session`] (`assert_facts` /
+//! `retract_facts` / warm re-solve / `solve_restricted`), and the
+//! unified three-valued [`Model`].
 //!
 //! ## Crates
 //!
 //! * [`datalog`] (`afp-datalog`) — parser, Herbrand machinery, batch and
 //!   incremental grounder, relational engine;
 //! * [`core`] (`afp-core`) — the operators `S_P`, `S̃_P`, `A_P` and the
-//!   (resumable) alternating fixpoint computation;
+//!   alternating fixpoint computation;
 //! * [`semantics`] (`afp-semantics`) — unfounded sets, stable models,
 //!   Fitting, perfect models, inflationary fixpoints, explanations;
 //! * [`fol`] (`afp-fol`) — first-order rule bodies, Lloyd–Topor, fixpoint

@@ -109,10 +109,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::{restricted_wfs_model, Delta};
+use crate::engine::{solve_restricted_cold, Delta};
 use crate::journal::{self, CrashPoint, Journal, JournalOptions, JournalStats};
 use crate::telemetry::{MetricsRegistry, PhaseBreakdown, Telemetry};
-use crate::{Engine, Error, Model, Program, Session, SessionStats, Truth};
+use crate::{Engine, EngineBuilder, Error, Model, Program, Session, SessionStats, Truth};
 use afp_datalog::ast::import_rule;
 
 /// Lock a mutex, recovering the data on poison: the service's shared
@@ -234,7 +234,7 @@ impl ModelSnapshot {
         S: Into<String>,
     {
         let queries: Vec<String> = queries.into_iter().map(Into::into).collect();
-        restricted_wfs_model(self.model.ground(), &queries)
+        solve_restricted_cold(self.model.ground(), &queries, &EngineBuilder::default())
     }
 }
 

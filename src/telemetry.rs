@@ -317,7 +317,6 @@ registry! {
         condensation_repairs: Counter,
         last_repair_atoms: Gauge,
         last_repair_edges: Gauge,
-        restricted_cond_hits: Counter,
         scc_solves: Counter,
         last_components: Gauge,
         last_components_evaluated: Gauge,

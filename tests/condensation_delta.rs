@@ -20,10 +20,7 @@
 //!   (ids inside the window may be renumbered; reuse is keyed by atom
 //!   id);
 //! * the repair is delta-bounded: a 1-fact delta on a k-knot chain
-//!   visits a small constant number of atoms, not Θ(k);
-//! * the per-restriction condensation cache: repeated
-//!   `solve_restricted` calls with the same query set hit the cache, and
-//!   any mutation invalidates it.
+//!   visits a small constant number of atoms, not Θ(k).
 //!
 //! Component ids and order labels are an arbitrary topological labeling
 //! (Tarjan renumbers freely), so "identical to a from-scratch build"
@@ -356,54 +353,4 @@ fn load_ground_sessions_repair_too() {
     let stats = session.stats();
     assert_eq!(stats.condensation_builds, 1);
     assert_eq!(stats.condensation_repairs, 3);
-}
-
-/// The per-restriction condensation cache: the second restricted solve
-/// of the same query set is a hit; a different query set misses; any
-/// mutation invalidates.
-#[test]
-fn restricted_condensations_are_cached_per_query_set() {
-    let engine = Engine::default();
-    let mut session = engine
-        .load("a :- not b. b :- not a. c. d :- c, not a. e :- d.")
-        .unwrap();
-    session.solve().unwrap();
-    assert_eq!(session.stats().condensation_builds, 1);
-
-    let m = session.solve_restricted(["d"]).unwrap();
-    assert_eq!(m.truth("d", &[]), Truth::Undefined);
-    assert_eq!(session.stats().condensation_builds, 2, "first: a miss");
-    assert_eq!(session.stats().restricted_cond_hits, 0);
-
-    let m = session.solve_restricted(["d"]).unwrap();
-    assert_eq!(m.truth("d", &[]), Truth::Undefined);
-    assert_eq!(session.stats().condensation_builds, 2, "second: a hit");
-    assert_eq!(session.stats().restricted_cond_hits, 1);
-
-    // A different restriction is its own entry.
-    session.solve_restricted(["e"]).unwrap();
-    assert_eq!(session.stats().condensation_builds, 3);
-    session.solve_restricted(["e"]).unwrap();
-    assert_eq!(session.stats().restricted_cond_hits, 2);
-
-    // A mutation invalidates the cache but repairs the full-program memo.
-    session.assert_facts("f.").unwrap();
-    session.solve_restricted(["d"]).unwrap();
-    assert_eq!(
-        session.stats().condensation_builds,
-        4,
-        "the restriction cache was cleared by the mutation"
-    );
-    session.solve().unwrap();
-    assert_eq!(
-        session.stats().condensation_builds,
-        4,
-        "the full-program condensation was repaired, not rebuilt"
-    );
-    assert!(session.stats().condensation_repairs >= 1);
-
-    // The restricted solves never corrupted the unrestricted model.
-    let model = session.solve().unwrap();
-    assert_eq!(model.truth("a", &[]), Truth::Undefined);
-    assert_eq!(model.truth("c", &[]), Truth::True);
 }

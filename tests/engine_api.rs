@@ -238,26 +238,23 @@ fn updates_reject_rules_and_non_ground_facts() {
     assert!(matches!(session.assert_facts("p("), Err(Error::Parse(_))));
 }
 
-/// The builder's relevance option restricts solving to the query cone.
+/// A restricted solve solves the query's dependency cone only.
 #[test]
 fn relevance_restriction_solves_the_cone_only() {
     let src = "
         goal :- p, not q. p. q :- not r. r :- not q.
         unrelated1 :- not unrelated2. unrelated2 :- not unrelated1.
     ";
-    let full = Engine::default().solve(src).unwrap();
-    let restricted = Engine::builder()
-        .relevance(["goal"])
-        .build()
-        .solve(src)
-        .unwrap();
+    let mut session = Engine::default().load(src).unwrap();
+    let full = session.solve().unwrap();
+    let restricted = session.solve_restricted(["goal"]).unwrap();
     assert_eq!(restricted.truth("goal", &[]), full.truth("goal", &[]));
     assert!(restricted.ground().rule_count() < full.ground().rule_count());
 
     // A relevance query that does not parse is an error, not a silently
     // empty (all-False) restriction.
     assert!(matches!(
-        Engine::builder().relevance(["goal("]).build().solve(src),
+        session.solve_restricted(["goal("]),
         Err(Error::Parse(_))
     ));
 }
@@ -502,14 +499,18 @@ fn read_only_resolve_is_a_pointer_copy() {
     // … and the pinned old model still answers for its own version.
     assert_eq!(second.truth("wins", &["c"]), Truth::False);
 
-    // The memo serves the new version thereafter, under both strategies
-    // (the WFS model is strategy-independent).
-    let fourth = session
+    // The memo serves the new version thereafter. The global oracle is
+    // computed cold instead, and agrees with it.
+    let fourth = session.solve().unwrap();
+    assert!(std::ptr::eq(third.partial_model(), fourth.partial_model()));
+    assert_eq!(session.stats().snapshot_reuses, 2);
+    let global = session
         .solve_with(Semantics::WellFounded {
             strategy: WfStrategy::Global(Strategy::default()),
         })
         .unwrap();
-    assert!(std::ptr::eq(third.partial_model(), fourth.partial_model()));
+    assert!(!std::ptr::eq(third.partial_model(), global.partial_model()));
+    assert_eq!(global.partial_model(), third.partial_model());
     assert_eq!(session.stats().snapshot_reuses, 2);
 
     // Non-WFS semantics bypass the memo (different model object) without

@@ -366,19 +366,23 @@ fn restricted_solves_keep_the_memoized_condensation() {
     session.solve().unwrap();
     assert_eq!(session.stats().condensation_builds, 1);
 
-    // The restricted solve builds its own (restricted) condensation…
+    // The restricted solve condenses its own (restricted) program cold,
+    // which the build counter does not count…
     let restricted = session.solve_restricted(["c"]).unwrap();
     assert_eq!(restricted.truth("c", &[]), Truth::True);
-    assert_eq!(session.stats().condensation_builds, 2);
+    assert_eq!(session.stats().condensation_builds, 1);
 
     // …and the next unrestricted solve reuses the cached one: the build
-    // counter must not move (it used to).
+    // counter must not move (it used to). A delta first, so the solve
+    // goes through the condensation instead of the memo.
+    session.assert_facts("e.").unwrap();
     session.solve().unwrap();
     assert_eq!(
         session.stats().condensation_builds,
-        2,
+        1,
         "the unrestricted condensation survived the restricted solve"
     );
+    assert_eq!(session.stats().condensation_repairs, 1);
 
     // The restricted solve must not have corrupted warm state either.
     let model = session.solve().unwrap();

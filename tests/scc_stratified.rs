@@ -58,6 +58,33 @@ fn scc_agrees_with_global_on_random_programs() {
     }
 }
 
+/// The global oracle is computed, never served from the warm state it
+/// checks. On an unchanged session a global solve after a per-SCC one
+/// moves no warm counter; after a delta it leaves the delta pending for
+/// the warm solve, which then re-solves the cone instead of hitting the
+/// memo.
+#[test]
+fn the_global_oracle_is_computed_cold() {
+    let mut session = Engine::default().load(&hard_knot_chain_src(8)).unwrap();
+    let scc = session.solve_with(SCC).unwrap();
+    let before = *session.stats();
+    let global = session.solve_with(GLOBAL).unwrap();
+    let after = *session.stats();
+    assert_eq!(after.snapshot_reuses, before.snapshot_reuses);
+    assert_eq!(after.warm_solves, before.warm_solves);
+    assert!(!std::ptr::eq(scc.partial_model(), global.partial_model()));
+    assert_eq!(scc.partial_model(), global.partial_model());
+
+    session.retract_facts("e(k3).").unwrap();
+    let before = *session.stats();
+    let global = session.solve_with(GLOBAL).unwrap();
+    assert_eq!(session.stats().warm_solves, before.warm_solves);
+    let scc = session.solve_with(SCC).unwrap();
+    assert_eq!(session.stats().scc_solves, before.scc_solves + 1);
+    assert_eq!(session.stats().snapshot_reuses, before.snapshot_reuses);
+    assert_eq!(scc.partial_model(), global.partial_model());
+}
+
 /// Differential under updates: a session re-solving warm per SCC after a
 /// random assert/retract script always matches a cold global solve of
 /// the same final state — and interleaving strategies is safe.

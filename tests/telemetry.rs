@@ -127,7 +127,6 @@ const SESSION_KEYS: &[(&str, &str)] = &[
     ("condensation_repairs", C),
     ("last_repair_atoms", G),
     ("last_repair_edges", G),
-    ("restricted_cond_hits", C),
     ("scc_solves", C),
     ("last_components", G),
     ("last_components_evaluated", G),

@@ -13,7 +13,9 @@
 //! * A negative literal pruned from every instance of a rule: the bytes
 //!   a cold load allocates per instance stay flat, so recording the
 //!   instances under the one pruned literal does not copy the list on
-//!   each instance.
+//!   each instance. Asserting the literal's atom resurrects it into every
+//!   instance, again in flat bytes per instance, so the atom's occurrence
+//!   list is not rebuilt once per instance.
 
 use afp::datalog::{
     parse_program, GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome,
@@ -169,18 +171,24 @@ fn bytes_allocated<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (BYTES.load(Ordering::Relaxed) - before, out)
 }
 
+/// `keys` instances of `p(X) :- e(X), not flag.`: `flag` never enters
+/// the envelope, so `not flag` is pruned from every `p` instance, and
+/// each instance is recorded under it.
+fn pruned_flag_src(keys: usize) -> String {
+    let mut src = String::from("p(X) :- e(X), not flag.\n");
+    for i in 0..keys {
+        src.push_str(&format!("e(k{i}).\n"));
+    }
+    src
+}
+
 #[test]
 fn a_literal_pruned_from_every_instance_loads_in_flat_bytes_per_instance() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // `flag` never enters the envelope, so `not flag` is pruned from
-    // every `p` instance, and each instance is recorded under it.
     let per_instance: Vec<f64> = [1_000, 10_000]
         .into_iter()
         .map(|keys| {
-            let mut src = String::from("p(X) :- e(X), not flag.\n");
-            for i in 0..keys {
-                src.push_str(&format!("e(k{i}).\n"));
-            }
+            let src = pruned_flag_src(keys);
             let (n, session) = bytes_allocated(|| Engine::default().load(&src));
             session.expect("the program loads");
             let per_instance = n as f64 / keys as f64;
@@ -192,5 +200,34 @@ fn a_literal_pruned_from_every_instance_loads_in_flat_bytes_per_instance() {
     assert!(
         ratio <= 1.5,
         "bytes per instance grew {ratio:.2}× from 10³ to 10⁴ instances"
+    );
+}
+
+#[test]
+fn resurrecting_a_literal_pruned_from_every_instance_takes_flat_bytes_per_instance() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Asserting `flag` puts `not flag` back into every `p` instance.
+    let per_instance: Vec<f64> = [1_000, 10_000]
+        .into_iter()
+        .map(|keys| {
+            let program = parse_program(&pruned_flag_src(keys)).unwrap();
+            let mut grounder =
+                IncrementalGrounder::new(&program, &GroundOptions::default()).unwrap();
+            let flag = parse_program("flag.").unwrap();
+            let (n, outcome) =
+                bytes_allocated(|| grounder.assert_rules(&flag.rules, &flag.symbols).unwrap());
+            assert!(
+                matches!(outcome, RuleAssertOutcome::Applied(ref e) if e.resurrected == keys),
+                "the assert resurrects `not flag` in every instance"
+            );
+            let per_instance = n as f64 / keys as f64;
+            eprintln!("{keys} instances: resurrect {n} bytes, {per_instance:.0} per instance");
+            per_instance
+        })
+        .collect();
+    let ratio = per_instance[1] / per_instance[0];
+    assert!(
+        ratio <= 1.5,
+        "bytes per resurrected instance grew {ratio:.2}× from 10³ to 10⁴ instances"
     );
 }
