@@ -62,13 +62,6 @@ impl<'p> HornEngine<'p> {
         engine
     }
 
-    /// Create an engine with a given initial `Ĩ` and run the closure.
-    pub fn with_assumed_false(prog: &'p GroundProgram, assumed: &AtomSet) -> Self {
-        let mut engine = Self::new(prog);
-        engine.assume_false_all(assumed);
-        engine
-    }
-
     /// The current closure `S_P(Ĩ)`.
     pub fn derived(&self) -> &AtomSet {
         &self.derived

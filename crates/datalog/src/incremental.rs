@@ -73,9 +73,18 @@
 //! false when a batch errors mid-delta (rule/envelope budget): the
 //! grounder is then *poisoned* — the program may be missing consequences
 //! — and must be rebuilt cold before further use.
+//!
+//! The grounder holds the one copy of the live statement set: the EDB
+//! facts (by atom) and the source form of every compiled rule, each
+//! once, since a load skips repeated statements and a batch skips
+//! present ones. [`IncrementalGrounder::source`] renders it as a
+//! program; checkpoints serialize it, and cold re-grounds (the fallback
+//! where a warm delta is unsound, and recovery from poison) ground it. A
+//! batch that errors takes its statements back out before it poisons
+//! the grounder, so a failed batch never stays in the set.
 
-use crate::ast::{Atom, Program, Rule};
-use crate::atoms::{AtomId, ConstId, HerbrandBase};
+use crate::ast::{Atom, Program, Rule, Term};
+use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
 use crate::cow::CowVec;
 use crate::error::GroundError;
 use crate::fx::{FxHashMap, FxHashSet};
@@ -91,6 +100,7 @@ use crate::seminaive::{
 };
 use crate::symbol::Symbol;
 use std::collections::hash_map::Entry;
+use std::collections::HashSet;
 use std::ops::Range;
 
 /// An imported, validated, and compiled `assert_rules` batch — produced
@@ -161,7 +171,9 @@ pub struct IncrementalGrounder {
     negs: Vec<Vec<CompiledAtom>>,
     /// The source (AST) form of each compiled rule, expressed against the
     /// grounder's own symbol store — what
-    /// [`IncrementalGrounder::retract_rules`] matches structurally.
+    /// [`IncrementalGrounder::retract_rules`] matches structurally, and
+    /// with `edb_facts` the statement set
+    /// [`IncrementalGrounder::source`] renders.
     src_rules: Vec<Rule>,
     /// The instance list ([`Provenance`]) of each compiled rule.
     lists: Vec<ListId>,
@@ -216,10 +228,17 @@ pub struct IncrementalGrounder {
 impl IncrementalGrounder {
     /// Ground `program`, retaining the working state. Produces exactly the
     /// [`GroundProgram`] that [`crate::ground::ground_with`] produces (that
-    /// function now delegates here).
+    /// function now delegates here). A repeated statement is skipped: the
+    /// first occurrence stays, so it is grounded once.
     pub fn new(program: &Program, options: &GroundOptions) -> Result<Self, GroundError> {
         let mut symbols = program.symbols.clone();
-        let dom_pred = symbols.intern_fresh("$dom");
+        // A grounder's own `source` holds `$dom` but no rule over it; its
+        // re-grounds reuse the name instead of interning one per re-ground.
+        let mentions = |r: &Rule, p| r.head.pred == p || r.body.iter().any(|l| l.atom.pred == p);
+        let dom_pred = match symbols.get("$dom") {
+            Some(dom) if !program.rules.iter().any(|r| mentions(r, dom)) => dom,
+            _ => symbols.intern_fresh("$dom"),
+        };
         let mut g = IncrementalGrounder {
             options: *options,
             dom_pred,
@@ -247,21 +266,30 @@ impl IncrementalGrounder {
         // terms they intern when no argument nests a function term, and
         // is only a hint otherwise; their argument lists are kept, to
         // intern the facts as atoms once the envelope bounds the atom
-        // count. -------------------------------------------------------
-        let facts = program.rules.iter().filter(|r| r.is_fact()).count();
-        let fact_arity: usize = program
-            .rules
-            .iter()
-            .filter(|r| r.is_fact())
-            .map(|r| r.head.args.len())
-            .sum();
+        // count. A fact whose row the envelope already holds, and a rule
+        // already compiled, are repeats. -----------------------------------
+        let (mut fact_count, mut fact_arity) = (0, 0);
+        for rule in program.rules.iter().filter(|r| r.is_fact()) {
+            fact_count += 1;
+            fact_arity += rule.head.args.len();
+        }
         g.prog.base_mut().reserve(fact_arity, 0);
         let mut fact_args: Vec<ConstId> = Vec::with_capacity(fact_arity);
+        // Each kept fact's predicate and argument count, in program order.
+        let mut facts: Vec<(Symbol, u32)> = Vec::with_capacity(fact_count);
+        let mut rules_seen: HashSet<&Rule> = HashSet::new();
         for rule in &program.rules {
             if rule.is_fact() {
                 let (base, start) = (g.prog.base_mut(), fact_args.len());
                 fact_args.extend(rule.head.args.iter().map(|t| intern_ground_term(t, base)));
-                g.envelope.insert(rule.head.pred, &fact_args[start..]);
+                if g.envelope.insert(rule.head.pred, &fact_args[start..]) {
+                    facts.push((rule.head.pred, rule.head.args.len() as u32));
+                } else {
+                    fact_args.truncate(start);
+                }
+                continue;
+            }
+            if !rules_seen.insert(rule) {
                 continue;
             }
             let guards = g.guards(rule)?;
@@ -279,13 +307,14 @@ impl IncrementalGrounder {
         // decide later whether a retraction shrinks it: per-term fact
         // reference counts, and the terms pinned by non-fact rule
         // constants (which no retraction can remove).
-        // Each fact's predicate and interned arguments, in program order.
+        // Each kept fact's predicate and interned arguments, in program
+        // order.
         let fact_tuples = || {
             let mut rest = &fact_args[..];
-            program.rules.iter().filter(|r| r.is_fact()).map(move |r| {
-                let (args, after) = rest.split_at(r.head.args.len());
+            facts.iter().map(move |&(pred, arity)| {
+                let (args, after) = rest.split_at(arity as usize);
                 rest = after;
-                (r.head.pred, args)
+                (pred, args)
             })
         };
         if g.need_dom {
@@ -293,7 +322,7 @@ impl IncrementalGrounder {
             for (_, args) in fact_tuples() {
                 dom_terms.extend(g.count_fact_terms(args, true));
             }
-            for rule in program.rules.iter().filter(|r| !r.is_fact()) {
+            for rule in &g.src_rules {
                 let start = dom_terms.len();
                 collect_rule_consts(rule, g.prog.base_mut(), &mut dom_terms);
                 for &t in &dom_terms[start..] {
@@ -320,7 +349,7 @@ impl IncrementalGrounder {
         // order, and become bodyless ground rules (the synthetic domain
         // guard is not part of H).
         g.prog.base_mut().reserve(0, g.envelope.total_tuples());
-        g.edb_facts.reserve(facts);
+        g.edb_facts.reserve(facts.len());
         for (pred, args) in fact_tuples() {
             let head = g.prog.intern_atom_ids(pred, args);
             g.edb_facts.insert(head);
@@ -358,17 +387,40 @@ impl IncrementalGrounder {
     /// `true` after a mutating call errored mid-delta (rule or envelope
     /// budget): the ground program may hold a fact whose consequences
     /// were never instantiated, so it must not be solved or warm-updated
-    /// — re-ground cold from the source program.
+    /// — re-ground [`IncrementalGrounder::source`] cold.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
 
-    /// `true` when grounding used active-domain guards. Retraction can
-    /// then shrink the domain, and instances whose only positive subgoal
-    /// was a stripped `$dom` guard would survive a warm retract that a
-    /// cold re-ground would drop — callers should re-ground cold.
-    pub fn uses_active_domain(&self) -> bool {
-        self.need_dom
+    /// The live statement set as a program over the grounder's symbol
+    /// store: the EDB facts in atom-id order, then the rules in their
+    /// retained order, each once. Grounding it cold gives an equivalent
+    /// grounder, without the instances a stale envelope keeps.
+    pub fn source(&self) -> Program {
+        fn term(t: ConstId, base: &HerbrandBase) -> Term {
+            match base.term(t) {
+                GroundTerm::Const(c) => Term::Const(*c),
+                GroundTerm::App(f, args) => {
+                    Term::App(*f, args.iter().map(|&a| term(a, base)).collect())
+                }
+            }
+        }
+        let base = self.prog.base();
+        let mut facts: Vec<AtomId> = self.edb_facts.iter().copied().collect();
+        facts.sort_unstable();
+        let mut rules = Vec::with_capacity(facts.len() + self.src_rules.len());
+        rules.extend(facts.into_iter().map(|atom| {
+            let (pred, args) = base.atom(atom);
+            Rule::fact(Atom::new(
+                pred,
+                args.iter().map(|&t| term(t, base)).collect(),
+            ))
+        }));
+        rules.extend(self.src_rules.iter().cloned());
+        Program {
+            rules,
+            symbols: self.prog.symbols().clone(),
+        }
     }
 
     /// Add imported ground EDB facts: push each new one's bodyless rule
@@ -385,12 +437,15 @@ impl IncrementalGrounder {
             assert!(atom.is_ground(), "asserted facts must be ground");
             let tuple = self.intern_args(&atom);
             let final_atom = self.prog.intern_atom_ids(atom.pred, &tuple);
-            if !self.edb_facts.insert(final_atom) {
+            if self.edb_facts.contains(&final_atom) {
                 continue; // already an EDB fact — no-op
             }
             effect.fresh = true;
             let fact = GroundRule::new(final_atom, vec![], vec![]);
+            // Pushed first: an EDB fact always has its rule, which is how
+            // a failed batch finds the facts to take back.
             self.push_rule_checked(fact, FACT)?;
+            self.edb_facts.insert(final_atom);
             effect.changed.push(final_atom);
             if self.need_dom {
                 // One subterm walk serves both the refcounts and the
@@ -502,8 +557,9 @@ impl IncrementalGrounder {
     /// envelope budget) **poison** it: the program may hold facts whose
     /// consequences were never instantiated,
     /// [`IncrementalGrounder::supports_incremental`] turns false, and the
-    /// caller must re-ground cold from its source program before solving
-    /// again.
+    /// caller must re-ground [`IncrementalGrounder::source`] cold before
+    /// solving again. The batch's statements are out of that source by
+    /// then, so the re-ground restores the program from before the batch.
     pub fn assert_rules(
         &mut self,
         rules: &[Rule],
@@ -514,9 +570,21 @@ impl IncrementalGrounder {
         let Some(prepared) = self.prepare_rules(rules, from)? else {
             return Ok(RuleAssertOutcome::NeedsCold);
         };
+        let (first_rule, first_compiled) = (self.prog.rule_count(), self.compiled.len());
         let result = self.assert_rules_inner(prepared);
         self.flush_rules();
         if result.is_err() {
+            // An assert removes no rule, so the batch's new facts are the
+            // fact rules from `first_rule` on.
+            for rid in first_rule as RuleId..self.prog.rule_count() as RuleId {
+                if !self.provenance.is_instance(rid) {
+                    self.edb_facts.remove(&self.prog.rule(rid).head);
+                }
+            }
+            self.src_rules.truncate(first_compiled);
+            self.compiled.truncate(first_compiled);
+            self.negs.truncate(first_compiled);
+            self.lists.truncate(first_compiled);
             self.poisoned = true;
         }
         result.map(RuleAssertOutcome::Applied)
@@ -770,8 +838,8 @@ impl IncrementalGrounder {
 
     /// Test-only fault injection: mark the grounder poisoned as if a
     /// mutating call had errored mid-delta. Lets integration tests drive
-    /// the recovery paths that are unreachable through the public API (a
-    /// retained source program always re-grounds within the budgets that
+    /// the recovery paths that are unreachable through the public API
+    /// (the statement set always re-grounds within the budgets that
     /// admitted it — the warm program is a superset of its cold
     /// re-ground).
     #[doc(hidden)]
@@ -1342,6 +1410,60 @@ mod tests {
         assert!(err.is_err());
         assert!(g.is_poisoned());
         assert!(!g.supports_incremental(), "poisoned ⇒ no more warm deltas");
+    }
+
+    /// The lines of `g`'s source program, sorted.
+    fn source_lines(g: &IncrementalGrounder) -> Vec<String> {
+        let mut lines: Vec<String> = g.source().to_text().lines().map(String::from).collect();
+        lines.sort();
+        lines
+    }
+
+    #[test]
+    fn source_lists_each_live_statement_once() {
+        let program = parse_program("p(a). q :- not p(b). p(a). q :- not p(b).").unwrap();
+        let mut g = IncrementalGrounder::new(&program, &GroundOptions::default()).unwrap();
+        assert_eq!(source_lines(&g), ["p(a).", "q :- not p(b)."]);
+        assert_src(&mut g, "p(c). p(a). q :- not p(b). r(X) :- p(X).").unwrap();
+        assert_eq!(
+            source_lines(&g),
+            ["p(a).", "p(c).", "q :- not p(b).", "r(X) :- p(X)."]
+        );
+        applied(retract_src(&mut g, "p(a). q :- not p(b)."));
+        applied(retract_src(&mut g, "p(a). q :- not p(b)."));
+        assert_eq!(source_lines(&g), ["p(c).", "r(X) :- p(X)."]);
+        // Facts come first, then rules.
+        assert_eq!(g.source().to_text(), "p(c).\nr(X) :- p(X).\n");
+    }
+
+    #[test]
+    fn regrounding_the_source_interns_no_new_name() {
+        let program = parse_program("p(X) :- not q(X). q(a). r(b).").unwrap();
+        let options = GroundOptions {
+            safety: SafetyPolicy::ActiveDomain,
+            ..Default::default()
+        };
+        let g = IncrementalGrounder::new(&program, &options).unwrap();
+        let again = IncrementalGrounder::new(&g.source(), &options).unwrap();
+        assert_eq!(again.program().symbols().len(), g.program().symbols().len());
+        assert_same_programs(again.program(), g.program());
+    }
+
+    #[test]
+    fn a_failed_batch_takes_its_statements_back() {
+        let program = parse_program("p(X, Y) :- d(X), d(Y). d(a).").unwrap();
+        let options = GroundOptions {
+            max_ground_rules: 6,
+            ..Default::default()
+        };
+        let mut g = IncrementalGrounder::new(&program, &options).unwrap();
+        let before = source_lines(&g);
+        assert!(assert_src(&mut g, "q(X) :- d(X). d(b). d(c).").is_err());
+        assert!(g.is_poisoned());
+        assert_eq!(source_lines(&g), before);
+        // The recovery re-ground fits the budget that admitted the program.
+        let recovered = IncrementalGrounder::new(&g.source(), &options).unwrap();
+        assert_eq!(recovered.program().rule_count(), 2);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! key), the first solve, the p50 of a
 //! whole write (the session call plus the solve after it), and the p50
 //! of its layers from [`afp::Session::take_phases`]: grounding,
-//! condensation repair, the source-program mirror (session call wall
-//! time minus ground and repair, as the benchmark's replay measures it)
-//! and the solve, and the rest: the write minus those four, the time
+//! condensation repair, `mirror` (the session call's wall time minus
+//! ground and repair: the call's own bookkeeping, which the benchmark
+//! reports as `engine.mirror_us`) and the solve, and the rest: the
+//! write minus those four, the time
 //! no phase accounts for. A write whose cone is one knot should cost the
 //! same at every size. The last column is the process's peak resident
 //! set so far (`VmHWM`, Linux only): with key counts in ascending order,

@@ -50,7 +50,9 @@
 //! exactly its ground instances, and only a delta the warm machinery
 //! cannot express soundly (a real active-domain shrink, the bootstrap of
 //! the domain machinery itself) falls back to a single cold re-ground of
-//! the mirrored source program. There is one warm solve: the default
+//! the grounder's statement set
+//! ([`afp_datalog::IncrementalGrounder::source`]), which is also what
+//! checkpoints render. There is one warm solve: the default
 //! well-founded one (per-SCC, no trace, no restriction). Via the
 //! relevance/splitting argument (atoms that cannot reach any changed
 //! atom in the dependency graph keep their truth values), it starts from
@@ -66,7 +68,7 @@
 use afp_core::afp::{alternating_fixpoint_with, AfpOptions, AfpTrace};
 use afp_core::interp::{PartialModel, Truth};
 use afp_core::Strategy;
-use afp_datalog::ast::{Program, Rule};
+use afp_datalog::ast::{import_rule, Program, Rule};
 use afp_datalog::atoms::AtomId;
 use afp_datalog::bitset::AtomSet;
 use afp_datalog::depgraph::{Condensation, CondensationDelta};
@@ -75,11 +77,11 @@ use afp_datalog::{
     GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome, SafetyPolicy,
     SymbolStore,
 };
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::service::DeltaKind;
-use crate::source::SourceProgram;
 use crate::telemetry::SessionPhases;
 use crate::Error;
 
@@ -241,31 +243,21 @@ impl Engine {
 
     /// Ground an already-parsed program into a reusable session.
     pub fn load_program(&self, program: Program) -> Result<Session, Error> {
-        let ast = SourceProgram::new(program);
-        let grounder = IncrementalGrounder::new(ast.program(), &self.config.ground)?;
-        Ok(Session {
-            config: self.config.clone(),
-            grounder: Some(grounder),
-            ast: Some(ast),
-            fixed: None,
-            snapshot: None,
-            dirty: Vec::new(),
-            last_model: None,
-            scc_cond: None,
-            stats: SessionStats::default(),
-            phases: SessionPhases::default(),
-        })
+        let grounder = IncrementalGrounder::new(&program, &self.config.ground)?;
+        Ok(self.session(Grounding::Grounder(Box::new(grounder))))
     }
 
     /// Wrap an existing ground program in a session (no grounder state;
     /// `assert_facts` appends fact rules directly, which is exact for
     /// ground programs).
     pub fn load_ground(&self, ground: GroundProgram) -> Session {
+        self.session(Grounding::Fixed(ground))
+    }
+
+    fn session(&self, grounding: Grounding) -> Session {
         Session {
             config: self.config.clone(),
-            grounder: None,
-            ast: None,
-            fixed: Some(ground),
+            grounding,
             snapshot: None,
             dirty: Vec::new(),
             last_model: None,
@@ -362,15 +354,12 @@ pub struct SessionStats {
 }
 
 /// A loaded program: interned symbols, ground rules, and (for programs
-/// loaded from text or AST) the live grounder state for incremental fact
-/// updates. Produced by [`Engine::load`].
+/// loaded from text or AST) the live grounder, which also holds the
+/// statement set that checkpoints and cold re-grounds read. Produced by
+/// [`Engine::load`].
 pub struct Session {
     config: EngineBuilder,
-    grounder: Option<IncrementalGrounder>,
-    /// Source program retained for the cold re-ground fallback and for
-    /// checkpoints, with every warm delta mirrored into it.
-    ast: Option<SourceProgram>,
-    fixed: Option<GroundProgram>,
+    grounding: Grounding,
     /// Copy-on-write snapshot handed to models; invalidated on mutation.
     snapshot: Option<Arc<GroundProgram>>,
     /// Atoms whose rules changed since the last well-founded solve.
@@ -397,13 +386,29 @@ pub struct Session {
     phases: SessionPhases,
 }
 
+/// Where a session's ground program comes from.
+enum Grounding {
+    /// A program loaded from text or an AST: the grounder holds its
+    /// statements and their ground program.
+    Grounder(Box<IncrementalGrounder>),
+    /// A pre-ground program ([`Engine::load_ground`]), with no statements
+    /// to re-ground.
+    Fixed(GroundProgram),
+}
+
+impl Grounding {
+    fn program(&self) -> &GroundProgram {
+        match self {
+            Grounding::Grounder(g) => g.program(),
+            Grounding::Fixed(ground) => ground,
+        }
+    }
+}
+
 impl Session {
     /// The current ground program.
     pub fn ground(&self) -> &GroundProgram {
-        match &self.grounder {
-            Some(g) => g.program(),
-            None => self.fixed.as_ref().expect("fixed or grounder"),
-        }
+        self.grounding.program()
     }
 
     /// Reuse counters.
@@ -420,15 +425,19 @@ impl Session {
         std::mem::take(&mut self.phases)
     }
 
-    /// The retained source program, rendered as re-parseable text — the
-    /// exact statement set the warm deltas have maintained (asserted
-    /// facts and rules present, retracted ones absent), one statement
-    /// per line. `None` for sessions loaded from a pre-ground program
-    /// ([`Engine::load_ground`]), which keep no AST. The [`crate::journal`]
-    /// layer serializes checkpoints from this text, so
-    /// `Engine::load(source_text())` reconstructs an equivalent session.
+    /// The grounder's statement set, rendered as re-parseable text — the
+    /// program the deltas have maintained (asserted facts and rules
+    /// present, retracted ones absent), one statement per line: the EDB
+    /// facts, then the rules. `None` for sessions loaded from a
+    /// pre-ground program ([`Engine::load_ground`]), which have no
+    /// statements. The [`crate::journal`] layer serializes checkpoints
+    /// from this text, so `Engine::load(source_text())` reconstructs an
+    /// equivalent session.
     pub fn source_text(&self) -> Option<String> {
-        self.ast.as_ref().map(|p| p.program().to_text())
+        match &self.grounding {
+            Grounding::Grounder(g) => Some(g.source().to_text()),
+            Grounding::Fixed(_) => None,
+        }
     }
 
     /// Assert ground facts, written as source text (e.g.
@@ -500,49 +509,56 @@ impl Session {
         if rules.is_empty() {
             return Ok(());
         }
-        let Some(g) = &mut self.grounder else {
-            return self.apply_ground_rules(program, assert);
+        let g = match &mut self.grounding {
+            Grounding::Grounder(g) => g,
+            Grounding::Fixed(ground) => {
+                let (touched, edge_targets) = apply_ground_rules(ground, program, assert)?;
+                if !touched.is_empty() {
+                    self.dirty.extend_from_slice(&touched);
+                    self.note_mutation(&touched, &edge_targets);
+                }
+                return Ok(());
+            }
         };
         // An assert needs a precise, unpoisoned grounder: a pruned
         // negative literal that could not be keyed for resurrection would
         // let a warm delta silently change old instances' semantics. A
-        // retract needs only an unpoisoned one. Otherwise apply the edit
-        // to the retained AST and re-ground once.
-        let warm = if assert {
-            g.supports_incremental()
-        } else {
-            !g.is_poisoned()
-        };
-        if !warm {
-            return self.cold_update(rules, symbols, assert);
-        }
-        // `None` asks for the cold path: an assert bootstrapping the
-        // active-domain machinery, or a retract that shrinks the domain
-        // (instances whose only positive subgoal was a stripped `$dom`
-        // guard would wrongly survive it warm).
+        // retract needs only an unpoisoned one. `None` asks for the cold
+        // path: apply the edit to the grounder's statements and re-ground
+        // once. The grounder itself asks for it on an assert bootstrapping
+        // the active-domain machinery, or a retract that shrinks the
+        // domain (instances whose only positive subgoal was a stripped
+        // `$dom` guard would wrongly survive it warm).
         let ground_started = Instant::now();
-        let outcome = if assert {
+        let outcome = if assert && g.supports_incremental() {
             g.assert_rules(rules, symbols).map(|o| match o {
                 RuleAssertOutcome::Applied(effect) => Some(effect),
                 RuleAssertOutcome::NeedsCold => None,
             })
-        } else {
+        } else if !assert && !g.is_poisoned() {
             Ok(match g.retract_rules(rules, symbols) {
                 RetractOutcome::Applied(effect) => Some(effect),
                 RetractOutcome::DomainShrunk => None,
             })
+        } else {
+            Ok(None)
         };
         self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
         let effect = match outcome {
             Ok(Some(effect)) => effect,
-            Ok(None) => return self.cold_update(rules, symbols, assert),
+            Ok(None) => {
+                let source = edited_source(g, rules, symbols, assert);
+                return self.reground(&source);
+            }
             Err(e) => {
                 // The grounder is poisoned: some consequence of a
                 // partially applied batch may be missing. Restore a
-                // consistent session by re-grounding cold from the
-                // retained AST, which does not contain the failed batch;
-                // the original error still surfaces.
-                self.recover_if_poisoned();
+                // consistent session by re-grounding its statements cold,
+                // which the failed batch already left, and surface the
+                // original error. A failed recovery keeps the poisoned
+                // grounder, so the next solve retries it (and surfaces
+                // its error) instead of solving a half-extended program.
+                let _ = self.recover_from_poison();
                 return Err(e.into());
             }
         };
@@ -553,107 +569,20 @@ impl Session {
                 self.stats.delta_rounds += 1;
             }
         }
-        self.mirror(rules, symbols, assert);
         Ok(())
     }
 
-    /// Deltas on a grounder-less session ([`Engine::load_ground`]):
-    /// exact for ground rules, rejected otherwise. A retract resolves its
-    /// atoms without interning them: an atom the program never held means
-    /// the rule is absent, and the retract leaves the program untouched.
-    fn apply_ground_rules(&mut self, parsed: &Program, assert: bool) -> Result<(), Error> {
-        for rule in &parsed.rules {
-            if !rule.head.is_ground() || rule.body.iter().any(|l| !l.atom.is_ground()) {
-                return Err(Error::NotGroundRule(afp_datalog::ast::display_rule(
-                    rule,
-                    &parsed.symbols,
-                )));
-            }
-        }
-        let mut touched: Vec<AtomId> = Vec::new();
-        let mut edge_targets: Vec<AtomId> = Vec::new();
-        for rule in &parsed.rules {
-            let ground = self.fixed.as_mut().expect("fixed or grounder");
-            let ids: Option<Vec<AtomId>> = std::iter::once(&rule.head)
-                .chain(rule.body.iter().map(|l| &l.atom))
-                .map(|atom| {
-                    if assert {
-                        Some(intern_ast_atom(ground, atom, &parsed.symbols))
-                    } else {
-                        find_ast_atom(ground, atom, &parsed.symbols)
-                    }
-                })
-                .collect();
-            let Some(ids) = ids else {
-                continue;
-            };
-            let head = ids[0];
-            let mut pos = Vec::new();
-            let mut neg = Vec::new();
-            for (lit, &id) in rule.body.iter().zip(&ids[1..]) {
-                if lit.positive {
-                    pos.push(id);
-                } else {
-                    neg.push(id);
-                }
-            }
-            let candidate = GroundRule::new(head, pos.clone(), neg.clone());
-            let existing = ground
-                .rules_with_head(head)
-                .iter()
-                .find(|&&r| *ground.rule(r) == candidate)
-                .copied();
-            match (assert, existing) {
-                (true, None) => {
-                    edge_targets.extend_from_slice(&pos);
-                    edge_targets.extend_from_slice(&neg);
-                    ground.push_rule(head, pos, neg);
-                    self.dirty.push(head);
-                    touched.push(head);
-                }
-                (false, Some(rid)) => {
-                    ground.remove_rule(rid);
-                    self.dirty.push(head);
-                    touched.push(head);
-                }
-                _ => {} // idempotent no-op
-            }
-        }
-        if !touched.is_empty() {
-            self.note_mutation(&touched, &edge_targets);
-        }
-        Ok(())
-    }
-
-    /// Mirror a warm batch into the retained source program: a later
-    /// cold fallback re-grounds from it, and checkpoints render it.
-    fn mirror(&mut self, rules: &[Rule], from: &SymbolStore, assert: bool) {
-        let ast = self.ast.as_mut().expect("grounder sessions retain the AST");
-        ast.apply(rules, from, assert);
-    }
-
-    /// Apply a batch of updates (facts are bodiless rules) by editing the
-    /// retained source program and re-grounding cold **once** — the
-    /// sound fallback where a warm delta is not. Commit-on-success: on a
-    /// re-ground error (e.g. a budget) the session keeps its previous
-    /// source program and grounder, so the failed update leaves no trace
-    /// a later fallback could resurrect. Atom ids change on success, so
-    /// every piece of warm state is dropped.
-    fn cold_update(
-        &mut self,
-        rules: &[Rule],
-        from: &SymbolStore,
-        assert: bool,
-    ) -> Result<(), Error> {
-        let mut ast = self.ast.clone().expect("grounder sessions retain the AST");
-        ast.apply(rules, from, assert);
+    /// Re-ground `program` cold and make it the session's: the sound
+    /// fallback where a warm delta is not, and the recovery from a
+    /// poisoned grounder. Commit-on-success: on an error (e.g. a budget)
+    /// the session keeps its grounder, whose statements the failed
+    /// update never reached. Atom ids change on success, so every piece
+    /// of warm state is dropped.
+    fn reground(&mut self, program: &Program) -> Result<(), Error> {
         let ground_started = Instant::now();
-        self.grounder = Some(IncrementalGrounder::new(
-            ast.program(),
-            &self.config.ground,
-        )?);
+        let grounder = IncrementalGrounder::new(program, &self.config.ground)?;
         self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
-        self.ast = Some(ast);
+        self.grounding = Grounding::Grounder(Box::new(grounder));
         self.stats.regrounds += 1;
         self.clear_warm_state();
         Ok(())
@@ -701,9 +630,7 @@ impl Session {
     /// Re-ground a grounder that a previous batch poisoned mid-delta (the
     /// grounding may be missing consequences), then count the solve.
     fn begin_solve(&mut self) -> Result<(), Error> {
-        if self.grounder.as_ref().is_some_and(|g| g.is_poisoned()) {
-            self.recover_from_poison()?;
-        }
+        self.recover_from_poison()?;
         self.stats.solves += 1;
         Ok(())
     }
@@ -773,51 +700,33 @@ impl Session {
         }
     }
 
-    /// Re-ground cold from the retained AST after a mid-delta grounding
-    /// error poisoned the grounder. The AST never contains a failed
-    /// batch (mirroring happens only after the grounder succeeds), so a
-    /// successful recovery restores exactly the last consistent program
-    /// state. On failure the poisoned grounder is kept **as is** — its
-    /// `is_poisoned` flag stays set, so every later solve re-attempts
-    /// recovery (and surfaces the error) before trusting the grounding;
-    /// no path hands a half-extended program to a fixpoint computation.
+    /// Re-ground the grounder's statements cold if a mid-delta grounding
+    /// error poisoned it. The failed batch took its statements back out
+    /// before it poisoned the grounder, so a successful recovery restores
+    /// exactly the last consistent program state. On failure the
+    /// poisoned grounder is kept **as is** — its `is_poisoned` flag stays
+    /// set, so every later solve re-attempts recovery (and surfaces the
+    /// error) before trusting the grounding; no path hands a
+    /// half-extended program to a fixpoint computation.
     fn recover_from_poison(&mut self) -> Result<(), Error> {
-        let ast = self.ast.as_ref().expect("grounder sessions retain the AST");
-        self.grounder = Some(IncrementalGrounder::new(
-            ast.program(),
-            &self.config.ground,
-        )?);
-        self.stats.regrounds += 1;
-        self.clear_warm_state();
-        Ok(())
-    }
-
-    /// Recovery entry point for the update error paths, where the
-    /// *original* batch error is about to surface and a recovery failure
-    /// must not mask it. Explicitly drops the recovery error: the
-    /// grounder then stays poisoned and [`Session::solve_with`] (which
-    /// checks the flag first) re-attempts recovery — surfacing the
-    /// grounding error instead of solving over a half-extended program.
-    fn recover_if_poisoned(&mut self) {
-        if self.grounder.as_ref().is_some_and(|g| g.is_poisoned())
-            && self.recover_from_poison().is_err()
-        {
-            debug_assert!(
-                self.grounder.as_ref().is_some_and(|g| g.is_poisoned()),
-                "a failed recovery must leave the poison flag set"
-            );
+        match &self.grounding {
+            Grounding::Grounder(g) if g.is_poisoned() => {
+                let source = g.source();
+                self.reground(&source)
+            }
+            _ => Ok(()),
         }
     }
 
     /// Test-only fault injection: poison the live grounder and replace
     /// the session's grounding budgets, so the recovery re-ground can be
     /// driven into errors that are unreachable through the public API
-    /// (the retained AST always re-grounds within the budgets that
-    /// admitted it — see the double-fault regression test).
+    /// (the grounder's statements always re-ground within the budgets
+    /// that admitted them — see the double-fault regression test).
     #[doc(hidden)]
     pub fn inject_grounder_fault_for_testing(&mut self, options: GroundOptions) {
         self.config.ground = options;
-        if let Some(g) = self.grounder.as_mut() {
+        if let Grounding::Grounder(g) = &mut self.grounding {
             g.poison_for_testing();
         }
     }
@@ -833,10 +742,7 @@ impl Session {
         self.snapshot = None;
         if let Some(mut cond) = self.scc_cond.take() {
             let repair_started = Instant::now();
-            let prog = match &self.grounder {
-                Some(g) => g.program(),
-                None => self.fixed.as_ref().expect("fixed or grounder"),
-            };
+            let prog = self.grounding.program();
             let repair = cond.apply_delta(
                 prog,
                 &CondensationDelta {
@@ -1045,6 +951,97 @@ impl Delta {
             program,
         })
     }
+}
+
+/// The grounder's statements with a batch written against `from`
+/// applied, for a cold re-ground. An assert appends the batch, whose
+/// statements already present the re-ground skips; a retract drops the
+/// statements of the batch. Costs the program plus the batch.
+fn edited_source(
+    grounder: &IncrementalGrounder,
+    rules: &[Rule],
+    from: &SymbolStore,
+    assert: bool,
+) -> Program {
+    let mut source = grounder.source();
+    let batch = rules
+        .iter()
+        .map(|rule| import_rule(&mut source.symbols, rule, from));
+    if assert {
+        source.rules.extend(batch);
+    } else {
+        let batch: HashSet<Rule> = batch.collect();
+        source.rules.retain(|rule| !batch.contains(rule));
+    }
+    source
+}
+
+/// Apply a batch to a pre-ground program ([`Engine::load_ground`]):
+/// exact for ground rules, rejected otherwise. A retract resolves its
+/// atoms without interning them: an atom the program never held means
+/// the rule is absent, and the retract leaves the program untouched.
+/// Returns the heads whose rules changed and the targets of the
+/// dependency edges added (the [`CondensationDelta`] contract).
+fn apply_ground_rules(
+    ground: &mut GroundProgram,
+    parsed: &Program,
+    assert: bool,
+) -> Result<(Vec<AtomId>, Vec<AtomId>), Error> {
+    for rule in &parsed.rules {
+        if !rule.head.is_ground() || rule.body.iter().any(|l| !l.atom.is_ground()) {
+            return Err(Error::NotGroundRule(afp_datalog::ast::display_rule(
+                rule,
+                &parsed.symbols,
+            )));
+        }
+    }
+    let mut touched: Vec<AtomId> = Vec::new();
+    let mut edge_targets: Vec<AtomId> = Vec::new();
+    for rule in &parsed.rules {
+        let ids: Option<Vec<AtomId>> = std::iter::once(&rule.head)
+            .chain(rule.body.iter().map(|l| &l.atom))
+            .map(|atom| {
+                if assert {
+                    Some(intern_ast_atom(ground, atom, &parsed.symbols))
+                } else {
+                    find_ast_atom(ground, atom, &parsed.symbols)
+                }
+            })
+            .collect();
+        let Some(ids) = ids else {
+            continue;
+        };
+        let head = ids[0];
+        let mut pos = Vec::new();
+        let mut neg = Vec::new();
+        for (lit, &id) in rule.body.iter().zip(&ids[1..]) {
+            if lit.positive {
+                pos.push(id);
+            } else {
+                neg.push(id);
+            }
+        }
+        let candidate = GroundRule::new(head, pos.clone(), neg.clone());
+        let existing = ground
+            .rules_with_head(head)
+            .iter()
+            .find(|&&r| *ground.rule(r) == candidate)
+            .copied();
+        match (assert, existing) {
+            (true, None) => {
+                edge_targets.extend_from_slice(&pos);
+                edge_targets.extend_from_slice(&neg);
+                ground.push_rule(head, pos, neg);
+                touched.push(head);
+            }
+            (false, Some(rid)) => {
+                ground.remove_rule(rid);
+                touched.push(head);
+            }
+            _ => {} // idempotent no-op
+        }
+    }
+    Ok((touched, edge_targets))
 }
 
 /// Intern an AST atom (expressed against `from`) into a ground program,

@@ -9,7 +9,7 @@
 //! to an on-disk **write-ahead log** as one length-prefixed,
 //! CRC32-checksummed record — the already-validated delta text and
 //! kind, stamped with the version it produced. Recovery loads the
-//! newest valid **checkpoint** (the retained source program, rendered
+//! newest valid **checkpoint** (the session's statement set, rendered
 //! re-parseably) and replays the journal tail through the normal warm
 //! update path, so coming back from a crash costs O(checkpoint
 //! interval) deltas, never a from-scratch re-solve of history.

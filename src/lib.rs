@@ -67,7 +67,6 @@ pub mod engine;
 pub mod journal;
 pub mod net;
 pub mod service;
-mod source;
 pub mod telemetry;
 
 pub use afp_core::interp::Truth;

@@ -510,11 +510,11 @@ impl Service {
     }
 
     /// [`Service::with_options`] plus durability: create a fresh journal
-    /// in `dir` (checkpoint-0 from the session's retained source, an
+    /// in `dir` (checkpoint-0 from the session's source text, an
     /// empty write-ahead log) and append every subsequent write cycle's
     /// deltas to it **before** they publish. Refuses a directory that
     /// already holds journal state — [`Service::recover`] from it
-    /// instead — and a session without retained source text
+    /// instead — and a session without source text
     /// ([`Engine::load_ground`]), whose checkpoints could not be
     /// serialized. See [`crate::journal`] for the format and crash
     /// semantics, [`JournalOptions`] for the fsync/checkpoint knobs.

@@ -209,3 +209,28 @@ fn lookup(prog: &afp_datalog::GroundProgram, afp: &afp::AfpResult, name: &str) -
     }
     Truth::False
 }
+
+/// A statement stated twice is grounded once: by `ground` as by a
+/// session, whose checkpoints and cold re-grounds read the grounder's
+/// statements. A rule stated twice at load is one rule, so retracting it
+/// drops every instance.
+#[test]
+fn repeated_statements_are_grounded_once() {
+    let src = "p(a). p(a). q :- p(a). q :- p(a). r(X) :- p(X). r(X) :- p(X).";
+    let program = afp_datalog::parse_program(src).unwrap();
+    assert_eq!(afp_datalog::ground(&program).unwrap().rule_count(), 3);
+    let session = afp::Engine::default().load(src).unwrap();
+    assert_eq!(session.ground().rule_count(), 3);
+
+    let mut grounder =
+        afp_datalog::IncrementalGrounder::new(&program, &GroundOptions::default()).unwrap();
+    let retract = afp_datalog::parse_program("r(X) :- p(X).").unwrap();
+    grounder.retract_rules(&retract.rules, &retract.symbols);
+    let prog = grounder.program();
+    let r_a = prog.find_atom_by_name("r", &["a"]).unwrap();
+    assert!(
+        prog.rules_with_head(r_a).is_empty(),
+        "the retracted rule keeps no instance"
+    );
+    assert_eq!(prog.rule_count(), 2);
+}

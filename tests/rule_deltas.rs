@@ -16,7 +16,11 @@
 //! * regression: a stable-model search budget yields a partial-but-sound
 //!   model list with `complete == false`, never an error;
 //! * regression: a double fault (grounding error during poison recovery)
-//!   never lets a later solve trust a half-extended grounding.
+//!   never lets a later solve trust a half-extended grounding;
+//! * a batch that errors mid-delta leaves the session's statements as
+//!   they were before it.
+
+use std::collections::BTreeSet;
 
 use afp::datalog::GroundOptions;
 use afp::{Engine, Error, SafetyPolicy, Semantics, Strategy, Truth, WfStrategy};
@@ -477,6 +481,41 @@ fn double_fault_budget_error_during_recovery_never_serves_poisoned_state() {
     session.assert_facts("d(c).").unwrap();
     let extended = session.solve().unwrap();
     assert_eq!(extended.truth("p", &["a", "c"]), Truth::True);
+}
+
+/// A batch that errors mid-delta leaves the session's statements as
+/// they were before it, for a fact batch and for a rule batch alike: a
+/// checkpoint holds none of its statements, and the recovery re-grounds
+/// the program from before the batch.
+#[test]
+fn a_failed_batch_leaves_the_statements_as_they_were() {
+    let engine = Engine::builder()
+        .ground_options(GroundOptions {
+            max_ground_rules: 6,
+            ..Default::default()
+        })
+        .build();
+    let mut session = engine.load("p(X, Y) :- d(X), d(Y). d(a).").unwrap();
+    let statements = |session: &afp::Session| -> BTreeSet<String> {
+        let text = session.source_text().unwrap();
+        text.lines().map(str::to_owned).collect()
+    };
+    let before = statements(&session);
+
+    // 4 constants → 16 instances of `p`: over the budget mid-batch.
+    let err = session.assert_facts("d(b). d(c). d(e).");
+    assert!(matches!(err, Err(Error::Ground(_))), "budget must surface");
+    assert_eq!(statements(&session), before, "after the fact batch");
+
+    // 2 constants → 2 instances of `q` and 4 of `p`, with 2 facts: 8.
+    let err = session.assert_rules("q(X) :- d(X). d(b).");
+    assert!(matches!(err, Err(Error::Ground(_))), "budget must surface");
+    assert_eq!(statements(&session), before, "after the rule batch");
+
+    let model = session.solve().unwrap();
+    assert_eq!(model.truth("p", &["a", "a"]), Truth::True);
+    assert_eq!(model.truth("d", &["b"]), Truth::False);
+    assert_eq!(model.truth("q", &["a"]), Truth::False);
 }
 
 /// Rule deltas compose with warm fact deltas in a single session: the
