@@ -379,7 +379,7 @@ fn write_literal(out: &mut String, l: &Literal, store: &SymbolStore) {
 }
 
 /// Append the rendering of `r`, terminated with `.`, to `out`.
-fn write_rule(out: &mut String, r: &Rule, store: &SymbolStore) {
+pub(crate) fn write_rule(out: &mut String, r: &Rule, store: &SymbolStore) {
     write_atom(out, &r.head, store);
     for (i, l) in r.body.iter().enumerate() {
         out.push_str(if i == 0 { " :- " } else { ", " });
@@ -388,15 +388,27 @@ fn write_rule(out: &mut String, r: &Rule, store: &SymbolStore) {
     out.push('.');
 }
 
-/// Append a constant name to `out`, quoted when it would not re-parse
-/// as a bare constant (`not` would read as negation).
-fn write_constant(out: &mut String, name: &str) {
-    let bare = name
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
-        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        && name != "not";
+/// Append a constant name to `out`, quoted unless the lexer reads it
+/// back bare as this one constant: a number (`42`, `7_b`), or an
+/// identifier that starts with a letter that is not upper case and
+/// continues with ASCII letters, digits and `_` or other alphanumerics,
+/// and is not `not` (which reads as negation).
+pub(crate) fn write_constant(out: &mut String, name: &str) {
+    let mut chars = name.chars();
+    let bare = match chars.next() {
+        Some(first) if first.is_ascii_digit() => {
+            chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+        }
+        Some(first) => {
+            first.is_alphabetic()
+                && !first.is_uppercase()
+                && chars.all(|c| {
+                    c.is_ascii_alphanumeric() || c == '_' || (!c.is_ascii() && c.is_alphanumeric())
+                })
+                && name != "not"
+        }
+        None => false,
+    };
     if bare {
         out.push_str(name);
     } else {
@@ -491,6 +503,10 @@ mod tests {
         assert_eq!(quoted("not"), "'not'");
         assert_eq!(quoted("nota"), "nota");
         assert_eq!(quoted("a\\b"), "'a\\\\b'");
+        assert_eq!(quoted("ñandú"), "ñandú");
+        assert_eq!(quoted("Ñandú"), "'Ñandú'");
+        assert_eq!(quoted("1é"), "'1é'");
+        assert_eq!(quoted("a-b"), "'a-b'");
     }
 
     #[test]

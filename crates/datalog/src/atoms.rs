@@ -12,6 +12,7 @@
 //! list is a [`SharedSlice`], so copying a key segment is one allocation
 //! and a reference-count bump per key, not an allocation per key.
 
+use crate::ast::{write_constant, Atom, Term};
 use crate::cow::{fx_hash, InternTable, SharedSlice};
 use crate::symbol::{Symbol, SymbolStore};
 use std::fmt;
@@ -111,6 +112,23 @@ impl HerbrandBase {
         self.terms.find(fx_hash(term), |t| t == term).map(ConstId)
     }
 
+    /// Look up an AST atom written over this base's symbols, without
+    /// interning: `None` when it is not ground or was never interned.
+    pub fn find_ground_atom(&self, atom: &Atom) -> Option<AtomId> {
+        fn find(t: &Term, base: &HerbrandBase) -> Option<ConstId> {
+            match t {
+                Term::Const(c) => base.find_term(&GroundTerm::Const(*c)),
+                Term::App(f, args) => {
+                    let ids: Option<Box<[ConstId]>> = args.iter().map(|a| find(a, base)).collect();
+                    base.find_term(&GroundTerm::App(*f, ids?))
+                }
+                Term::Var(_) => None,
+            }
+        }
+        let args: Option<Vec<ConstId>> = atom.args.iter().map(|t| find(t, self)).collect();
+        self.find_atom(atom.pred, &args?)
+    }
+
     /// Number of interned atoms (the size of the materialized Herbrand base).
     pub fn atom_count(&self) -> usize {
         self.atoms.len()
@@ -146,34 +164,6 @@ impl HerbrandBase {
         self.terms.shares_storage_with(&other.terms) && self.atoms.shares_storage_with(&other.atoms)
     }
 
-    /// Render a ground term.
-    pub fn display_term(&self, id: ConstId, symbols: &SymbolStore) -> String {
-        match self.term(id) {
-            GroundTerm::Const(c) => symbols.name(*c).to_string(),
-            GroundTerm::App(f, args) => {
-                let inner: Vec<String> = args
-                    .iter()
-                    .map(|&a| self.display_term(a, symbols))
-                    .collect();
-                format!("{}({})", symbols.name(*f), inner.join(", "))
-            }
-        }
-    }
-
-    /// Render a ground atom.
-    pub fn display_atom(&self, id: AtomId, symbols: &SymbolStore) -> String {
-        let (pred, args) = self.atom(id);
-        if args.is_empty() {
-            symbols.name(pred).to_string()
-        } else {
-            let inner: Vec<String> = args
-                .iter()
-                .map(|&a| self.display_term(a, symbols))
-                .collect();
-            format!("{}({})", symbols.name(pred), inner.join(", "))
-        }
-    }
-
     /// Iterate over all interned atom ids.
     pub fn atom_ids(&self) -> impl Iterator<Item = AtomId> {
         (0..self.atoms.len() as u32).map(AtomId)
@@ -187,6 +177,51 @@ impl HerbrandBase {
             .filter(move |(_, (p, _))| *p == pred)
             .map(|(i, _)| AtomId(i as u32))
     }
+}
+
+/// Append ground term `id` of `base` to `out` in the surface syntax,
+/// constants quoted as the AST writer quotes them, so the text parses
+/// back to the same term.
+pub fn write_ground_term(
+    out: &mut String,
+    base: &HerbrandBase,
+    id: ConstId,
+    symbols: &SymbolStore,
+) {
+    match base.term(id) {
+        GroundTerm::Const(c) => write_constant(out, symbols.name(*c)),
+        GroundTerm::App(f, args) => {
+            out.push_str(symbols.name(*f));
+            write_ground_args(out, base, args, symbols);
+        }
+    }
+}
+
+/// Append ground atom `id` of `base` to `out`, like
+/// [`write_ground_term`]: the one renderer of ground atoms.
+pub fn write_ground_atom(out: &mut String, base: &HerbrandBase, id: AtomId, symbols: &SymbolStore) {
+    let (pred, args) = base.atom(id);
+    out.push_str(symbols.name(pred));
+    if !args.is_empty() {
+        write_ground_args(out, base, args, symbols);
+    }
+}
+
+/// Append `(t₁, …, tₖ)` to `out`.
+fn write_ground_args(
+    out: &mut String,
+    base: &HerbrandBase,
+    args: &[ConstId],
+    symbols: &SymbolStore,
+) {
+    out.push('(');
+    for (i, &t) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_ground_term(out, base, t, symbols);
+    }
+    out.push(')');
 }
 
 impl fmt::Debug for HerbrandBase {
@@ -241,7 +276,9 @@ mod tests {
         let fa = hb.intern_term(GroundTerm::App(f, vec![ca].into_boxed_slice()));
         let ffa = hb.intern_term(GroundTerm::App(f, vec![fa].into_boxed_slice()));
         let atom = hb.intern_atom(p, &[ffa]);
-        assert_eq!(hb.display_atom(atom, &syms), "p(f(f(a)))");
+        let mut out = String::new();
+        write_ground_atom(&mut out, &hb, atom, &syms);
+        assert_eq!(out, "p(f(f(a)))");
         assert_eq!(hb.term_count(), 3);
     }
 

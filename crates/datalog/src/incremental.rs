@@ -83,8 +83,9 @@
 //! batch that errors takes its statements back out before it poisons
 //! the grounder, so a failed batch never stays in the set.
 
-use crate::ast::{Atom, Program, Rule, Term};
+use crate::ast::{write_rule, Atom, Program, Rule, Term};
 use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
+use crate::bitset::AtomSet;
 use crate::cow::CowVec;
 use crate::error::GroundError;
 use crate::fx::{FxHashMap, FxHashSet};
@@ -392,6 +393,27 @@ impl IncrementalGrounder {
         self.poisoned
     }
 
+    /// The live statement set as re-parseable text, one statement per
+    /// line: [`IncrementalGrounder::source`]'s statements in its order,
+    /// the facts written straight from their atoms into one buffer.
+    pub fn source_text(&self) -> String {
+        let mut out = String::new();
+        for atom in self.edb_fact_set().iter() {
+            self.prog.write_atom(&mut out, AtomId(atom));
+            out.push_str(".\n");
+        }
+        for rule in &self.src_rules {
+            write_rule(&mut out, rule, self.prog.symbols());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The EDB facts as a set, which iterates in atom-id order.
+    fn edb_fact_set(&self) -> AtomSet {
+        AtomSet::from_iter(self.prog.atom_count(), self.edb_facts.iter().map(|a| a.0))
+    }
+
     /// The live statement set as a program over the grounder's symbol
     /// store: the EDB facts in atom-id order, then the rules in their
     /// retained order, each once. Grounding it cold gives an equivalent
@@ -406,11 +428,9 @@ impl IncrementalGrounder {
             }
         }
         let base = self.prog.base();
-        let mut facts: Vec<AtomId> = self.edb_facts.iter().copied().collect();
-        facts.sort_unstable();
-        let mut rules = Vec::with_capacity(facts.len() + self.src_rules.len());
-        rules.extend(facts.into_iter().map(|atom| {
-            let (pred, args) = base.atom(atom);
+        let mut rules = Vec::with_capacity(self.edb_facts.len() + self.src_rules.len());
+        rules.extend(self.edb_fact_set().iter().map(|atom| {
+            let (pred, args) = base.atom(AtomId(atom));
             Rule::fact(Atom::new(
                 pred,
                 args.iter().map(|&t| term(t, base)).collect(),
@@ -475,7 +495,7 @@ impl IncrementalGrounder {
     /// records and (under the active-domain policy) the term refcounts.
     fn retract_one(&mut self, atom: &Atom, effect: &mut DeltaEffect) {
         assert!(atom.is_ground(), "retract needs a ground atom");
-        let Some(final_atom) = self.find_final_atom(atom) else {
+        let Some(final_atom) = self.prog.base().find_ground_atom(atom) else {
             return; // never materialized — nothing to retract
         };
         if !self.edb_facts.remove(&final_atom) {
@@ -762,7 +782,7 @@ impl IncrementalGrounder {
         let mut fact_dec: FxHashMap<ConstId, u32> = FxHashMap::default();
         let mut seen: FxHashSet<AtomId> = FxHashSet::default();
         for atom in fact_atoms {
-            let Some(final_atom) = self.find_final_atom(atom) else {
+            let Some(final_atom) = self.prog.base().find_ground_atom(atom) else {
                 continue;
             };
             if !self.edb_facts.contains(&final_atom) || !seen.insert(final_atom) {
@@ -981,27 +1001,6 @@ impl IncrementalGrounder {
             }
         }
         Ok(())
-    }
-
-    /// Resolve an AST atom against the **final** base without interning.
-    fn find_final_atom(&self, atom: &Atom) -> Option<AtomId> {
-        fn find_term(t: &crate::ast::Term, base: &HerbrandBase) -> Option<ConstId> {
-            match t {
-                crate::ast::Term::Const(c) => base.find_term(&crate::atoms::GroundTerm::Const(*c)),
-                crate::ast::Term::App(f, args) => {
-                    let ids: Option<Vec<ConstId>> =
-                        args.iter().map(|a| find_term(a, base)).collect();
-                    base.find_term(&crate::atoms::GroundTerm::App(*f, ids?.into_boxed_slice()))
-                }
-                crate::ast::Term::Var(_) => None,
-            }
-        }
-        let args: Option<Vec<ConstId>> = atom
-            .args
-            .iter()
-            .map(|t| find_term(t, self.prog.base()))
-            .collect();
-        self.prog.base().find_atom(atom.pred, &args?)
     }
 
     /// Join rule `ix` over the whole envelope — or, with a focus
@@ -1434,6 +1433,23 @@ mod tests {
         assert_eq!(source_lines(&g), ["p(c).", "r(X) :- p(X)."]);
         // Facts come first, then rules.
         assert_eq!(g.source().to_text(), "p(c).\nr(X) :- p(X).\n");
+    }
+
+    /// The text written from the atoms is the rendering of the program
+    /// built from them, quoted constants and function terms included.
+    #[test]
+    fn source_text_renders_source() {
+        let program = parse_program(
+            "p('a b'). p('X'). p(f(g('not'), 42)). q(X) :- p(X), not r(X). r('it\\'s').",
+        )
+        .unwrap();
+        let mut g = IncrementalGrounder::new(&program, &GroundOptions::default()).unwrap();
+        assert_src(&mut g, "p(''). s(Y) :- q(Y).").unwrap();
+        applied(retract_src(&mut g, "p('X')."));
+        let text = g.source_text();
+        assert_eq!(text, g.source().to_text());
+        assert!(text.starts_with("p('a b').\np(f(g('not'), 42)).\nr('it\\'s').\np('').\n"));
+        assert_eq!(parse_program(&text).unwrap().rules.len(), 6);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! past the end of the indices, which read as empty lists there.
 
 use crate::ast::{Program, Term};
-use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
+use crate::atoms::{write_ground_atom, AtomId, ConstId, GroundTerm, HerbrandBase};
 use crate::bitset::AtomSet;
 use crate::cow::{CowVec, SharedSlice};
 use crate::symbol::{Symbol, SymbolStore};
@@ -175,9 +175,33 @@ impl GroundProgram {
         AtomSet::full(self.atom_count())
     }
 
-    /// Render a ground atom.
+    /// Render a ground atom ([`write_ground_atom`]).
     pub fn atom_name(&self, id: AtomId) -> String {
-        self.base.display_atom(id, &self.symbols)
+        let mut out = String::new();
+        self.write_atom(&mut out, id);
+        out
+    }
+
+    /// Append a ground atom to `out` ([`write_ground_atom`]).
+    pub fn write_atom(&self, out: &mut String, id: AtomId) {
+        write_ground_atom(out, &self.base, id, &self.symbols);
+    }
+
+    /// Append a rule to `out`, terminated with `.`: positive body atoms,
+    /// then negated ones, each list in atom-id order.
+    pub fn write_rule(&self, out: &mut String, rule: &GroundRule) {
+        self.write_atom(out, rule.head);
+        let body = rule
+            .pos
+            .iter()
+            .map(|&a| (a, ""))
+            .chain(rule.neg.iter().map(|&a| (a, "not ")));
+        for (i, (atom, sign)) in body.enumerate() {
+            out.push_str(if i == 0 { " :- " } else { ", " });
+            out.push_str(sign);
+            self.write_atom(out, atom);
+        }
+        out.push('.');
     }
 
     /// Resolve an atom by textual predicate name and constant arguments.
@@ -456,29 +480,16 @@ impl fmt::Debug for GroundProgram {
     }
 }
 
+/// One rule per line ([`GroundProgram::write_rule`]): text that parses
+/// back to the same rules.
 impl fmt::Display for GroundProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut line = String::new();
         for r in self.rules.iter() {
-            write!(f, "{}", self.atom_name(r.head))?;
-            if !r.is_fact() {
-                write!(f, " :- ")?;
-                let mut first = true;
-                for &p in r.pos.iter() {
-                    if !first {
-                        write!(f, ", ")?;
-                    }
-                    first = false;
-                    write!(f, "{}", self.atom_name(p))?;
-                }
-                for &n in r.neg.iter() {
-                    if !first {
-                        write!(f, ", ")?;
-                    }
-                    first = false;
-                    write!(f, "not {}", self.atom_name(n))?;
-                }
-            }
-            writeln!(f, ".")?;
+            line.clear();
+            self.write_rule(&mut line, r);
+            line.push('\n');
+            f.write_str(&line)?;
         }
         Ok(())
     }

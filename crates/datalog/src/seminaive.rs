@@ -614,8 +614,15 @@ mod tests {
         base: &HerbrandBase,
         syms: &crate::symbol::SymbolStore,
     ) -> String {
-        let args: Vec<String> = row.iter().map(|&t| base.display_term(t, syms)).collect();
-        format!("{}({})", syms.name(pred), args.join(","))
+        let mut out = format!("{}(", syms.name(pred));
+        for (i, &t) in row.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            crate::atoms::write_ground_term(&mut out, base, t, syms);
+        }
+        out.push(')');
+        out
     }
 
     /// The reference: naive `T_P` iteration, every rule matched against

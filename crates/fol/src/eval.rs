@@ -19,7 +19,7 @@ use crate::formula::{
 };
 use afp_core::interp::PartialModel;
 use afp_datalog::ast::{Atom, Term};
-use afp_datalog::atoms::{ConstId, HerbrandBase};
+use afp_datalog::atoms::{write_ground_atom, ConstId, HerbrandBase};
 use afp_datalog::bitset::AtomSet;
 use afp_datalog::fx::FxHashMap;
 use afp_datalog::symbol::Symbol;
@@ -165,7 +165,11 @@ impl GeneralContext {
     pub fn set_to_names(&self, y: &GeneralProgram, set: &AtomSet) -> Vec<String> {
         let mut v: Vec<String> = set
             .iter()
-            .map(|a| self.base.display_atom(AtomId(a), &y.symbols))
+            .map(|a| {
+                let mut name = String::new();
+                write_ground_atom(&mut name, &self.base, AtomId(a), &y.symbols);
+                name
+            })
             .collect();
         v.sort();
         v

@@ -56,22 +56,21 @@ pub fn residual_program(prog: &GroundProgram, model: &PartialModel) -> GroundPro
 }
 
 /// Lift a stable model of the residual back to the original program: the
-/// well-founded positives plus the residual model's atoms (mapped by
-/// name).
+/// well-founded positives plus the residual model's atoms. Residual atom
+/// `i` is the `i`-th undefined atom of `model`, the order in which
+/// [`residual_program`] interns them, so the original program `_prog` is
+/// not consulted.
 pub fn lift_residual_model(
-    prog: &GroundProgram,
+    _prog: &GroundProgram,
     model: &PartialModel,
     residual: &GroundProgram,
     residual_stable: &AtomSet,
 ) -> AtomSet {
+    let undefined: Vec<u32> = model.undefined().iter().collect();
+    debug_assert_eq!(undefined.len(), residual.atom_count());
     let mut out = model.pos.clone();
     for a in residual_stable.iter() {
-        let name = residual.atom_name(afp_datalog::AtomId(a));
-        // Find by rendered name in the original program.
-        let found = (0..prog.atom_count() as u32)
-            .find(|&id| prog.atom_name(afp_datalog::AtomId(id)) == name)
-            .expect("residual atoms exist in the original");
-        out.insert(found);
+        out.insert(undefined[a as usize]);
     }
     out
 }

@@ -69,7 +69,11 @@ fn main() {
     // SAT as stable models (the NP-completeness construction of §2.4):
     // models of (x1 ∨ ¬x2) ∧ (x2 ∨ x3).
     let sat = afp_bench::gen::sat_to_stable(3, &[[1, -2, -2], [2, 3, 3]]);
-    let sat_model = Engine::new(ALL).load_ground(sat).solve().unwrap();
+    let sat_model = Engine::new(ALL)
+        .load(&sat.to_string())
+        .unwrap()
+        .solve()
+        .unwrap();
     println!(
         "\nSAT reduction: {} satisfying assignments found as stable models:",
         sat_model.stable_models().len()

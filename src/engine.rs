@@ -72,7 +72,7 @@ use afp_datalog::ast::{import_rule, Program, Rule};
 use afp_datalog::atoms::AtomId;
 use afp_datalog::bitset::AtomSet;
 use afp_datalog::depgraph::{Condensation, CondensationDelta};
-use afp_datalog::program::{GroundProgram, GroundRule};
+use afp_datalog::program::GroundProgram;
 use afp_datalog::{
     GroundOptions, IncrementalGrounder, RetractOutcome, RuleAssertOutcome, SafetyPolicy,
     SymbolStore,
@@ -243,28 +243,16 @@ impl Engine {
 
     /// Ground an already-parsed program into a reusable session.
     pub fn load_program(&self, program: Program) -> Result<Session, Error> {
-        let grounder = IncrementalGrounder::new(&program, &self.config.ground)?;
-        Ok(self.session(Grounding::Grounder(Box::new(grounder))))
-    }
-
-    /// Wrap an existing ground program in a session (no grounder state;
-    /// `assert_facts` appends fact rules directly, which is exact for
-    /// ground programs).
-    pub fn load_ground(&self, ground: GroundProgram) -> Session {
-        self.session(Grounding::Fixed(ground))
-    }
-
-    fn session(&self, grounding: Grounding) -> Session {
-        Session {
+        Ok(Session {
             config: self.config.clone(),
-            grounding,
+            grounder: IncrementalGrounder::new(&program, &self.config.ground)?,
             snapshot: None,
             dirty: Vec::new(),
             last_model: None,
             scc_cond: None,
             stats: SessionStats::default(),
             phases: SessionPhases::default(),
-        }
+        })
     }
 
     /// One-shot convenience: load and solve in one call.
@@ -353,13 +341,12 @@ pub struct SessionStats {
     pub snapshot_reuses: u64,
 }
 
-/// A loaded program: interned symbols, ground rules, and (for programs
-/// loaded from text or AST) the live grounder, which also holds the
-/// statement set that checkpoints and cold re-grounds read. Produced by
-/// [`Engine::load`].
+/// A loaded program: the live grounder (the statement set that
+/// checkpoints and cold re-grounds read, and its ground program) and the
+/// warm state of the last solve. Produced by [`Engine::load`].
 pub struct Session {
     config: EngineBuilder,
-    grounding: Grounding,
+    grounder: IncrementalGrounder,
     /// Copy-on-write snapshot handed to models; invalidated on mutation.
     snapshot: Option<Arc<GroundProgram>>,
     /// Atoms whose rules changed since the last well-founded solve.
@@ -386,29 +373,10 @@ pub struct Session {
     phases: SessionPhases,
 }
 
-/// Where a session's ground program comes from.
-enum Grounding {
-    /// A program loaded from text or an AST: the grounder holds its
-    /// statements and their ground program.
-    Grounder(Box<IncrementalGrounder>),
-    /// A pre-ground program ([`Engine::load_ground`]), with no statements
-    /// to re-ground.
-    Fixed(GroundProgram),
-}
-
-impl Grounding {
-    fn program(&self) -> &GroundProgram {
-        match self {
-            Grounding::Grounder(g) => g.program(),
-            Grounding::Fixed(ground) => ground,
-        }
-    }
-}
-
 impl Session {
     /// The current ground program.
     pub fn ground(&self) -> &GroundProgram {
-        self.grounding.program()
+        self.grounder.program()
     }
 
     /// Reuse counters.
@@ -428,16 +396,12 @@ impl Session {
     /// The grounder's statement set, rendered as re-parseable text — the
     /// program the deltas have maintained (asserted facts and rules
     /// present, retracted ones absent), one statement per line: the EDB
-    /// facts, then the rules. `None` for sessions loaded from a
-    /// pre-ground program ([`Engine::load_ground`]), which have no
-    /// statements. The [`crate::journal`] layer serializes checkpoints
-    /// from this text, so `Engine::load(source_text())` reconstructs an
+    /// facts, written straight from the grounder's atoms, then the
+    /// rules. The [`crate::journal`] layer serializes checkpoints from
+    /// this text, so `Engine::load(source_text())` reconstructs an
     /// equivalent session.
-    pub fn source_text(&self) -> Option<String> {
-        match &self.grounding {
-            Grounding::Grounder(g) => Some(g.source().to_text()),
-            Grounding::Fixed(_) => None,
-        }
+    pub fn source_text(&self) -> String {
+        self.grounder.source_text()
     }
 
     /// Assert ground facts, written as source text (e.g.
@@ -509,17 +473,7 @@ impl Session {
         if rules.is_empty() {
             return Ok(());
         }
-        let g = match &mut self.grounding {
-            Grounding::Grounder(g) => g,
-            Grounding::Fixed(ground) => {
-                let (touched, edge_targets) = apply_ground_rules(ground, program, assert)?;
-                if !touched.is_empty() {
-                    self.dirty.extend_from_slice(&touched);
-                    self.note_mutation(&touched, &edge_targets);
-                }
-                return Ok(());
-            }
-        };
+        let g = &mut self.grounder;
         // An assert needs a precise, unpoisoned grounder: a pruned
         // negative literal that could not be keyed for resurrection would
         // let a warm delta silently change old instances' semantics. A
@@ -582,7 +536,7 @@ impl Session {
         let ground_started = Instant::now();
         let grounder = IncrementalGrounder::new(program, &self.config.ground)?;
         self.phases.ground_ns += ground_started.elapsed().as_nanos() as u64;
-        self.grounding = Grounding::Grounder(Box::new(grounder));
+        self.grounder = grounder;
         self.stats.regrounds += 1;
         self.clear_warm_state();
         Ok(())
@@ -709,13 +663,11 @@ impl Session {
     /// error) before trusting the grounding; no path hands a
     /// half-extended program to a fixpoint computation.
     fn recover_from_poison(&mut self) -> Result<(), Error> {
-        match &self.grounding {
-            Grounding::Grounder(g) if g.is_poisoned() => {
-                let source = g.source();
-                self.reground(&source)
-            }
-            _ => Ok(()),
+        if !self.grounder.is_poisoned() {
+            return Ok(());
         }
+        let source = self.grounder.source();
+        self.reground(&source)
     }
 
     /// Test-only fault injection: poison the live grounder and replace
@@ -726,9 +678,7 @@ impl Session {
     #[doc(hidden)]
     pub fn inject_grounder_fault_for_testing(&mut self, options: GroundOptions) {
         self.config.ground = options;
-        if let Grounding::Grounder(g) = &mut self.grounding {
-            g.poison_for_testing();
-        }
+        self.grounder.poison_for_testing();
     }
 
     /// The program mutated in place: models must re-snapshot, and the
@@ -742,7 +692,7 @@ impl Session {
         self.snapshot = None;
         if let Some(mut cond) = self.scc_cond.take() {
             let repair_started = Instant::now();
-            let prog = self.grounding.program();
+            let prog = self.grounder.program();
             let repair = cond.apply_delta(
                 prog,
                 &CondensationDelta {
@@ -825,13 +775,16 @@ impl Session {
 /// nothing — such atoms are false in every semantics, and the empty cone
 /// answers exactly that.
 fn relevance_seeds(queries: &[String], ground: &GroundProgram) -> Result<Vec<AtomId>, Error> {
+    // Parsed over the program's own names, a query atom resolves
+    // directly; a name the program lacks gets a symbol no atom uses.
+    let mut tmp = Program {
+        rules: Vec::new(),
+        symbols: ground.symbols().clone(),
+    };
     let mut seeds: Vec<AtomId> = Vec::new();
     for query in queries {
-        let mut tmp = Program::new();
         let atom = afp_datalog::parser::parse_atom_into(query, &mut tmp)?;
-        if let Some(id) = find_ast_atom(ground, &atom, &tmp.symbols) {
-            seeds.push(id);
-        }
+        seeds.extend(ground.base().find_ground_atom(&atom));
     }
     Ok(seeds)
 }
@@ -974,152 +927,6 @@ fn edited_source(
         source.rules.retain(|rule| !batch.contains(rule));
     }
     source
-}
-
-/// Apply a batch to a pre-ground program ([`Engine::load_ground`]):
-/// exact for ground rules, rejected otherwise. A retract resolves its
-/// atoms without interning them: an atom the program never held means
-/// the rule is absent, and the retract leaves the program untouched.
-/// Returns the heads whose rules changed and the targets of the
-/// dependency edges added (the [`CondensationDelta`] contract).
-fn apply_ground_rules(
-    ground: &mut GroundProgram,
-    parsed: &Program,
-    assert: bool,
-) -> Result<(Vec<AtomId>, Vec<AtomId>), Error> {
-    for rule in &parsed.rules {
-        if !rule.head.is_ground() || rule.body.iter().any(|l| !l.atom.is_ground()) {
-            return Err(Error::NotGroundRule(afp_datalog::ast::display_rule(
-                rule,
-                &parsed.symbols,
-            )));
-        }
-    }
-    let mut touched: Vec<AtomId> = Vec::new();
-    let mut edge_targets: Vec<AtomId> = Vec::new();
-    for rule in &parsed.rules {
-        let ids: Option<Vec<AtomId>> = std::iter::once(&rule.head)
-            .chain(rule.body.iter().map(|l| &l.atom))
-            .map(|atom| {
-                if assert {
-                    Some(intern_ast_atom(ground, atom, &parsed.symbols))
-                } else {
-                    find_ast_atom(ground, atom, &parsed.symbols)
-                }
-            })
-            .collect();
-        let Some(ids) = ids else {
-            continue;
-        };
-        let head = ids[0];
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
-        for (lit, &id) in rule.body.iter().zip(&ids[1..]) {
-            if lit.positive {
-                pos.push(id);
-            } else {
-                neg.push(id);
-            }
-        }
-        let candidate = GroundRule::new(head, pos.clone(), neg.clone());
-        let existing = ground
-            .rules_with_head(head)
-            .iter()
-            .find(|&&r| *ground.rule(r) == candidate)
-            .copied();
-        match (assert, existing) {
-            (true, None) => {
-                edge_targets.extend_from_slice(&pos);
-                edge_targets.extend_from_slice(&neg);
-                ground.push_rule(head, pos, neg);
-                touched.push(head);
-            }
-            (false, Some(rid)) => {
-                ground.remove_rule(rid);
-                touched.push(head);
-            }
-            _ => {} // idempotent no-op
-        }
-    }
-    Ok((touched, edge_targets))
-}
-
-/// Intern an AST atom (expressed against `from`) into a ground program,
-/// read-first: an atom whose names are all known copies no shared
-/// storage.
-fn intern_ast_atom(
-    ground: &mut GroundProgram,
-    atom: &afp_datalog::ast::Atom,
-    from: &afp_datalog::SymbolStore,
-) -> AtomId {
-    fn intern_term(
-        t: &afp_datalog::ast::Term,
-        ground: &mut GroundProgram,
-        from: &afp_datalog::SymbolStore,
-    ) -> afp_datalog::atoms::ConstId {
-        match t {
-            afp_datalog::ast::Term::Const(c) => {
-                let sym = ground.intern_symbol(from.name(*c));
-                ground.intern_const(sym)
-            }
-            afp_datalog::ast::Term::App(f, args) => {
-                let ids: Vec<_> = args.iter().map(|a| intern_term(a, ground, from)).collect();
-                let sym = ground.intern_symbol(from.name(*f));
-                ground.intern_term(afp_datalog::atoms::GroundTerm::App(
-                    sym,
-                    ids.into_boxed_slice(),
-                ))
-            }
-            afp_datalog::ast::Term::Var(_) => unreachable!("caller checked groundness"),
-        }
-    }
-    let args: Vec<_> = atom
-        .args
-        .iter()
-        .map(|t| intern_term(t, ground, from))
-        .collect();
-    let pred = ground.intern_symbol(from.name(atom.pred));
-    ground.intern_atom_ids(pred, &args)
-}
-
-/// Resolve an AST atom against a ground program without interning.
-fn find_ast_atom(
-    ground: &GroundProgram,
-    atom: &afp_datalog::ast::Atom,
-    from: &afp_datalog::SymbolStore,
-) -> Option<AtomId> {
-    fn find_term(
-        t: &afp_datalog::ast::Term,
-        ground: &GroundProgram,
-        from: &afp_datalog::SymbolStore,
-    ) -> Option<afp_datalog::atoms::ConstId> {
-        match t {
-            afp_datalog::ast::Term::Const(c) => {
-                let sym = ground.symbols().get(from.name(*c))?;
-                ground
-                    .base()
-                    .find_term(&afp_datalog::atoms::GroundTerm::Const(sym))
-            }
-            afp_datalog::ast::Term::App(f, args) => {
-                let ids: Option<Vec<_>> = args.iter().map(|a| find_term(a, ground, from)).collect();
-                let sym = ground.symbols().get(from.name(*f))?;
-                ground
-                    .base()
-                    .find_term(&afp_datalog::atoms::GroundTerm::App(
-                        sym,
-                        ids?.into_boxed_slice(),
-                    ))
-            }
-            afp_datalog::ast::Term::Var(_) => None,
-        }
-    }
-    let args: Option<Vec<_>> = atom
-        .args
-        .iter()
-        .map(|t| find_term(t, ground, from))
-        .collect();
-    let pred = ground.symbols().get(from.name(atom.pred))?;
-    ground.base().find_atom(pred, &args?)
 }
 
 /// A solved program under one semantics: a three-valued assignment over

@@ -99,10 +99,6 @@ pub enum Error {
     /// [`Session::assert_facts`] / [`Session::retract_facts`] was given a
     /// rule that is not a ground fact.
     NotAFact(String),
-    /// [`Session::assert_rules`] / [`Session::retract_rules`] was given a
-    /// non-ground rule on a session without grounder state
-    /// ([`Engine::load_ground`] keeps no envelope to instantiate over).
-    NotGroundRule(String),
     /// A [`Service`] write cycle panicked, and this delta was in that
     /// cycle or queued behind it; the writer thread has stopped. The
     /// outcome is **unknown**: a cycle that dies after its journal
@@ -166,13 +162,6 @@ impl fmt::Display for Error {
             }
             Error::NotAFact(rule) => {
                 write!(f, "not a ground fact: {rule}")
-            }
-            Error::NotGroundRule(rule) => {
-                write!(
-                    f,
-                    "not a ground rule: {rule} (sessions loaded from a ground \
-                     program accept only ground rule deltas)"
-                )
             }
             Error::WriterAborted => {
                 write!(

@@ -39,6 +39,8 @@
 
 use std::io::{self, Read, Write};
 
+use afp_datalog::ast::Term;
+
 use crate::service::ModelSnapshot;
 use crate::{AppliedDelta, DeltaKind, Error, Model, Service, Truth};
 
@@ -197,21 +199,28 @@ pub fn render_command(request: &Request) -> String {
     }
 }
 
-/// Parse `pred(c1, …, ck)` into plain names; rejects variables. Shared
-/// by the protocol front ends and the CLI's `-q`.
+/// Parse `pred(c1, …, ck)` into the names its symbols stand for (`'a b'`
+/// gives `a b`, as the symbol store holds it); rejects variables and
+/// function terms. Shared by the protocol front ends and the CLI's `-q`.
 pub fn parse_query(text: &str) -> Result<(String, Vec<String>), String> {
     let mut tmp = crate::Program::new();
     let atom = afp_datalog::parser::parse_atom_into(text, &mut tmp).map_err(|e| e.to_string())?;
     if !atom.is_ground() {
         return Err("query must be a ground atom".into());
     }
-    let pred = tmp.symbols.name(atom.pred).to_string();
+    let name = |sym| tmp.symbols.name(sym).to_string();
     let args = atom
         .args
         .iter()
-        .map(|t| afp_datalog::ast::display_term(t, &tmp.symbols))
-        .collect();
-    Ok((pred, args))
+        .map(|t| match t {
+            Term::Const(c) => Ok(name(*c)),
+            _ => Err(format!(
+                "query arguments must be constants, found {}",
+                afp_datalog::ast::display_term(t, &tmp.symbols)
+            )),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((name(atom.pred), args))
 }
 
 // ---------------------------------------------------------------------
@@ -316,7 +325,6 @@ pub fn error_kind(e: &Error) -> &'static str {
         Error::Ground(_) => "ground",
         Error::NotLocallyStratified => "not-locally-stratified",
         Error::NotAFact(_) => "not-a-fact",
-        Error::NotGroundRule(_) => "not-ground-rule",
         Error::WriterAborted => "writer-aborted",
         Error::Overloaded => "overloaded",
         Error::SubmitTimeout => "submit-timeout",

@@ -514,9 +514,7 @@ impl Service {
     /// empty write-ahead log) and append every subsequent write cycle's
     /// deltas to it **before** they publish. Refuses a directory that
     /// already holds journal state — [`Service::recover`] from it
-    /// instead — and a session without source text
-    /// ([`Engine::load_ground`]), whose checkpoints could not be
-    /// serialized. See [`crate::journal`] for the format and crash
+    /// instead. See [`crate::journal`] for the format and crash
     /// semantics, [`JournalOptions`] for the fsync/checkpoint knobs.
     pub fn with_journal(
         session: Session,
@@ -524,15 +522,7 @@ impl Service {
         dir: impl AsRef<std::path::Path>,
         journal_options: JournalOptions,
     ) -> Result<Service, Error> {
-        let base = session.source_text().ok_or_else(|| {
-            Error::Journal(
-                "session keeps no source text (loaded from a pre-ground program), \
-                 so checkpoints cannot be serialized; journaling needs a text- or \
-                 AST-loaded session"
-                    .into(),
-            )
-        })?;
-        let journal = Journal::create(dir, journal_options, &base)?;
+        let journal = Journal::create(dir, journal_options, &session.source_text())?;
         Service::build(session, options, Some(journal), 0, Vec::new(), 0)
     }
 
@@ -1282,10 +1272,7 @@ impl Shared {
                     .into(),
             ));
         }
-        let text = session.source_text().ok_or_else(|| {
-            Error::Journal("session keeps no source text; cannot checkpoint".into())
-        })?;
-        journal.checkpoint(version, &text, crash)
+        journal.checkpoint(version, &session.source_text(), crash)
     }
 
     /// Consume the seam if it is armed at `point`.

@@ -1,7 +1,11 @@
 //! End-to-end tests of the `afp` command-line binary.
 
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::process::{Command, Stdio};
+
+use afp::datalog::Term;
+use afp::net::codec;
 
 fn run_afp(args: &[&str], stdin: &str) -> (String, String, Option<i32>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_afp"))
@@ -713,4 +717,101 @@ fn fsync_flag_spellings() {
     let (_, stderr, code) = run_afp(&["--serve", "--fsync", "sometimes"], "");
     assert_eq!(code, Some(2));
     assert!(stderr.contains("usage:"));
+}
+
+/// A program whose constants need quoting: `'a b'` holds a space, `'X'`
+/// would read as a variable and `'not'` as negation.
+const QUOTED_SRC: &str = "p('a b'). p('X'). p('not'). q(X) :- p(X), not r(X).";
+
+/// Every atom of `text`'s statements, heads and bodies, as its predicate
+/// and the names of its arguments. Panics unless `text` parses and every
+/// argument is a constant.
+fn ground_atoms(text: &str) -> BTreeSet<(String, Vec<String>)> {
+    let program = afp::datalog::parse_program(text).expect("the rendering parses back");
+    let name = |sym| program.symbols.name(sym).to_string();
+    let atoms = program
+        .rules
+        .iter()
+        .flat_map(|r| std::iter::once(&r.head).chain(r.body.iter().map(|l| &l.atom)));
+    atoms
+        .map(|atom| {
+            let args = atom
+                .args
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => name(*c),
+                    _ => panic!("an argument that is not a constant in {text:?}"),
+                })
+                .collect();
+            (name(atom.pred), args)
+        })
+        .collect()
+}
+
+/// The atoms of the JSON string list under `key` in `json`, written as
+/// facts.
+fn json_atoms(json: &str, key: &str) -> String {
+    let open = format!("\"{key}\":[");
+    let start = json.find(&open).expect(key) + open.len();
+    let list = &json[start..start + json[start..].find(']').expect("closed list")];
+    if list.is_empty() {
+        return String::new();
+    }
+    let items = list[1..list.len() - 1].split("\",\"");
+    items.map(|atom| format!("{atom}.\n")).collect()
+}
+
+/// Each rendering of a model or ground program parses back to the atoms
+/// it names, with their constants' names intact.
+#[test]
+fn quoted_constants_render_re_parseably() {
+    let expected = ground_atoms("p('a b'). p('X'). p('not'). q('a b'). q('X'). q('not').");
+
+    let (stdout, _, code) = run_afp(&[], QUOTED_SRC);
+    assert_eq!(code, Some(0));
+    let facts: String = stdout.lines().filter(|l| !l.starts_with('%')).collect();
+    assert_eq!(ground_atoms(&facts), expected, "{stdout}");
+
+    let (stdout, _, code) = run_afp(&["--json"], QUOTED_SRC);
+    assert_eq!(code, Some(0));
+    assert_eq!(
+        ground_atoms(&json_atoms(&stdout, "true")),
+        expected,
+        "{stdout}"
+    );
+    assert_eq!(json_atoms(&stdout, "undefined"), "", "{stdout}");
+
+    let (stdout, _, code) = run_afp(&["--ground"], QUOTED_SRC);
+    assert_eq!(code, Some(0));
+    assert_eq!(ground_atoms(&stdout), expected, "{stdout}");
+
+    let model = afp::Engine::default().solve(QUOTED_SRC).unwrap();
+    let json = afp::net::codec::model_json(0, &model);
+    assert_eq!(ground_atoms(&json_atoms(&json, "true")), expected, "{json}");
+}
+
+/// Queries name constants as they are written: `q('a b')` asks about
+/// the constant `a b`, on the command line and over the protocol.
+#[test]
+fn quoted_queries_find_their_atoms() {
+    for query in ["q('a b')", "q('X')", "p('not')"] {
+        let (stdout, _, code) = run_afp(&["-q", query], QUOTED_SRC);
+        assert_eq!(code, Some(0), "query {query}: {stdout}");
+        assert!(stdout.contains("True"), "query {query}: {stdout}");
+    }
+    let service = afp::Engine::default().serve(QUOTED_SRC).unwrap();
+    for command in ["query q('a b')", "at 0 q('X')"] {
+        let request = codec::parse_command(command).unwrap();
+        let response = codec::render_plain(&codec::execute(&service, &request));
+        assert_eq!(response, "True", "{command}");
+    }
+}
+
+/// A function term is not a constant: a query with one is refused, not
+/// answered `False`.
+#[test]
+fn function_term_queries_are_bad_queries() {
+    let (stdout, stderr, code) = run_afp(&["-q", "p(f(a))"], "p(f(a)).");
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(stderr.contains("bad query"), "{stderr}");
 }

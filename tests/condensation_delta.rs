@@ -333,12 +333,13 @@ fn memoized_components_survive_repair_and_repair_is_delta_bounded() {
     );
 }
 
-/// Ground-rule deltas on a grounder-less session (`Engine::load_ground`)
+/// Ground-rule deltas on a session loaded from a rendered ground program
 /// go through the same repair path.
 #[test]
 fn load_ground_sessions_repair_too() {
     let engine = Engine::default();
-    let mut session = engine.load_ground(parse_ground("p :- not q. q :- not p. r :- p. s."));
+    let ground = parse_ground("p :- not q. q :- not p. r :- p. s.");
+    let mut session = engine.load(&ground.to_string()).unwrap();
     session.solve().unwrap();
     assert_eq!(session.stats().condensation_builds, 1);
 

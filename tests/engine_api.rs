@@ -176,12 +176,13 @@ fn retract_facts_resolve() {
     assert_eq!(model.truth("wins", &["a"]), Truth::True);
 }
 
-/// Sessions over pre-ground programs support the same update API
-/// (appending/removing fact rules is exact for ground programs).
+/// Sessions loaded from a rendered ground program update in place. The
+/// grounder prunes both rules at load (`e` and `f` have no rules), so
+/// the asserts instantiate `p`'s rule and then resurrect its `not q`.
 #[test]
 fn ground_program_sessions_update_in_place() {
     let ground = afp::datalog::parse_ground("p :- e, not q. q :- f.");
-    let mut session = Engine::default().load_ground(ground);
+    let mut session = Engine::default().load(&ground.to_string()).unwrap();
     let model = session.solve().unwrap();
     assert_eq!(model.truth("p", &[]), Truth::False); // e is false
 
@@ -196,16 +197,19 @@ fn ground_program_sessions_update_in_place() {
     session.retract_facts("f.").unwrap();
     let model = session.solve().unwrap();
     assert_eq!(model.truth("p", &[]), Truth::True);
+    assert_eq!(session.stats().regrounds, 0);
 }
 
-/// Re-asserting facts whose names are all known, on a `load_ground`
-/// session after a snapshot, copies no Herbrand base or symbol storage:
-/// the session's program still shares it with the snapshot. Only an
-/// atom never seen before un-shares it, and the snapshot never sees it.
+/// Re-asserting facts whose atoms are all known, on a session loaded
+/// from a rendered ground program, after a snapshot, copies no Herbrand
+/// base or symbol storage: the session's program still shares it with
+/// the snapshot. Only an atom never seen before un-shares it, and the
+/// snapshot never sees it.
 #[test]
 fn known_facts_on_ground_sessions_copy_no_base_storage() {
-    let ground = afp::datalog::parse_ground("p(a) :- e(a, b), not q. e(a, b). q :- f(c).");
-    let mut session = Engine::default().load_ground(ground);
+    let ground = afp::datalog::parse_ground("p(a) :- e(a, b), not q. e(a, b). q :- f(c). f(c).");
+    let mut session = Engine::default().load(&ground.to_string()).unwrap();
+    session.retract_facts("f(c).").unwrap(); // `f(c)` stays a known atom
     let snapshot = session.solve().unwrap();
     assert!(session.ground().shares_base_with(snapshot.ground()));
 

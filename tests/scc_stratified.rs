@@ -41,19 +41,38 @@ fn scc_stratified_is_the_default() {
     assert!(session.stats().last_components >= 2);
 }
 
-/// Differential: global AFP vs SCC-stratified on random ground programs.
+/// Differential: global AFP vs SCC-stratified on random ground programs,
+/// loaded from their rendering. The grounder prunes rules that can never
+/// fire, so both solve the pruned program; its true and undefined atoms
+/// are those of the crate-level solve of the program as generated.
 #[test]
 fn scc_agrees_with_global_on_random_programs() {
     let engine = Engine::default();
+    let sorted = |atoms: &mut dyn Iterator<Item = String>| {
+        let mut atoms: Vec<String> = atoms.collect();
+        atoms.sort();
+        atoms
+    };
     for seed in 0..30u64 {
         let prog = random_ground_program(14, 30, 0.45, seed);
-        let mut session = engine.load_ground(prog);
+        let mut session = engine.load(&prog.to_string()).unwrap();
         let scc = session.solve_with(SCC).unwrap();
         let global = session.solve_with(GLOBAL).unwrap();
         assert_eq!(
             scc.partial_model(),
             global.partial_model(),
             "strategy divergence on seed {seed}"
+        );
+        let unpruned = afp::core::afp::alternating_fixpoint(&prog).model;
+        assert_eq!(
+            sorted(&mut scc.true_atoms()),
+            prog.set_to_names(&unpruned.pos),
+            "seed {seed}"
+        );
+        assert_eq!(
+            sorted(&mut scc.undefined_atoms()),
+            prog.set_to_names(&unpruned.undefined()),
+            "seed {seed}"
         );
     }
 }

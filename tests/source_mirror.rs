@@ -68,7 +68,7 @@ fn names(it: impl Iterator<Item = String>) -> BTreeSet<String> {
 /// Check the session against its own source text and the expected
 /// statement set.
 fn check(engine: &Engine, session: &mut Session, present: &BTreeSet<String>, context: &str) {
-    let text = session.source_text().unwrap();
+    let text = session.source_text();
     let lines: Vec<&str> = text.lines().collect();
     for statement in present {
         let copies = lines.iter().filter(|l| **l == statement).count();
