@@ -1,16 +1,11 @@
-//! Acceptance bench for the concurrent serving subsystem (PR 4), in
-//! three parts:
+//! Acceptance bench for the concurrent serving subsystem, in three parts:
 //!
 //! * `snapshot_*` — the primitive: cloning a solved ground program for a
-//!   model snapshot. `cow` is what `Session::snapshot` does now
-//!   (reference-count bumps); `deep` is what it did before this PR
-//!   (`GroundProgram::deep_clone`, a full copy of rules, base, symbols
-//!   and all three occurrence indices).
+//!   model snapshot, which is what `Session::snapshot` does (reference-
+//!   count bumps, whatever the program's size).
 //! * `mutate_solve_*` — the loop the CoW layout exists for: one fact
 //!   toggle + warm re-solve per iteration, with a model snapshot taken
-//!   each cycle. `cow` rides the new storage; `deep_baseline` adds the
-//!   pre-PR per-cycle deep clone back in, emulating what every
-//!   mutate→solve cycle used to pay on top of the solve.
+//!   each cycle.
 //! * `read_scaling_*` — reader throughput on one pinned
 //!   `afp::service::ModelSnapshot`: `t` threads each run a fixed block
 //!   of truth probes against the same immutable version; per-iteration
@@ -38,12 +33,8 @@ fn snapshot_cost(c: &mut Criterion) {
         let ground = session.ground().clone();
         let mut group = c.benchmark_group(format!("serve/snapshot_knot_{k}"));
         group.bench_function(BenchmarkId::new("cow", k), |b| {
-            // What `Session::snapshot` costs now: Arc bumps.
+            // What `Session::snapshot` costs: Arc bumps.
             b.iter(|| std::hint::black_box(ground.clone()))
-        });
-        group.bench_function(BenchmarkId::new("deep", k), |b| {
-            // What it cost before the CoW storage: a full copy.
-            b.iter(|| std::hint::black_box(ground.deep_clone()))
         });
         group.finish();
     }
@@ -68,24 +59,6 @@ fn mutate_solve_loop(c: &mut Criterion) {
                 present = !present;
                 // The solve takes the (CoW) model snapshot internally.
                 session.solve().unwrap()
-            })
-        });
-        group.bench_function(BenchmarkId::new("deep_baseline", k), |b| {
-            let mut session = engine.load(&src).unwrap();
-            session.solve().unwrap();
-            let mut present = true;
-            b.iter(|| {
-                if present {
-                    session.retract_facts(&toggle).unwrap();
-                } else {
-                    session.assert_facts(&toggle).unwrap();
-                }
-                present = !present;
-                let model = session.solve().unwrap();
-                // Emulate the pre-PR snapshot: every mutate→solve cycle
-                // deep-cloned the whole ground program.
-                std::hint::black_box(session.ground().deep_clone());
-                model
             })
         });
         group.finish();

@@ -324,13 +324,6 @@ pub fn display_atom(a: &Atom, store: &SymbolStore) -> String {
     out
 }
 
-/// Render a literal.
-pub fn display_literal(l: &Literal, store: &SymbolStore) -> String {
-    let mut out = String::new();
-    write_literal(&mut out, l, store);
-    out
-}
-
 /// Render a rule, terminated with `.`.
 pub fn display_rule(r: &Rule, store: &SymbolStore) -> String {
     let mut out = String::new();

@@ -150,14 +150,6 @@ impl HerbrandBase {
         self.terms.key(id.0)
     }
 
-    /// A copy sharing no storage with `self`.
-    pub(crate) fn deep_clone(&self) -> Self {
-        HerbrandBase {
-            terms: self.terms.deep_clone(),
-            atoms: self.atoms.deep_clone(),
-        }
-    }
-
     /// Does `self` share all its storage with `other` (is one an
     /// unmutated clone of the other)?
     pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {

@@ -441,11 +441,6 @@ impl<T: Clone> CowVec<T> {
         self.segs.iter().flat_map(|s| s.iter())
     }
 
-    /// A copy sharing no storage with `self`: every segment is cloned.
-    pub fn deep_clone(&self) -> Self {
-        Self::from_vec(self.iter().cloned().collect())
-    }
-
     /// Do `self` and `other` hold the same segment directory, i.e. is
     /// one an unmutated clone of the other?
     pub fn shares_storage_with(&self, other: &Self) -> bool {
@@ -609,14 +604,6 @@ impl<K: Clone + Hash> InternTable<K> {
             slots[i] = id as u32 + 1;
         }
         self.slots = CowVec::from_vec(slots);
-    }
-
-    /// A copy sharing no storage with `self`.
-    pub fn deep_clone(&self) -> Self {
-        InternTable {
-            keys: self.keys.deep_clone(),
-            slots: self.slots.deep_clone(),
-        }
     }
 
     /// Do `self` and `other` share all their storage — is one an

@@ -24,14 +24,12 @@
 //! [`SharedSlice`], so the first write to a segment after a snapshot
 //! costs one allocation and a memcpy with reference-count bumps, not one
 //! allocation per element, and a one-fact write allocates the same
-//! amount at any program size. [`GroundProgram::deep_clone`] forces a full
-//! copy when genuine structural independence is wanted. The interning
-//! entry points ([`GroundProgram::intern_symbol`],
-//! [`GroundProgram::intern_const`], [`GroundProgram::intern_term`],
-//! [`GroundProgram::intern_atom_ids`], [`GroundProgram::import_rule`])
-//! probe before they write: re-interning something already present never
-//! copies a shared segment, which keeps steady-state update loops
-//! allocation-free on the shared storage.
+//! amount at any program size. The interning entry points
+//! ([`GroundProgram::intern_symbol`], [`GroundProgram::intern_const`],
+//! [`GroundProgram::intern_term`], [`GroundProgram::intern_atom_ids`],
+//! [`GroundProgram::import_rule`]) probe before they write: re-interning
+//! something already present never copies a shared segment, which keeps
+//! steady-state update loops allocation-free on the shared storage.
 //!
 //! ## Where the occurrence indices grow
 //!
@@ -102,8 +100,7 @@ impl GroundRule {
 /// occurrence indices.
 ///
 /// `Clone` is a copy-on-write snapshot (reference-count bumps only); see
-/// the module docs. Use [`GroundProgram::deep_clone`] for a structurally
-/// independent copy.
+/// the module docs.
 #[derive(Clone)]
 pub struct GroundProgram {
     rules: CowVec<GroundRule>,
@@ -292,22 +289,6 @@ impl GroundProgram {
     pub fn shares_base_with(&self, other: &GroundProgram) -> bool {
         self.base.shares_storage_with(&other.base)
             && self.symbols.shares_storage_with(&other.symbols)
-    }
-
-    /// A structurally independent copy: every segment is cloned eagerly,
-    /// exactly what `Clone` used to do before the copy-on-write layout.
-    /// Useful when a snapshot must not keep segment `Arc`s alive (archival
-    /// of many versions of a mutating program), and as the baseline the
-    /// `serve_throughput` bench compares CoW snapshots against.
-    pub fn deep_clone(&self) -> GroundProgram {
-        GroundProgram {
-            rules: self.rules.deep_clone(),
-            base: self.base.deep_clone(),
-            symbols: self.symbols.deep_clone(),
-            head_index: self.head_index.deep_clone(),
-            pos_index: self.pos_index.deep_clone(),
-            neg_index: self.neg_index.deep_clone(),
-        }
     }
 
     /// Append a rule, maintaining the occurrence indices. Body lists are
@@ -770,16 +751,6 @@ mod tests {
         let snap_fact = snapshot.rules_with_head(q);
         assert_eq!(snap_fact.len(), 1);
         assert!(snapshot.rule(snap_fact[0]).is_fact());
-    }
-
-    #[test]
-    fn deep_clone_is_structurally_independent() {
-        let g = parse_ground("p :- q, not r. q.");
-        let deep = g.deep_clone();
-        assert!(!g.shares_base_with(&deep));
-        assert_eq!(deep.rule_count(), g.rule_count());
-        assert_eq!(deep.atom_count(), g.atom_count());
-        assert_eq!(deep.to_string(), g.to_string());
     }
 
     #[test]

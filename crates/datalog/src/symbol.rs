@@ -94,13 +94,6 @@ impl SymbolStore {
             .map(|(i, n)| (Symbol(i as u32), n.as_ref()))
     }
 
-    /// A copy sharing no storage with `self`.
-    pub(crate) fn deep_clone(&self) -> Self {
-        SymbolStore {
-            names: self.names.deep_clone(),
-        }
-    }
-
     /// Does `self` share all its storage with `other` (is one an
     /// unmutated clone of the other)?
     pub(crate) fn shares_storage_with(&self, other: &Self) -> bool {

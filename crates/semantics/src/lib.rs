@@ -33,7 +33,7 @@ pub mod wfs;
 pub use explain::{Explainer, Reason, Witness};
 pub use fitting::{fitting_model, FittingResult};
 pub use inflationary::{inflationary_fixpoint, InflationaryResult, NaiveOutcome};
-pub use modular::{modular_wfs, modular_wfs_update, modular_wfs_with, ModularResult};
+pub use modular::{modular_wfs, modular_wfs_update, ModularResult};
 pub use residual::{lift_residual_model, residual_program};
 pub use stable::{
     brute_force_stable, cautious_consequences, enumerate_stable, is_stable, stable_models,

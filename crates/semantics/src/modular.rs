@@ -39,17 +39,21 @@
 //!
 //! The result is identical to the global alternating fixpoint (checked by
 //! a differential property test and by the engine's differential CI
-//! test). [`modular_wfs_update`] additionally supports **cone-only warm
-//! re-solves**: given the previous model and the set of atoms whose
-//! truth may have changed (the forward dependency cone of a fact *or
-//! rule* delta — for a rule delta, the cone of the heads whose rule sets
-//! changed), it starts from a word copy of the previous model and
-//! evaluates only the components of that cone and of the atoms interned
-//! since, sorted by order label. Every other component keeps its stored
-//! truth values without being visited, so a write whose cone is `k`
-//! components costs `O(k)` plus the copy. Reuse is keyed by atom id, and
-//! atom ids are stable across in-place mutations, so it survives the
-//! engine's in-place condensation repairs (`Condensation::apply_delta`).
+//! test). [`modular_wfs_update`] additionally supports **change-driven
+//! warm re-solves**: given the previous model and the atoms whose rule
+//! sets changed since (the heads of a fact *or rule* delta), it starts
+//! from a word copy of the previous model and evaluates, in label order,
+//! the components of those atoms, of the atoms interned since, and of
+//! every rule head that reads an atom whose truth value changed. A
+//! component whose rules and inputs are as before keeps its stored
+//! values without being visited, so a write costs the components its
+//! truth changes reach plus the copy. A repaired condensation needs no
+//! extra seeds: a merge holds the dirty head of its new edge, and a part
+//! that a retract splits off computes the same local fixpoint over the
+//! same inputs unless one changed, which queues it. Reuse is keyed by
+//! atom id, and atom ids are stable across in-place mutations, so it
+//! survives the engine's in-place condensation repairs
+//! (`Condensation::apply_delta`).
 //!
 //! Components are evaluated in one loop in topological order by a single
 //! reusable `ComponentEval` that reads the settled lower components from
@@ -61,6 +65,8 @@ use afp_datalog::atoms::AtomId;
 use afp_datalog::bitset::AtomSet;
 use afp_datalog::depgraph::Condensation;
 use afp_datalog::program::GroundProgram;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of the modular computation.
 #[derive(Debug, Clone)]
@@ -74,47 +80,37 @@ pub struct ModularResult {
     /// Components actually evaluated by this call.
     pub evaluated: usize,
     /// Components whose truth values were kept from a previous model
-    /// (always `0` unless called through [`modular_wfs_update`]).
+    /// (always `0` without a previous model).
     pub reused: usize,
     /// Atoms covered by the reused components.
     pub reused_atoms: usize,
 }
 
 /// Compute the well-founded model component by component, condensing the
-/// dependency graph first. Use [`modular_wfs_with`] to reuse an existing
-/// [`Condensation`] across solves.
+/// dependency graph first. Use [`modular_wfs_update`] to reuse an
+/// existing [`Condensation`] and a previous model across solves.
 pub fn modular_wfs(prog: &GroundProgram) -> ModularResult {
-    let cond = Condensation::of(prog);
-    modular_wfs_with(prog, &cond)
+    modular_wfs_update(prog, &Condensation::of(prog), None)
 }
 
-/// Compute the well-founded model over a precomputed condensation.
-pub fn modular_wfs_with(prog: &GroundProgram, cond: &Condensation) -> ModularResult {
-    modular_wfs_update(prog, cond, None)
-}
-
-/// Component-wise evaluation with **per-component reuse**: when
-/// `previous` is `Some((old_model, affected))`, only the components of
-/// `affected` and of the atoms interned after `old_model` (ids at or
-/// above its universe) are evaluated; every other atom keeps its truth
-/// value from `old_model`, and those components are not visited.
-///
-/// # Soundness
-/// `affected` must contain every atom whose set of rules changed since
-/// `old_model` was computed, **closed under the dependent (forward)
-/// direction of the dependency graph**: if `affected` holds some body
-/// atom of a rule, it must hold the rule's head too, transitively. Atoms
-/// outside such a cone keep their truth values by the relevance/splitting
-/// argument — none of their rules changed and nothing they depend on
-/// changed. `cond` must condense the *current* program.
+/// Component-wise evaluation with **change-driven reuse**: when
+/// `previous` is `Some((old_model, dirty))`, `dirty` holds the atoms
+/// whose rule sets changed since `old_model` was computed. The solve
+/// starts from a copy of `old_model` and evaluates, in label order, the
+/// components of `dirty`, of the atoms interned since (ids at or above
+/// `old_model`'s universe), and of every rule head that reads an atom
+/// whose truth value this solve changed. Every other component keeps
+/// its values from `old_model` and is not visited: its rules and the
+/// truth values it reads are as before. `cond` must condense the
+/// *current* program.
 pub fn modular_wfs_update(
     prog: &GroundProgram,
     cond: &Condensation,
-    previous: Option<(&PartialModel, &AtomSet)>,
+    previous: Option<(&PartialModel, &[AtomId])>,
 ) -> ModularResult {
     let n = prog.atom_count();
     let mut eval = ComponentEval::default();
-    let Some((old, affected)) = previous else {
+    let Some((old, dirty)) = previous else {
         let mut model = PartialModel::empty(n);
         for comp in cond.topological_order() {
             eval.evaluate(prog, cond, comp, &mut model);
@@ -135,31 +131,77 @@ pub fn modular_wfs_update(
         pos: old.pos.grown(n),
         neg: old.neg.grown(n),
     };
-    // The cone's components in topological order. Labels are unique per
-    // component, so sorting by label puts duplicates side by side.
-    let mut cone: Vec<(u64, u32)> = affected
-        .iter()
-        .chain(old_n as u32..n as u32)
-        .map(|a| {
-            let c = cond.component_of(a);
-            (cond.label(c), c)
-        })
-        .collect();
-    cone.sort_unstable();
-    cone.dedup();
-    let mut cone_atoms = 0usize;
-    for &(_, comp) in &cone {
-        cone_atoms += cond.component_size(comp);
+    let entry = |a: u32| (cond.label(cond.component_of(a)), cond.component_of(a));
+    let mut frontier = Frontier::default();
+    for a in dirty.iter().map(|a| a.0).chain(old_n as u32..n as u32) {
+        frontier.push(entry(a));
+    }
+    let (mut evaluated, mut evaluated_atoms, mut last) = (0, 0, None);
+    while let Some((label, comp)) = frontier.pop() {
+        if last.replace(label) == Some(label) {
+            continue;
+        }
+        evaluated += 1;
+        evaluated_atoms += cond.component_size(comp);
         eval.evaluate(prog, cond, comp, &mut model);
+        for &a in &eval.atoms {
+            if (a as usize) < old_n && model.truth(a) == old.truth(a) {
+                continue;
+            }
+            let readers = prog.rules_with_pos(AtomId(a)).iter();
+            for &rid in readers.chain(prog.rules_with_neg(AtomId(a))) {
+                let next = entry(prog.rule(rid).head.0);
+                if next.0 > label {
+                    frontier.push(next);
+                }
+            }
+        }
     }
 
     ModularResult {
         model,
         components: cond.len(),
         largest_component: cond.largest(),
-        evaluated: cone.len(),
-        reused: cond.len() - cone.len(),
-        reused_atoms: n - cone_atoms,
+        evaluated,
+        reused: cond.len() - evaluated,
+        reused_atoms: n - evaluated_atoms,
+    }
+}
+
+/// Components awaiting evaluation, popped in label order. Pushes lie
+/// above the last pop, so one sorted `run` serves most pops: a push
+/// inside the run goes to the `inside` heap, one beyond it to the
+/// unsorted `tail`, sorted into the next run once the run and the heap
+/// are spent. Duplicates pop side by side.
+#[derive(Default)]
+struct Frontier {
+    run: Vec<(u64, u32)>,
+    next: usize,
+    inside: BinaryHeap<Reverse<(u64, u32)>>,
+    tail: Vec<(u64, u32)>,
+}
+
+impl Frontier {
+    fn push(&mut self, entry: (u64, u32)) {
+        match self.run.last() {
+            Some(&max) if entry < max => self.inside.push(Reverse(entry)),
+            _ => self.tail.push(entry),
+        }
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.next == self.run.len() && self.inside.is_empty() {
+            std::mem::swap(&mut self.run, &mut self.tail);
+            self.tail.clear();
+            self.run.sort_unstable();
+            self.next = 0;
+        }
+        let run = self.run.get(self.next).copied();
+        if run.is_none_or(|r| self.inside.peek().is_some_and(|&Reverse(h)| h < r)) {
+            return self.inside.pop().map(|Reverse(h)| h);
+        }
+        self.next += 1;
+        run
     }
 }
 
@@ -519,23 +561,23 @@ mod tests {
 
     #[test]
     fn update_reuses_untouched_components() {
-        // Two independent halves; mark only the right half affected and
+        // Two independent halves; mark only the right half dirty and
         // feed a deliberately *wrong* previous model for the left half —
         // reuse must copy it verbatim, proving the left was not re-run.
         let g = parse_ground("l1. l2 :- l1. r1. r2 :- r1, not r3.");
         let cond = Condensation::of(&g);
-        let cold = modular_wfs_with(&g, &cond);
+        let cold = modular_wfs_update(&g, &cond, None);
 
         let l1 = g.find_atom_by_name("l1", &[]).unwrap().0;
         let l2 = g.find_atom_by_name("l2", &[]).unwrap().0;
         let mut fake_prev = cold.model.clone();
         fake_prev.pos.remove(l2); // wrong on purpose: l2 is really true
 
-        let mut affected = g.empty_set();
-        for name in ["r1", "r2", "r3"] {
-            affected.insert(g.find_atom_by_name(name, &[]).unwrap().0);
-        }
-        let warm = modular_wfs_update(&g, &cond, Some((&fake_prev, &affected)));
+        let dirty: Vec<AtomId> = ["r1", "r2", "r3"]
+            .iter()
+            .map(|name| g.find_atom_by_name(name, &[]).unwrap())
+            .collect();
+        let warm = modular_wfs_update(&g, &cond, Some((&fake_prev, &dirty)));
         assert!(warm.reused >= 2, "left components must be copied");
         assert!(warm.model.pos.contains(l1));
         assert!(
@@ -544,7 +586,7 @@ mod tests {
         );
 
         // With the correct previous model the result matches cold exactly.
-        let warm = modular_wfs_update(&g, &cond, Some((&cold.model, &affected)));
+        let warm = modular_wfs_update(&g, &cond, Some((&cold.model, &dirty)));
         assert_eq!(warm.model, cold.model);
         assert!(warm.reused > 0 && warm.evaluated < warm.components);
     }
@@ -555,12 +597,11 @@ mod tests {
         // new atoms must be evaluated, old disjoint ones reused.
         let old = parse_ground("a. b :- a.");
         let cond_old = Condensation::of(&old);
-        let prev = modular_wfs_with(&old, &cond_old).model;
+        let prev = modular_wfs_update(&old, &cond_old, None).model;
 
         let g = parse_ground("a. b :- a. c :- not d. d :- not c.");
         let cond = Condensation::of(&g);
-        let affected = g.empty_set();
-        let r = modular_wfs_update(&g, &cond, Some((&prev, &affected)));
+        let r = modular_wfs_update(&g, &cond, Some((&prev, &[])));
         assert_eq!(r.model, alternating_fixpoint(&g).model);
         assert!(r.reused >= 2);
         assert!(r.evaluated >= 1, "the new {{c, d}} knot is evaluated");
@@ -570,8 +611,9 @@ mod tests {
     fn rule_delta_cone_invalidation_reuses_outside_components() {
         // Simulate what the engine does for a *rule* assert: the program
         // gains a rule (and possibly atoms), the condensation is rebuilt,
-        // and `affected` holds the forward cone of the new rule's head.
-        // Components outside the cone must be copied even though every
+        // and `dirty` holds only the new rule's head. Its reader `b` must
+        // be re-evaluated because `c`'s truth flips, and components no
+        // changed truth reaches must be copied even though every
         // component id changed.
         let old = parse_ground("k1 :- not k2. k2 :- not k1. a. b :- a, not c.");
         let prev = modular_wfs(&old).model;
@@ -584,20 +626,17 @@ mod tests {
              n1 :- not n2. n2 :- not n1.",
         );
         let cond = Condensation::of(&g);
-        let mut affected = g.empty_set();
-        for name in ["c", "b"] {
-            affected.insert(g.find_atom_by_name(name, &[]).unwrap().0);
-        }
-        let r = modular_wfs_update(&g, &cond, Some((&prev, &affected)));
+        let dirty = [g.find_atom_by_name("c", &[]).unwrap()];
+        let r = modular_wfs_update(&g, &cond, Some((&prev, &dirty)));
         assert_eq!(r.model, alternating_fixpoint(&g).model);
         let c = g.find_atom_by_name("c", &[]).unwrap().0;
         let b = g.find_atom_by_name("b", &[]).unwrap().0;
         assert!(r.model.pos.contains(c), "the new rule derives c");
         assert!(r.model.neg.contains(b), "b flips: not c now fails");
-        assert!(r.reused >= 2, "{{k1,k2}} and a are outside the cone");
+        assert!(r.reused >= 2, "{{k1,k2}} and a are not reached");
         assert!(
             r.evaluated >= 3,
-            "the cone and the brand-new {{n1,n2}} knot are evaluated"
+            "c, its reader b and the brand-new {{n1,n2}} knot are evaluated"
         );
     }
 

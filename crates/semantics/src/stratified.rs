@@ -17,7 +17,6 @@
 //! pinned by integration tests.
 
 use afp_core::interp::PartialModel;
-use afp_datalog::bitset::AtomSet;
 use afp_datalog::depgraph::tarjan_sccs;
 use afp_datalog::program::GroundProgram;
 
@@ -135,14 +134,6 @@ pub fn perfect_model(prog: &GroundProgram) -> Option<PerfectResult> {
         model: PartialModel::new(pos, neg),
         strata: max_stratum as usize + 1,
     })
-}
-
-/// Atoms of a given stratum (diagnostic helper).
-pub fn stratum_atoms(strata: &[u32], s: u32, universe: usize) -> AtomSet {
-    AtomSet::from_iter(
-        universe,
-        (0..universe as u32).filter(|&a| strata[a as usize] == s),
-    )
 }
 
 #[cfg(test)]

@@ -437,7 +437,7 @@ fn print_result(model: &Model, semantics: Semantics, options: &Options) -> ExitC
             if options.json {
                 print_assignment_json(model);
             } else {
-                for name in sorted(model.true_atoms()) {
+                for name in codec::sorted(model.true_atoms()) {
                     println!("{name}.");
                 }
             }
@@ -665,37 +665,24 @@ fn report_error(e: &Error) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn sorted(iter: impl Iterator<Item = String>) -> Vec<String> {
-    let mut v: Vec<String> = iter.collect();
-    v.sort();
-    v
-}
-
 fn print_partial(model: &Model) {
-    for name in sorted(model.true_atoms()) {
+    for name in codec::sorted(model.true_atoms()) {
         println!("{name}.");
     }
-    for name in sorted(model.undefined_atoms()) {
+    for name in codec::sorted(model.undefined_atoms()) {
         println!("{name}?  % undefined");
     }
 }
 
 fn print_assignment_json(model: &Model) {
-    println!(
-        "{{\"semantics\":{},\"total\":{},\"true\":{},\"false\":{},\"undefined\":{}}}",
-        codec::json_str(model.semantics().name()),
-        model.is_total(),
-        codec::json_list(&sorted(model.true_atoms())),
-        codec::json_list(&sorted(model.false_atoms())),
-        codec::json_list(&sorted(model.undefined_atoms())),
-    );
+    println!("{}", codec::model_object(None, model));
 }
 
 fn print_stable_json(model: &Model) {
     let models: Vec<String> = model
         .stable_models()
         .iter()
-        .map(|m| codec::json_list(&model.ground().set_to_names(m)))
+        .map(|m| codec::json_list(&model.ground().set_to_names(m)).to_string())
         .collect();
     println!(
         "{{\"semantics\":\"stable\",\"complete\":{},\"count\":{},\"models\":[{}]}}",

@@ -53,12 +53,14 @@
 //! the grounder's statement set
 //! ([`afp_datalog::IncrementalGrounder::source`]), which is also what
 //! checkpoints render. There is one warm solve: the default
-//! well-founded one (per-SCC, no trace, no restriction). Via the
-//! relevance/splitting argument (atoms that cannot reach any changed
-//! atom in the dependency graph keep their truth values), it starts from
-//! a word copy of the previous model and evaluates **only the components
-//! of the delta's forward dependency cone**, in topological order; every
-//! other component keeps its stored truth values without being visited.
+//! well-founded one (per-SCC, no trace, no restriction). The fixpoint is
+//! modular over the condensation, so a component whose rules did not
+//! change and whose inputs kept their truth values keeps its own. The
+//! warm solve starts from a word copy of the previous model, evaluates
+//! the components of the heads whose rules changed, and from there
+//! **only the components that read an atom whose truth value changed**,
+//! in topological order; every other component keeps its stored truth
+//! values without being visited.
 //! Every other solve (the global oracle, trace recording, restricted
 //! solves and the other semantics) runs cold and leaves the warm state
 //! alone.
@@ -322,7 +324,8 @@ pub struct SessionStats {
     /// Components in the condensation at the last SCC-stratified solve.
     pub last_components: usize,
     /// Components evaluated by the last SCC-stratified solve: on a warm
-    /// solve, exactly the components of the pending deltas' cone.
+    /// solve, the components of the pending deltas' heads and of every
+    /// rule head that reads an atom whose truth value changed.
     pub last_components_evaluated: usize,
     /// Components whose values the last SCC-stratified solve kept from
     /// the previous model without visiting them.
@@ -362,9 +365,9 @@ pub struct Session {
     /// mutations ([`Condensation::apply_delta`] rewrites only the delta's
     /// window: component ids elsewhere are stable and new components
     /// take order labels between the window's neighbours) — only a cold
-    /// re-ground, which renumbers atom ids, drops it. A warm solve sorts
-    /// the components of the affected cone by label and evaluates those
-    /// alone.
+    /// re-ground, which renumbers atom ids, drops it. A warm solve
+    /// evaluates, in label order, the components of the dirty atoms and
+    /// those a changed truth value reaches.
     scc_cond: Option<Condensation>,
     stats: SessionStats,
     /// Phase wall-clock accumulated since the last
@@ -429,11 +432,11 @@ impl Session {
     /// rule is compiled and joined once over the retained envelope, the
     /// whole batch runs **one** envelope-delta round, pruned negative
     /// literals whose atoms the new rules derive are resurrected, and
-    /// only the new/changed heads' forward dependency cone is re-solved
-    /// on the next warm solve. Falls back to at most one cold re-ground
-    /// where a warm delta would be unsound (first unsafe rule of a
-    /// previously-safe active-domain program, or a grounder that already
-    /// lost precision).
+    /// the next warm solve re-evaluates the new/changed heads and only
+    /// what their changed truth values reach. Falls back to at most one
+    /// cold re-ground where a warm delta would be unsound (first unsafe
+    /// rule of a previously-safe active-domain program, or a grounder
+    /// that already lost precision).
     pub fn assert_rules(&mut self, rules: &str) -> Result<(), Error> {
         self.apply(&Delta::parse(DeltaKind::AssertRules, rules)?)
     }
@@ -590,9 +593,9 @@ impl Session {
     }
 
     /// The one warm path: the default well-founded solve. It starts from
-    /// the previous model and re-evaluates only the components of the
-    /// pending deltas' forward cone, over the condensation kept current
-    /// by in-place repair.
+    /// the previous model and re-evaluates the components of the dirty
+    /// atoms and those a changed truth value reaches, over the
+    /// condensation kept current by in-place repair.
     fn solve_warm(&mut self) -> Model {
         // Memoized read path: a re-solve with no pending deltas returns
         // the previous snapshot and model as pure pointer copies — zero
@@ -613,9 +616,6 @@ impl Session {
                 };
             }
         }
-        // The affected cone is computed before the program is borrowed
-        // for solving.
-        let affected = self.affected_cone();
         let ground = self.snapshot();
         let condense_started = Instant::now();
         // The memoized condensation is kept current across mutations by
@@ -626,7 +626,10 @@ impl Session {
             Condensation::of(&ground)
         });
         self.phases.condense_ns += condense_started.elapsed().as_nanos() as u64;
-        let previous = self.last_model.as_deref().map(|model| (model, &affected));
+        let previous = self
+            .last_model
+            .as_deref()
+            .map(|model| (model, &self.dirty[..]));
         let solve_started = Instant::now();
         let result = afp_semantics::modular_wfs_update(&ground, &cond, previous);
         self.phases.solve_ns += solve_started.elapsed().as_nanos() as u64;
@@ -725,36 +728,6 @@ impl Session {
         self.scc_cond = None;
         self.dirty.clear();
         self.snapshot = None;
-    }
-
-    /// The forward dependency cone of the pending deltas: the dirty atoms
-    /// closed under "some rule's body mentions it → the rule's head".
-    /// Everything outside provably keeps its truth value (the
-    /// relevance/splitting argument), which is what the warm solve relies
-    /// on.
-    fn affected_cone(&self) -> AtomSet {
-        let prog = self.ground();
-        let n = prog.atom_count();
-        let mut affected = AtomSet::empty(n);
-        let mut queue: Vec<AtomId> = Vec::new();
-        for &a in &self.dirty {
-            if affected.insert(a.0) {
-                queue.push(a);
-            }
-        }
-        while let Some(atom) = queue.pop() {
-            for &rid in prog
-                .rules_with_pos(atom)
-                .iter()
-                .chain(prog.rules_with_neg(atom).iter())
-            {
-                let head = prog.rule(rid).head;
-                if affected.insert(head.0) {
-                    queue.push(head);
-                }
-            }
-        }
-        affected
     }
 
     fn snapshot(&mut self) -> Arc<GroundProgram> {

@@ -37,6 +37,7 @@
 //! [`crate::MetricsRegistry`], the one listing behind `stats`, `metrics`
 //! and the one-shot `--stats`, so the outputs cannot drift.
 
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 use afp_datalog::ast::Term;
@@ -448,15 +449,26 @@ pub fn render_plain(response: &Response) -> String {
 /// differential test compares these strings directly against cold
 /// solves.
 pub fn model_json(version: u64, model: &Model) -> String {
-    format!(
-        "{{\"version\":{version},\"semantics\":{},\"total\":{},\"true\":{},\"false\":{},\
-         \"undefined\":{}}}",
-        json_str(model.semantics().name()),
-        model.is_total(),
-        json_list(&sorted(model.true_atoms())),
-        json_list(&sorted(model.false_atoms())),
-        json_list(&sorted(model.undefined_atoms())),
-    )
+    model_object(Some(version), model).to_string()
+}
+
+/// A model's JSON object: its version when it has one (`afp --json`
+/// prints none), the semantics, totality and the sorted true, false and
+/// undefined atoms, each atom escaped straight into the output.
+pub fn model_object(version: Option<u64>, model: &Model) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        let version = version.map(|v| format!("\"version\":{v},"));
+        write!(
+            f,
+            "{{{}\"semantics\":{},\"total\":{},\"true\":{},\"false\":{},\"undefined\":{}}}",
+            version.unwrap_or_default(),
+            json_str(model.semantics().name()),
+            model.is_total(),
+            json_list(&sorted(model.true_atoms())),
+            json_list(&sorted(model.false_atoms())),
+            json_list(&sorted(model.undefined_atoms())),
+        )
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -589,34 +601,44 @@ pub fn read_frame(r: &mut dyn Read, max_len: u32) -> io::Result<Option<Vec<u8>>>
 // Small JSON helpers (shared with the CLI's one-shot output paths)
 // ---------------------------------------------------------------------
 
-/// JSON-escape a string, with quotes.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// JSON-escape a string, with quotes, writing each run of characters
+/// that needs no escape in one piece.
+pub fn json_str(s: &str) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        f.write_char('"')?;
+        let mut rest = s;
+        while let Some(i) = rest.find(|c: char| c == '"' || c == '\\' || (c as u32) < 0x20) {
+            f.write_str(&rest[..i])?;
+            match rest.as_bytes()[i] {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                c => write!(f, "\\u{:04x}", c)?,
+            }
+            rest = &rest[i + 1..];
         }
-    }
-    out.push('"');
-    out
+        f.write_str(rest)?;
+        f.write_char('"')
+    })
 }
 
 /// JSON list of strings.
-pub fn json_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| json_str(s)).collect();
-    format!("[{}]", quoted.join(","))
+pub fn json_list(items: &[String]) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| {
+        f.write_char('[')?;
+        for (i, item) in items.iter().enumerate() {
+            write!(f, "{}{}", if i == 0 { "" } else { "," }, json_str(item))?;
+        }
+        f.write_char(']')
+    })
 }
 
-fn sorted(iter: impl Iterator<Item = String>) -> Vec<String> {
+/// Atom names in sorted order, as every model rendering lists them.
+pub fn sorted(iter: impl Iterator<Item = String>) -> Vec<String> {
     let mut v: Vec<String> = iter.collect();
-    v.sort();
+    v.sort_unstable();
     v
 }
 

@@ -4,7 +4,8 @@
 //!   fixpoint on generated programs (differential), cold and across
 //!   random update sequences (per-SCC warm re-solves);
 //! * a warm update touching a leaf component re-solves only that
-//!   component's forward dependency cone (`SessionStats`);
+//!   component's forward dependency cone (`SessionStats`), and a dirty
+//!   atom whose truth value stays put re-solves nothing above it;
 //! * an N-fact batch runs one grounder delta round, not N;
 //! * a rule-budget error mid-assert leaves the session able to solve
 //!   correctly (grounder poisoning + cold recovery).
@@ -206,6 +207,39 @@ fn leaf_update_resolves_only_its_cone() {
         session.stats().last_components_evaluated >= k,
         "a root update must re-solve the whole cone"
     );
+}
+
+/// A dirty atom whose truth value does not change stops the warm solve:
+/// asserting a second rule for an already-true chain root evaluates the
+/// root alone, while a delta that flips the root re-evaluates every
+/// component above it.
+#[test]
+fn unchanged_truth_cuts_the_warm_solve_off() {
+    let mut src = String::from("x0. y.\n");
+    for i in 1..=100 {
+        src.push_str(&format!("x{i} :- x{}.\n", i - 1));
+    }
+    let mut session = Engine::default().load(&src).unwrap();
+    session.solve().unwrap();
+
+    session.assert_rules("x0 :- y.").unwrap();
+    let same = session.solve().unwrap();
+    assert_eq!(same.truth("x100", &[]), Truth::True);
+    assert!(
+        session.stats().last_components_evaluated <= 2,
+        "x0 stays true, so nothing above it is re-evaluated, got {}",
+        session.stats().last_components_evaluated
+    );
+
+    session.retract_rules("x0. x0 :- y.").unwrap();
+    let flipped = session.solve().unwrap();
+    assert_eq!(flipped.truth("x100", &[]), Truth::False);
+    assert!(
+        session.stats().last_components_evaluated >= 101,
+        "x0 turns false, so the whole chain is re-evaluated, got {}",
+        session.stats().last_components_evaluated
+    );
+    assert_eq!(session.stats().regrounds, 0);
 }
 
 /// An N-fact batch performs one grounder delta round, not N.
