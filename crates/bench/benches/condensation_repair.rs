@@ -6,9 +6,9 @@
 //! * `rebuild` / `repair_toggle` — the **condensation step alone**: one
 //!   `Condensation::of` over the whole ground program, versus one fact
 //!   toggle (remove + re-add the leaf fact rule) with `apply_delta`
-//!   after each mutation. The repair walks the delta's window (a couple
-//!   of atoms on this workload) however long the chain, so the gap
-//!   widens with `k`.
+//!   after each mutation. A fact adds and removes no dependency edge, so
+//!   the repair reads nothing however long the chain, and the gap widens
+//!   with `k`.
 //! * `warm_toggle` / `warm_toggle_rebuild` — **end to end**: a session's
 //!   retract → solve → assert → solve cycle on the repair path, versus
 //!   the same cycle with a from-scratch `Condensation::of` added per
@@ -16,23 +16,33 @@
 //!   condensation on the first solve after every mutation).
 //!
 //! Those toggles only ever touch atoms that exist, so the component
-//! count never changes. One more group per key count covers the repair
-//! that creates components:
+//! count never changes. Two more groups cover the repairs that add
+//! edges:
 //!
 //! * `intern/assert_new_key` — on the `write_edb` program shape
 //!   ([`afp_bench::gen::write_edb_src`]), assert `d(kI)` for a fresh odd
 //!   key and solve. The assert interns `c(kI)` and `d(kI)` below the
-//!   existing knot `{a(kI), b(kI)}`, so the repair turns one component
-//!   into three.
+//!   existing knot `{a(kI), b(kI)}`, so the repair links two new
+//!   components in below it.
+//! * `giant_first_assert/assert_non_edge` — on the win–move game over a
+//!   random 3-out graph on 10⁴ nodes (the shape of the `read_heavy`
+//!   wire workload), whose largest component holds most `wins` atoms,
+//!   assert `move(u, v)` for a fresh non-edge with both `wins` atoms in
+//!   that component, and solve. The new rule's `wins` edge stays inside
+//!   the component and its `move` atom is new, so the repair writes one
+//!   atom; a repair that re-ran Tarjan over the label range between the
+//!   edge's endpoints would walk the whole component.
 //!
-//! After the timed loops the bench prints the session's repair window
-//! as a fraction of the program, and for `intern` the median repair
-//! wall time from `Session::take_phases` — the delta-boundedness
-//! evidence recorded in `BENCH_cond.json`.
+//! After the timed loops the bench prints the session's last repair as
+//! a fraction of the program, and for `intern` and `giant_first_assert`
+//! the median repair wall time from `Session::take_phases` — the
+//! delta-boundedness evidence recorded in `BENCH_cond.json`.
 
 use afp::datalog::depgraph::{Condensation, CondensationDelta};
 use afp::Engine;
-use afp_bench::gen::{hard_knot_chain_src, write_edb_src};
+use afp_bench::gen::{
+    giant_component_non_edges, hard_knot_chain_src, win_move_src, write_edb_src, Graph,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn condensation_step(c: &mut Criterion) {
@@ -60,22 +70,15 @@ fn condensation_step(c: &mut Criterion) {
                     .iter()
                     .find(|&&r| prog.rule(r).is_fact())
                     .unwrap();
+                // A fact rule has no body: it adds and removes no edge.
+                let fact = CondensationDelta {
+                    added: &[],
+                    lost: &[],
+                };
                 prog.remove_rule(rid);
-                cond.apply_delta(
-                    &prog,
-                    &CondensationDelta {
-                        touched: &[leaf],
-                        new_edge_targets: &[],
-                    },
-                );
+                cond.apply_delta(&prog, &fact);
                 prog.push_rule(leaf, vec![], vec![]);
-                cond.apply_delta(
-                    &prog,
-                    &CondensationDelta {
-                        touched: &[leaf],
-                        new_edge_targets: &[],
-                    },
-                );
+                cond.apply_delta(&prog, &fact);
             })
         });
         group.finish();
@@ -125,7 +128,7 @@ fn warm_solve_one_fact_delta(c: &mut Criterion) {
 
         assert_eq!(stats.condensation_builds, 1, "repairs, never rebuilds");
         println!(
-            "cond/warm_1fact_{k}: repair window {} of {} atoms ({:.2}%), \
+            "cond/warm_1fact_{k}: last repair wrote {} of {} atoms ({:.2}%), \
              {} repairs, components reused {}/{}",
             stats.last_repair_atoms,
             atoms,
@@ -170,10 +173,45 @@ fn assert_new_key(c: &mut Criterion) {
     }
 }
 
+fn giant_first_assert(c: &mut Criterion) {
+    let g = Graph::random_regular_out(10_000, 3, 1);
+    let engine = Engine::default();
+    let mut session = engine.load(&win_move_src(&g)).unwrap();
+    session.solve().unwrap();
+    let giant = Condensation::of(session.ground()).largest();
+    let pairs = giant_component_non_edges(&g, session.ground(), 64, 5);
+    let mut fresh = pairs.iter();
+    let mut repair_us: Vec<f64> = Vec::new();
+    let mut group = c.benchmark_group("cond/giant_first_assert");
+    group.bench_function(BenchmarkId::new("assert_non_edge", g.n), |b| {
+        b.iter(|| {
+            let (u, v) = fresh.next().expect("a fresh non-edge per iteration");
+            let _ = session.take_phases();
+            session.assert_facts(&format!("move(n{u}, n{v}).")).unwrap();
+            repair_us.push(session.take_phases().repair_ns as f64 / 1e3);
+            session.solve().unwrap()
+        })
+    });
+    group.finish();
+    repair_us.sort_by(f64::total_cmp);
+    let stats = session.stats();
+    println!(
+        "cond/giant_first_assert: repair p50 {:.1} us over {} asserts, last repair wrote {} of {} atoms \
+         (largest component {giant} atoms), {} of {} components evaluated",
+        repair_us[repair_us.len() / 2],
+        repair_us.len(),
+        stats.last_repair_atoms,
+        session.ground().atom_count(),
+        stats.last_components_evaluated,
+        stats.last_components,
+    );
+}
+
 criterion_group!(
     benches,
     condensation_step,
     warm_solve_one_fact_delta,
-    assert_new_key
+    assert_new_key,
+    giant_first_assert
 );
 criterion_main!(benches);

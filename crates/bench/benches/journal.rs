@@ -21,17 +21,9 @@
 //! across machines.
 
 use afp::{Engine, FsyncPolicy, JournalOptions, Service, ServiceOptions};
-use afp_bench::gen::{node_name, Graph};
+use afp_bench::gen::{node_name, win_move_src, Graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::path::PathBuf;
-
-fn win_move_src(g: &Graph) -> String {
-    let mut src = String::from("wins(X) :- move(X, Y), not wins(Y).\n");
-    for &(u, v) in &g.edges {
-        src.push_str(&format!("move({}, {}).\n", node_name(u), node_name(v)));
-    }
-    src
-}
 
 fn bench_dir(label: &str) -> PathBuf {
     let dir =

@@ -13,17 +13,9 @@
 //!   should grow with `t` (no lock on the read path).
 
 use afp::Engine;
-use afp_bench::gen::{hard_knot_chain_src, node_name, Graph};
+use afp_bench::gen::{hard_knot_chain_src, node_name, win_move_src, Graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::thread;
-
-fn win_move_src(g: &Graph) -> String {
-    let mut src = String::from("wins(X) :- move(X, Y), not wins(Y).\n");
-    for &(u, v) in &g.edges {
-        src.push_str(&format!("move({}, {}).\n", node_name(u), node_name(v)));
-    }
-    src
-}
 
 fn snapshot_cost(c: &mut Criterion) {
     let engine = Engine::default();

@@ -15,16 +15,8 @@
 //!   delta round) versus N calls (N rounds).
 
 use afp::Engine;
-use afp_bench::gen::{hard_knot_chain_src, node_name, Graph};
+use afp_bench::gen::{hard_knot_chain_src, node_name, win_move_src, Graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-fn win_move_src(g: &Graph) -> String {
-    let mut src = String::from("wins(X) :- move(X, Y), not wins(Y).\n");
-    for &(u, v) in &g.edges {
-        src.push_str(&format!("move({}, {}).\n", node_name(u), node_name(v)));
-    }
-    src
-}
 
 fn session_reuse(c: &mut Criterion) {
     let engine = Engine::default();

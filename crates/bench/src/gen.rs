@@ -108,14 +108,55 @@ pub fn win_move_ground(g: &Graph) -> GroundProgram {
     b.finish()
 }
 
-/// The win–move game as a non-ground program with an EDB `move` relation —
-/// exercises the grounder.
-pub fn win_move_ast(g: &Graph) -> Program {
+/// The win–move game as source text: `wins(X) :- move(X, Y), not
+/// wins(Y).` over one `move` fact per edge.
+pub fn win_move_src(g: &Graph) -> String {
     let mut src = String::from("wins(X) :- move(X, Y), not wins(Y).\n");
     for &(u, v) in &g.edges {
         src.push_str(&format!("move({}, {}).\n", node_name(u), node_name(v)));
     }
-    afp_datalog::parser::parse_program(&src).expect("generated source parses")
+    src
+}
+
+/// The win–move game as a non-ground program with an EDB `move` relation —
+/// exercises the grounder.
+pub fn win_move_ast(g: &Graph) -> Program {
+    afp_datalog::parser::parse_program(&win_move_src(g)).expect("generated source parses")
+}
+
+/// Up to `count` distinct non-edges `(u, v)` of `g`, drawn under `seed`,
+/// whose `wins` atoms both lie in the largest component of `prog`, the
+/// grounding of [`win_move_src`]: asserting `move(u, v)` for the first
+/// time adds a rule whose `wins` edge stays inside that component.
+pub fn giant_component_non_edges(
+    g: &Graph,
+    prog: &GroundProgram,
+    count: usize,
+    seed: u64,
+) -> Vec<(u32, u32)> {
+    let cond = afp_datalog::depgraph::Condensation::of(prog);
+    let in_giant = |i: u32| {
+        prog.find_atom_by_name("wins", &[&node_name(i)])
+            .is_some_and(|a| cond.component_size(cond.component_of(a.0)) == cond.largest())
+    };
+    let edges: std::collections::HashSet<(u32, u32)> = g.edges.iter().copied().collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    for _ in 0..count * 1000 {
+        if out.len() == count {
+            break;
+        }
+        let (u, v) = (rng.gen_range(0..g.n as u32), rng.gen_range(0..g.n as u32));
+        if u != v
+            && !edges.contains(&(u, v))
+            && !out.contains(&(u, v))
+            && in_giant(u)
+            && in_giant(v)
+        {
+            out.push((u, v));
+        }
+    }
+    out
 }
 
 /// Transitive closure and its complement (Example 2.2), guarded by a

@@ -21,13 +21,14 @@
 //! dependency graph into strongly connected components with stable ids
 //! and order labels, the substrate of per-component well-founded
 //! evaluation. [`Condensation::apply_delta`] keeps it current under
-//! in-place program mutations: a repair re-runs Tarjan over the window
-//! of components the delta can restructure and writes nothing outside
-//! it, so a one-knot write costs the knot, not the program.
+//! in-place program mutations: an added edge that respects the order
+//! costs O(1), one that violates it a search between its endpoints, and
+//! a removed rule a Tarjan run over the one component that held its
+//! head, so a write costs what it changes in the order, not the program.
 
 use crate::ast::Program;
 use crate::atoms::AtomId;
-use crate::fx::FxHashMap;
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::program::GroundProgram;
 use crate::symbol::Symbol;
 
@@ -394,6 +395,12 @@ const NONE: u32 = u32::MAX;
 /// it assigns: 32 halvings of one gap before a relabel is needed.
 const LABEL_GAP: u64 = 1 << 32;
 
+/// Label of the first component of a fresh condensation. The room below
+/// it holds the components a repair links in at the front of the order:
+/// their labels count down from their successor's in [`LABEL_GAP`]
+/// steps, so front insertions do not keep halving one gap.
+const FIRST_LABEL: u64 = 1 << 62;
+
 /// Smallest average gap a relabel leaves in the neighbourhood it
 /// respaces.
 const MIN_RELABEL_GAP: u64 = 1 << 20;
@@ -433,21 +440,25 @@ const FREE: Comp = Comp {
 /// components by ascending label ([`Condensation::topological_order`]) is
 /// bottom-up. This is the substrate of the in-place component-wise
 /// well-founded evaluation (`afp-semantics::modular`) and of its warm
-/// re-solves, which evaluate only the components of a delta's cone,
-/// sorted by label.
+/// re-solves, which evaluate the components a write reaches in label
+/// order.
 ///
 /// The condensation is **maintained incrementally** across in-place
-/// program mutations: [`Condensation::apply_delta`] re-runs Tarjan only
-/// over the *window* of components the delta can restructure, frees
-/// their ids, and links the recomputed components into the window's
-/// place in the order. Nothing outside the window is written: the order
-/// is a doubly linked list with gapped labels, as in order-maintenance
-/// structures (Dietz & Sleator, STOC 1987; Bender et al., ESA 2002), so
-/// new components take labels between the window's neighbours instead
-/// of shifting every later component. This is the dynamic topological
-/// order of Pearce & Kelly (JEA 2006) with a contiguous window in place
-/// of their reachability-bounded one. Rules are not stored: the rules of
-/// a component are `prog.rules_with_head(a)` over its atoms.
+/// program mutations ([`Condensation::apply_delta`]), at a cost set by
+/// what the delta changes in the order, not by the label range it
+/// spans. An added edge that respects the order is checked in O(1).
+/// One that violates it starts a two-way search from its endpoints,
+/// bounded by their labels (the dynamic topological order of Pearce &
+/// Kelly, JEA 2006, with the two-way search of Haeupler et al., TALG
+/// 2012): a cycle merges the components on it as whole components, and
+/// otherwise the side that finished first moves past the other endpoint.
+/// A removed rule re-runs Tarjan over the one component that held its
+/// head. The order is a doubly linked list with gapped labels, as in
+/// order-maintenance structures (Dietz & Sleator, STOC 1987; Bender et
+/// al., ESA 2002), so a new or moved component takes a label in the gap
+/// next to its neighbour instead of shifting every later component.
+/// Rules are not stored: the rules of a component are
+/// `prog.rules_with_head(a)` over its atoms.
 #[derive(Debug, Clone)]
 pub struct Condensation {
     /// Atom → component id.
@@ -519,7 +530,7 @@ impl Condensation {
                 size: comp.len() as u32,
                 prev: cid.checked_sub(1).unwrap_or(NONE),
                 next: NONE,
-                label: (u64::from(cid) + 1) * LABEL_GAP,
+                label: 0,
             });
             if let Some(p) = cid.checked_sub(1) {
                 cond.comps[p as usize].next = cid;
@@ -540,6 +551,10 @@ impl Condensation {
             seen[c] += 1;
         }
         let k = cond.comps.len() as u32;
+        let step = LABEL_GAP.min((u64::MAX - FIRST_LABEL) / (u64::from(k) + 1));
+        for (i, comp) in cond.comps.iter_mut().enumerate() {
+            comp.label = FIRST_LABEL + step * i as u64;
+        }
         cond.live = k as usize;
         if k > 0 {
             cond.head = 0;
@@ -638,202 +653,377 @@ impl Condensation {
     ///
     /// # Algorithm
     ///
-    /// Component membership and order can only change inside a bounded
-    /// *window* of the topological order. A removed edge can split only
-    /// the component that contained it (its head is touched). An added
-    /// edge `u → v` can merge components only along a pre-existing
-    /// dependency path `v ⇝ u`, and every component on such a path has a
-    /// label between those of `comp(u)` and `comp(v)`: labels along old
-    /// dependency edges are non-increasing and both endpoints of every
-    /// added edge are recorded in the delta. So the window — the
-    /// components from the lowest to the highest labelled seed, walked
-    /// along the order list — contains every component whose membership
-    /// or relative position can change; no cycle through a changed edge
-    /// can leave it. Atoms interned since the last repair join the
-    /// window: they are connected only to window atoms or to each other.
+    /// Three steps, each of which leaves every component strongly
+    /// connected and every edge outside `delta.added` respecting the
+    /// order:
     ///
-    /// The repair re-runs Tarjan over the window's atoms, frees the
-    /// window's component ids, and links the recomputed components (ids
-    /// from the free list first) into the window's place in the order.
-    /// Their labels split the gap between the window's neighbours; only
-    /// when that gap is too small does a relabel respace the smallest
-    /// enclosing neighbourhood that has room, doubling it on each side.
+    /// 1. **Lost rules.** A removed edge can split only the component
+    ///    that held it, so each non-singleton component holding a lost
+    ///    head is replaced by the strongly connected components of its
+    ///    own atoms, linked in its place.
+    /// 2. **New atoms.** Tarjan runs over the atoms interned since the
+    ///    last repair alone. Each resulting component is linked right
+    ///    above the highest-labelled component its rules read, or at the
+    ///    front of the order if it reads none.
+    /// 3. **Added edges.** An edge `u → v` (head → body) whose endpoints
+    ///    share a component, or whose body's component is labelled below
+    ///    the head's, respects the order. Only a violating edge searches:
+    ///    up from `comp(u)` through readers over labels below
+    ///    `label(comp v)`, and down from `comp(v)` through bodies over
+    ///    labels above `label(comp u)`, one atom per side in turn, until
+    ///    one side finishes. If it found the other endpoint, `v` already
+    ///    reaches `u`: the found components on a path between them merge
+    ///    into one at the other endpoint's place, the largest keeping its
+    ///    id, so a merge into a giant component never walks its edges.
+    ///    Every other component the finished side found then moves, in
+    ///    its order, just past the other endpoint (after it for the
+    ///    upward side, before it for the downward one).
+    ///
+    /// At the end every component is strongly connected and every edge
+    /// respects the order, so no two components share a cycle: the
+    /// partition is the graph's SCCs. Moved and new components take
+    /// labels in the gap next to their neighbour; only when that gap is
+    /// too small does a relabel respace the smallest enclosing
+    /// neighbourhood that has room, doubling it on each side.
     pub fn apply_delta(&mut self, prog: &GroundProgram, delta: &CondensationDelta) -> RepairStats {
-        let old_n = self.comp_of.len();
-        let new_n = prog.atom_count();
+        let mut stats = RepairStats::default();
+        let (old_n, n) = (self.comp_of.len(), prog.atom_count());
+        self.comp_of.resize(n, NONE);
+        self.next_atom.resize(n, NONE);
+        self.rank.resize(n, 0);
 
-        // ---- Window of possibly-restructured components -----------------
-        let (mut lo, mut hi) = (NONE, NONE);
-        for &a in delta.touched.iter().chain(delta.new_edge_targets.iter()) {
-            if a.index() < old_n {
-                let c = self.comp_of[a.index()];
-                if lo == NONE || self.label(c) < self.label(lo) {
-                    lo = c;
-                }
-                if hi == NONE || self.label(c) > self.label(hi) {
-                    hi = c;
-                }
+        let mut split: Vec<u32> = delta
+            .lost
+            .iter()
+            .map(|a| self.comp_of[a.index()])
+            .filter(|&c| c != NONE && self.comps[c as usize].size > 1)
+            .collect();
+        split.sort_unstable();
+        split.dedup();
+        for c in split {
+            self.split(prog, c, &mut stats);
+        }
+        if n > old_n {
+            self.place_new_atoms(prog, old_n, &mut stats);
+        }
+        for &(u, v) in delta.added {
+            let (cu, cv) = (self.comp_of[u.index()], self.comp_of[v.index()]);
+            if cu != cv && self.label(cv) > self.label(cu) {
+                self.restore_order(prog, cu, cv, &mut stats);
             }
         }
-        if lo == NONE && new_n == old_n {
-            return RepairStats::default();
-        }
-        // Neighbours the recomputed components are linked between. With
-        // no existing seed, new atoms are appended after everything else.
-        let (before, after) = if lo == NONE {
-            (self.tail, NONE)
-        } else {
-            (self.comps[lo as usize].prev, self.comps[hi as usize].next)
-        };
-        let mut window_comps: Vec<u32> = Vec::new();
-        let mut window_atoms: Vec<u32> = Vec::new();
-        let mut c = lo;
-        while c != NONE {
-            window_comps.push(c);
-            window_atoms.extend(self.atoms(c));
-            c = if c == hi {
-                NONE
-            } else {
-                self.comps[c as usize].next
-            };
-        }
-        // Old atoms ascending, then the new ones (all larger).
-        window_atoms.sort_unstable();
-        window_atoms.extend(old_n as u32..new_n as u32);
-        let nw = window_atoms.len();
-        // The window is a label range plus the new atoms. Its atoms' ranks
-        // are rewritten below anyway, so they hold window positions
-        // meanwhile.
-        self.comp_of.resize(new_n, NONE);
-        self.next_atom.resize(new_n, NONE);
-        self.rank.resize(new_n, 0);
-        for (i, &a) in window_atoms.iter().enumerate() {
-            self.rank[a as usize] = i as u32;
-        }
-        let labels = (lo != NONE).then(|| self.label(lo)..=self.label(hi));
-        let local = |q: u32| {
-            let inside = q as usize >= old_n
-                || labels
-                    .as_ref()
-                    .is_some_and(|l| l.contains(&self.label(self.comp_of[q as usize])));
-            inside.then(|| self.rank[q as usize])
-        };
+        stats
+    }
 
-        // ---- Localized Tarjan over the window's atoms -------------------
-        let mut offsets: Vec<u32> = Vec::with_capacity(nw + 1);
-        offsets.push(0);
-        let mut targets: Vec<u32> = Vec::new();
-        let mut edges_visited = 0usize;
-        for &a in &window_atoms {
-            for &rid in prog.rules_with_head(AtomId(a)) {
-                let r = prog.rule(rid);
-                for &q in r.pos.iter().chain(r.neg.iter()) {
-                    edges_visited += 1;
-                    if let Some(lq) = local(q.0) {
-                        targets.push(lq);
-                    } else {
-                        // A dependency that leaves the window can only go
-                        // below it: old edges respect the old order, and
-                        // both endpoints of every added edge are seeds.
-                        debug_assert!(
-                            labels
-                                .as_ref()
-                                .is_some_and(|l| self.label(self.comp_of[q.index()]) < *l.start()),
-                            "window atoms only depend into or below the window"
-                        );
-                    }
-                }
-            }
+    /// Tarjan over `atoms`, following only the dependency edges between
+    /// them (`local` numbers a member by its position in `atoms` and is
+    /// `None` for any other atom). Components come callees first, each
+    /// with its atoms ascending.
+    fn local_sccs(
+        &self,
+        prog: &GroundProgram,
+        atoms: &[u32],
+        local: impl Fn(u32) -> Option<u32>,
+        stats: &mut RepairStats,
+    ) -> SccList {
+        let mut offsets = Vec::with_capacity(atoms.len() + 1);
+        offsets.push(0u32);
+        let mut targets = Vec::new();
+        for &a in atoms {
+            for_each_neighbour(prog, AtomId(a), false, |q| {
+                stats.edges_visited += 1;
+                targets.extend(local(q.0));
+            });
             offsets.push(targets.len() as u32);
         }
-        let mut local_comp = vec![0u32; nw];
-        let mut m = 0u32;
-        tarjan_csr(nw, &offsets, &targets, |comp| {
-            for &x in comp {
-                local_comp[x as usize] = m;
-            }
-            m += 1;
+        let mut out = SccList {
+            offsets: vec![0],
+            nodes: Vec::with_capacity(atoms.len()),
+        };
+        tarjan_csr(atoms.len(), &offsets, &targets, |comp| {
+            let start = out.nodes.len();
+            out.nodes.extend(comp.iter().map(|&x| atoms[x as usize]));
+            out.nodes[start..].sort_unstable();
+            out.offsets.push(out.nodes.len() as u32);
         });
-        let m = m as usize;
+        out
+    }
 
-        // ---- Free the window's components -------------------------------
-        for &c in &window_comps {
-            let size = self.comps[c as usize].size as usize;
-            self.count_size(size, false);
-            self.comps[c as usize] = FREE;
-            self.free.push(c);
+    /// Replace component `c`, whose atoms lost a rule, by the strongly
+    /// connected components of its atoms, linked in its place.
+    fn split(&mut self, prog: &GroundProgram, c: u32, stats: &mut RepairStats) {
+        let atoms: Vec<u32> = self.atoms(c).collect();
+        // The list is ascending, so an atom's rank is its position in it.
+        let inside = |q: u32| (self.comp_of[q as usize] == c).then(|| self.rank[q as usize]);
+        let pieces = self.local_sccs(prog, &atoms, inside, stats);
+        if pieces.len() == 1 {
+            return;
         }
-        self.live -= window_comps.len();
+        let after = self.comps[c as usize].prev;
+        self.unlink(c);
+        self.release(c);
+        let ids: Vec<u32> = pieces.iter().map(|piece| self.create(piece)).collect();
+        stats.components_replaced += 1;
+        stats.components_recomputed += ids.len();
+        stats.atoms_visited += self.link_after(&ids, after);
+    }
 
-        // ---- Link the recomputed components in the window's place -------
-        let mut ids: Vec<u32> = Vec::with_capacity(m);
-        let mut prev = before;
-        for _ in 0..m {
-            let id = match self.free.pop() {
-                Some(id) => id,
-                None => {
-                    self.comps.push(FREE);
-                    (self.comps.len() - 1) as u32
+    /// Condense the atoms interned since the last repair among
+    /// themselves and link each component right above the
+    /// highest-labelled component its rules read (components come
+    /// callees first, so a new one it reads is already linked), or at the
+    /// front of the order if it reads none. Every edge out of a new atom
+    /// then respects the order; edges into one come from the batch's
+    /// added edges and are checked with them.
+    fn place_new_atoms(&mut self, prog: &GroundProgram, old_n: usize, stats: &mut RepairStats) {
+        let atoms: Vec<u32> = (old_n as u32..prog.atom_count() as u32).collect();
+        let new = |q: u32| (q as usize >= old_n).then(|| q - old_n as u32);
+        let comps = self.local_sccs(prog, &atoms, new, stats);
+        for comp in comps.iter() {
+            let id = self.create(comp);
+            let mut anchor = NONE;
+            for &a in comp {
+                for_each_neighbour(prog, AtomId(a), false, |q| {
+                    let c = self.comp_of[q.index()];
+                    if c != id && (anchor == NONE || self.label(c) > self.label(anchor)) {
+                        anchor = c;
+                    }
+                });
+            }
+            stats.components_recomputed += 1;
+            stats.atoms_visited += self.link_after(&[id], anchor);
+        }
+    }
+
+    /// Restore the order after an added edge from a head in `cu` to a
+    /// body in `cv`, which is labelled above `cu` (see
+    /// [`Condensation::apply_delta`], step 3).
+    fn restore_order(&mut self, prog: &GroundProgram, cu: u32, cv: u32, stats: &mut RepairStats) {
+        let mut up = Search::new(true, cu, cv, self.label(cv));
+        let mut down = Search::new(false, cv, cu, self.label(cu));
+        let side = loop {
+            if self.search_step(prog, &mut up, stats) {
+                break up;
+            }
+            if self.search_step(prog, &mut down, stats) {
+                break down;
+            }
+        };
+        let Search {
+            up,
+            start,
+            target,
+            hit,
+            mut found,
+            ..
+        } = side;
+        found.sort_unstable_by_key(|&c| self.label(c));
+        // The components on a cycle through the new edge: walking from
+        // the target's end of the label range back to the start, a found
+        // component is on one when one of its neighbours (in the search's
+        // direction) already is.
+        let mut cycle: FxHashSet<u32> = FxHashSet::default();
+        if hit {
+            cycle.insert(target);
+            for i in 0..found.len() {
+                let c = found[if up { found.len() - 1 - i } else { i }];
+                let (mut reaches, mut atoms) = (c == start, self.atoms(c));
+                while let Some(a) = atoms.next().filter(|_| !reaches) {
+                    for_each_neighbour(prog, AtomId(a), up, |q| {
+                        reaches |= cycle.contains(&self.comp_of[q.index()]);
+                    });
                 }
+                if reaches {
+                    cycle.insert(c);
+                }
+            }
+        }
+        let block: Vec<u32> = found.into_iter().filter(|c| !cycle.contains(c)).collect();
+        let anchor = if cycle.is_empty() {
+            target
+        } else {
+            let mut cycle: Vec<u32> = cycle.into_iter().collect();
+            cycle.sort_unstable();
+            self.merge(&cycle, target, stats)
+        };
+        for &c in &block {
+            self.unlink(c);
+        }
+        let after = if up {
+            anchor
+        } else {
+            self.comps[anchor as usize].prev
+        };
+        stats.atoms_visited += self.link_after(&block, after);
+    }
+
+    /// Expand one atom of `s`'s search; `true` once the search has
+    /// nothing left to expand.
+    fn search_step(&self, prog: &GroundProgram, s: &mut Search, stats: &mut RepairStats) -> bool {
+        if s.atom == NONE {
+            match s.stack.pop() {
+                Some(c) => s.atom = self.comps[c as usize].first,
+                None => return true,
+            }
+        }
+        let a = s.atom;
+        s.atom = self.next_atom[a as usize];
+        for_each_neighbour(prog, AtomId(a), s.up, |q| {
+            stats.edges_visited += 1;
+            let c = self.comp_of[q.index()];
+            let label = self.label(c);
+            let inside = if s.up {
+                label < s.bound
+            } else {
+                label > s.bound
             };
+            if c == s.target {
+                s.hit = true;
+            } else if inside && s.seen.insert(c) {
+                s.found.push(c);
+                s.stack.push(c);
+            }
+        });
+        false
+    }
+
+    /// Merge the components `cycle` into one at `anchor`'s place in the
+    /// order (`anchor` is one of them). The largest keeps its id, so only
+    /// the other components' atoms change component. Returns the merged
+    /// component.
+    fn merge(&mut self, cycle: &[u32], anchor: u32, stats: &mut RepairStats) -> u32 {
+        let keep = *cycle
+            .iter()
+            .max_by_key(|&&c| self.comps[c as usize].size)
+            .expect("a cycle has components");
+        // Each atom list is ascending: the stable sort merges the runs.
+        let mut atoms: Vec<u32> = cycle.iter().flat_map(|&c| self.atoms(c)).collect();
+        atoms.sort();
+        if keep != anchor {
+            self.unlink(keep);
+            let Comp {
+                prev, next, label, ..
+            } = self.comps[anchor as usize];
+            let comp = &mut self.comps[keep as usize];
+            (comp.prev, comp.next, comp.label) = (prev, next, label);
+            match prev {
+                NONE => self.head = keep,
+                p => self.comps[p as usize].next = keep,
+            }
+            match next {
+                NONE => self.tail = keep,
+                s => self.comps[s as usize].prev = keep,
+            }
+        }
+        for &c in cycle.iter().filter(|&&c| c != keep) {
+            if c != anchor {
+                self.unlink(c);
+            }
+            self.release(c);
+        }
+        self.count_size(self.comps[keep as usize].size as usize, false);
+        self.thread(keep, &atoms);
+        self.count_size(atoms.len(), true);
+        stats.components_replaced += cycle.len();
+        stats.components_recomputed += 1;
+        stats.atoms_visited += atoms.len();
+        keep
+    }
+
+    /// A new component holding the ascending `atoms`, not yet linked
+    /// into the order.
+    fn create(&mut self, atoms: &[u32]) -> u32 {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.comps.push(FREE);
+            (self.comps.len() - 1) as u32
+        });
+        self.thread(id, atoms);
+        self.count_size(atoms.len(), true);
+        self.live += 1;
+        id
+    }
+
+    /// Make the ascending `atoms` the atom list of component `id`.
+    fn thread(&mut self, id: u32, atoms: &[u32]) {
+        for (r, &a) in atoms.iter().enumerate() {
+            self.comp_of[a as usize] = id;
+            self.rank[a as usize] = r as u32;
+            self.next_atom[a as usize] = atoms.get(r + 1).copied().unwrap_or(NONE);
+        }
+        let comp = &mut self.comps[id as usize];
+        comp.first = atoms.first().copied().unwrap_or(NONE);
+        comp.size = atoms.len() as u32;
+    }
+
+    /// Free component `c`, which is out of the order.
+    fn release(&mut self, c: u32) {
+        self.count_size(self.comps[c as usize].size as usize, false);
+        self.comps[c as usize] = FREE;
+        self.free.push(c);
+        self.live -= 1;
+    }
+
+    /// Take component `c` out of the order.
+    fn unlink(&mut self, c: u32) {
+        let Comp { prev, next, .. } = self.comps[c as usize];
+        match prev {
+            NONE => self.head = next,
+            p => self.comps[p as usize].next = next,
+        }
+        match next {
+            NONE => self.tail = prev,
+            s => self.comps[s as usize].prev = prev,
+        }
+    }
+
+    /// Link the components of `block`, in this order, right after
+    /// `after` (at the front of the order for [`NONE`]) and label them
+    /// inside the gap there. A block at the front counts down from its
+    /// successor's label, anywhere else up from its predecessor's, in
+    /// steps of at most [`LABEL_GAP`]; a gap too small for the block is
+    /// respaced ([`Condensation::respace`]). Returns the atoms whose
+    /// labels were written.
+    fn link_after(&mut self, block: &[u32], after: u32) -> usize {
+        let (Some(&first), Some(&last)) = (block.first(), block.last()) else {
+            return 0;
+        };
+        let before = match after {
+            NONE => self.head,
+            p => self.comps[p as usize].next,
+        };
+        let mut prev = after;
+        for &id in block {
             self.comps[id as usize].prev = prev;
             match prev {
                 NONE => self.head = id,
                 p => self.comps[p as usize].next = id,
             }
             prev = id;
-            ids.push(id);
         }
-        match after {
-            NONE => self.tail = prev,
-            s => self.comps[s as usize].prev = prev,
+        self.comps[last as usize].next = before;
+        match before {
+            NONE => self.tail = last,
+            s => self.comps[s as usize].prev = last,
         }
-        if let Some(&last) = ids.last() {
-            self.comps[last as usize].next = after;
+        let lower = self.label_or(after, 0);
+        let upper = self.label_or(before, u64::MAX);
+        let m = block.len() as u64;
+        let step = LABEL_GAP.min((upper - lower) / (m + 1));
+        if step == 0 {
+            return self.respace(first, last, block.len());
         }
-        // Thread atoms in descending order so every list ends ascending.
-        for (i, &a) in window_atoms.iter().enumerate().rev() {
-            let id = ids[local_comp[i] as usize];
+        let base = if after == NONE && before != NONE {
+            upper - step * (m + 1)
+        } else {
+            lower
+        };
+        let mut atoms = 0;
+        for (i, &id) in block.iter().enumerate() {
             let comp = &mut self.comps[id as usize];
-            self.comp_of[a as usize] = id;
-            self.next_atom[a as usize] = comp.first;
-            comp.first = a;
-            comp.size += 1;
+            comp.label = base + step * (i as u64 + 1);
+            atoms += comp.size as usize;
         }
-        for &id in &ids {
-            let size = self.comps[id as usize].size as usize;
-            self.count_size(size, true);
-            let mut a = self.comps[id as usize].first;
-            for r in 0..size as u32 {
-                self.rank[a as usize] = r;
-                a = self.next_atom[a as usize];
-            }
-        }
-        self.live += m;
-
-        // ---- Labels -----------------------------------------------------
-        let mut atoms_written = nw;
-        if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
-            let lower = self.label_or(before, 0);
-            let upper = self.label_or(after, u64::MAX);
-            let step = LABEL_GAP.min((upper - lower) / (m as u64 + 1));
-            if step > 0 {
-                for (i, &id) in ids.iter().enumerate() {
-                    self.comps[id as usize].label = lower + step * (i as u64 + 1);
-                }
-            } else {
-                // The respaced neighbourhood holds the window's `nw`
-                // atoms and those of the components around it.
-                atoms_written = self.respace(first, last, m);
-            }
-        }
-
-        RepairStats {
-            atoms_visited: atoms_written,
-            edges_visited,
-            components_replaced: window_comps.len(),
-            components_recomputed: m,
-        }
+        atoms
     }
 
     /// The label of `comp`, or `sentinel` past either end of the order.
@@ -965,6 +1155,64 @@ impl Condensation {
     }
 }
 
+/// One side of the two-way search behind an order-violating edge
+/// ([`Condensation::apply_delta`], step 3).
+struct Search {
+    /// Up through readers, or down through bodies.
+    up: bool,
+    /// The endpoint's component the search starts from.
+    start: u32,
+    /// The other endpoint's component: reaching it closes a cycle.
+    target: u32,
+    /// The target's label: the search visits only components labelled
+    /// below it (up) or above it (down).
+    bound: u64,
+    /// Whether the search reached the target.
+    hit: bool,
+    /// The start and every component found since, in discovery order.
+    found: Vec<u32>,
+    seen: FxHashSet<u32>,
+    /// Found components not yet expanded.
+    stack: Vec<u32>,
+    /// Next atom of the component being expanded, or [`NONE`].
+    atom: u32,
+}
+
+impl Search {
+    fn new(up: bool, start: u32, target: u32, bound: u64) -> Search {
+        Search {
+            up,
+            start,
+            target,
+            bound,
+            hit: false,
+            found: vec![start],
+            seen: FxHashSet::from_iter([start]),
+            stack: vec![start],
+            atom: NONE,
+        }
+    }
+}
+
+/// Call `f` on every dependency neighbour of `atom`: the heads of the
+/// rules that read it (`up`), or the body atoms of its own rules.
+fn for_each_neighbour(prog: &GroundProgram, atom: AtomId, up: bool, mut f: impl FnMut(AtomId)) {
+    if up {
+        for &rid in prog
+            .rules_with_pos(atom)
+            .iter()
+            .chain(prog.rules_with_neg(atom))
+        {
+            f(prog.rule(rid).head);
+        }
+    } else {
+        for &rid in prog.rules_with_head(atom) {
+            let r = prog.rule(rid);
+            r.pos.iter().chain(r.neg.iter()).for_each(|&q| f(q));
+        }
+    }
+}
+
 /// The change a batch of in-place program mutations makes to the atom
 /// dependency graph, as [`Condensation::apply_delta`] needs to see it.
 ///
@@ -974,39 +1222,42 @@ impl Condensation {
 /// — apply deltas after **every** mutation batch, in order. The batch
 /// must satisfy:
 ///
-/// * `touched` holds the head atom of every ground rule the batch added,
-///   removed, or patched (a resurrected negative literal patches its
-///   rule);
-/// * `new_edge_targets` holds every body atom of every added rule and
-///   every atom added to an existing rule's body — the targets of
-///   dependency edges that did not necessarily exist before;
+/// * `added` holds a `(head, body)` pair for every dependency edge of
+///   every rule the batch added and for every literal it added to an
+///   existing rule's body: the edges that did not necessarily exist
+///   before;
+/// * `lost` holds the head of every rule with a non-empty body the batch
+///   removed (removing whole rules is the only way an edge goes: a
+///   rule's body never loses a literal in place);
 /// * atoms interned since the last delta are exactly
-///   `old_atom_count..prog.atom_count()` (dense append), and each of
-///   them either has its rules' heads in `touched` or appears in
-///   `new_edge_targets` or has no incident dependency edges at all.
+///   `old_atom_count..prog.atom_count()` (dense append).
 ///
-/// Rule ids play no part: swap-remove renames of rules need no report.
+/// An entry that describes no change (an edge that already existed, a
+/// head that kept its other rules) costs work, never correctness. Rule
+/// ids play no part: swap-remove renames of rules need no report.
 #[derive(Debug, Clone, Copy)]
 pub struct CondensationDelta<'a> {
-    /// Heads whose rule set changed (rules added, removed, or patched).
-    pub touched: &'a [AtomId],
-    /// Body atoms of added rules and added (resurrected) body literals.
-    pub new_edge_targets: &'a [AtomId],
+    /// `(head, body)` pairs of possibly new dependency edges.
+    pub added: &'a [(AtomId, AtomId)],
+    /// Heads that lost a rule with a non-empty body.
+    pub lost: &'a [AtomId],
 }
 
-/// What one [`Condensation::apply_delta`] call actually walked — the
-/// evidence that a repair was delta-bounded rather than a hidden rebuild.
+/// What one [`Condensation::apply_delta`] call walked and wrote — the
+/// evidence that a repair cost what the delta changed in the order, not
+/// the program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Atoms whose component entry or component label the repair wrote:
-    /// the window's atoms, plus the atoms of any component a relabel
-    /// outside the window respaced.
+    /// Atoms whose component entry or order label the repair wrote: new
+    /// atoms, split and merged components, components moved past a
+    /// violated edge, and any neighbourhood a relabel respaced.
     pub atoms_visited: usize,
-    /// Dependency edges inspected while rebuilding the window adjacency.
+    /// Dependency edges read by the order searches and the Tarjan runs.
     pub edges_visited: usize,
-    /// Components the window replaced.
+    /// Components a split broke up or a merge absorbed.
     pub components_replaced: usize,
-    /// Components the localized Tarjan emitted in their place.
+    /// Components the repair made: split pieces, merged components and
+    /// the components of new atoms.
     pub components_recomputed: usize,
 }
 
@@ -1199,19 +1450,22 @@ mod tests {
         let stats = c.apply_delta(
             &g,
             &CondensationDelta {
-                touched: &[e],
-                new_edge_targets: &[],
+                added: &[],
+                lost: &[],
             },
         );
         assert_repaired(&c, &g);
-        assert_eq!(stats.atoms_visited, 1, "only e's singleton is rewritten");
+        assert_eq!(
+            stats.atoms_visited, 0,
+            "a fact changes no edge: nothing is rewritten"
+        );
         // …and assert it back.
         g.push_rule(e, vec![], vec![]);
         c.apply_delta(
             &g,
             &CondensationDelta {
-                touched: &[e],
-                new_edge_targets: &[],
+                added: &[],
+                lost: &[],
             },
         );
         assert_repaired(&c, &g);
@@ -1231,13 +1485,13 @@ mod tests {
         let stats = c.apply_delta(
             &g,
             &CondensationDelta {
-                touched: &[a],
-                new_edge_targets: &[cc],
+                added: &[(a, cc)],
+                lost: &[],
             },
         );
         assert_repaired(&c, &g);
         assert_eq!(c.component_of(a.0), c.component_of(cc.0));
-        assert_eq!(stats.components_replaced, 3, "the window is the chain");
+        assert_eq!(stats.components_replaced, 3, "the cycle is the chain");
         assert_eq!(stats.components_recomputed, 1, "merged into one knot");
         assert_eq!(c.largest(), 3);
         // Remove it again: the knot splits back into three singletons.
@@ -1245,8 +1499,8 @@ mod tests {
         c.apply_delta(
             &g,
             &CondensationDelta {
-                touched: &[a],
-                new_edge_targets: &[],
+                added: &[],
+                lost: &[a],
             },
         );
         assert_repaired(&c, &g);
@@ -1268,8 +1522,8 @@ mod tests {
         c.apply_delta(
             &g,
             &CondensationDelta {
-                touched: &[sa],
-                new_edge_targets: &[p, sa],
+                added: &[(sa, p), (sa, sa)],
+                lost: &[],
             },
         );
         assert_repaired(&c, &g);
@@ -1280,8 +1534,8 @@ mod tests {
         c.apply_delta(
             &g,
             &CondensationDelta {
-                touched: &[],
-                new_edge_targets: &[],
+                added: &[],
+                lost: &[],
             },
         );
         assert_repaired(&c, &g);
@@ -1289,29 +1543,29 @@ mod tests {
     }
 
     #[test]
-    fn repeated_splits_in_one_gap_relabel_a_neighbourhood() {
+    fn repeated_insertions_in_one_gap_relabel_a_neighbourhood() {
         use crate::program::parse_ground;
-        // Each step interns x_i below b, so the repair puts two
-        // components where b was, between x_{i-1} and z: the gap there
-        // shrinks by a third per step until a relabel must respace.
+        // Each step interns x_i reading a, so the repair links it right
+        // above a, between a and x_{i-1}: the gap there halves per step
+        // until a relabel must respace.
         let mut g = parse_ground("a. b :- a. z :- b.");
         let mut c = Condensation::of(&g);
-        let b = g.find_atom_by_name("b", &[]).unwrap();
+        let a = g.find_atom_by_name("a", &[]).unwrap();
         let mut relabelled = false;
         for i in 0..80 {
             let sym = g.intern_symbol(&format!("x{i}"));
             let x = g.intern_atom_ids(sym, &[]);
-            g.push_rule(b, vec![x], vec![]);
+            g.push_rule(x, vec![a], vec![]);
             let stats = c.apply_delta(
                 &g,
                 &CondensationDelta {
-                    touched: &[b],
-                    new_edge_targets: &[x],
+                    added: &[(x, a)],
+                    lost: &[],
                 },
             );
             assert_repaired(&c, &g);
-            assert_eq!(stats.components_recomputed, 2);
-            relabelled |= stats.atoms_visited > 2;
+            assert_eq!(stats.components_recomputed, 1);
+            relabelled |= stats.atoms_visited > 1;
         }
         assert!(relabelled, "80 splits of one gap needed a relabel");
         assert_eq!(c.len(), 83);

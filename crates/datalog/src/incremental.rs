@@ -87,6 +87,7 @@ use crate::ast::{write_rule, Atom, Program, Rule, Term};
 use crate::atoms::{AtomId, ConstId, GroundTerm, HerbrandBase};
 use crate::bitset::AtomSet;
 use crate::cow::CowVec;
+use crate::depgraph::CondensationDelta;
 use crate::error::GroundError;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::ground::{
@@ -124,16 +125,28 @@ pub struct DeltaEffect {
     /// Everything *outside* the dependency ancestors of these atoms
     /// provably keeps its truth value (relevance / splitting).
     pub changed: Vec<AtomId>,
-    /// Body atoms of ground rules this call added or patched — the
-    /// targets of dependency edges that did not necessarily exist
-    /// before, which is exactly what
-    /// [`crate::depgraph::Condensation::apply_delta`] needs to bound its
-    /// repair window.
-    pub new_edge_targets: Vec<AtomId>,
+    /// One `(head, body)` pair per dependency edge of a ground rule this
+    /// call added and per negative literal it resurrected: the edges
+    /// that did not necessarily exist before. Sorted, deduplicated.
+    pub added_edges: Vec<(AtomId, AtomId)>,
+    /// Heads of removed ground rules that had a non-empty body: the only
+    /// atoms whose component a removal can split. Sorted, deduplicated.
+    pub lost_heads: Vec<AtomId>,
     /// Ground rule instances added by this call.
     pub new_rules: usize,
     /// Negative literals resurrected onto existing instances.
     pub resurrected: usize,
+}
+
+impl DeltaEffect {
+    /// The call's change to the atom dependency graph, as
+    /// [`crate::depgraph::Condensation::apply_delta`] reads it.
+    pub fn condensation_delta(&self) -> CondensationDelta<'_> {
+        CondensationDelta {
+            added: &self.added_edges,
+            lost: &self.lost_heads,
+        }
+    }
 }
 
 /// Outcome of [`IncrementalGrounder::retract_rules`].
@@ -360,7 +373,7 @@ impl IncrementalGrounder {
         for ix in 0..g.compiled.len() {
             g.instantiate(ix, None, &mut initial)?;
             initial.changed.clear();
-            initial.new_edge_targets.clear();
+            initial.added_edges.clear();
         }
         g.flush_rules();
         Ok(g)
@@ -721,8 +734,8 @@ impl IncrementalGrounder {
         self.rejoin(0..first_new, &since, &mut effect)?;
         effect.changed.sort_unstable();
         effect.changed.dedup();
-        effect.new_edge_targets.sort_unstable();
-        effect.new_edge_targets.dedup();
+        effect.added_edges.sort_unstable();
+        effect.added_edges.dedup();
         Ok(effect)
     }
 
@@ -770,6 +783,8 @@ impl IncrementalGrounder {
         }
         effect.changed.sort_unstable();
         effect.changed.dedup();
+        effect.lost_heads.sort_unstable();
+        effect.lost_heads.dedup();
         RetractOutcome::Applied(effect)
     }
 
@@ -831,7 +846,11 @@ impl IncrementalGrounder {
         //    its current id).
         let list = self.lists[ix];
         while let Some(&rid) = self.provenance.instances(list).last() {
-            effect.changed.push(self.prog.rule(rid).head);
+            let rule = self.prog.rule(rid);
+            effect.changed.push(rule.head);
+            if !rule.is_fact() {
+                effect.lost_heads.push(rule.head);
+            }
             self.remove_rule(rid);
         }
         self.provenance.release(list);
@@ -977,8 +996,9 @@ impl IncrementalGrounder {
                     if keys.is_empty() {
                         self.pruned_of.remove(&rid);
                     }
-                    effect.changed.push(self.prog.rule(rid).head);
-                    effect.new_edge_targets.push(neg_atom);
+                    let head = self.prog.rule(rid).head;
+                    effect.changed.push(head);
+                    effect.added_edges.push((head, neg_atom));
                     effect.resurrected += 1;
                 }
                 self.prog.add_neg_literals(neg_atom, &rules);
@@ -1036,8 +1056,9 @@ impl IncrementalGrounder {
 
     /// Intern the atoms of rule `ix`'s instance under the binding `env`
     /// and append it, recording its provenance, any pruned negative
-    /// literals, and the new instance's dependency-edge targets (into
-    /// `effect`, for the caller's condensation repair). A negative
+    /// literals, and the new instance's dependency edges as `(head,
+    /// body)` pairs (into `effect`, for the caller's condensation
+    /// repair). A negative
     /// literal whose atom is outside the envelope is pruned. Returns the
     /// instance's head atom.
     fn admit(
@@ -1074,8 +1095,8 @@ impl IncrementalGrounder {
                 pruned.push((atom.pred, Tuple::from(&args[..])));
             }
         }
-        effect.new_edge_targets.extend_from_slice(pos);
-        effect.new_edge_targets.extend_from_slice(neg);
+        let edges = pos.iter().chain(neg.iter()).map(|&body| (head, body));
+        effect.added_edges.extend(edges);
         let rule = GroundRule::from_scratch(head, pos, neg);
         // Exactly as long as it is, and no allocation when empty; the
         // scratch buffer keeps its capacity.

@@ -98,7 +98,7 @@
 //! Exit codes: 0 ok; 1 no stable model (with `-s stable`) or query false;
 //! 2 usage / parse / grounding / transport error.
 
-use afp::net::codec::{self, Request, Response};
+use afp::net::codec;
 use afp::{
     Engine, Error, FsyncPolicy, Journal, JournalOptions, MetricsFormat, MetricsRegistry, Model,
     NetOptions, NetServer, Semantics, Service, ServiceOptions, Shutdown, Telemetry, TraceSink,
@@ -437,7 +437,7 @@ fn print_result(model: &Model, semantics: Semantics, options: &Options) -> ExitC
             if options.json {
                 print_assignment_json(model);
             } else {
-                for name in codec::sorted(model.true_atoms()) {
+                for name in codec::SortedNames::of(model, Truth::True).iter() {
                     println!("{name}.");
                 }
             }
@@ -590,10 +590,8 @@ fn run_serve(engine: &Engine, src: &str, options: &Options) -> ExitCode {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let response = match codec::parse_command(line) {
-            Ok(Request::Quit) => break,
-            Ok(request) => codec::execute(&service, &request),
-            Err(message) => Response::protocol_error(message),
+        let Some(response) = codec::respond(&service, line) else {
+            break;
         };
         if options.json {
             println!("{}", codec::render_json(&response));
@@ -666,10 +664,10 @@ fn report_error(e: &Error) -> ExitCode {
 }
 
 fn print_partial(model: &Model) {
-    for name in codec::sorted(model.true_atoms()) {
+    for name in codec::SortedNames::of(model, Truth::True).iter() {
         println!("{name}.");
     }
-    for name in codec::sorted(model.undefined_atoms()) {
+    for name in codec::SortedNames::of(model, Truth::Undefined).iter() {
         println!("{name}?  % undefined");
     }
 }
@@ -682,7 +680,11 @@ fn print_stable_json(model: &Model) {
     let models: Vec<String> = model
         .stable_models()
         .iter()
-        .map(|m| codec::json_list(&model.ground().set_to_names(m)).to_string())
+        .map(|m| {
+            let names = model.ground().set_to_names(m);
+            let json = codec::json_list(names.iter().map(String::as_str));
+            json.to_string()
+        })
         .collect();
     println!(
         "{{\"semantics\":\"stable\",\"complete\":{},\"count\":{},\"models\":[{}]}}",

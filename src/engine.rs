@@ -313,11 +313,12 @@ pub struct SessionStats {
     /// patch instead of evicting it.
     pub condensation_repairs: u64,
     /// Atoms whose component entry or component label the last
-    /// condensation repair wrote (its localized-Tarjan window, plus any
-    /// neighbours a relabel respaced) — compare against the program's
-    /// atom count to see the repair staying delta-bounded.
+    /// condensation repair wrote (new atoms, split, merged and moved
+    /// components, plus any neighbours a relabel respaced) — compare
+    /// against the program's atom count to see the repair staying
+    /// delta-bounded.
     pub last_repair_atoms: usize,
-    /// Dependency edges the last condensation repair inspected.
+    /// Dependency edges the last condensation repair read.
     pub last_repair_edges: usize,
     /// Solves taken by the warm SCC-stratified path (memo hits excluded).
     pub scc_solves: u64,
@@ -362,10 +363,10 @@ pub struct Session {
     last_model: Option<Arc<PartialModel>>,
     /// Condensation of the current ground program. Built (linear time)
     /// on the first SCC solve, then **repaired in place** across warm
-    /// mutations ([`Condensation::apply_delta`] rewrites only the delta's
-    /// window: component ids elsewhere are stable and new components
-    /// take order labels between the window's neighbours) — only a cold
-    /// re-ground, which renumbers atom ids, drops it. A warm solve
+    /// mutations ([`Condensation::apply_delta`] rewrites only what an
+    /// added edge that violates the order, a removed rule or a new atom
+    /// changes: other component ids and labels are stable) — only a
+    /// cold re-ground, which renumbers atom ids, drops it. A warm solve
     /// evaluates, in label order, the components of the dirty atoms and
     /// those a changed truth value reaches.
     scc_cond: Option<Condensation>,
@@ -521,7 +522,7 @@ impl Session {
         };
         if effect.fresh {
             self.dirty.extend_from_slice(&effect.changed);
-            self.note_mutation(&effect.changed, &effect.new_edge_targets);
+            self.note_mutation(&effect.condensation_delta());
             if assert {
                 self.stats.delta_rounds += 1;
             }
@@ -685,24 +686,17 @@ impl Session {
     }
 
     /// The program mutated in place: models must re-snapshot, and the
-    /// memoized condensation is **repaired** from the delta instead of dropped —
-    /// `touched` and `edge_targets` are the [`CondensationDelta`]
-    /// contract (heads whose rule set changed, targets of possibly-new
-    /// dependency edges). The repair writes only its window's atoms and
-    /// labels, so it costs the delta, not the program. Warm models stay
-    /// — the `dirty` set records what they may no longer be right about.
-    fn note_mutation(&mut self, touched: &[AtomId], edge_targets: &[AtomId]) {
+    /// memoized condensation is **repaired** from the delta instead of
+    /// dropped. The repair checks each added edge against the order and
+    /// searches only past a violated one, so it costs what the delta
+    /// changes in the order, not the program. Warm models stay — the
+    /// `dirty` set records what they may no longer be right about.
+    fn note_mutation(&mut self, delta: &CondensationDelta) {
         self.snapshot = None;
         if let Some(mut cond) = self.scc_cond.take() {
             let repair_started = Instant::now();
             let prog = self.grounder.program();
-            let repair = cond.apply_delta(
-                prog,
-                &CondensationDelta {
-                    touched,
-                    new_edge_targets: edge_targets,
-                },
-            );
+            let repair = cond.apply_delta(prog, delta);
             self.phases.repair_ns += repair_started.elapsed().as_nanos() as u64;
             self.stats.condensation_repairs += 1;
             self.stats.last_repair_atoms = repair.atoms_visited;

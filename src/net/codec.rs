@@ -41,6 +41,7 @@ use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 use afp_datalog::ast::Term;
+use afp_datalog::atoms::AtomId;
 
 use crate::service::ModelSnapshot;
 use crate::{AppliedDelta, DeltaKind, Error, Model, Service, Truth};
@@ -101,8 +102,30 @@ pub enum Request {
 
 /// Parse one command line. Errors are protocol errors (unknown command,
 /// malformed operands) reported back to the client — never transport
-/// failures.
+/// failures. A `query` or `at` atom is parsed to check it, and
+/// [`execute`] parses it again: a front end answering lines calls
+/// [`respond`], which parses each line once.
 pub fn parse_command(line: &str) -> Result<Request, String> {
+    let request = parse_request(line)?;
+    atom_names(&request)?;
+    Ok(request)
+}
+
+/// Parse one command line and answer it against `service`: the front
+/// ends' one call per line, which parses a `query` or `at` atom once.
+/// `None` for [`Request::Quit`], which ends the session.
+pub fn respond(service: &Service, line: &str) -> Option<Response> {
+    let parsed = parse_request(line).and_then(|r| atom_names(&r).map(|names| (r, names)));
+    Some(match parsed {
+        Ok((Request::Quit, _)) => return None,
+        Ok((request, names)) => answer(service, &request, names),
+        Err(message) => Response::protocol_error(message),
+    })
+}
+
+/// The command grammar: everything [`parse_command`] checks except the
+/// spelling of a `query` or `at` atom.
+fn parse_request(line: &str) -> Result<Request, String> {
     let line = line.trim();
     let (command, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
     let rest = rest.trim();
@@ -116,22 +139,16 @@ pub fn parse_command(line: &str) -> Result<Request, String> {
         }
     };
     match command {
-        "query" => match parse_query(rest) {
-            Ok(_) => Ok(Request::Query { atom: rest.into() }),
-            Err(msg) => Err(format!("bad query: {msg}")),
-        },
+        "query" => Ok(Request::Query { atom: rest.into() }),
         "at" => {
             let (version, atom) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
             let version = version
                 .parse::<u64>()
                 .map_err(|_| "usage: at VERSION ATOM".to_string())?;
-            match parse_query(atom.trim()) {
-                Ok(_) => Ok(Request::At {
-                    version,
-                    atom: atom.trim().into(),
-                }),
-                Err(msg) => Err(format!("bad query: {msg}")),
-            }
+            Ok(Request::At {
+                version,
+                atom: atom.trim().into(),
+            })
         }
         "assert" => Ok(Request::Submit {
             kind: DeltaKind::AssertRules,
@@ -197,6 +214,17 @@ pub fn render_command(request: &Request) -> String {
         Request::Ping => "ping".into(),
         Request::Checkpoint => "checkpoint".into(),
         Request::Quit => "quit".into(),
+    }
+}
+
+/// The predicate and argument names of a `query` or `at` request's
+/// atom ([`parse_query`]), `None` for any other request.
+fn atom_names(request: &Request) -> Result<Option<(String, Vec<String>)>, String> {
+    match request {
+        Request::Query { atom } | Request::At { atom, .. } => parse_query(atom)
+            .map(Some)
+            .map_err(|msg| format!("bad query: {msg}")),
+        _ => Ok(None),
     }
 }
 
@@ -406,14 +434,14 @@ pub fn render_plain(response: &Response) -> String {
         Response::Model { snapshot } => {
             let model = snapshot.model();
             let mut out = format!("% version {}", snapshot.version());
-            for name in sorted(model.true_atoms()) {
+            for name in SortedNames::of(model, Truth::True).iter() {
                 out.push('\n');
-                out.push_str(&name);
+                out.push_str(name);
                 out.push('.');
             }
-            for name in sorted(model.undefined_atoms()) {
+            for name in SortedNames::of(model, Truth::Undefined).iter() {
                 out.push('\n');
-                out.push_str(&name);
+                out.push_str(name);
                 out.push_str("?  % undefined");
             }
             out
@@ -464,9 +492,9 @@ pub fn model_object(version: Option<u64>, model: &Model) -> impl fmt::Display + 
             version.unwrap_or_default(),
             json_str(model.semantics().name()),
             model.is_total(),
-            json_list(&sorted(model.true_atoms())),
-            json_list(&sorted(model.false_atoms())),
-            json_list(&sorted(model.undefined_atoms())),
+            json_list(SortedNames::of(model, Truth::True).iter()),
+            json_list(SortedNames::of(model, Truth::False).iter()),
+            json_list(SortedNames::of(model, Truth::Undefined).iter()),
         )
     })
 }
@@ -479,32 +507,35 @@ pub fn model_object(version: Option<u64>, model: &Model) -> impl fmt::Display + 
 /// caller's to handle (it ends the *session*, not a computation); this
 /// function answers it like `version` so misrouted quits stay harmless.
 pub fn execute(service: &Service, request: &Request) -> Response {
+    match atom_names(request) {
+        Ok(names) => answer(service, request, names),
+        Err(msg) => Response::protocol_error(msg),
+    }
+}
+
+/// Answer `request`, whose `query` or `at` atom `names` holds parsed.
+fn answer(service: &Service, request: &Request, names: Option<(String, Vec<String>)>) -> Response {
+    let truth = |snapshot: &ModelSnapshot| {
+        let (pred, args) = names.as_ref().expect("a query's atom is parsed");
+        let refs: Vec<&str> = args.iter().map(String::as_str).collect();
+        snapshot.truth(pred, &refs)
+    };
     match request {
-        Request::Query { atom } => match parse_query(atom) {
-            Ok((pred, args)) => {
-                let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                let snapshot = service.snapshot();
-                Response::Truth {
-                    version: snapshot.version(),
-                    query: atom.clone(),
-                    truth: snapshot.truth(&pred, &refs),
-                }
+        Request::Query { atom } => {
+            let snapshot = service.snapshot();
+            Response::Truth {
+                version: snapshot.version(),
+                query: atom.clone(),
+                truth: truth(&snapshot),
             }
-            Err(msg) => Response::protocol_error(format!("bad query: {msg}")),
-        },
-        Request::At { version, atom } => match parse_query(atom) {
-            Ok((pred, args)) => match service.at_version(*version) {
-                Ok(snapshot) => {
-                    let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                    Response::Truth {
-                        version: *version,
-                        query: atom.clone(),
-                        truth: snapshot.truth(&pred, &refs),
-                    }
-                }
-                Err(e) => Response::from_error(&e),
+        }
+        Request::At { version, atom } => match service.at_version(*version) {
+            Ok(snapshot) => Response::Truth {
+                version: *version,
+                query: atom.clone(),
+                truth: truth(&snapshot),
             },
-            Err(msg) => Response::protocol_error(format!("bad query: {msg}")),
+            Err(e) => Response::from_error(&e),
         },
         Request::Submit { kind, text } => {
             match service.submit(*kind, text).and_then(|h| h.wait()) {
@@ -625,21 +656,47 @@ pub fn json_str(s: &str) -> impl fmt::Display + '_ {
 }
 
 /// JSON list of strings.
-pub fn json_list(items: &[String]) -> impl fmt::Display + '_ {
+pub fn json_list<'a>(
+    items: impl IntoIterator<Item = &'a str> + Clone + 'a,
+) -> impl fmt::Display + 'a {
     fmt::from_fn(move |f| {
         f.write_char('[')?;
-        for (i, item) in items.iter().enumerate() {
+        for (i, item) in items.clone().into_iter().enumerate() {
             write!(f, "{}{}", if i == 0 { "" } else { "," }, json_str(item))?;
         }
         f.write_char(']')
     })
 }
 
-/// Atom names in sorted order, as every model rendering lists them.
-pub fn sorted(iter: impl Iterator<Item = String>) -> Vec<String> {
-    let mut v: Vec<String> = iter.collect();
-    v.sort_unstable();
-    v
+/// The names of a model's atoms with one truth value in sorted order,
+/// as every model rendering lists them. The names are written into one
+/// buffer and sorted as slices of it, not as one `String` per atom.
+pub struct SortedNames {
+    text: String,
+    /// Byte range of each name in `text`, in sorted order.
+    spans: Vec<(usize, usize)>,
+}
+
+impl SortedNames {
+    /// The atoms of `model` whose truth value is `truth`.
+    pub fn of(model: &Model, truth: Truth) -> SortedNames {
+        let (ground, assignment) = (model.ground(), model.partial_model());
+        let (mut text, mut spans) = (String::new(), Vec::new());
+        for atom in (0..ground.atom_count() as u32).filter(|&a| assignment.truth(a) == truth) {
+            let start = text.len();
+            ground.write_atom(&mut text, AtomId(atom));
+            spans.push((start, text.len()));
+        }
+        spans.sort_unstable_by(|a, b| text[a.0..a.1].cmp(&text[b.0..b.1]));
+        SortedNames { text, spans }
+    }
+
+    /// The names, in sorted order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + Clone + '_ {
+        self.spans
+            .iter()
+            .map(|&(start, end)| &self.text[start..end])
+    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use super::codec::{self, execute, parse_command, render_json, write_frame, Request, Response};
+use super::codec::{self, render_json, write_frame, Response};
 use crate::Service;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -391,10 +391,8 @@ fn serve_conn(mut conn: Box<dyn Conn>, inner: &Arc<Inner>) {
         // idle time (the client thinking) is deliberately excluded.
         let started = std::time::Instant::now();
         let line = String::from_utf8_lossy(&payload);
-        let response = match parse_command(&line) {
-            Ok(Request::Quit) => break,
-            Ok(request) => execute(&inner.service, &request),
-            Err(message) => Response::protocol_error(message),
+        let Some(response) = codec::respond(&inner.service, &line) else {
+            break;
         };
         if write_frame(&mut *conn, render_json(&response).as_bytes()).is_err() {
             break;

@@ -5,8 +5,8 @@
 //! Two writes per size, each followed by a solve:
 //!
 //! * an assert of `d(kI)` for an odd key, which interns `c(kI)` and
-//!   `d(kI)` below the existing knot `{a(kI), b(kI)}` — the repair turns
-//!   one component into three;
+//!   `d(kI)` below the existing knot `{a(kI), b(kI)}` — the repair links
+//!   their two new components in below the knot;
 //! * a retract of an existing `d(kI)`.
 //!
 //! The session counters of both writes must match across sizes, and the
@@ -15,7 +15,7 @@
 //! component id and label of every atom outside the write's knot as
 //! they were: no suffix of the order is rewritten.
 
-use afp::datalog::depgraph::{Condensation, CondensationDelta};
+use afp::datalog::depgraph::Condensation;
 use afp::datalog::{
     parse_program, AtomId, GroundOptions, GroundProgram, IncrementalGrounder, RuleAssertOutcome,
 };
@@ -97,10 +97,11 @@ fn one_key_writes_cost_the_same_at_every_size() {
         small, large,
         "(evaluated, repair atoms, repair edges) of the assert and the retract"
     );
-    // The assert's repair writes the knot's two atoms and the two new
-    // ones; the retract's rewrites d(k0)'s singleton.
-    assert_eq!(small[0].1, 4);
-    assert_eq!(small[1].1, 1);
+    // The assert's repair writes the two new atoms, linked in below the
+    // knot; the retract removes a fact, which changes no edge, and
+    // writes nothing.
+    assert_eq!(small[0].1, 2);
+    assert_eq!(small[1].1, 0);
 }
 
 /// The repair behind an interning assert, driven directly: only the
@@ -127,13 +128,7 @@ fn repair_keeps_the_rest_of_the_order(keys: usize) -> usize {
         old_n + 2,
         "c(k{odd}) and d(k{odd}) are new"
     );
-    let stats = cond.apply_delta(
-        prog,
-        &CondensationDelta {
-            touched: &effect.changed,
-            new_edge_targets: &effect.new_edge_targets,
-        },
-    );
+    let stats = cond.apply_delta(prog, &effect.condensation_delta());
     assert!(cond.is_consistent_with(prog));
     assert!(cond.same_decomposition(&Condensation::of(prog)));
 
@@ -154,13 +149,13 @@ fn repair_keeps_the_rest_of_the_order(keys: usize) -> usize {
             prog.atom_name(AtomId(a))
         );
     }
-    assert_eq!(stats.components_replaced, 1);
-    assert_eq!(stats.components_recomputed, 3);
+    assert_eq!(stats.components_replaced, 0);
+    assert_eq!(stats.components_recomputed, 2);
     stats.atoms_visited
 }
 
 #[test]
 fn an_interning_repair_rewrites_only_its_window() {
-    assert_eq!(repair_keeps_the_rest_of_the_order(1_000), 4);
-    assert_eq!(repair_keeps_the_rest_of_the_order(10_000), 4);
+    assert_eq!(repair_keeps_the_rest_of_the_order(1_000), 2);
+    assert_eq!(repair_keeps_the_rest_of_the_order(10_000), 2);
 }
