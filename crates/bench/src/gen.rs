@@ -448,21 +448,6 @@ pub fn write_edb_src(keys: usize) -> String {
     src
 }
 
-/// A "negation ladder" of depth `k`: `p₀` is a fact and each
-/// `pᵢ₊₁ ← ¬pᵢ` alternates — a long chain of singleton components with
-/// negative links; stratified, decided all the way up.
-pub fn negation_ladder(k: usize) -> GroundProgram {
-    let mut b = GroundProgramBuilder::new();
-    let mut prev = b.prop("p0");
-    b.fact(prev);
-    for i in 1..=k {
-        let p = b.prop(&format!("p{i}"));
-        b.rule(p, vec![], vec![prev]);
-        prev = p;
-    }
-    b.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,19 +547,5 @@ mod tests {
             let a = g.find_atom_by_name("a", &[&format!("k{i}")]).unwrap();
             assert!(r.model.pos.contains(a.0), "a(k{i}) wins");
         }
-    }
-
-    #[test]
-    fn negation_ladder_is_total_and_alternating() {
-        let g = negation_ladder(6);
-        let r = afp_core::alternating_fixpoint(&g);
-        assert!(r.is_total);
-        // p0 true, p1 false, p2 true, …
-        let p0 = g.find_atom_by_name("p0", &[]).unwrap();
-        let p1 = g.find_atom_by_name("p1", &[]).unwrap();
-        let p2 = g.find_atom_by_name("p2", &[]).unwrap();
-        assert!(r.model.pos.contains(p0.0));
-        assert!(r.model.neg.contains(p1.0));
-        assert!(r.model.pos.contains(p2.0));
     }
 }

@@ -6,8 +6,11 @@
 //! * [`game`] — an independent retrograde-analysis solver for the win–move
 //!   game of Example 5.2, used as ground truth;
 //! * the `experiments` binary regenerates every table and figure of the
-//!   paper (see EXPERIMENTS.md at the workspace root);
-//! * `benches/` holds the Criterion benchmarks for the complexity claims.
+//!   paper (`cargo run -p afp-bench --bin experiments -- all`);
+//! * `benches/` holds the Criterion benchmarks for the paper's complexity
+//!   claims (`afp_scaling`, `afp_vs_wfs`, `afp_ablation`, `tc_ntc`,
+//!   `stable_hard`, `grounding`) and for what the wire benchmark does not
+//!   split out (`session_reuse`, `rule_deltas`, `telemetry`).
 
 #![warn(missing_docs)]
 

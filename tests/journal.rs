@@ -543,6 +543,81 @@ fn torn_tails_truncate_but_mid_journal_corruption_refuses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file of a journal directory, by name.
+fn directory_bytes(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect()
+}
+
+/// Recovery is idempotent: the first recovery of a journal with a torn
+/// tail truncates it; recovering the same directory again, with no
+/// write in between, finds nothing to repair, lands on the same head
+/// and leaves every file as it was.
+#[test]
+fn recovering_one_directory_twice_gives_the_same_head() {
+    let eng = engine(SCC);
+    let dir = temp_journal_dir("recover-twice");
+    let options = JournalOptions {
+        checkpoint_every: 4,
+        ..JournalOptions::default()
+    };
+    let service = fresh_service(&eng, &dir, options);
+    for i in 0..7 {
+        service.assert_facts(&format!("move(n0, r{i}).")).unwrap();
+    }
+    assert!(service.journal_stats().unwrap().checkpoints >= 1);
+    drop(service);
+
+    // Short write: chop into the WAL's last record.
+    let wal = wal_file(&dir);
+    let pristine = std::fs::read(&wal).unwrap();
+    assert_eq!(
+        record_frames(&pristine).len(),
+        3,
+        "versions 5..=7 follow the checkpoint"
+    );
+    std::fs::write(&wal, &pristine[..pristine.len() - 3]).unwrap();
+
+    let recover = || Service::recover(&eng, &dir, ServiceOptions::default(), options).unwrap();
+    // History at and below the version-4 checkpoint is compacted, so
+    // `changelog()` reports the same eviction both times; the entries
+    // past the checkpoint must match too.
+    let head = |service: &Service| {
+        let snapshot = service.snapshot();
+        (
+            service.version(),
+            format!("{:?}", service.changelog()),
+            service.changelog_since(4).unwrap(),
+            codec::model_json(snapshot.version(), snapshot.model()),
+        )
+    };
+
+    let first = recover();
+    assert_eq!(first.journal_stats().unwrap().torn_truncations, 1);
+    let first_head = head(&first);
+    assert_eq!(first_head.0, 6);
+    assert_eq!(first_head.2.len(), 2);
+    drop(first);
+
+    let before = directory_bytes(&dir);
+    let second = recover();
+    assert_eq!(second.journal_stats().unwrap().torn_truncations, 0);
+    assert_eq!(head(&second), first_head);
+    drop(second);
+    assert_eq!(
+        directory_bytes(&dir),
+        before,
+        "a recovery with nothing to repair must not rewrite the journal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every fsync policy recovers a cleanly closed journal; `Always` syncs
 /// each cycle and `Never` leaves syncing to the OS.
 #[test]

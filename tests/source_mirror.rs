@@ -1,7 +1,8 @@
-//! Differential test of the source-program mirror: after every step of
-//! a seeded assert/retract script, the session's `source_text` must load
-//! cold into the same true and undefined atoms as the warm session, and
-//! must hold every present statement exactly once.
+//! Differential test of the grounder's statement set, read through
+//! `Session::source_text`: after every step of a seeded assert/retract
+//! script, the session's `source_text` must load cold into the same
+//! true and undefined atoms as the warm session, and must hold every
+//! present statement exactly once.
 //!
 //! The scripts cover duplicate facts in the load text, facts asserted
 //! and retracted through `assert_rules` / `retract_rules`, retracts of
